@@ -50,12 +50,15 @@ from typing import Dict, List, Optional, Tuple
 from repro.chaos.injector import FaultInjector
 from repro.cluster.builder import Cluster
 from repro.core.params import Params
+from repro.db.service import read_row
 from repro.metrics.availability import AvailabilityTimeline
 from repro.ocs.objref import ANY_INCARNATION
+from repro.sim.host import CorruptBlob
 
 #: how long a killed process gets to drain its cancelled tasks before
 #: an undone task counts as a leaked Future.
 LEAK_GRACE = 10.0
+_ABSENT = object()   # durability read-back: the row is not on disk
 
 
 @dataclass(frozen=True)
@@ -848,26 +851,25 @@ class DurabilityMonitor(Monitor):
         for (table, key), ack in sorted(last.items()):
             if ack["partitioned"] or ack["ip"] != primary.host.ip:
                 continue
-            rows = disk.read("db/" + table, {})
-            if not isinstance(rows, dict):
+            row = read_row(disk, table, key, _ABSENT)
+            if isinstance(row, CorruptBlob):
                 out.append(self._violation(
-                    f"db table {table} unreadable on primary "
-                    f"{primary.host.ip}; acked write {key} (seq "
+                    f"db row {table}/{key} unreadable on primary "
+                    f"{primary.host.ip}; acked write (seq "
                     f"{ack['seq']}) is gone"))
-                continue
-            if ack["deleted"]:
-                if key in rows:
+            elif ack["deleted"]:
+                if row is not _ABSENT:
                     out.append(self._violation(
                         f"db {table}/{key}: acked delete (seq {ack['seq']}) "
-                        f"resurrected as {rows[key]!r}"))
-            elif key not in rows:
+                        f"resurrected as {row!r}"))
+            elif row is _ABSENT:
                 out.append(self._violation(
                     f"db {table}/{key}: acked write {ack['value']!r} "
                     f"(seq {ack['seq']}) lost after recovery"))
-            elif rows[key] != ack["value"]:
+            elif row != ack["value"]:
                 out.append(self._violation(
                     f"db {table}/{key}: acked value {ack['value']!r} "
-                    f"(seq {ack['seq']}) reads back {rows[key]!r}"))
+                    f"(seq {ack['seq']}) reads back {row!r}"))
         return out
 
     def _check_ns(self) -> List[Violation]:

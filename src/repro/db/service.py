@@ -35,7 +35,7 @@ from repro.ocs.exceptions import DeadlineExceeded, ServiceUnavailable
 from repro.ocs.runtime import CallContext
 from repro.services.base import Service
 from repro.sim.errors import CancelledError
-from repro.sim.host import DiskWedged
+from repro.sim.host import CorruptBlob, DiskWedged
 
 register_interface("Database", {
     "get": ("table", "key"),
@@ -66,16 +66,37 @@ class NoSuchKey(Exception):
     """get() on a key that is not in the table."""
 
 
+# One Disk record per row, ``db/<table>/<key>``: table names may not
+# contain "/" (keys may), so no row of ``order`` is ever taken for a row
+# of ``orders`` and every storage operation costs O(the row).  This
+# module is the only place that spells a db disk key.
 _DISK_PREFIX = "db/"
 # The change log lives outside the table prefix so tables() stays clean.
 _LOG_KEY = "dbrepl/changelog"
+_MISSING = object()
+
+
+def _disk_key(table: str, key: str = "") -> str:
+    if "/" in table:
+        raise ValueError(f"table name {table!r} contains '/'")
+    return f"{_DISK_PREFIX}{table}/{key}"
+
+
+def read_row(disk, table: str, key: str, default: Any = None) -> Any:
+    """One row straight off a server disk (a CorruptBlob if it rotted)."""
+    return disk.read(_disk_key(table, key), default)
+
+
+def table_rows(disk, table: str) -> Dict[str, Any]:
+    """Every row of one table straight off a server disk, by key."""
+    prefix = _disk_key(table)
+    return {k[len(prefix):]: disk.read(k) for k in disk.keys(prefix)}
 
 
 def seed_database(disk, table: str, rows: Dict[str, Any]) -> None:
     """Pre-load a table onto a server disk (cluster construction time)."""
-    existing = disk.read(_DISK_PREFIX + table, {})
-    existing.update(rows)
-    disk.write(_DISK_PREFIX + table, existing)
+    for key, value in rows.items():
+        disk.write(_disk_key(table, key), value)
 
 
 class DatabaseService(Service):
@@ -95,7 +116,6 @@ class DatabaseService(Service):
         self.snapshot_fetches = 0
         self._catching_up = False
         self._force_snapshot = False
-        self._corrupt_tables: set = set()
         if self.log.recovered_corrupt or self.log.recovered_truncated:
             # The on-disk log came back torn or garbled; the checksum
             # scan kept the valid prefix and the catch-up scheduled
@@ -131,39 +151,38 @@ class DatabaseService(Service):
 
     # -- storage on the host disk --------------------------------------
 
-    def _table(self, table: str) -> Dict[str, Any]:
-        rows = self.host.disk.read(_DISK_PREFIX + table, {})
-        if not isinstance(rows, dict):
-            # Bit rot or a torn write landed under this table.  Serve an
-            # empty table rather than garbage; a backup drops its cursor
-            # and resyncs the real rows from the primary's snapshot.
-            if table not in self._corrupt_tables:
-                self._corrupt_tables.add(table)
-                self.emit("restore_corrupt", what=f"table:{table}")
-            self.host.disk.delete(_DISK_PREFIX + table)
-            if not self.is_primary:
-                self._force_snapshot = True
-                self._schedule_catch_up()
-            return {}
-        return rows
+    def _checked(self, table: str, key: str, value: Any) -> Any:
+        """``value`` as read, or ``_MISSING`` for a row found corrupt."""
+        if not isinstance(value, CorruptBlob):
+            return value
+        # Bit rot or a torn write landed under this row.  Drop it rather
+        # than serve garbage; a backup drops its cursor and resyncs the
+        # real row from the primary's snapshot.
+        self.emit("restore_corrupt", what=f"row:{table}/{key}")
+        self.host.disk.delete(_disk_key(table, key))
+        if not self.is_primary:
+            self._force_snapshot = True
+            self._schedule_catch_up()
+        return _MISSING
 
-    def _write_table(self, table: str, rows: Dict[str, Any]) -> None:
-        self.host.disk.write(_DISK_PREFIX + table, rows)
+    def _rows(self, table: str) -> Dict[str, Any]:
+        return {key: value for key, raw
+                in table_rows(self.host.disk, table).items()
+                if (value := self._checked(table, key, raw)) is not _MISSING}
 
     def get(self, table: str, key: str) -> Any:
-        rows = self._table(table)
-        if key not in rows:
+        value = self._checked(
+            table, key, read_row(self.host.disk, table, key, _MISSING))
+        if value is _MISSING:
             raise NoSuchKey(f"{table}/{key}")
-        return rows[key]
+        return value
 
     def apply_write(self, table: str, key: str, value: Any,
                     deleted: bool) -> None:
-        rows = self._table(table)
         if deleted:
-            rows.pop(key, None)
+            self.host.disk.delete(_disk_key(table, key))
         else:
-            rows[key] = value
-        self._write_table(table, rows)
+            self.host.disk.write(_disk_key(table, key), value)
 
     # -- write path ------------------------------------------------------
 
@@ -334,7 +353,7 @@ class DatabaseService(Service):
         from_seq = self.log.seq
         from_epoch = self.log.epoch_at(from_seq)
         if self._force_snapshot:
-            # A corrupt table blob can only be repaired wholesale: ask
+            # A dropped corrupt row may predate the retained log: ask
             # with a deliberately mismatched cursor so the primary's
             # entries_from refuses and serves its snapshot instead.
             from_seq, from_epoch = max(self.log.seq, 1), "corrupt-resync"
@@ -370,35 +389,36 @@ class DatabaseService(Service):
             return ("ops", entries)
         return ("snapshot", self._snapshot())
 
+    def _tables(self) -> List[str]:
+        return sorted({k[len(_DISK_PREFIX):].partition("/")[0]
+                       for k in self.host.disk.keys(_DISK_PREFIX)})
+
     def _snapshot(self) -> dict:
-        tables = {}
-        for disk_key in sorted(self.host.disk.keys()):
-            if disk_key.startswith(_DISK_PREFIX):
-                name = disk_key[len(_DISK_PREFIX):]
-                tables[name] = dict(self.host.disk.read(disk_key, {}))
         return {"seq": self.log.seq,
                 "epoch": self.log.epoch_at(self.log.seq),
                 "digest": self.log.digest,
-                "tables": tables}
+                "tables": {t: self._rows(t) for t in self._tables()}}
 
     def _load_snapshot(self, snap: dict) -> None:
         # Write-new-then-prune: lay the snapshot rows down first, drop
-        # stale tables second, adopt the cursor last (reset persists via
+        # stale rows second, adopt the cursor last (reset persists via
         # the atomic swap, whose syncs also flush the rows).  A crash at
         # any point leaves either the old consistent state (buffered
         # writes lost) or a replayable superset -- never an empty prefix
         # with an advanced cursor.
+        keep = set()
         for table, rows in sorted(snap["tables"].items()):
-            self._write_table(table, dict(rows))
-        keep = {_DISK_PREFIX + table for table in snap["tables"]}
-        for disk_key in sorted(self.host.disk.keys()):
-            if disk_key.startswith(_DISK_PREFIX) and disk_key not in keep:
+            for key, value in rows.items():
+                disk_key = _disk_key(table, key)
+                keep.add(disk_key)
+                self.host.disk.write(disk_key, value)
+        for disk_key in self.host.disk.keys(_DISK_PREFIX):
+            if disk_key not in keep:
                 self.host.disk.delete(disk_key)
         # Adopting the snapshot adopts the sender's digest at that seq,
         # so the conformance oracle (equal digests <=> identical update
         # histories) survives the fallback.
         self.log.reset(snap["seq"], snap["epoch"], snap["digest"])
-        self._corrupt_tables.clear()
 
     async def _replication_poll(self) -> None:
         """Anti-entropy: poll the primary's log on a fixed cadence.
@@ -451,12 +471,10 @@ class _DatabaseServant:
                                      deadline=ctx.deadline)
 
     async def scan(self, ctx: CallContext, table: str):
-        return dict(self._svc._table(table))
+        return self._svc._rows(table)
 
     async def tables(self, ctx: CallContext):
-        prefix = _DISK_PREFIX
-        return sorted(k[len(prefix):] for k in self._svc.host.disk.keys()
-                      if k.startswith(prefix))
+        return self._svc._tables()
 
     async def applyUpdates(self, ctx: CallContext, from_seq: int, entries):
         self._svc.on_apply_updates(from_seq, entries)

@@ -68,19 +68,12 @@ class FileService(Service):
     def is_dir(self, path: str) -> bool:
         if path == "":
             return True
-        prefix = self._disk_key(path) + "/"
-        marker = self._disk_key(path) + "/."
-        return any(k.startswith(prefix) or k == marker
-                   for k in self.host.disk.keys())
+        return bool(self.host.disk.keys(self._disk_key(path) + "/"))
 
     def list_dir(self, path: str) -> List[str]:
         prefix = self._disk_key(path) + "/" if path else FS_DISK_PREFIX
-        names = set()
-        for key in sorted(self.host.disk.keys()):
-            if not key.startswith(prefix):
-                continue
-            rest = key[len(prefix):]
-            names.add(rest.split("/", 1)[0])
+        names = {key[len(prefix):].split("/", 1)[0]
+                 for key in self.host.disk.keys(prefix)}
         names.discard(".")
         return sorted(names)
 

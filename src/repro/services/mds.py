@@ -90,8 +90,7 @@ class MediaDeliveryService(Service):
 
     def titles(self) -> List[str]:
         prefix = MOVIE_DISK_PREFIX
-        return sorted(k[len(prefix):] for k in self.host.disk.keys()
-                      if k.startswith(prefix))
+        return [k[len(prefix):] for k in self.host.disk.keys(prefix)]
 
     def movie_info(self, title: str) -> dict:
         info = self.host.disk.read(MOVIE_DISK_PREFIX + title)

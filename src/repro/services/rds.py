@@ -74,8 +74,7 @@ class ReliableDeliveryService(Service):
 
     def list_data(self) -> List[str]:
         prefix = RDS_DISK_PREFIX
-        return sorted(k[len(prefix):] for k in self.host.disk.keys()
-                      if k.startswith(prefix))
+        return [k[len(prefix):] for k in self.host.disk.keys(prefix)]
 
 
 class _RDSServant:

@@ -111,6 +111,7 @@ class Process:
         # start at the same simulated instant.
         self.incarnation = (host.kernel.now, self.pid)
         self._tasks: List[Task] = []
+        self._prune_at = 16
         self._exit_watchers: List[Callable[["Process"], None]] = []
         # Arbitrary per-process attachments (the OCS runtime lives here).
         self.attachments: Dict[str, Any] = {}
@@ -127,7 +128,11 @@ class Process:
             raise ProcessExit(f"process {self.name}({self.pid}) has exited")
         task = self.kernel.create_task(coro, name=f"{self.name}:{name or 'task'}")
         self._tasks.append(task)
-        self._tasks = [t for t in self._tasks if not t.done()]
+        if len(self._tasks) >= self._prune_at:
+            # Amortised: drop finished tasks only once the list has
+            # doubled since the last prune, not on every spawn.
+            self._tasks = [t for t in self._tasks if not t.done()]
+            self._prune_at = max(16, 2 * len(self._tasks))
         return task
 
     def on_exit(self, fn: Callable[["Process"], None]) -> None:
@@ -145,7 +150,8 @@ class Process:
         self.exit_status = status
         for child in list(self.children):
             child.kill(status=f"parent {self.name} exited")
-        tasks, self._tasks = self._tasks, []
+        tasks = [t for t in self._tasks if not t.done()]
+        self._tasks = []
         for task in tasks:
             task.cancel()
         self.cancelled_tasks = tasks
@@ -257,13 +263,14 @@ class Disk:
         self._buffer.clear()
         self._last_buffered = None
 
-    def keys(self) -> List[str]:
+    def keys(self, prefix: str = "") -> List[str]:
+        """Live keys starting with ``prefix``, sorted."""
         self._check_wedged()
-        live = set(self._data)
+        live = {key for key in self._data if key.startswith(prefix)}
         for key, value in self._buffer.items():
             if value is _TOMBSTONE:
                 live.discard(key)
-            else:
+            elif key.startswith(prefix):
                 live.add(key)
         return sorted(live)
 

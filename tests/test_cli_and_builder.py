@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.cluster import Cluster, build_cluster, build_full_cluster
+from repro.db.service import read_row
 from repro.net.address import neighborhood_of
 
 
@@ -72,7 +73,7 @@ class TestBuilderMechanics:
 
     def test_full_cluster_placement_written_to_disk(self):
         cluster = build_full_cluster(n_servers=2, seed=192)
-        placement = cluster.servers[0].disk.read("db/config")["placement"]
+        placement = read_row(cluster.servers[0].disk, "config", "placement")
         assert set(placement["mds"]) == set(cluster.server_ips)
 
     def test_seed_changes_timings_not_structure(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.core.rebind import RebindingProxy
-from repro.db.service import DatabaseClient, NoSuchKey
+from repro.db.service import DatabaseClient, NoSuchKey, read_row
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ class TestDurabilityAndFailover:
         cluster.run_async(db.put("bm", "k", "v"))
         cluster.run_for(2.0)  # replication pushes land
         on_disk = sum(1 for host in cluster.servers
-                      if host.disk.read("db/bm", {}).get("k") == "v")
+                      if read_row(host.disk, "bm", "k") == "v")
         assert on_disk == 3
 
     def test_primary_failover_serves_replicated_data(self):

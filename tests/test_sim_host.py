@@ -77,6 +77,30 @@ class TestProcessLifecycle:
         kernel.run()
         assert seen == ["late"]
 
+    def test_task_list_is_pruned_amortised_and_kill_sees_only_pending(
+            self, kernel, host):
+        proc = host.spawn("svc")
+
+        async def quick():
+            return None
+
+        async def forever():
+            await kernel.sleep(1000.0)
+
+        pending = [proc.create_task(forever()) for _ in range(3)]
+        for _ in range(500):
+            proc.create_task(quick())
+            kernel.run(until=kernel.now + 0.001)
+        # Finished tasks are dropped once the list has doubled, so the
+        # list stays bounded without a scan on every spawn ...
+        assert len(proc._tasks) <= 16
+        proc.create_task(quick())
+        kernel.run(until=kernel.now + 0.001)
+        assert any(t.done() for t in proc._tasks)   # ... not eagerly
+        proc.kill()
+        # ... and death records exactly the tasks that were pending.
+        assert proc.cancelled_tasks == pending
+
     def test_create_task_on_dead_process_raises(self, host):
         proc = host.spawn("svc")
         proc.kill()
@@ -143,3 +167,17 @@ class TestDisk:
         disk.write("b", 1)
         disk.write("a", 2)
         assert disk.keys() == ["a", "b"]
+
+    def test_keys_by_prefix_match_a_filter_of_all_keys(self):
+        disk = Disk()
+        for key in ["m/b", "m/a", "mm/a", "m", "n/a", "m/gone", "m/dead"]:
+            disk.write(key, 1)
+        disk.delete("m/gone")
+        disk.write_barrier = True       # buffered writes and tombstones
+        disk.write("m/new", 2)
+        disk.write("n/new", 2)
+        disk.delete("m/dead")
+        assert disk.keys("m/") == ["m/a", "m/b", "m/new"]
+        for prefix in ["", "m", "m/", "mm/", "n/", "absent/"]:
+            assert disk.keys(prefix) == [k for k in disk.keys()
+                                         if k.startswith(prefix)]
