@@ -80,10 +80,15 @@ class RebindingProxy:
 
     def invalidate(self) -> None:
         """Drop the cached reference (e.g. after a data-path stall)."""
-        self._drop_ref()
+        self._drop_ref(self._ref)
 
-    def _drop_ref(self) -> None:
-        """Drop our ref AND report it bad to the shared binding cache.
+    def _drop_ref(self, ref: Optional[ObjectRef]) -> None:
+        """Drop ``ref`` AND report it bad to the shared binding cache --
+        if it is still the ref this proxy holds.
+
+        Overlapping calls on one proxy each fail on the ref their own
+        attempt used; whichever reports first drops it, and a later
+        report must not clobber the ref a sibling has re-resolved since.
 
         Without the report the host's BindingCache would hand the same
         dead/shedding ref straight back on the next resolve and the
@@ -92,10 +97,11 @@ class RebindingProxy:
         report from evicting a binding another component already
         refreshed.
         """
-        if self._ref is not None:
-            invalidate = getattr(self._names, "invalidate", None)
-            if invalidate is not None:
-                invalidate(self._name, self._ref)
+        if ref is None or self._ref is not ref:
+            return
+        invalidate = getattr(self._names, "invalidate", None)
+        if invalidate is not None:
+            invalidate(self._name, ref)
         self._ref = None
 
     def _cooling(self, ref: ObjectRef) -> Optional[Overloaded]:
@@ -133,17 +139,20 @@ class RebindingProxy:
         # cached reply instead of executing the op a second time.
         request_id = self._runtime.next_request_id()
         while kernel.now < budget:
-            if self._ref is None:
+            # The ref of *this* attempt: a sibling call on the same proxy
+            # may drop or replace self._ref across any await below.
+            ref = self._ref
+            if ref is None:
                 try:
                     self.resolve_calls += 1
-                    self._ref = await self._names.resolve(self._name)
+                    ref = self._ref = await self._names.resolve(self._name)
                 except (NamingError, ServiceUnavailable) as err:
                     # Not bound (yet/anymore): a replica will rebind soon.
                     last_error = err
                     await kernel.sleep(self._clamped(
                         self._retry_delay(backoff), budget))
                     continue
-                cooling = self._cooling(self._ref)
+                cooling = self._cooling(ref)
                 if cooling is not None:
                     # The Selector handed back a replica we know is
                     # shedding.  Fail fast with the server's own signal
@@ -155,7 +164,7 @@ class RebindingProxy:
                     raise cooling
             try:
                 return await self._runtime.invoke(
-                    self._ref, method, args,
+                    ref, method, args,
                     timeout=min(call_timeout, budget - kernel.now),
                     deadline=deadline, request_id=request_id)
             except Overloaded as err:
@@ -163,8 +172,8 @@ class RebindingProxy:
                 # the name service steer the retry at another replica.
                 self.sheds_seen += 1
                 last_error = err
-                self._note_shed(self._ref, err)
-                self._drop_ref()
+                self._note_shed(ref, err)
+                self._drop_ref(ref)
                 self.rebinds += 1
                 await kernel.sleep(self._clamped(
                     self._retry_delay(backoff), budget))
@@ -174,7 +183,7 @@ class RebindingProxy:
             except ServiceUnavailable as err:
                 # The reference went stale: rebind through the name service.
                 last_error = err
-                self._drop_ref()
+                self._drop_ref(ref)
                 self.rebinds += 1
                 if backoff > 0:
                     await kernel.sleep(self._clamped(

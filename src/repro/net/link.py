@@ -39,13 +39,17 @@ class Link:
         self.name = name
         self._busy_until = 0.0
         self._reservations: Dict[str, float] = {}
+        # Cached: occupy() reads it per datagram, reservations change per
+        # movie.  Recomputed wherever _reservations changes (rate_bps is
+        # fixed at construction).
+        self._effective_rate_bps = self._compute_effective_rate()
         self.bytes_carried = 0
         self.messages_carried = 0
 
     # -- datagram serialization ---------------------------------------
 
     def serialization_time(self, nbytes: int) -> float:
-        return (8.0 * nbytes) / self.effective_rate_bps
+        return (8.0 * nbytes) / self._effective_rate_bps
 
     def occupy(self, nbytes: int) -> float:
         """Queue a message on the link; return its total one-way delay.
@@ -53,7 +57,7 @@ class Link:
         The delay covers queueing behind earlier messages, serialization at
         the rate left over after CBR reservations, and propagation latency.
         """
-        now = self.kernel.now
+        now = self.kernel._now
         start = max(now, self._busy_until)
         finish = start + self.serialization_time(nbytes)
         self._busy_until = finish
@@ -64,8 +68,10 @@ class Link:
     @property
     def effective_rate_bps(self) -> float:
         """Rate available to datagram traffic after CBR reservations."""
-        reserved = sum(self._reservations.values())
-        return max(self.rate_bps - reserved, self.rate_bps * 0.01)
+        return self._effective_rate_bps
+
+    def _compute_effective_rate(self) -> float:
+        return max(self.rate_bps - self.reserved_bps, self.rate_bps * 0.01)
 
     # -- CBR reservations ----------------------------------------------
 
@@ -89,16 +95,21 @@ class Link:
                 f"{self.available_bps:.0f} available of {self.rate_bps}"
             )
         self._reservations[key] = bps
+        self._effective_rate_bps = self._compute_effective_rate()
 
     def release(self, key: str) -> bool:
         """Drop a reservation; returns False when the key is unknown."""
-        return self._reservations.pop(key, None) is not None
+        if self._reservations.pop(key, None) is None:
+            return False
+        self._effective_rate_bps = self._compute_effective_rate()
+        return True
 
     def has_reservation(self, key: str) -> bool:
         return key in self._reservations
 
     def clear_reservations(self) -> None:
         self._reservations.clear()
+        self._effective_rate_bps = self._compute_effective_rate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} {self.rate_bps:.0f}bps "

@@ -42,7 +42,14 @@ CHECKSUM_BYTES = 4
 _msg_counter = [0]
 
 
-def _next_msg_id() -> int:
+def reserve_msg_id() -> int:
+    """Consume and return the next message id.
+
+    ``Message`` calls this for every envelope built without an explicit
+    ``msg_id``; a sender that fixes a datagram's identity before (or
+    without) building its envelope -- :meth:`Network.broadcast` -- calls
+    it directly and passes the id to the envelope if one is ever needed.
+    """
     _msg_counter[0] += 1
     return _msg_counter[0]
 
@@ -82,7 +89,7 @@ class Message:
         self.kind = kind
         self.payload = payload
         self.payload_bytes = payload_bytes
-        self.msg_id = _next_msg_id() if msg_id is None else msg_id
+        self.msg_id = reserve_msg_id() if msg_id is None else msg_id
         # Absolute (virtual-clock) deadline for the work this datagram
         # asks for; None means "no deadline" (replies, raw datagrams).
         self.deadline = deadline
@@ -115,7 +122,7 @@ class Message:
             msg.kind = kind
             msg.payload = payload
             msg.payload_bytes = payload_bytes
-            msg.msg_id = _next_msg_id()
+            msg.msg_id = reserve_msg_id()
             msg.deadline = deadline
             return msg
         return cls(src, dst, kind, payload, payload_bytes, deadline=deadline)

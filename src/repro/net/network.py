@@ -23,7 +23,7 @@ from repro.net.address import (
     is_settop_ip,
 )
 from repro.net.link import Link
-from repro.net.message import HEADER_BYTES, Message
+from repro.net.message import HEADER_BYTES, Message, reserve_msg_id
 from repro.sim.host import Host
 from repro.sim.kernel import Kernel
 
@@ -106,13 +106,13 @@ class Network:
         return {kind: stats[1] for kind, stats in self._kind_stats.items()
                 if stats[1]}
 
-    def _account(self, kind: str, size_bytes: int) -> None:
-        self.messages_sent += 1
+    def _account(self, kind: str, size_bytes: int, count: int = 1) -> None:
+        self.messages_sent += count
         stats = self._kind_stats.get(kind)
         if stats is None:
-            self._kind_stats[kind] = [1, size_bytes]
+            self._kind_stats[kind] = [count, size_bytes]
         else:
-            stats[0] += 1
+            stats[0] += count
             stats[1] += size_bytes
 
     # -- attachment ----------------------------------------------------
@@ -507,7 +507,7 @@ class Network:
         src_iface = self._interfaces.get(src_ip)
         dst_iface = self._interfaces.get(dst_ip)
         if (src_iface is None or not src_iface.host.up or dst_iface is None
-                or not self.reachable(src_ip, dst_ip)
+                or (self._partitions and not self.reachable(src_ip, dst_ip))
                 or not dst_iface.in_link.has_reservation(reservation_key)):
             self.messages_dropped += 1
             return False
@@ -530,41 +530,120 @@ class Network:
         Models the cable plant's shared downstream channel (the boot and
         kernel broadcast services, section 3.4.1): the sender pays for one
         copy on its uplink; receivers hear it after their link latency
-        without per-receiver serialization.  Returns the number of hosts
-        the broadcast reached.
+        without per-receiver serialization.  Datagrams leave from source
+        port 0, so a receiver with nobody on ``port`` answers nothing.
+
+        Returns the number of receivers *reached*: those with an attached
+        interface that no partition separates from the sender at send
+        time.  That is neither the listeners (a reached receiver may have
+        nothing bound to ``port``) nor the hosts that are up (a down host
+        is reached here and dropped at arrival).  Every receiver named in
+        ``dst_ips`` counts as one message sent; the unreached ones count
+        as dropped.
+
+        Receivers are scheduled in *runs*: consecutive reached receivers
+        whose arrival delay is equal share one kernel event, and an
+        envelope is built at arrival only for a receiver that listens
+        (see :meth:`_deliver_broadcast`).
         """
-        src_iface = self._interfaces.get(src_ip)
+        interfaces = self._interfaces
+        src_iface = interfaces.get(src_ip)
         if src_iface is None or not src_iface.host.up:
             return 0
         delay = src_iface.out_link.occupy(HEADER_BYTES + payload_bytes)
+        kernel = self.kernel
+        hb = kernel.hb_log
+        partitions = self._partitions
+        delay_faults = self._delay or self._gray or self._reorder
+        dup = self._dup
+        run: Optional[List[Tuple[str, int]]] = None
+        run_delay = 0.0
         reached = 0
         for dst_ip in dst_ips:
-            iface = self._interfaces.get(dst_ip)
-            if iface is None or not self.reachable(src_ip, dst_ip):
+            iface = interfaces.get(dst_ip)
+            if iface is None or (partitions
+                                 and not self.reachable(src_ip, dst_ip)):
                 # Parity with send(): an unknown or partitioned receiver
-                # is a dropped datagram, not a silent skip.
-                self._account(kind, 0)
+                # is a dropped datagram (accounted below), not a skip.
+                continue
+            reached += 1
+            msg_id = reserve_msg_id()
+            if hb is not None:
+                hb.emit("hb", "send", msg=msg_id,
+                        src=f"{src_ip}:0", dst=f"{dst_ip}:{port}")
+            receiver_delay = delay + iface.in_link.latency
+            if delay_faults:
+                receiver_delay += self._fault_delay(src_ip, dst_ip)
+            if run is None or receiver_delay != run_delay:
+                run = []
+                run_delay = receiver_delay
+                kernel.call_later(receiver_delay, self._deliver_broadcast,
+                                  src_ip, port, kind, payload, payload_bytes,
+                                  run, pooled=True)
+            run.append((dst_ip, msg_id))
+            if dup and dst_ip in dup:
+                # Parity with send(): a receiver behind a duplicating
+                # plant segment hears the broadcast's echo too.  The echo
+                # is an event of its own; ending the run here keeps a
+                # run's receivers seq-adjacent, which is all the order
+                # argument in _deliver_broadcast rests on.
+                self._maybe_duplicate(
+                    Message(src=(src_ip, 0), dst=(dst_ip, port), kind=kind,
+                            payload=payload, payload_bytes=payload_bytes,
+                            msg_id=msg_id),
+                    receiver_delay)
+                run = None
+        sent = len(dst_ips)
+        if sent:
+            # One copy on the wire regardless of population: count a
+            # message per receiver but charge no per-receiver bytes.
+            self._account(kind, 0, sent)
+            self.messages_dropped += sent - reached
+        return reached
+
+    def _deliver_broadcast(self, src_ip: str, port: int, kind: str,
+                           payload: Any, payload_bytes: int,
+                           run: List[Tuple[str, int]]) -> None:
+        """Arrival of one broadcast run: ``_deliver`` per receiver, minus
+        the envelope for receivers that never look at one.
+
+        The run's receivers had seq-adjacent events at one instant, so
+        walking them back to back is the order the kernel would have
+        produced (the :meth:`_deliver_batch` argument).  Each receiver
+        gets exactly ``_deliver``'s checks in ``_deliver``'s order, and
+        every fault rng is drawn as it would have been; a ``Message`` is
+        built only where something reads it -- a bound handler, or the
+        corrupt fault's roll.  No port-unreachable notice: the source
+        port is 0, which nothing binds.
+        """
+        interfaces = self._interfaces
+        src = (src_ip, 0)
+        for dst_ip, msg_id in run:
+            iface = interfaces.get(dst_ip)
+            if iface is None or not iface.host.up or (
+                    self._partitions
+                    and not self.reachable(src_ip, dst_ip)):
                 self.messages_dropped += 1
                 continue
-            msg = Message(src=(src_ip, 0), dst=(dst_ip, port), kind=kind,
-                          payload=payload, payload_bytes=payload_bytes)
-            # One copy on the wire regardless of population: count the
-            # message but charge no per-receiver bytes.
-            self._account(kind, 0)
+            if self._loss and self._lose(dst_ip):
+                continue
+            msg = None
+            if self._corrupt and dst_ip in self._corrupt:
+                msg = self._maybe_corrupt(
+                    Message(src, (dst_ip, port), kind, payload,
+                            payload_bytes, msg_id), dst_ip)
+            handler = iface.ports.get(port)
+            if handler is None:
+                self.messages_dropped += 1
+                continue
+            if msg is None:
+                msg = Message(src, (dst_ip, port), kind, payload,
+                              payload_bytes, msg_id)
+            self.messages_delivered += 1
             hb = self.kernel.hb_log
             if hb is not None:
-                hb.emit("hb", "send", msg=msg.msg_id,
-                        src=f"{src_ip}:0", dst=f"{dst_ip}:{port}")
-            receiver_delay = (delay + iface.in_link.latency
-                              + self._fault_delay(src_ip, dst_ip))
-            self.kernel.call_later(receiver_delay, self._deliver, msg,
-                                   pooled=True)
-            if self._dup:
-                # Parity with send(): a receiver behind a duplicating
-                # plant segment hears the broadcast's echo too.
-                self._maybe_duplicate(msg, receiver_delay)
-            reached += 1
-        return reached
+                hb.emit("hb", "recv", msg=msg_id, dst=f"{dst_ip}:{port}")
+            handler(msg)
 
     # -- accounting ---------------------------------------------------------
 

@@ -110,7 +110,7 @@ class TestNameStoreProperties:
 
 
 class TestLinkProperties:
-    @given(st.lists(st.tuples(st.sampled_from(["reserve", "release"]),
+    @given(st.lists(st.tuples(st.sampled_from(["reserve", "release", "clear"]),
                               st.integers(min_value=0, max_value=9),
                               st.floats(min_value=1, max_value=2e6,
                                         allow_nan=False)),
@@ -126,10 +126,15 @@ class TestLinkProperties:
                     link.reserve(key, bps)
                 except (ReservationError, ValueError):
                     pass
-            else:
+            elif action == "release":
                 link.release(key)
+            else:
+                link.clear_reservations()
             assert 0 <= link.reserved_bps <= link.rate_bps + 1e-6
             assert link.available_bps >= -1e-6
+            # The cached rate is exactly what summing would give now.
+            assert link.effective_rate_bps == max(
+                link.rate_bps - link.reserved_bps, link.rate_bps * 0.01)
             assert link.effective_rate_bps > 0
 
     @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1,

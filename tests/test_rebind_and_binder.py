@@ -6,8 +6,19 @@ from repro.cluster import build_cluster
 from repro.core.control.ssc import ssc_ref
 from repro.core.rebind import RebindError, RebindingProxy
 from repro.core.params import Params
+from repro.ocs import Overloaded
+from repro.sim import SeededRandom
+from repro.sim.kernel import gather
 
-from tests.helpers import PBPingService, PingService
+from tests.helpers import (
+    PBPingService,
+    PingService,
+    StubNames,
+    client_runtime,
+    small_gate,
+    small_world,
+    start_echo,
+)
 
 
 def cluster_with_ping(seed=161, **params_kw):
@@ -78,6 +89,46 @@ class TestRebindingProxy:
             cluster.run_async(proxy.ping())
         # Give-up is prompt: roughly the configured budget, not unbounded.
         assert cluster.now <= 20.0
+
+
+class TestOverlappingCalls:
+    """Two calls in flight on one proxy (ISSUE 14 bugfix): each attempt
+    works on the ref it was issued with, so one call dropping the shared
+    ref cannot pull it out from under the other."""
+
+    def _two_calls(self, refs_for_names, shed_on):
+        kernel, net, hosts = small_world(n_hosts=2)
+        runtimes = [start_echo(kernel, net, host, f"echo-{i}")
+                    for i, host in enumerate(hosts)]
+        for i in shed_on:
+            runtimes[i][0].admission = small_gate(max_inflight=0,
+                                                  max_queue=1)
+        refs = [ref for _runtime, ref in runtimes]
+        names = StubNames([refs[i] for i in refs_for_names])
+        proxy = RebindingProxy(client_runtime(net, hosts[0]), names,
+                               "svc/echo", params=Params(),
+                               rng=SeededRandom(5), give_up_after=30.0)
+        results = kernel.run_until_complete(gather(
+            kernel, [proxy.call("echo", "a"), proxy.call("echo", "b")],
+            return_exceptions=True))
+        return proxy, names, refs, results
+
+    def test_both_shed_calls_end_in_overloaded(self):
+        """Parent: the second call's Overloaded arm found ``_ref`` None
+        and died with AttributeError inside ``_note_shed``."""
+        proxy, names, refs, results = self._two_calls([0], shed_on=[0])
+        assert [type(r) for r in results] == [Overloaded, Overloaded]
+        assert proxy.sheds_seen == 2
+        # The shared ref was reported bad once, by whichever call got
+        # there first -- not once per call.
+        assert names.invalidated == [("svc/echo", refs[0])]
+
+    def test_both_calls_follow_the_rebind_to_a_healthy_replica(self):
+        proxy, names, refs, results = self._two_calls([0, 1], shed_on=[0])
+        assert results == ["a", "b"]
+        assert proxy.sheds_seen == 2 and proxy.resolve_calls == 2
+        assert proxy.ref is refs[1]
+        assert names.invalidated == [("svc/echo", refs[0])]
 
 
 class TestBinderDemotion:
