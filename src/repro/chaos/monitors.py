@@ -52,6 +52,8 @@ from repro.cluster.builder import Cluster
 from repro.core.params import Params
 from repro.db.service import read_row
 from repro.metrics.availability import AvailabilityTimeline
+from repro.metrics.delivery import live_runtimes
+from repro.metrics.replication import live_replicas
 from repro.ocs.objref import ANY_INCARNATION
 from repro.sim.host import CorruptBlob
 
@@ -182,18 +184,8 @@ class NsAgreementMonitor(Monitor):
         self._masterless_reported = False
 
     def _masters(self) -> Tuple[List[str], int]:
-        masters, live = [], 0
-        for host in self.cluster.servers:
-            proc = host.find_process("ns")
-            if proc is None or not proc.alive:
-                continue
-            replica = proc.attachments.get("ns_replica")
-            if replica is None:
-                continue
-            live += 1
-            if replica.is_master:
-                masters.append(host.ip)
-        return masters, live
+        stores = list(live_replicas(self.cluster, "ns"))
+        return [ip for ip, store in stores if store.is_primary], len(stores)
 
     def check(self) -> List[Violation]:
         now = self.cluster.now
@@ -305,14 +297,9 @@ class AuditConvergenceMonitor(Monitor):
         return []
 
     def _acting_master(self):
-        for host in self.cluster.servers:
-            proc = host.find_process("ns")
-            if proc is None or not proc.alive:
-                continue
-            replica = proc.attachments.get("ns_replica")
-            if replica is not None and replica.is_master:
-                return replica
-        return None
+        return next((store.owner
+                     for _ip, store in live_replicas(self.cluster, "ns")
+                     if store.is_primary), None)
 
     def _ref_alive(self, ref) -> bool:
         try:
@@ -519,7 +506,7 @@ class FutureLeakMonitor(Monitor):
         shed/expiry paths could introduce."""
         now = self.cluster.now
         out: List[Violation] = []
-        for runtime in _live_runtimes(self.cluster):
+        for runtime in live_runtimes(self.cluster.servers):
             for call_id, pending in runtime._pending.items():
                 deadline = getattr(pending, "deadline", None)
                 if deadline is None or pending.future.done():
@@ -556,7 +543,7 @@ class ExpiredWorkMonitor(Monitor):
 
     def _sweep(self) -> List[Violation]:
         out: List[Violation] = []
-        for runtime in _live_runtimes(self.cluster):
+        for runtime in live_runtimes(self.cluster.servers):
             count = getattr(runtime, "expired_executions", 0)
             key = (runtime.ip, runtime.port)
             if count > self._reported.get(key, 0):
@@ -641,21 +628,8 @@ class HbRaceMonitor(Monitor):
         return out
 
 
-def _live_runtimes(cluster: Cluster):
-    """Every live server-side OCS runtime (the monitors' probe surface)."""
-    for host in cluster.servers:
-        if not host.up:
-            continue
-        for proc in host.processes:
-            if not proc.alive:
-                continue
-            runtime = proc.attachments.get("ocs")
-            if runtime is not None:
-                yield runtime
-
-
 def _gated_runtimes(cluster: Cluster):
-    for runtime in _live_runtimes(cluster):
+    for runtime in live_runtimes(cluster.servers):
         gate = getattr(runtime, "admission", None)
         if gate is not None:
             yield runtime, gate
@@ -664,9 +638,9 @@ def _gated_runtimes(cluster: Cluster):
 class ReplicaLagMonitor(Monitor):
     """Every replica's change-log cursor keeps up with its primary (PR 7).
 
-    Probes the NS replicas (``ns_replica`` attachment) and the db
-    replicas (``service`` attachment) from the outside.  Incremental
-    log shipping makes any gap O(gap) ops to close -- one heartbeat (NS)
+    Probes every NS and db replica's ``ReplicatedStore`` (the ``repl``
+    process attachment) from the outside.  Incremental log shipping
+    makes any gap O(gap) ops to close -- one heartbeat (NS)
     or one anti-entropy poll (db) away -- so a live, connected replica
     observed behind a settled primary's cursor must reach that cursor
     within ``Params.replica_lag_bound``.  Lag that *persists* is the
@@ -686,30 +660,12 @@ class ReplicaLagMonitor(Monitor):
     def _groups(self) -> List[Tuple[str, int, List[Tuple[str, int]]]]:
         """Per service kind: the settled primary's seq + member cursors."""
         groups = []
-        ns_primaries: List[int] = []
-        ns_members: List[Tuple[str, int]] = []
-        db_primaries: List[int] = []
-        db_members: List[Tuple[str, int]] = []
-        for host in self.cluster.servers:
-            proc = host.find_process("ns")
-            if proc is not None and proc.alive:
-                replica = proc.attachments.get("ns_replica")
-                if replica is not None:
-                    ns_members.append((host.ip, replica.store.applied_seq))
-                    if replica.is_master:
-                        ns_primaries.append(replica.store.applied_seq)
-            proc = host.find_process("db")
-            if proc is not None and proc.alive:
-                service = proc.attachments.get("service")
-                log = getattr(service, "log", None)
-                if log is not None:
-                    db_members.append((host.ip, log.seq))
-                    if getattr(service, "is_primary", False):
-                        db_primaries.append(log.seq)
-        if len(ns_primaries) == 1:
-            groups.append(("ns", ns_primaries[0], ns_members))
-        if len(db_primaries) == 1:
-            groups.append(("db", db_primaries[0], db_members))
+        for kind in ("ns", "db"):
+            stores = list(live_replicas(self.cluster, kind))
+            primaries = [s.log.seq for _ip, s in stores if s.is_primary]
+            if len(primaries) == 1:
+                groups.append((kind, primaries[0],
+                               [(ip, s.log.seq) for ip, s in stores]))
         return groups
 
     def check(self) -> List[Violation]:
@@ -830,19 +786,16 @@ class DurabilityMonitor(Monitor):
     def finish(self) -> List[Violation]:
         return self._check_db() + self._check_ns()
 
+    def _sole_primary(self, kind: str):
+        primaries = [store.owner
+                     for _ip, store in live_replicas(self.cluster, kind)
+                     if store.is_primary]
+        return primaries[0] if len(primaries) == 1 else None
+
     def _check_db(self) -> List[Violation]:
-        primary = None
-        for host in self.cluster.servers:
-            proc = host.find_process("db")
-            if proc is None or not proc.alive:
-                continue
-            service = proc.attachments.get("service")
-            if service is not None and getattr(service, "is_primary", False):
-                if primary is not None:
-                    return []   # unsettled primaryship: nothing to judge
-                primary = service
+        primary = self._sole_primary("db")
         if primary is None:
-            return []
+            return []   # none, or unsettled primaryship: nothing to judge
         last: Dict[tuple, dict] = {}
         for ack in self.ledger.db_acks:
             last[(ack["table"], ack["key"])] = ack
@@ -873,18 +826,9 @@ class DurabilityMonitor(Monitor):
         return out
 
     def _check_ns(self) -> List[Violation]:
-        master = None
-        for host in self.cluster.servers:
-            proc = host.find_process("ns")
-            if proc is None or not proc.alive:
-                continue
-            replica = proc.attachments.get("ns_replica")
-            if replica is not None and replica.is_master:
-                if master is not None:
-                    return []   # split mastership: ns_agreement's problem
-                master = replica
+        master = self._sole_primary("ns")
         if master is None:
-            return []
+            return []   # none, or split mastership: ns_agreement's problem
         out: List[Violation] = []
         log = master.changelog
         for ack in self.ledger.ns_acks:

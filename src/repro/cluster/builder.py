@@ -18,6 +18,7 @@ from repro.core.control.registry import ServiceEnv, ServiceRegistry
 from repro.core.control.ssc import install_init
 from repro.core.naming.client import NameClient
 from repro.core.params import Params
+from repro.metrics.replication import live_replicas
 from repro.net.address import server_ip, settop_ip
 from repro.net.message import reset_msg_counter
 from repro.net.network import Network
@@ -325,18 +326,7 @@ class Cluster:
     # ------------------------------------------------------------------
 
     def ns_master_ip(self) -> Optional[str]:
-        for host in self.servers:
-            proc = host.find_process("ns")
-            if proc is None:
-                continue
-            runtime = proc.attachments.get("ocs")
-            if runtime is None:
-                continue
-            # The replica stores itself on the process for inspection.
-            replica = proc.attachments.get("ns_replica")
-            if replica is not None and replica.role == "master":
-                return host.ip
-        return None
+        return self._primary_ip("ns")
 
     def db_primary_ip(self) -> Optional[str]:
         """Which live db replica currently holds the primary binding.
@@ -345,14 +335,11 @@ class Cluster:
         and fault schedules use this to aim kill-primary-mid-write
         drills at the right host.
         """
-        for host in self.servers:
-            proc = host.find_process("db")
-            if proc is None or not proc.alive:
-                continue
-            service = proc.attachments.get("service")
-            if service is not None and getattr(service, "is_primary", False):
-                return host.ip
-        return None
+        return self._primary_ip("db")
+
+    def _primary_ip(self, kind: str) -> Optional[str]:
+        return next((ip for ip, store in live_replicas(self, kind)
+                     if store.is_primary), None)
 
     def running_services(self) -> Dict[str, List[str]]:
         out: Dict[str, List[str]] = {}

@@ -28,10 +28,6 @@ class _NameServiceAdapter:
             trace=env.trace)
         process.attachments["ns_replica"] = self.replica
 
-    def replication_gauges(self) -> dict:
-        """Change-log cursor/lag for the SSC load-report batch (PR 7)."""
-        return self.replica.replication_gauges()
-
     async def run(self) -> None:
         await self.replica.kernel.create_future()  # serve until killed
 

@@ -221,10 +221,10 @@ class ServerServiceController:
         Returns ``(reports, entries)``: per-service gauge dicts for the
         RAS and ``(path, member, load)`` tuples for the Selectors.
 
-        Replicated services (NS, db) also expose ``replication_gauges``
-        -- their change-log cursor and lag behind the primary (PR 7) --
-        which rides the same batch, so a wedged replica shows up in the
-        RAS load feed with no extra wire traffic.
+        Replicated services (NS, db) attach a ``ReplicatedStore`` whose
+        ``replication_gauges`` -- the change-log cursor and lag behind
+        the primary (PR 7) -- ride the same batch, so a wedged replica
+        shows up in the RAS load feed with no extra wire traffic.
         """
         reports: Dict[str, dict] = {}
         entries: List[tuple] = []
@@ -238,8 +238,8 @@ class ServerServiceController:
             gate = getattr(getattr(service, "runtime", None), "admission", None)
             if gate is not None:
                 report.update(gate.gauges())
-            repl_gauges = getattr(service, "replication_gauges", None)
-            if repl_gauges is not None:
+            repl = entry.process.attachments.get("repl")
+            if repl is not None:
                 # A wedged replica disk must not wedge the whole batch:
                 # the scrape is in-process (already bounded -- only the
                 # batch *sends* below cross the wire, under their own
@@ -247,7 +247,7 @@ class ServerServiceController:
                 # which we convert into a gauges_stale transition and a
                 # report that simply omits this service's repl gauges.
                 try:
-                    report.update(repl_gauges())
+                    report.update(repl.replication_gauges())
                 except Exception:  # noqa: BLE001 - DiskWedged et al.
                     if name not in self._stale_gauges:
                         self._stale_gauges.add(name)

@@ -31,13 +31,16 @@ from repro.core.naming.errors import (
 from repro.core.naming.selectors import SelectorState, run_builtin
 from repro.core.naming.store import SELECTOR_NAME, NameStore, join_name, split_name
 from repro.core.params import Params
-from repro.core.replication import GENESIS_EPOCH, ChangeLog, atomic_disk_write
+from repro.core.replication import (
+    GENESIS_EPOCH,
+    ReplicatedStore,
+    atomic_disk_write,
+)
 from repro.idl import lookup_interface
 from repro.net.network import Network
 from repro.ocs.exceptions import ServiceUnavailable
 from repro.ocs.objref import ANY_INCARNATION, ObjectRef
 from repro.ocs.runtime import CallContext, OCSRuntime
-from repro.sim.errors import CancelledError
 from repro.sim.host import DiskWedged, Host, Process
 from repro.sim.kernel import Semaphore, gather
 from repro.sim.rand import SeededRandom, stable_seed
@@ -89,12 +92,10 @@ class NameReplicaProcess:
         self.rng = rng or SeededRandom(stable_seed("ns", self.ip))
         self.trace = trace
         self.store = NameStore()
-        # PR 7: the numbered change log lives on the host disk; a
-        # restarted replica resumes from its old cursor and catches up
-        # incrementally (online bootstrap) instead of starting empty.
-        self.changelog = ChangeLog(process.host.disk, "ns/changelog",
-                                   retain=params.changelog_retain,
-                                   on_compact=self._persist_snapshot)
+        self.repl = ReplicatedStore(self, runtime, params, "ns",
+                                    "ns/changelog",
+                                    on_compact=self._persist_snapshot)
+        self.changelog = self.repl.log
         self.selector_state = SelectorState(rng=self.rng.stream("selectors"))
         self._cpu = Semaphore(self.kernel, 1)
         # -- election state (Echo-style majority voting) ----------------
@@ -103,17 +104,12 @@ class NameReplicaProcess:
         self.voted_for: Optional[str] = None
         self.master_ip: Optional[str] = None
         self.last_heartbeat = self.kernel.now
-        self.last_master_seq = 0             # from heartbeats (lag gauge)
         self._election_timeout = self._new_timeout()
-        self._catching_up = False
         # -- metrics ------------------------------------------------------
         self.resolves_served = 0
         self.updates_forwarded = 0
         self.updates_applied = 0
         self.audit_removals = 0
-        self.catch_ups = 0
-        self.catch_up_ops = 0
-        self.snapshot_fetches = 0
         self._restore_from_disk()
         # -- exports -------------------------------------------------------
         self._context_servants: Dict[str, ContextServant] = {}
@@ -131,9 +127,13 @@ class NameReplicaProcess:
         return len(self.replica_ips) // 2 + 1
 
     @property
-    def is_master(self) -> bool:
+    def is_primary(self) -> bool:
         """Monitor probe: is this replica the acting master?"""
         return self.role == "master" and self.process.alive
+
+    @property
+    def catch_ups(self) -> int:
+        return self.repl.catch_ups   # read by benchmarks/e2e/layers.py
 
     def leaf_bindings(self) -> List[Tuple[str, ObjectRef]]:
         """Monitor probe: the auditable leaf bindings of this replica's view.
@@ -369,7 +369,7 @@ class NameReplicaProcess:
             raise NoMaster(f"master {self.master_ip} unreachable: {err}") from err
         # Apply locally right away so the caller reads its own write; the
         # master's multicast of the same seq is deduplicated.
-        self._ingest(seq, epoch, applied_op)
+        self.repl.ingest(seq, epoch, applied_op)
         return seq
 
     def _master_apply(self, op: tuple) -> int:
@@ -407,34 +407,6 @@ class NameReplicaProcess:
             ledger.ack_ns(self.ip, self.epoch, seq, op)
         return seq
 
-    def _ingest(self, seq: int, epoch, op: tuple) -> None:
-        try:
-            if self.store.apply_numbered(seq, op):
-                self.changelog.record(seq, epoch, op)
-                self.updates_applied += 1
-                self._sync_context_exports()
-        except ValueError:
-            self._schedule_catch_up()
-
-    def on_apply_updates(self, from_seq: int, entries) -> None:
-        """A streamed change-log batch from the master (or a deposed one)."""
-        if self.role == "master":
-            return  # stale push from a deposed master; elections resolve it
-        if from_seq > self.store.applied_seq:
-            self._schedule_catch_up()
-            return
-        for seq, epoch, op in entries:
-            if seq <= self.store.applied_seq:
-                # Overlap: a duplicate delivery is fine, but a *different*
-                # reign's entry at a seq we already hold means our history
-                # forked (minority-side updates) -- resync from the master.
-                known = self.changelog.epoch_at(seq)
-                if known is not None and known != epoch:
-                    self._schedule_catch_up()
-                    return
-                continue
-            self._ingest(seq, epoch, tuple(op))
-
     def _sync_context_exports(self) -> None:
         """Keep one exported context object per tree context (section 9.2)."""
         wanted = set(self.store.context_paths())
@@ -453,7 +425,7 @@ class NameReplicaProcess:
         return "ReplicatedContext" if node.kind == "replicated" else "NamingContext"
 
     # ------------------------------------------------------------------
-    # catch-up: incremental log shipping, snapshot only as fallback
+    # state transfer and restart: what ReplicatedStore asks of its owner
     # ------------------------------------------------------------------
 
     def _persist_snapshot(self) -> None:
@@ -467,11 +439,8 @@ class NameReplicaProcess:
         whose log came back corrupt can re-anchor the log at the
         snapshot's cursor -- and a torn snapshot is detected, not loaded.
         """
-        wrapper = {
-            "snap": self.store.snapshot(),
-            "epoch": self.changelog.epoch_at(self.changelog.seq),
-            "digest": self.changelog.digest,
-        }
+        snap, epoch, digest = self.snapshot_payload()
+        wrapper = {"snap": snap, "epoch": epoch, "digest": digest}
         wrapper["sum"] = _snapshot_sum(wrapper)
         atomic_disk_write(self.process.host.disk, SNAPSHOT_KEY, wrapper)
 
@@ -532,76 +501,39 @@ class NameReplicaProcess:
             self._emit("restore_corrupt", snapshot=bool(snap_corrupt),
                        log_truncated=self.changelog.recovered_truncated,
                        seq=self.store.applied_seq)
-            self._schedule_catch_up()
+            self.repl.schedule_catch_up()
         if self.store.applied_seq:
             self._emit("restored", seq=self.store.applied_seq)
 
-    def _schedule_catch_up(self) -> None:
-        if self._catching_up or self.master_ip in (None, self.ip):
-            return
-        self._catching_up = True
-        self.process.create_task(self._catch_up(), name="ns-catch-up").detach()
+    def knows_primary(self) -> bool:
+        return self.master_ip not in (None, self.ip)
 
-    async def _catch_up(self) -> None:
-        try:
-            await self._catch_up_from(self.master_ip)
-        except (ServiceUnavailable, CancelledError, DiskWedged):
-            # DiskWedged: our own log cannot record right now; the next
-            # heartbeat re-triggers the catch-up once the disk heals.
-            pass
-        finally:
-            self._catching_up = False
+    async def primary_ref(self) -> ObjectRef:
+        return self.peer_replica_ref(self.master_ip)
 
-    async def _catch_up_from(self, peer_ip: str,
-                             timeout: Optional[float] = None) -> None:
-        """Pull the updates after our change-log cursor from ``peer_ip``.
+    def apply_op(self, seq: int, op: tuple) -> None:
+        self.store.apply_numbered(seq, op)
+        self.updates_applied += 1
+        self._sync_context_exports()
 
-        The request carries ``(from_seq, from_epoch)``.  The peer streams
-        ops when it shares our history at that cursor -- O(gap) work --
-        and answers with a full snapshot only when the cursor epoch
-        mismatches (a forked minority history: the PR 3 stale-read case,
-        now *detected* instead of assumed on every adoption) or when its
-        log has been truncated past our cursor.
-        """
-        from_seq = self.store.applied_seq
-        from_epoch = self.changelog.epoch_at(from_seq)
-        reply = await self.runtime.invoke(
-            self.peer_replica_ref(peer_ip), "fetchUpdates",
-            (from_seq, from_epoch),
-            timeout=timeout or self.params.call_timeout)
-        if reply[0] == "ops":
-            applied = 0
-            for seq, epoch, op in reply[1]:
-                try:
-                    if self.store.apply_numbered(seq, tuple(op)):
-                        self.changelog.record(seq, epoch, tuple(op))
-                        applied += 1
-                except ValueError:  # pragma: no cover - concurrent adoption
-                    break
-            if applied:
-                self.updates_applied += applied
-                self._sync_context_exports()
-            self.catch_ups += 1
-            self.catch_up_ops += applied
-            self._emit("catch_up", from_seq=from_seq,
-                       to_seq=self.store.applied_seq, ops=applied)
-        else:
-            _tag, snap, epoch, digest = reply
-            self.store.load_snapshot(snap)
-            self.changelog.reset(snap["seq"], epoch, digest)
-            self._persist_snapshot()
-            self._sync_context_exports()
-            self.snapshot_fetches += 1
-            self._emit("state_fetched", seq=snap["seq"])
+    def caught_up(self, from_seq: int, applied: int) -> bool:
+        # Zero-op pulls are reported too: a new reign's fork check that
+        # found shared history is worth seeing in the trace.
+        self._emit("catch_up", from_seq=from_seq,
+                   to_seq=self.store.applied_seq, ops=applied)
+        return True
 
-    def on_fetch_updates(self, from_seq: int, from_epoch):
-        """Serve a peer's catch-up request from the change log."""
-        entries = self.changelog.entries_from(from_seq, from_epoch)
-        if entries is not None:
-            return ("ops", entries)
-        return ("snapshot", self.store.snapshot(),
+    def snapshot_payload(self) -> tuple:
+        return (self.store.snapshot(),
                 self.changelog.epoch_at(self.changelog.seq),
                 self.changelog.digest)
+
+    def load_snapshot(self, snap: dict, epoch, digest: str) -> None:
+        self.store.load_snapshot(snap)
+        self.changelog.reset(snap["seq"], epoch, digest)
+        self._persist_snapshot()
+        self._sync_context_exports()
+        self._emit("state_fetched", seq=snap["seq"])
 
     # ------------------------------------------------------------------
     # election (Echo-style majority voting)
@@ -655,7 +587,8 @@ class NameReplicaProcess:
             # our histories forked or its log was truncated).
             if best_peer is not None:
                 try:
-                    await self._catch_up_from(best_peer, timeout=2.0)
+                    await self.repl.pull(self.peer_replica_ref(best_peer),
+                                         timeout=2.0)
                 except (ServiceUnavailable, DiskWedged):
                     pass
             if self.epoch != epoch or self.role != "candidate":
@@ -743,11 +676,11 @@ class NameReplicaProcess:
             # history costs O(gap) ops -- not the old unconditional
             # full-state fetch.
             if master_ip != self.ip:
-                self._schedule_catch_up()
+                self.repl.schedule_catch_up()
         self.last_heartbeat = self.kernel.now
-        self.last_master_seq = seq
+        self.repl.primary_seq = seq
         if seq > self.store.applied_seq:
-            self._schedule_catch_up()
+            self.repl.schedule_catch_up()
 
     def _step_down(self, candidate_ip: Optional[str]) -> None:
         self.role = "slave"
@@ -766,19 +699,8 @@ class NameReplicaProcess:
         return {"ip": self.ip, "role": self.role, "epoch": self.epoch,
                 "master": self.master_ip, "seq": self.store.applied_seq,
                 "log_base": self.changelog.base_seq,
-                "catch_ups": self.catch_ups,
-                "snapshot_fetches": self.snapshot_fetches}
-
-    def replication_gauges(self) -> dict:
-        """Lag gauges scraped into the SSC load-report batch (PR 7)."""
-        if self.process.host.disk.wedged:
-            # Refuse to vouch for a cursor the wedged storage cannot
-            # back; the SSC scrape survives the raise and flags the
-            # gauges stale.
-            raise DiskWedged(f"ns gauges unavailable: disk wedged "
-                             f"on {self.ip}")
-        return {"repl_seq": self.store.applied_seq,
-                "repl_lag": self.changelog.lag_behind(self.last_master_seq)}
+                "catch_ups": self.repl.catch_ups,
+                "snapshot_fetches": self.repl.snapshot_fetches}
 
     # ------------------------------------------------------------------
     # auditing (section 4.7): remove dead objects from the name space
@@ -855,7 +777,7 @@ class _ReplicaServant:
         return self._replica.on_forward_update(tuple(op))
 
     async def applyUpdates(self, ctx: CallContext, from_seq: int, entries):
-        self._replica.on_apply_updates(from_seq, entries)
+        self._replica.repl.on_apply_updates(from_seq, entries)
 
     async def requestVote(self, ctx: CallContext, epoch: int,
                           candidate_ip: str, candidate_seq: int):
@@ -866,7 +788,7 @@ class _ReplicaServant:
         self._replica.on_heartbeat(epoch, master_ip, seq)
 
     async def fetchUpdates(self, ctx: CallContext, from_seq: int, from_epoch):
-        return self._replica.on_fetch_updates(from_seq, from_epoch)
+        return self._replica.repl.serve_updates(from_seq, from_epoch)
 
     async def status(self, ctx: CallContext):
         return self._replica.status()

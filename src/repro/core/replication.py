@@ -13,12 +13,13 @@ removed from the name service [by the audit].  Subsequently one of the
 backup replicas' bind requests will succeed."
 
 PR 7 adds the :class:`ChangeLog`: a monotonically numbered, disk-
-persisted update log (devpi-style log shipping) shared by the name
-service replicas and the db service.  The primary appends every update
-and streams ``applyUpdates(from_seq, entries)`` batches; a behind
-replica catches up incrementally from the log in O(gap) ops, falling
-back to a full snapshot only when the log has been truncated past its
-cursor or the histories have forked (DESIGN.md section 13).
+persisted update log (devpi-style log shipping), and
+:class:`ReplicatedStore`, the one follower protocol over it that the
+name service replicas and the db service share.  The primary appends
+every update and streams ``applyUpdates(from_seq, entries)`` batches; a
+behind replica catches up incrementally from the log in O(gap) ops,
+falling back to a full snapshot only when the log has been truncated
+past its cursor or the histories have forked (DESIGN.md section 13).
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ import hashlib
 from typing import Any, Awaitable, Callable, List, Optional, Tuple
 
 from repro.idl import register_exception
+from repro.ocs.exceptions import DeadlineExceeded, ServiceUnavailable
 from repro.ocs.exceptions import DiskWedged as RetryableDiskWedged
-from repro.ocs.exceptions import ServiceUnavailable
 from repro.ocs.objref import ObjectRef
+from repro.sim.errors import CancelledError
+from repro.sim.host import DiskWedged
 
 PromoteHook = Callable[[], Optional[Awaitable[None]]]
 
@@ -407,13 +410,163 @@ class ChangeLog:
             return None
         return self.entries[from_seq - self.base_seq:]
 
-    def lag_behind(self, primary_seq: int) -> int:
-        return max(0, primary_seq - self.seq)
+
+def _wire_epoch(epoch):
+    # An NS epoch is an int; a db epoch is a tuple that may arrive a list.
+    return tuple(epoch) if isinstance(epoch, list) else epoch
+
+
+class ReplicatedStore:
+    """The one log-shipping follower protocol (DESIGN.md section 13.2).
+
+    Owns a replica's :class:`ChangeLog` and what the name service and
+    the db both do over it: ingest a pushed ``(from_seq, entries)``
+    batch, tell a duplicate from a gap from a forked reign, pull the
+    tail or a snapshot from the primary under a reentrancy guard, answer
+    a peer's pull, report lag.  ``owner`` supplies only what differs:
+
+    - ``apply_op(seq, op)``: apply one op to the materialised state;
+    - ``snapshot_payload()``: the reply fields after ``"snapshot"``;
+    - ``load_snapshot(*payload)``: lay that state down, adopt its cursor
+      with ``log.reset`` and emit ``state_fetched``;
+    - ``is_primary``: a push that reaches a primary is stale;
+    - ``knows_primary()``: is there anyone to pull from right now;
+    - ``primary_ref()`` (async): whom -- ``None`` when it is this replica;
+    - ``caught_up(from_seq, applied)``: emit ``catch_up``, or return
+      False for a pull not worth reporting.
+    """
+
+    def __init__(self, owner, runtime, params, name: str, disk_key: str,
+                 on_compact: Optional[Callable[[], None]] = None):
+        self.owner = owner
+        self.runtime = runtime
+        self.params = params
+        self.name = name
+        self.log = ChangeLog(runtime.process.host.disk, disk_key,
+                             retain=params.changelog_retain,
+                             on_compact=on_compact)
+        #: the primary's cursor as the owner last heard it (lag gauge)
+        self.primary_seq = 0
+        self.catch_ups = 0
+        self.catch_up_ops = 0
+        self.snapshot_fetches = 0
+        self._catching_up = False
+        self._force_snapshot = False
+        # Where monitors and collectors find every replica's state.
+        runtime.process.attachments["repl"] = self
+
+    @property
+    def is_primary(self) -> bool:
+        return self.owner.is_primary
+
+    def ingest(self, seq: int, epoch, op: tuple) -> bool:
+        """Apply and record entry ``seq`` if it is the next one; False
+        for a duplicate (no-op) and for a gap (schedules a catch-up)."""
+        if seq <= self.log.seq:
+            return False
+        if seq != self.log.seq + 1:
+            self.schedule_catch_up()
+            return False
+        self.owner.apply_op(seq, op)
+        self.log.record(seq, epoch, op)
+        return True
+
+    def on_apply_updates(self, from_seq: int, entries) -> None:
+        """A streamed change-log batch from the primary (or a deposed one)."""
+        if self.is_primary:
+            return  # stale push; the election / bind race resolves it
+        if from_seq > self.log.seq:
+            self.schedule_catch_up()
+            return
+        for seq, epoch, op in entries:
+            epoch = _wire_epoch(epoch)
+            if seq > self.log.seq:
+                self.ingest(seq, epoch, tuple(op))
+                continue
+            # Overlap: a duplicate delivery is fine, but a *different*
+            # reign's entry at a seq we already hold means our history
+            # forked (minority-side updates) -- resync from the primary.
+            known = self.log.epoch_at(seq)
+            if known is not None and known != epoch:
+                self.schedule_catch_up()
+                return
+
+    def schedule_catch_up(self) -> None:
+        if self._catching_up or not self.owner.knows_primary():
+            return
+        self._catching_up = True
+        self.runtime.process.create_task(
+            self._catch_up(), name=f"{self.name}-catch-up").detach()
+
+    def resync_from_snapshot(self) -> None:
+        """State below the log is damaged (a corrupt row may predate the
+        retained window): make the next pull take the primary's snapshot."""
+        self._force_snapshot = True
+        self.schedule_catch_up()
+
+    async def _catch_up(self) -> None:
+        try:
+            ref = await self.owner.primary_ref()
+            if ref is not None:
+                await self.pull(ref)
+        except (NamingError, ServiceUnavailable, DeadlineExceeded,
+                CancelledError, DiskWedged):
+            # All transient (DiskWedged: our own log cannot record): the
+            # next heartbeat (NS) or anti-entropy poll (db) pulls again.
+            pass
+        finally:
+            self._catching_up = False
+
+    async def pull(self, ref: ObjectRef,
+                   timeout: Optional[float] = None) -> None:
+        """Pull the updates after our cursor from the replica at ``ref``.
+
+        It streams ops when it shares our history at ``(from_seq,
+        from_epoch)`` -- O(gap) work -- and its snapshot only when the
+        epochs mismatch (a forked minority history, detected rather than
+        assumed) or its log has been truncated past our cursor.
+        """
+        from_seq = self.log.seq
+        from_epoch = self.log.epoch_at(from_seq)
+        if self._force_snapshot:
+            # A cursor no history matches: entries_from refuses it.
+            from_seq, from_epoch = max(from_seq, 1), "corrupt-resync"
+        reply = await self.runtime.invoke(
+            ref, "fetchUpdates", (from_seq, from_epoch),
+            timeout=timeout or self.params.call_timeout)
+        if reply[0] == "ops":
+            applied = sum(self.ingest(seq, _wire_epoch(epoch), tuple(op))
+                          for seq, epoch, op in reply[1])
+            self.catch_up_ops += applied
+            if self.owner.caught_up(from_seq, applied):
+                self.catch_ups += 1
+        else:
+            self.owner.load_snapshot(*reply[1:])
+            self.snapshot_fetches += 1
+            self._force_snapshot = False
+        self.primary_seq = max(self.primary_seq, self.log.seq)
+
+    def serve_updates(self, from_seq: int, from_epoch) -> tuple:
+        """Answer a peer's pull: the tail after its cursor, else a snapshot."""
+        entries = self.log.entries_from(from_seq, _wire_epoch(from_epoch))
+        if entries is not None:
+            return ("ops", entries)
+        return ("snapshot",) + self.owner.snapshot_payload()
+
+    def replication_gauges(self) -> dict:
+        """Lag gauges scraped into the SSC load-report batch (PR 7)."""
+        if self.log.disk.wedged:
+            # The cursor may be ahead of anything the wedged disk made
+            # durable: refuse to vouch (the SSC marks the gauges stale).
+            raise DiskWedged(f"{self.name} gauges unavailable: disk wedged "
+                             f"on {self.runtime.ip}")
+        return {"repl_seq": self.log.seq,
+                "repl_lag": max(0, self.primary_seq - self.log.seq)}
 
 
 # Imported here, not at the top: repro.core.naming's package init pulls
-# in replica.py, which imports ChangeLog from this module -- the import
-# must sit below the classes the cycle re-enters for.
+# in replica.py, which imports ChangeLog and ReplicatedStore from this
+# module -- the import must sit below the classes the cycle re-enters for.
 from repro.core.naming.errors import AlreadyBound, NamingError  # noqa: E402
 
 

@@ -26,16 +26,15 @@ from typing import Any, Dict, List
 
 from repro.core.naming.errors import NamingError
 from repro.core.replication import (
-    ChangeLog,
     NotPrimary,
     PrimaryBackupBinder,
+    ReplicatedStore,
 )
 from repro.idl import register_exception, register_interface
 from repro.ocs.exceptions import DeadlineExceeded, ServiceUnavailable
 from repro.ocs.runtime import CallContext
 from repro.services.base import Service
-from repro.sim.errors import CancelledError
-from repro.sim.host import CorruptBlob, DiskWedged
+from repro.sim.host import CorruptBlob
 
 register_interface("Database", {
     "get": ("table", "key"),
@@ -104,18 +103,11 @@ class DatabaseService(Service):
     ADMISSION_CONTROLLED = True
 
     async def start(self) -> None:
-        # The on-disk log survives crashes/reboots: a restarted replica
-        # resumes from its old cursor and catches up incrementally while
-        # the rest of the cluster serves traffic (online bootstrap).
-        self.log = ChangeLog(self.host.disk, _LOG_KEY,
-                             retain=self.params.changelog_retain)
-        self.last_seen_primary_seq = self.log.seq
+        self.repl = ReplicatedStore(self, self.runtime, self.params, "db",
+                                    _LOG_KEY)
+        self.log = self.repl.log
+        self.repl.primary_seq = self.log.seq
         self.replication_skipped = 0
-        self.catch_ups = 0
-        self.catch_up_ops = 0
-        self.snapshot_fetches = 0
-        self._catching_up = False
-        self._force_snapshot = False
         if self.log.recovered_corrupt or self.log.recovered_truncated:
             # The on-disk log came back torn or garbled; the checksum
             # scan kept the valid prefix and the catch-up scheduled
@@ -124,16 +116,18 @@ class DatabaseService(Service):
                       truncated=self.log.recovered_truncated,
                       seq=self.log.seq)
         self.ref = self.runtime.export(_DatabaseServant(self), "Database")
+        # Built before the first await: observers and pushes reach the
+        # store as soon as it exists, and both ask ``is_primary``.
+        self.binder = PrimaryBackupBinder(self, "svc/db", self.ref,
+                                          on_demote=self._on_demote)
         await self.register_objects([self.ref])
         await self.bind_as_replica("db-all", self.host.ip, self.ref,
                                    selector="sameserver")
-        self.binder = PrimaryBackupBinder(self, "svc/db", self.ref,
-                                          on_demote=self._on_demote)
         self.spawn_task(self.binder.run(), name="db-binder").detach()
         self.spawn_task(self._replication_poll(),
                         name="db-repl-poll").detach()
         # Pull whatever we missed while down before the first read hits.
-        self._schedule_catch_up()
+        self.repl.schedule_catch_up()
 
     @property
     def is_primary(self) -> bool:
@@ -149,6 +143,10 @@ class DatabaseService(Service):
         """
         return tuple(self.process.incarnation)
 
+    @property
+    def catch_up_ops(self) -> int:
+        return self.repl.catch_up_ops   # read by benchmarks/e2e/layers.py
+
     # -- storage on the host disk --------------------------------------
 
     def _checked(self, table: str, key: str, value: Any) -> Any:
@@ -161,8 +159,7 @@ class DatabaseService(Service):
         self.emit("restore_corrupt", what=f"row:{table}/{key}")
         self.host.disk.delete(_disk_key(table, key))
         if not self.is_primary:
-            self._force_snapshot = True
-            self._schedule_catch_up()
+            self.repl.resync_from_snapshot()
         return _MISSING
 
     def _rows(self, table: str) -> Dict[str, Any]:
@@ -199,7 +196,7 @@ class DatabaseService(Service):
         self.apply_write(table, key, value, deleted)
         op = ("write", table, key, value, deleted)
         seq = self.log.append(op, self.epoch)
-        self.last_seen_primary_seq = seq
+        self.repl.primary_seq = seq
         if self.params.ack_after_sync:
             # Durability barrier: the log entry and the table row hit
             # the durable image before any copy leaves this host or the
@@ -253,7 +250,7 @@ class DatabaseService(Service):
             if self.kernel.now >= give_up:
                 raise ServiceUnavailable(
                     f"change {seq} did not stream back to {self.host.ip}")
-            self._schedule_catch_up()
+            self.repl.schedule_catch_up()
             await self.kernel.sleep(0.1)
 
     async def _stream_to_replicas(self, entries: List[tuple],
@@ -299,107 +296,42 @@ class DatabaseService(Service):
                 # deadline check.
                 continue
 
-    # -- replica ingest / catch-up ---------------------------------------
+    # -- what ReplicatedStore (the follower protocol) asks of its owner ---
 
-    def on_apply_updates(self, from_seq: int, entries) -> None:
-        if entries:
-            tail = entries[-1][0]
-            if tail > self.last_seen_primary_seq:
-                self.last_seen_primary_seq = tail
+    def knows_primary(self) -> bool:
+        return True   # only resolving svc/db, inside the pull, can tell
+
+    async def primary_ref(self):
         if self.is_primary:
-            return  # stale push from a deposed primary; the bind race rules
-        if from_seq > self.log.seq:
-            self._schedule_catch_up()
-            return
-        for seq, epoch, op in entries:
-            if seq <= self.log.seq:
-                # Overlap: a duplicate delivery is fine, but a different
-                # reign's entry at a seq we already hold means our
-                # history forked -- resync from the primary.
-                known = self.log.epoch_at(seq)
-                if known is not None and tuple(known) != tuple(epoch):
-                    self._schedule_catch_up()
-                    return
-                continue
-            self._apply_entry(seq, epoch, tuple(op))
-
-    def _apply_entry(self, seq: int, epoch, op: tuple) -> None:
-        self.apply_write(op[1], op[2], op[3], op[4])
-        self.log.record(seq, tuple(epoch), op)
-
-    def _schedule_catch_up(self) -> None:
-        if self._catching_up:
-            return
-        self._catching_up = True
-        self.spawn_task(self._catch_up(), name="db-catch-up").detach()
-
-    async def _catch_up(self) -> None:
-        try:
-            await self._catch_up_once()
-        except (NamingError, ServiceUnavailable, DeadlineExceeded,
-                CancelledError, DiskWedged):
-            # DiskWedged: our own storage is wedged; retry on the next
-            # anti-entropy poll once the chaos layer heals the disk.
-            pass
-        finally:
-            self._catching_up = False
-
-    async def _catch_up_once(self) -> None:
-        if self.is_primary:
-            return
+            return None
         ref = await self.names.resolve("svc/db")
-        if ref.ip == self.host.ip:
-            return
-        from_seq = self.log.seq
-        from_epoch = self.log.epoch_at(from_seq)
-        if self._force_snapshot:
-            # A dropped corrupt row may predate the retained log: ask
-            # with a deliberately mismatched cursor so the primary's
-            # entries_from refuses and serves its snapshot instead.
-            from_seq, from_epoch = max(self.log.seq, 1), "corrupt-resync"
-        reply = await self.runtime.invoke(
-            ref, "fetchUpdates", (from_seq, from_epoch),
-            timeout=self.params.call_timeout)
-        if reply[0] == "ops":
-            applied = 0
-            for seq, epoch, op in reply[1]:
-                if seq <= self.log.seq:
-                    continue
-                self._apply_entry(seq, epoch, tuple(op))
-                applied += 1
-            if applied or from_seq < self.last_seen_primary_seq:
-                self.catch_ups += 1
-                self.catch_up_ops += applied
-                self.emit("catch_up", from_seq=from_seq, to_seq=self.log.seq,
-                          ops=applied)
-        else:
-            _tag, snap = reply
-            self._load_snapshot(snap)
-            self.snapshot_fetches += 1
-            self._force_snapshot = False
-            self.emit("state_fetched", seq=snap["seq"])
-        if self.log.seq > self.last_seen_primary_seq:
-            self.last_seen_primary_seq = self.log.seq
+        return None if ref.ip == self.host.ip else ref
+
+    def apply_op(self, seq: int, op: tuple) -> None:
+        self.apply_write(op[1], op[2], op[3], op[4])
+
+    def caught_up(self, from_seq: int, applied: int) -> bool:
+        # An anti-entropy poll that found nothing, with no lag known, is
+        # not a catch-up: neither counted nor traced.
+        if not applied and from_seq >= self.repl.primary_seq:
+            return False
+        self.emit("catch_up", from_seq=from_seq, to_seq=self.log.seq,
+                  ops=applied)
+        return True
 
     # -- state transfer (snapshot fallback only) --------------------------
-
-    def serve_updates(self, from_seq: int, from_epoch):
-        entries = self.log.entries_from(from_seq, from_epoch)
-        if entries is not None:
-            return ("ops", entries)
-        return ("snapshot", self._snapshot())
 
     def _tables(self) -> List[str]:
         return sorted({k[len(_DISK_PREFIX):].partition("/")[0]
                        for k in self.host.disk.keys(_DISK_PREFIX)})
 
-    def _snapshot(self) -> dict:
-        return {"seq": self.log.seq,
-                "epoch": self.log.epoch_at(self.log.seq),
-                "digest": self.log.digest,
-                "tables": {t: self._rows(t) for t in self._tables()}}
+    def snapshot_payload(self) -> tuple:
+        return ({"seq": self.log.seq,
+                 "epoch": self.log.epoch_at(self.log.seq),
+                 "digest": self.log.digest,
+                 "tables": {t: self._rows(t) for t in self._tables()}},)
 
-    def _load_snapshot(self, snap: dict) -> None:
+    def load_snapshot(self, snap: dict) -> None:
         # Write-new-then-prune: lay the snapshot rows down first, drop
         # stale rows second, adopt the cursor last (reset persists via
         # the atomic swap, whose syncs also flush the rows).  A crash at
@@ -419,6 +351,7 @@ class DatabaseService(Service):
         # so the conformance oracle (equal digests <=> identical update
         # histories) survives the fallback.
         self.log.reset(snap["seq"], snap["epoch"], snap["digest"])
+        self.emit("state_fetched", seq=snap["seq"])
 
     async def _replication_poll(self) -> None:
         """Anti-entropy: poll the primary's log on a fixed cadence.
@@ -432,27 +365,13 @@ class DatabaseService(Service):
         while True:
             await self.kernel.sleep(self.params.db_replication_poll)
             if not self.is_primary:
-                self._schedule_catch_up()
+                self.repl.schedule_catch_up()
 
     def _on_demote(self) -> None:
         # We may have appended writes nobody else saw while wrongly
         # primary; the epoch check on the next catch-up detects the fork
         # and resyncs.
-        self._schedule_catch_up()
-
-    # -- observability ----------------------------------------------------
-
-    def replication_gauges(self) -> dict:
-        """Lag gauges scraped into the SSC load-report batch (PR 7)."""
-        if self.host.disk.wedged:
-            # An in-memory cursor over a wedged disk may be ahead of
-            # anything durable; refuse to vouch rather than report a
-            # gauge the storage cannot back (the SSC batch survives the
-            # raise and marks this service's gauges stale).
-            raise DiskWedged(f"db gauges unavailable: disk wedged "
-                             f"on {self.host.ip}")
-        return {"repl_seq": self.log.seq,
-                "repl_lag": self.log.lag_behind(self.last_seen_primary_seq)}
+        self.repl.schedule_catch_up()
 
 
 class _DatabaseServant:
@@ -477,11 +396,15 @@ class _DatabaseServant:
         return self._svc._tables()
 
     async def applyUpdates(self, ctx: CallContext, from_seq: int, entries):
-        self._svc.on_apply_updates(from_seq, entries)
+        repl = self._svc.repl
+        if entries:
+            # The primary got this far, whether or not we can apply it.
+            repl.primary_seq = max(repl.primary_seq, entries[-1][0])
+        repl.on_apply_updates(from_seq, entries)
 
     async def fetchUpdates(self, ctx: CallContext, from_seq: int,
                            from_epoch):
-        return self._svc.serve_updates(from_seq, from_epoch)
+        return self._svc.repl.serve_updates(from_seq, from_epoch)
 
     async def forwardWrite(self, ctx: CallContext, table: str, key: str,
                            value: Any, deleted: bool):

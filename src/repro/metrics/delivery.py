@@ -18,8 +18,10 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 
-def _live_runtimes(cluster) -> Iterable:
-    for host in list(cluster.servers) + list(cluster.settops):
+def live_runtimes(hosts) -> Iterable:
+    """The OCS runtime of every process on ``hosts`` (a host lists only
+    its live processes): the collectors' and monitors' probe surface."""
+    for host in hosts:
         for proc in host.processes:
             runtime = proc.attachments.get("ocs")
             if runtime is not None:
@@ -46,7 +48,8 @@ def collect_delivery(cluster) -> Dict[str, dict]:
                  "executions": 0, "replays": 0, "suppressed": 0,
                  "stale_drops": 0, "evictions": 0, "cached": 0,
                  "caching_runtimes": 0}
-    for runtime in _live_runtimes(cluster):
+    for runtime in live_runtimes(list(cluster.servers)
+                                 + list(cluster.settops)):
         envelopes["corrupt_dropped"] += getattr(runtime, "corrupt_dropped", 0)
         envelopes["corrupt_dispatched"] += getattr(
             runtime, "corrupt_dispatched", 0)

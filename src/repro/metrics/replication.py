@@ -16,21 +16,22 @@ the silent replication gap PR 7 exists to close.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, Tuple
 
 
-def _replica_row(ip: str, seq: int, digest: str, svc, wedged: bool) -> dict:
-    return {
-        "ip": ip,
-        "seq": seq,
-        "digest": digest,
-        "catch_ups": getattr(svc, "catch_ups", 0),
-        "catch_up_ops": getattr(svc, "catch_up_ops", 0),
-        "snapshot_fetches": getattr(svc, "snapshot_fetches", 0),
-        # A wedged disk (PR 8) stalls this replica's log and gauges; the
-        # marker tells a convergence report why the row looks frozen.
-        "wedged": wedged,
-    }
+def live_replicas(cluster, kind: str) -> Iterator[Tuple[str, object]]:
+    """``(server ip, store)`` for every live replica of ``"ns"``/``"db"``.
+
+    The one way monitors, collectors and ``Cluster`` introspection reach
+    replica state: each :class:`~repro.core.replication.ReplicatedStore`
+    attaches itself to its process, so cursor, digest, primary flag and
+    catch-up counters read the same for both services.
+    """
+    for host in cluster.servers:
+        proc = host.find_process(kind)
+        store = proc.attachments.get("repl") if proc is not None else None
+        if store is not None:
+            yield host.ip, store
 
 
 def collect_replication(cluster) -> Dict[str, dict]:
@@ -43,35 +44,23 @@ def collect_replication(cluster) -> Dict[str, dict]:
     """
     out: Dict[str, dict] = {}
     for kind in ("ns", "db"):
-        rows: List[dict] = []
-        primary_ip = None
-        for host in cluster.servers:
-            proc = host.find_process(kind)
-            if proc is None or not proc.alive:
-                continue
-            if kind == "ns":
-                replica = proc.attachments.get("ns_replica")
-                if replica is None:
-                    continue
-                rows.append(_replica_row(host.ip, replica.store.applied_seq,
-                                         replica.changelog.digest, replica,
-                                         host.disk.wedged))
-                if replica.is_master:
-                    primary_ip = host.ip
-            else:
-                svc = proc.attachments.get("service")
-                log = getattr(svc, "log", None)
-                if log is None:
-                    continue
-                rows.append(_replica_row(host.ip, log.seq, log.digest, svc,
-                                         host.disk.wedged))
-                if getattr(svc, "is_primary", False):
-                    primary_ip = host.ip
-        digests = {row["digest"] for row in rows}
+        stores = list(live_replicas(cluster, kind))
+        rows = [{
+            "ip": ip,
+            "seq": store.log.seq,
+            "digest": store.log.digest,
+            "catch_ups": store.catch_ups,
+            "catch_up_ops": store.catch_up_ops,
+            "snapshot_fetches": store.snapshot_fetches,
+            # A wedged disk (PR 8) stalls this replica's log and gauges;
+            # the marker tells a convergence report why the row froze.
+            "wedged": store.log.disk.wedged,
+        } for ip, store in stores]
+        primaries = [ip for ip, store in stores if store.is_primary]
         out[kind] = {
-            "primary": primary_ip,
+            "primary": primaries[-1] if primaries else None,
             "replicas": rows,
-            "converged": len(digests) <= 1,
+            "converged": len({row["digest"] for row in rows}) <= 1,
             "catch_ups": sum(r["catch_ups"] for r in rows),
             "catch_up_ops": sum(r["catch_up_ops"] for r in rows),
             "snapshot_fetches": sum(r["snapshot_fetches"] for r in rows),

@@ -126,19 +126,32 @@ def disabled_checksums():
 
 
 @contextmanager
-def wedged_replica_log():
-    """db backups silently drop every replicated entry (PR 7 sabotage).
+def wedged_replica_log(kind="db"):
+    """Followers of one service silently stop applying replicated entries.
 
-    Recreates the pre-PR 7 failure shape: the primary acks writes, the
-    backups' change-log cursors never advance, and a promoted backup
-    would serve diverged data.  The ``replica_lag_bounded`` monitor must
-    notice; a monitor that stays quiet under this patch is not testing
-    anything.
+    ``kind`` is ``"db"`` or ``"ns"``.  The cluster boots healthy; from
+    the schedule's first fault on, every entry pushed to or pulled by a
+    follower of that service is dropped at the one ``ReplicatedStore.
+    ingest`` seam.  Recreates the pre-PR 7 failure shape: the primary
+    acks writes, the followers' change-log cursors never advance, and a
+    promoted follower would serve diverged data.  The
+    ``replica_lag_bounded`` monitor must notice; a monitor that stays
+    quiet under this patch is not testing anything.
     """
-    from repro.db.service import DatabaseService
-    original = DatabaseService._apply_entry
-    DatabaseService._apply_entry = lambda self, seq, epoch, op: None
+    from repro.chaos.injector import FaultInjector
+    from repro.core.replication import ReplicatedStore
+    inject, ingest = FaultInjector.inject, ReplicatedStore.ingest
+    armed = []
+
+    def arming_inject(self, fault):
+        armed.append(fault)
+        return inject(self, fault)
+
+    FaultInjector.inject = arming_inject
+    ReplicatedStore.ingest = lambda self, seq, epoch, op: (
+        False if armed and self.name == kind
+        else ingest(self, seq, epoch, op))
     try:
         yield
     finally:
-        DatabaseService._apply_entry = original
+        FaultInjector.inject, ReplicatedStore.ingest = inject, ingest

@@ -139,7 +139,7 @@ class TestFaultsCostARow:
         assert "row:rot/bad" in _corrupt_reports(cluster)
         # A bad sector costs the row, not its table.
         assert cluster.run_async(db.scan("rot")) == {"good": {"v": 2}}
-        assert primary.is_primary and not primary._force_snapshot
+        assert primary.is_primary and not primary.repl._force_snapshot
 
     def test_torn_row_on_backup_resyncs_from_snapshot(self):
         cluster = build_cluster(n_servers=3, seed=134)
@@ -168,7 +168,7 @@ class TestFaultsCostARow:
             revived.get("tear", "row")
         assert "row:tear/row" in _corrupt_reports(cluster)
         cluster.run_for(cluster.params.db_replication_poll + 5.0)
-        assert revived.snapshot_fetches == 1
+        assert revived.repl.snapshot_fetches == 1
         assert revived.get("tear", "row") == "v1"
         assert revived.log.digest == primary.log.digest
         assert (table_rows(revived.host.disk, "tear")
@@ -192,10 +192,10 @@ class TestSnapshotPerRow:
 
     def test_round_trip_prunes_rows_absent_from_snapshot(self):
         primary, backup = self._diverged(135)
-        snap = primary._snapshot()
+        snap = primary.snapshot_payload()[0]
         assert snap["tables"]["a"] == {"1": "x", "p/q": [1, 2]}
-        backup._load_snapshot(snap)
-        assert backup._snapshot() == snap
+        backup.load_snapshot(snap)
+        assert backup.snapshot_payload()[0] == snap
         assert "stale" not in backup._tables()
         assert read_row(backup.host.disk, "a", "stale", None) is None
 
@@ -203,9 +203,9 @@ class TestSnapshotPerRow:
             self, monkeypatch):
         primary, backup = self._diverged(136)
         cluster_seq = backup.log.seq
-        cluster_rows = primary._snapshot()["tables"]
+        cluster_rows = primary.snapshot_payload()[0]["tables"]
         backup.apply_write("a", "1", "behind", False)
-        snap = dict(primary._snapshot(), seq=cluster_seq + 7)
+        snap = dict(primary.snapshot_payload()[0], seq=cluster_seq + 7)
 
         def power_cut(prefix=""):
             raise RuntimeError("power cut before the prune")
@@ -214,15 +214,15 @@ class TestSnapshotPerRow:
         with monkeypatch.context() as patch:
             patch.setattr(disk, "keys", power_cut)
             with pytest.raises(RuntimeError):
-                backup._load_snapshot(snap)
+                backup.load_snapshot(snap)
         # Every snapshot row landed, the stale rows are still there, and
         # the cursor did not move -- so the next catch-up replays.
         for table, rows in cluster_rows.items():
             assert rows.items() <= table_rows(disk, table).items()
         assert read_row(disk, "stale", "row") == "left over"
         assert backup.log.seq == cluster_seq
-        backup._load_snapshot(snap)
-        assert backup._snapshot()["tables"] == cluster_rows
+        backup.load_snapshot(snap)
+        assert backup.snapshot_payload()[0]["tables"] == cluster_rows
         assert backup.log.seq == cluster_seq + 7
 
 

@@ -1,0 +1,290 @@
+"""``ReplicatedStore`` conformance, cluster-free (ISSUE 16).
+
+The follower protocol the name service and the db share is driven here
+by an in-memory fake owner: a dict for state, a real ``Disk`` for the
+log, and a "wire" that hands a peer's ``serve_updates`` reply straight
+back -- tuples flattened to lists the way a real codec would.  No
+kernel, no cluster: catch-up tasks land in a list the test steps by
+hand, so "exactly one catch-up was scheduled" is a length check.
+"""
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.core.params import Params
+from repro.core.replication import ReplicatedStore
+from repro.sim.host import Disk, DiskWedged
+
+
+def _wire(value):
+    """What a JSON-ish codec does to a payload: every tuple becomes a list."""
+    if isinstance(value, (list, tuple)):
+        return [_wire(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _wire(v) for k, v in value.items()}
+    return value
+
+
+def _step(coro):
+    """Run a coroutine that never suspends (the fake wire is synchronous)."""
+    try:
+        coro.send(None)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("coroutine suspended")
+
+
+class _Task:
+    def detach(self):
+        return self
+
+
+class FakeReplica:
+    """Owner, runtime and process of one ``ReplicatedStore``, in memory."""
+
+    ip = "fake"
+
+    def __init__(self, reign=None, retain=4):
+        self.state = {}
+        self.reign = reign          # set: this replica is the primary
+        self.primary = None         # whom a follower pulls from
+        self.tasks = []             # (name, coroutine) scheduled catch-ups
+        self.reports = []           # caught_up(from_seq, applied) calls
+        self.process = self.host = self    # .process.host.disk, .attachments
+        self.disk = Disk()
+        self.attachments = {}
+        self.repl = ReplicatedStore(self, self, Params(changelog_retain=retain),
+                                    "fake", "fake/log")
+
+    # -- runtime / process ----------------------------------------------
+
+    def create_task(self, coro, name=None):
+        self.tasks.append((name, coro))
+        return _Task()
+
+    async def invoke(self, ref, method, args, timeout=None):
+        assert method == "fetchUpdates"
+        return _wire(ref.repl.serve_updates(*_wire(args)))
+
+    def run_tasks(self):
+        tasks, self.tasks = self.tasks, []
+        for _name, coro in tasks:
+            _step(coro)
+        return len(tasks)
+
+    # -- what ReplicatedStore asks of its owner -------------------------
+
+    @property
+    def is_primary(self):
+        return self.reign is not None
+
+    def knows_primary(self):
+        return self.primary is not None
+
+    async def primary_ref(self):
+        return self.primary
+
+    def apply_op(self, seq, op):
+        self.state[op[1]] = op[2]
+
+    def caught_up(self, from_seq, applied):
+        self.reports.append((from_seq, applied))
+        return True
+
+    def snapshot_payload(self):
+        log = self.repl.log
+        return ({"seq": log.seq, "epoch": log.epoch_at(log.seq),
+                 "digest": log.digest, "state": dict(self.state)},)
+
+    def load_snapshot(self, snap):
+        self.state = dict(snap["state"])
+        epoch = snap["epoch"]
+        self.repl.log.reset(snap["seq"],
+                            tuple(epoch) if isinstance(epoch, list) else epoch,
+                            snap["digest"])
+
+    # -- primary side ---------------------------------------------------
+
+    def write(self, key, value):
+        """Append one op; returns the ``applyUpdates`` arguments."""
+        op = ("set", key, value)
+        self.apply_op(None, op)
+        seq = self.repl.log.append(op, self.reign)
+        return seq - 1, [(seq, self.reign, op)]
+
+
+def _pair(retain=4):
+    primary, follower = FakeReplica(reign=("a", 1), retain=retain), FakeReplica()
+    follower.primary = primary
+    return primary, follower
+
+
+class TestIngest:
+    def test_duplicate_batch_is_a_noop(self):
+        primary, follower = _pair()
+        batch = primary.write("k", 1)
+        follower.repl.on_apply_updates(*batch)
+        digest = follower.repl.log.digest
+        follower.repl.on_apply_updates(*batch)
+        assert follower.repl.log.seq == 1 and follower.repl.log.digest == digest
+        assert follower.state == {"k": 1} and follower.tasks == []
+
+    def test_from_seq_ahead_of_cursor_schedules_exactly_one_catch_up(self):
+        primary, follower = _pair()
+        primary.write("a", 1)
+        later = [primary.write("b", 2), primary.write("c", 3)]
+        for batch in later:                     # the first push was lost
+            follower.repl.on_apply_updates(*batch)
+        assert [name for name, _ in follower.tasks] == ["fake-catch-up"]
+        assert follower.repl.log.seq == 0       # nothing applied out of order
+        assert follower.run_tasks() == 1
+        assert follower.repl.log.digest == primary.repl.log.digest
+        assert follower.reports == [(0, 3)] and follower.repl.catch_up_ops == 3
+        assert follower.repl.catch_ups == 1 and follower.repl.snapshot_fetches == 0
+        follower.repl.schedule_catch_up()       # guard released after the pull
+        assert follower.run_tasks() == 1
+
+    def test_different_epoch_at_a_held_seq_forces_the_snapshot_path(self):
+        primary, follower = _pair()
+        follower.repl.on_apply_updates(*primary.write("k", "mine"))
+        usurper = FakeReplica(reign=("b", 2))
+        batch = usurper.write("k", "theirs")    # another reign's seq 1
+        follower.primary = usurper
+        follower.repl.on_apply_updates(*batch)
+        assert len(follower.tasks) == 1 and follower.state == {"k": "mine"}
+        follower.run_tasks()
+        assert follower.repl.snapshot_fetches == 1 and follower.reports == []
+        assert follower.state == {"k": "theirs"}
+        assert follower.repl.log.digest == usurper.repl.log.digest
+
+    def test_list_and_tuple_epochs_off_the_wire_compare_equal(self):
+        primary, follower = _pair()
+        batch = primary.write("k", 1)
+        follower.repl.on_apply_updates(*_wire(batch))
+        assert follower.repl.log.epoch_at(1) == ("a", 1)    # stored as sent
+        follower.repl.on_apply_updates(*batch)              # tuple vs held
+        follower.repl.on_apply_updates(*_wire(batch))       # list vs held
+        assert follower.tasks == []
+        # ... and a list cursor epoch still matches the primary's history.
+        assert primary.repl.serve_updates(1, ["a", 1]) == ("ops", [])
+
+    def test_a_primary_ignores_pushes(self):
+        primary, _ = _pair()
+        rival = FakeReplica(reign=("b", 2))
+        primary.primary = rival
+        primary.repl.on_apply_updates(*rival.write("k", 1))
+        assert primary.repl.log.seq == 0 and primary.tasks == []
+
+    def test_no_known_primary_means_no_catch_up_task(self):
+        orphan = FakeReplica()
+        orphan.repl.on_apply_updates(5, [(6, ("a", 1), ("set", "k", 1))])
+        assert orphan.tasks == []
+
+
+class TestServeAndPull:
+    def test_cursor_below_base_seq_gets_a_snapshot(self):
+        primary, follower = _pair(retain=2)
+        follower.repl.on_apply_updates(*primary.write("k0", 0))
+        for i in range(1, 8):
+            primary.write(f"k{i}", i)
+        assert primary.repl.log.base_seq > 1
+        reply = primary.repl.serve_updates(1, ("a", 1))
+        assert reply[0] == "snapshot" and reply[1]["seq"] == 8
+        follower.repl.schedule_catch_up()
+        follower.run_tasks()
+        assert follower.repl.snapshot_fetches == 1
+        assert follower.state == primary.state
+        assert follower.repl.log.digest == primary.repl.log.digest
+
+    def test_resync_from_snapshot_overrides_a_matching_cursor(self):
+        primary, follower = _pair()
+        follower.repl.on_apply_updates(*primary.write("k", 1))
+        follower.state.clear()                  # damage below the log
+        follower.repl.resync_from_snapshot()
+        follower.run_tasks()
+        assert follower.repl.snapshot_fetches == 1 and follower.state == {"k": 1}
+        follower.repl.schedule_catch_up()       # the override is one-shot
+        follower.run_tasks()
+        assert follower.repl.snapshot_fetches == 1
+
+    def test_gauges_report_lag_and_raise_on_a_wedged_disk(self):
+        primary, follower = _pair()
+        follower.repl.on_apply_updates(*primary.write("k", 1))
+        follower.repl.primary_seq = 4
+        assert follower.repl.replication_gauges() == {"repl_seq": 1,
+                                                      "repl_lag": 3}
+        follower.disk.wedged = True
+        with pytest.raises(DiskWedged):
+            follower.repl.replication_gauges()
+
+    def test_store_attaches_itself_to_its_process(self):
+        replica = FakeReplica()
+        assert replica.attachments["repl"] is replica.repl
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: any delivery disorder, then one pull each, ends converged
+# ---------------------------------------------------------------------------
+
+_steps = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 3), st.integers(0, 99)),
+    st.tuples(st.just("deliver"), st.integers(0, 2), st.integers(0, 7),
+              st.booleans()),              # (follower, which push, keep it)
+    st.tuples(st.just("lose"), st.integers(0, 2), st.integers(0, 7)),
+    st.tuples(st.just("pull"), st.integers(0, 2)),
+    st.tuples(st.just("switch"), st.integers(0, 2)),
+)
+
+
+class TestConvergesUnderDisorder:
+    @given(st.lists(_steps, max_size=60))
+    @settings(max_examples=120, deadline=None)
+    def test_lost_duplicated_reordered_pushes_and_primary_switches(self, steps):
+        """Three stores, retain=2 so compactions happen: pushes are lost,
+        duplicated and reordered, the primary moves mid-stream (its
+        unreplicated tail becomes a forked minority history), and after
+        one pull each every log digest -- and every state -- is equal."""
+        replicas = [FakeReplica(retain=2) for _ in range(3)]
+        inbox = {i: [] for i in range(3)}       # undelivered pushes
+        reigns = 0
+
+        def crown(index):
+            nonlocal reigns
+            reigns += 1
+            for i, replica in enumerate(replicas):
+                replica.reign = ("reign", reigns) if i == index else None
+                replica.primary = None if i == index else replicas[index]
+            return index
+
+        primary = crown(0)
+        for step in steps:
+            kind, target = step[0], step[1] % 3
+            if kind == "write":
+                batch = replicas[primary].write(f"k{step[1]}", step[2])
+                for i in inbox:
+                    if i != primary:
+                        inbox[i].append(batch)
+            elif kind in ("deliver", "lose") and inbox[target]:
+                pick = step[2] % len(inbox[target])
+                batch = inbox[target][pick]
+                if kind == "lose" or not step[3]:
+                    del inbox[target][pick]
+                if kind == "deliver":
+                    replicas[target].repl.on_apply_updates(*_wire(batch))
+            elif kind == "pull":
+                replicas[target].repl.schedule_catch_up()
+                replicas[target].run_tasks()
+            elif kind == "switch":
+                primary = crown(target)
+        leader = replicas[primary]
+        for _name, coro in leader.tasks:        # scheduled while a follower
+            coro.close()
+        for replica in replicas:
+            if replica is not leader:
+                replica.repl.schedule_catch_up()
+                assert replica.run_tasks() == 1
+        for replica in replicas:
+            assert replica.repl.log.digest == leader.repl.log.digest
+            assert replica.repl.log.seq == leader.repl.log.seq
+            assert replica.state == leader.state

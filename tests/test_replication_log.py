@@ -15,7 +15,11 @@ from repro.cluster import build_cluster
 from repro.core.rebind import RebindingProxy
 from repro.core.replication import GENESIS_EPOCH, ChangeLog
 from repro.db.service import DatabaseClient
-from repro.metrics.replication import all_converged, collect_replication
+from repro.metrics.replication import (
+    all_converged,
+    collect_replication,
+    live_replicas,
+)
 from repro.ocs.exceptions import ServiceUnavailable
 from repro.sim.host import Disk
 from repro.sim.kernel import gather
@@ -119,7 +123,6 @@ class TestChangeLogUnit:
         assert log.digest == "adopted-digest"
         assert log.entries_from(40, 6) == []
         assert log.record(41, 6, _op(41))
-        assert log.lag_behind(45) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -158,34 +161,8 @@ class TestNsIncrementalCatchUp:
             "ns", "catch_up", replica=slave.ip))
         assert pulled - pre == gap
         assert world.trace.select("ns", "state_fetched") == []
-        assert slave.snapshot_fetches == 0
+        assert slave.repl.snapshot_fetches == 0
         assert slave.changelog.digest == master.changelog.digest
-
-    def test_online_bootstrap_restarted_replica_resumes_from_disk(self):
-        """A killed NS replica rejoins mid-workload, replays its on-disk
-        log, and pulls only the missed tail while the peers serve."""
-        world = NsWorld(n_servers=3, seed=12)
-        master = world.settle()
-        slave = next(r for r in world.replicas.values()
-                     if r.role == "slave" and r.process.alive)
-        slave_host = slave.process.host
-        _, _, client = world.client(master.process.host)
-        world.run_async(client.bind_new_context("boot"))
-        world.run_async(client.bind("boot/before", make_ref(master.ip)))
-        world.kernel.run(until=world.kernel.now + 3.0)
-        # The slave holds pre-kill state on disk (applied + logged).
-        assert slave.store.applied_seq == master.store.applied_seq > 0
-        slave.process.kill()
-        for i in range(5):
-            world.run_async(client.bind(f"boot/while{i}", make_ref(master.ip)))
-        revived = world.start_replica(slave_host)
-        world.settle(20.0)
-        assert revived.role == "slave"
-        assert revived.store.applied_seq == master.store.applied_seq
-        assert revived.store.exists("boot/while4")
-        assert revived.snapshot_fetches == 0
-        assert world.trace.select("ns", "restored", replica=slave_host.ip)
-        assert revived.changelog.digest == master.changelog.digest
 
 
 # ---------------------------------------------------------------------------
@@ -273,29 +250,6 @@ class TestDbReplication:
         assert replication["db"]["converged"]
         assert all_converged(replication)
 
-    def test_online_bootstrap_restarted_db_catches_up_from_log(self):
-        """Acceptance: a db replica restarted mid-workload pulls the
-        missed tail incrementally -- zero snapshot fetches -- while the
-        remaining replicas keep serving writes."""
-        cluster = build_cluster(n_servers=3, seed=74)
-        cluster.run_for(2.0)
-        primary_ip = cluster.db_primary_ip()
-        victim_index = next(i for i, host in enumerate(cluster.servers)
-                            if host.ip != primary_ip)
-        victim_ip = cluster.servers[victim_index].ip
-        db = _db_client(cluster, name="boot")
-        cluster.run_async(db.put("ob", "before", 1))
-        assert cluster.kill_service(victim_index, "db")
-        for i in range(6):   # peers serve traffic while the victim is down
-            cluster.run_async(db.put("ob", f"while{i}", i))
-        cluster.run_for(cluster.params.db_replication_poll + 10.0)
-        revived = _db_services(cluster)[victim_ip]
-        primary = _db_services(cluster)[primary_ip]
-        assert revived.log.seq == primary.log.seq
-        assert revived.log.digest == primary.log.digest
-        assert revived.snapshot_fetches == 0
-        assert revived.get("ob", "while5") == 5
-
     def test_restarted_primary_reclaims_stale_binding(self):
         """A killed primary leaves ``svc/db`` naming a dead endpoint.
 
@@ -329,16 +283,68 @@ class TestDbReplication:
 
 
 # ---------------------------------------------------------------------------
+# online bootstrap: one protocol, so one test for both services
+# ---------------------------------------------------------------------------
+
+
+async def _bind_names(cluster, server, tag, count):
+    names = cluster.client_on(cluster.servers[server], name=f"ns-{tag}").names
+    for i in range(count):
+        await names.bind(f"svc/boot-{tag}{i}", make_ref(cluster.server_ips[0]))
+
+
+async def _put_rows(cluster, server, tag, count):
+    db = _db_client(cluster, server, name=f"db-{tag}")
+    for i in range(count):
+        await db.put("ob", f"{tag}{i}", i)
+
+
+class TestOnlineBootstrap:
+    @pytest.mark.parametrize("kind, mutate", [("ns", _bind_names),
+                                              ("db", _put_rows)])
+    def test_restarted_follower_pulls_only_the_missed_tail(self, kind, mutate):
+        """A follower killed mid-workload resumes from its on-disk log
+        and pulls exactly what it missed -- zero snapshot fetches --
+        while the remaining replicas keep serving updates."""
+        cluster = build_cluster(n_servers=3, seed=74)
+        cluster.run_for(2.0)
+        before = dict(live_replicas(cluster, kind))
+        primary_ip = next(ip for ip, store in before.items()
+                          if store.is_primary)
+        victim = next(i for i, host in enumerate(cluster.servers)
+                      if host.ip != primary_ip)
+        victim_ip = cluster.servers[victim].ip
+        server = cluster.server_ips.index(primary_ip)
+        cluster.run_async(mutate(cluster, server, "before", 1))
+        cluster.run_for(3.0)
+        resumed_at = before[victim_ip].log.seq
+        assert resumed_at == before[primary_ip].log.seq > 0
+        assert cluster.kill_service(victim, kind)
+        cluster.run_async(mutate(cluster, server, "while", 6))
+        cluster.run_for(cluster.params.db_replication_poll + 10.0)
+        after = dict(live_replicas(cluster, kind))
+        revived, primary = after[victim_ip], after[primary_ip]
+        assert revived is not before[victim_ip]          # a new process
+        assert revived.log.seq == primary.log.seq
+        assert revived.log.digest == primary.log.digest
+        assert revived.snapshot_fetches == 0
+        # Resumed from its old cursor, not from zero: it pulled the tail.
+        assert 6 <= revived.catch_up_ops <= primary.log.seq - resumed_at
+
+
+# ---------------------------------------------------------------------------
 # replica_lag_bounded: must fire when broken, stay quiet when healthy
 # ---------------------------------------------------------------------------
 
 
 class TestReplicaLagFalsifiability:
-    def test_wedged_log_trips_the_monitor(self):
-        with wedged_replica_log():
+    @pytest.mark.parametrize("kind", ["ns", "db"])
+    def test_wedged_log_trips_the_monitor(self, kind):
+        with wedged_replica_log(kind):
             result = run_schedule(WEDGED_LOG_SCHEDULE, seed=5, settops=2)
         assert "replica_lag_bounded" in result.violated_monitors()
-        assert not result.replication["db"]["converged"]
+        assert any(f"{kind} replica" in v.detail for v in result.violations)
+        assert not result.replication[kind]["converged"]
 
     def test_e13_kill_schedule_replays_green(self):
         schedule = FaultSchedule.load("benchmarks/schedules/e13_kills.json")
