@@ -10,7 +10,6 @@ writing any code:
     python -m repro report                # scripted availability campaign
     python -m repro inventory             # Figure 2 service census
     python -m repro lint src/repro        # determinism & layering linter
-    python -m repro bench                 # hot-path micro-benchmarks
     python -m repro chaos --seeds 10      # fault-injection seed sweep
     python -m repro --determinism-check   # same-seed double-run trace diff
 """
@@ -93,39 +92,6 @@ def _cmd_lint(args) -> int:
         for line in report.stats_lines():
             print(line, file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def _cmd_bench(args) -> int:
-    from repro.bench import (
-        MIN_SELECT_SPEEDUP,
-        compare_to_baseline,
-        format_lines,
-        load_baseline,
-        run_suite,
-        write_baseline,
-    )
-    # The committed baseline must be read before --out overwrites it.
-    baseline = load_baseline(args.out) if args.check and args.out else None
-    results = run_suite(quick=args.quick)
-    for line in format_lines(results):
-        print(line)
-    if args.out:
-        write_baseline(results, args.out)
-        print(f"wrote {args.out}")
-    failed = False
-    if args.check:
-        if baseline is None:
-            print("bench --check: no readable baseline; nothing to gate "
-                  "against (wrote a fresh one)")
-        for line in compare_to_baseline(results, baseline):
-            print(f"FAIL: {line}", file=sys.stderr)
-            failed = True
-    speedup = results["benchmarks"]["trace_select"]["speedup"]
-    if speedup < MIN_SELECT_SPEEDUP:
-        print(f"FAIL: indexed trace select speedup {speedup}x < "
-              f"{MIN_SELECT_SPEEDUP}x", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
 
 
 def _cmd_analyze_trace(args) -> int:
@@ -353,20 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output format: human text, a JSON report, or "
                            "GitHub Actions ::error annotations")
     lint.set_defaults(fn=_cmd_lint)
-
-    bench = sub.add_parser(
-        "bench", help="hot-path micro-benchmarks (kernel/net/trace/boot)")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller sizes for CI smoke runs")
-    bench.add_argument("--check", action="store_true",
-                       help="fail when a gated throughput (kernel_timers, "
-                            "network_send, trace_emit) falls >30%% below "
-                            "the committed baseline read from --out before "
-                            "it is overwritten")
-    bench.add_argument("--out", default="BENCH_micro.json",
-                       help="baseline JSON path (default BENCH_micro.json; "
-                            "empty string to skip writing)")
-    bench.set_defaults(fn=_cmd_bench)
 
     chaos = sub.add_parser(
         "chaos", help="seeded fault-injection sweeps with invariant "

@@ -1,23 +1,8 @@
-"""Network datagrams exchanged between OCS transports.
-
-``Message`` envelopes on the reply path are recycled through a free
-list (:meth:`Message.acquire` / :meth:`Message.release`): replies and
-port-unreachable notices are fully consumed by ``_handle_reply`` /
-``_handle_unreachable`` and never retained, so their envelopes can be
-reset and reused instead of allocated per datagram.  Call envelopes are
-*not* poolable -- servants park them in queues, reply caches and
-``async`` frames across awaits -- so the call path keeps plain
-construction.  Release resets every field; acquire checks the reset
-actually happened and raises
-:class:`~repro.sim.errors.PoolHygieneError` on a stale envelope, so a
-skipped reset is an immediate error rather than silent cross-talk.
-"""
+"""Network datagrams exchanged between OCS transports."""
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
-
-from repro.sim.errors import PoolHygieneError
+from typing import Any, Optional, Tuple
 
 # Fixed per-message overhead: headers, authentication signature, marshaled
 # call frame.  Calls are signed by default (paper section 3.3), so every
@@ -73,11 +58,7 @@ class Message:
     """
 
     __slots__ = ("src", "dst", "kind", "payload", "payload_bytes", "msg_id",
-                 "deadline", "corrupted", "_in_pool")
-
-    #: Reply-envelope free list (class-wide; the sim is single-threaded).
-    _pool: List["Message"] = []
-    _pool_cap = 2048
+                 "deadline", "corrupted")
 
     def __init__(self, src: Tuple[str, int], dst: Tuple[str, int], kind: str,
                  payload: Any = None, payload_bytes: int = 0,
@@ -98,51 +79,6 @@ class Message:
         # shared with any clean copies, so the damage is a flag, not a
         # mutation (a duplicated datagram corrupts independently).
         self.corrupted = corrupted
-        self._in_pool = False
-
-    # -- envelope pooling ---------------------------------------------
-
-    @classmethod
-    def acquire(cls, src: Tuple[str, int], dst: Tuple[str, int], kind: str,
-                payload: Any = None, payload_bytes: int = 0,
-                deadline: Optional[float] = None) -> "Message":
-        """A fresh-or-recycled envelope.  Only for *consumed-on-delivery*
-        datagrams (replies, unreachable notices): the receiver hands the
-        envelope back via :meth:`release` after dispatch."""
-        pool = cls._pool
-        if pool:
-            msg = pool.pop()
-            if msg.kind is not None or msg.payload is not None:
-                raise PoolHygieneError(
-                    f"recycled Message carries stale state "
-                    f"(kind={msg.kind!r})")
-            msg._in_pool = False
-            msg.src = src
-            msg.dst = dst
-            msg.kind = kind
-            msg.payload = payload
-            msg.payload_bytes = payload_bytes
-            msg.msg_id = reserve_msg_id()
-            msg.deadline = deadline
-            return msg
-        return cls(src, dst, kind, payload, payload_bytes, deadline=deadline)
-
-    def release(self) -> None:
-        """Reset-on-release; double release is a hygiene error."""
-        if self._in_pool:
-            raise PoolHygieneError(
-                f"Message #{self.msg_id} released twice")
-        self.src = None
-        self.dst = None
-        self.kind = None
-        self.payload = None
-        self.payload_bytes = 0
-        self.deadline = None
-        self.corrupted = False
-        pool = Message._pool
-        if len(pool) < Message._pool_cap:
-            self._in_pool = True
-            pool.append(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Message):

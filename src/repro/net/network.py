@@ -359,7 +359,7 @@ class Network:
             batch[2].append(msg)
         else:
             msgs = [msg]
-            kernel.call_at(when, self._deliver_batch, msgs, pooled=True)
+            kernel.call_at(when, self._deliver_batch, msgs)
             self._batches[dst_ip] = [when, kernel._seq, msgs]
         if self._dup:
             self._maybe_duplicate(msg, delay)
@@ -411,18 +411,9 @@ class Network:
             if self.trace is not None:
                 self.trace.emit("net", "duplicate", dst=msg.dst[0],
                                 kind=msg.kind)
-            # The echo must be a distinct envelope: the first delivery's
-            # receiver may release() a consumed-on-delivery message back
-            # to the pool, and a pooled (or recycled) envelope must never
-            # still be sitting in the event queue.  Same msg_id -- it is
-            # the same datagram on the wire.
-            echo = Message(src=msg.src, dst=msg.dst, kind=msg.kind,
-                           payload=msg.payload,
-                           payload_bytes=msg.payload_bytes,
-                           msg_id=msg.msg_id, deadline=msg.deadline,
-                           corrupted=msg.corrupted)
-            self.kernel.call_later(delay + FDDI_LATENCY, self._deliver, echo,
-                                   pooled=True)
+            # Same envelope again: it is the same datagram on the wire,
+            # and receivers never write to an envelope.
+            self.kernel.call_later(delay + FDDI_LATENCY, self._deliver, msg)
 
     def _maybe_corrupt(self, msg: Message, dst_ip: str) -> Message:
         """Roll the corruption fault for one delivery; a hit hands the
@@ -476,11 +467,11 @@ class Network:
         handler = iface.ports.get(src_port)
         if handler is None:
             return
-        notice = Message.acquire(
+        notice = Message(
             src=original.dst, dst=original.src, kind="port_unreachable",
             payload={"msg_id": original.msg_id}, payload_bytes=0)
         self.kernel.call_later(FDDI_LATENCY, self._deliver_notice, notice,
-                               handler, pooled=True)
+                               handler)
 
     def _deliver_notice(self, notice: Message, handler: Callable[[Message], None]) -> None:
         iface = self._interfaces.get(notice.dst[0])
@@ -517,7 +508,7 @@ class Network:
             hb.emit("hb", "send", msg=msg.msg_id,
                     src=f"{src_ip}:{msg.src[1]}",
                     dst=f"{dst_ip}:{msg.dst[1]}")
-        self.kernel.call_later(delay, self._deliver, msg, pooled=True)
+        self.kernel.call_later(delay, self._deliver, msg)
         if self._dup:
             # Parity with send(): reserved circuits echo like datagrams.
             self._maybe_duplicate(msg, delay)
@@ -579,7 +570,7 @@ class Network:
                 run_delay = receiver_delay
                 kernel.call_later(receiver_delay, self._deliver_broadcast,
                                   src_ip, port, kind, payload, payload_bytes,
-                                  run, pooled=True)
+                                  run)
             run.append((dst_ip, msg_id))
             if dup and dst_ip in dup:
                 # Parity with send(): a receiver behind a duplicating

@@ -164,7 +164,6 @@ class OCSRuntime:
         self.reply_cache: Optional[ReplyCache] = (
             ReplyCache(self.reply_cache_capacity) if self.dedup_enabled
             else None)
-        self.verify_checksums: bool = self.checksum_guard
         self.corrupt_dropped = 0
         self.corrupt_dispatched = 0
         network.bind_port(self.ip, self.port, self._on_message)
@@ -343,7 +342,7 @@ class OCSRuntime:
         if not self.process.alive:
             return
         if msg.corrupted:
-            if self.verify_checksums:
+            if self.checksum_guard:
                 # The payload checksum fails: drop the frame before any
                 # dispatch.  The sender's timeout machinery retries under
                 # the same request id, so the op still happens once.
@@ -360,16 +359,9 @@ class OCSRuntime:
         if msg.kind.startswith("rpc.call."):
             self._handle_call(msg)
         elif msg.kind.startswith("rpc.reply"):
-            # Replies are consumed synchronously by the dispatch above
-            # (result/error values are extracted, never the envelope), so
-            # the envelope goes back to the free list here.  Call
-            # envelopes are NOT released: servants park them in queues,
-            # reply-cache waiter lists and async frames.
             self._handle_reply(msg)
-            msg.release()
         elif msg.kind == "port_unreachable":
             self._handle_unreachable(msg)
-            msg.release()
 
     def _handle_call(self, msg: Message) -> None:
         payload = msg.payload
@@ -572,7 +564,7 @@ class OCSRuntime:
             if encrypted:
                 # Returns are protected the same way the call was.
                 reply_bytes += ENCRYPTION_OVERHEAD_BYTES
-            reply = Message.acquire(
+            reply = Message(
                 src=(self.ip, self.port), dst=msg.src,
                 kind="rpc.reply",
                 payload={"call_id": call_id, "ok": True, "result": result},
@@ -587,7 +579,7 @@ class OCSRuntime:
                    "error": exc_name, "detail": detail}
         if retry_after is not None:
             payload["retry_after"] = retry_after
-        reply = Message.acquire(
+        reply = Message(
             src=(self.ip, self.port), dst=msg.src, kind="rpc.reply.error",
             payload=payload,
             payload_bytes=estimated_size(detail) + CHECKSUM_BYTES)

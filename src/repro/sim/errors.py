@@ -24,13 +24,3 @@ class SimTimeoutError(SimError):
 
 class KernelStopped(SimError):
     """The kernel was asked to do work after :meth:`Kernel.stop`."""
-
-
-class PoolHygieneError(SimError):
-    """An object came out of a free list carrying stale state.
-
-    Raised at *acquire* time when a recycled ``TimerHandle`` or
-    ``Message`` still holds the previous user's callback/payload -- the
-    reset-on-release contract was violated.  Failing loudly here turns a
-    silent cross-reuse corruption into an immediate, attributable error.
-    """

@@ -25,14 +25,6 @@ scheduler.  ``call_soon`` is the hottest scheduling call (every future
 completion funnels through it), and a deque append/popleft avoids the
 O(log n) sift a heap would charge per callback.
 
-Internal hot paths additionally recycle :class:`TimerHandle` shells
-through a free list (``pooled=True`` on the scheduling calls).  Pooling
-is opt-in per call site and only used where the handle provably never
-escapes (future callbacks, ``sleep``, network delivery events) -- a
-caller that keeps a handle to ``cancel()`` later must never pool it.
-Recycled handles are reset on release and checked on acquire; a stale
-shell raises :class:`~repro.sim.errors.PoolHygieneError`.
-
 Determinism: ties in time are broken by insertion sequence number, and all
 randomness in the simulation goes through :class:`repro.sim.rand.SeededRandom`,
 so two runs with the same seed produce byte-identical traces.
@@ -48,15 +40,9 @@ from repro.sim.errors import (
     CancelledError,
     InvalidStateError,
     KernelStopped,
-    PoolHygieneError,
     SimTimeoutError,
 )
 from repro.sim.wheel import TimerHeap, TimerWheel
-
-#: Upper bound on the handle free list; beyond this, retired shells are
-#: simply dropped for the garbage collector (burst workloads should not
-#: pin a worst-case pool forever).
-_HANDLE_POOL_CAP = 4096
 
 _PENDING = "PENDING"
 _DONE = "DONE"
@@ -150,7 +136,7 @@ class Future:
 
     def add_done_callback(self, fn: Callable[["Future"], None]) -> None:
         if self.done():
-            self._kernel.call_soon(fn, self, pooled=True)
+            self._kernel.call_soon(fn, self)
         else:
             self._callbacks.append(fn)
 
@@ -162,9 +148,7 @@ class Future:
     def _schedule_callbacks(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
-            # pooled: completion-callback handles are fired-and-forgotten
-            # by construction -- nothing outside the kernel sees them.
-            self._kernel.call_soon(cb, self, pooled=True)
+            self._kernel.call_soon(cb, self)
 
     def __await__(self):
         if not self.done():
@@ -200,7 +184,7 @@ class Task(Future):
         # weakref.finalize holds the coroutine alive until the task is
         # collected and is guaranteed to run before either finalizer.
         self._coro_closer = weakref.finalize(self, _close_coro_quietly, coro)
-        kernel.call_soon(self._step, pooled=True)
+        kernel.call_soon(self._step)
 
     def cancel(self) -> bool:
         if self.done():
@@ -299,7 +283,6 @@ class Kernel:
         self._seq = 0
         self._stopped = False
         self._task_count = 0
-        self._handle_pool: List["TimerHandle"] = []
         # Happens-before instrumentation sink (a TraceLog, usually the
         # cluster's own).  None (the default) keeps every emission site a
         # single attribute check, so runs that do not ask for HB events
@@ -323,33 +306,32 @@ class Kernel:
 
     # -- scheduling ---------------------------------------------------
 
-    def call_at(self, when: float, fn: Callable, *args: Any,
-                pooled: bool = False) -> "TimerHandle":
+    def call_at(self, when: float, fn: Callable, *args: Any) -> "TimerHandle":
         if self._stopped:
             raise KernelStopped("kernel has been stopped")
         self._seq += 1
         if when <= self._now:
             # Fast lane: already due.  The deque is FIFO and every handle
             # in it shares when == now, so seq order is preserved.
-            handle = self._new_handle(self._now, self._seq, fn, args, pooled)
+            handle = TimerHandle(self._now, self._seq, fn, args, self)
             self._ready.append(handle)
         else:
-            handle = self._new_handle(when, self._seq, fn, args, pooled)
+            handle = TimerHandle(when, self._seq, fn, args, self)
             handle._in_timers = True
             self._timer_count += 1
             self._timers.push(handle)
         return handle
 
-    def call_later(self, delay: float, fn: Callable, *args: Any,
-                   pooled: bool = False) -> "TimerHandle":
-        # Body duplicated from call_at: this is the second-hottest
-        # scheduling path (every network delivery), and the extra frame
-        # plus *args repack showed up in the timer bench.
+    def call_later(self, delay: float, fn: Callable,
+                   *args: Any) -> "TimerHandle":
+        # Body duplicated from call_at: every network delivery and every
+        # sleep() comes through here, and delegating would cost an extra
+        # frame plus an *args repack per timer.
         if self._stopped:
             raise KernelStopped("kernel has been stopped")
         when = self._now if delay <= 0.0 else self._now + delay
         self._seq += 1
-        handle = self._new_handle(when, self._seq, fn, args, pooled)
+        handle = TimerHandle(when, self._seq, fn, args, self)
         if when <= self._now:
             self._ready.append(handle)
         else:
@@ -358,8 +340,7 @@ class Kernel:
             self._timers.push(handle)
         return handle
 
-    def call_soon(self, fn: Callable, *args: Any,
-                  pooled: bool = False) -> "TimerHandle":
+    def call_soon(self, fn: Callable, *args: Any) -> "TimerHandle":
         """Schedule ``fn`` at the current timestamp (FIFO fast lane).
 
         This is the hottest scheduling path -- every future completion
@@ -368,51 +349,13 @@ class Kernel:
         if self._stopped:
             raise KernelStopped("kernel has been stopped")
         self._seq += 1
-        handle = self._new_handle(self._now, self._seq, fn, args, pooled)
+        handle = TimerHandle(self._now, self._seq, fn, args, self)
         self._ready.append(handle)
         return handle
-
-    # -- handle pooling -----------------------------------------------
-
-    def _new_handle(self, when: float, seq: int, fn: Callable, args: tuple,
-                    pooled: bool) -> "TimerHandle":
-        """A fresh or recycled handle; ``pooled`` marks it recyclable.
-
-        Only internal call sites that provably drop the handle on the
-        floor pass ``pooled=True`` -- anything handed to a caller that
-        may ``cancel()`` it later must be a throwaway object, because a
-        recycled shell belongs to a *different* timer by then.
-        """
-        if pooled:
-            pool = self._handle_pool
-            if pool:
-                handle = pool.pop()
-                if handle.fn is not None or handle.args or handle.cancelled:
-                    raise PoolHygieneError(
-                        "recycled TimerHandle carries stale state "
-                        f"(fn={handle.fn!r}, cancelled={handle.cancelled})")
-                handle.when = when
-                handle.seq = seq
-                handle.fn = fn
-                handle.args = args
-                return handle
-        return TimerHandle(when, seq, fn, args, self, pooled=pooled)
-
-    def _recycle_handle(self, handle: "TimerHandle") -> None:
-        """Reset-on-release: clear the shell, then free-list it."""
-        handle.fn = None
-        handle.args = ()
-        handle.cancelled = False
-        handle._in_timers = False
-        pool = self._handle_pool
-        if len(pool) < _HANDLE_POOL_CAP:
-            pool.append(handle)
 
     def _on_timer_drop(self, handle: "TimerHandle") -> None:
         """Backend reaped a cancelled handle (never handed back to us)."""
         self._timer_count -= 1
-        if handle._pooled:
-            self._recycle_handle(handle)
 
     # -- tasks and futures --------------------------------------------
 
@@ -426,7 +369,7 @@ class Kernel:
     def sleep(self, delay: float) -> Future:
         """Return a future completing ``delay`` simulated seconds from now."""
         fut = self.create_future()
-        self.call_later(delay, _set_result_if_pending, fut, None, pooled=True)
+        self.call_later(delay, _set_result_if_pending, fut, None)
         return fut
 
     def wait_for(self, awaitable, timeout: float) -> Future:
@@ -503,8 +446,6 @@ class Kernel:
                 from_timers = True
             if head.cancelled:
                 ready.popleft()
-                if head._pooled:
-                    self._recycle_handle(head)
                 continue
             if until is not None and head.when > until:
                 break
@@ -516,8 +457,6 @@ class Kernel:
                 ready.popleft()
             self._now = head.when
             head.fn(*head.args)
-            if head._pooled:
-                self._recycle_handle(head)
         if until is not None and self._now < until and not self._stopped:
             self._now = until
         return self._now
@@ -558,13 +497,9 @@ class Kernel:
             else:
                 return
             if handle.cancelled:
-                if handle._pooled:
-                    self._recycle_handle(handle)
                 continue
             self._now = handle.when
             handle.fn(*handle.args)
-            if handle._pooled:
-                self._recycle_handle(handle)
             return
 
     def stop(self) -> None:
@@ -579,10 +514,10 @@ class TimerHandle:
     """A cancellable scheduled callback, orderable for the timer backends."""
 
     __slots__ = ("when", "seq", "fn", "args", "cancelled", "_kernel",
-                 "_in_timers", "_pooled")
+                 "_in_timers")
 
     def __init__(self, when: float, seq: int, fn: Callable, args: tuple,
-                 kernel: Optional["Kernel"] = None, pooled: bool = False):
+                 kernel: Optional["Kernel"] = None):
         self.when = when
         self.seq = seq
         self.fn = fn
@@ -590,7 +525,6 @@ class TimerHandle:
         self.cancelled = False
         self._kernel = kernel
         self._in_timers = False
-        self._pooled = pooled
 
     def cancel(self) -> None:
         if self.cancelled:

@@ -122,21 +122,6 @@ class TraceLog:
         return [ev for ev in matches
                 if not any(ev.fields.get(k) != v for k, v in items)]
 
-    def _select_linear(self, category: Optional[str] = None,
-                       event: Optional[str] = None,
-                       **field_filters: Any) -> List[TraceEvent]:
-        """Reference O(n) scan; kept for equivalence tests and benchmarks."""
-        out = []
-        for ev in self.events:
-            if category is not None and ev.category != category:
-                continue
-            if event is not None and ev.event != event:
-                continue
-            if any(ev.fields.get(k) != v for k, v in field_filters.items()):
-                continue
-            out.append(ev)
-        return out
-
     def count(self, category: Optional[str] = None, event: Optional[str] = None) -> int:
         return len(self._matches(category, event))
 

@@ -75,8 +75,8 @@ class TimerWheel:
     """Hierarchical timing wheel over ``TimerHandle`` objects.
 
     ``on_drop`` is called once for every cancelled handle the wheel
-    reaps internally (so the owner can keep counters and recycle pooled
-    handles); handles returned by :meth:`pop` are the caller's problem.
+    reaps internally (so the owner can keep its own count of live
+    entries); handles returned by :meth:`pop` are the caller's problem.
     """
 
     __slots__ = ("_cursor", "_buffer", "_head", "_slots", "_occ",

@@ -385,6 +385,8 @@ class TestFaultParity:
         net.send(Message(src=(a.ip, 1), dst=(b.ip, 1), kind="x"))
         kernel.run()
         assert len(got) == 2
+        # One datagram on the wire: the echo is the same envelope again.
+        assert got[0] is got[1] and got[0].msg_id == got[1].msg_id
         assert net.messages_duplicated == 1
         assert net.messages_delivered == 2
 

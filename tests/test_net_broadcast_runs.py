@@ -55,8 +55,7 @@ class PerReceiverNetwork(Network):
                         src=f"{src_ip}:0", dst=f"{dst_ip}:{port}")
             receiver_delay = (delay + iface.in_link.latency
                               + self._fault_delay(src_ip, dst_ip))
-            self.kernel.call_later(receiver_delay, self._deliver, msg,
-                                   pooled=True)
+            self.kernel.call_later(receiver_delay, self._deliver, msg)
             if self._dup:
                 # Parity with send(): a receiver behind a duplicating
                 # plant segment hears the broadcast's echo too.
@@ -394,19 +393,8 @@ def test_reentrant_handler_sees_the_per_receiver_order():
 
 
 # ---------------------------------------------------------------------------
-# (d) pool hygiene, and what ``reached`` counts
+# (d) what ``reached`` counts
 # ---------------------------------------------------------------------------
-
-
-def test_run_event_handle_is_recycled_clean():
-    kernel, net, server, ips, got = carousel([0.005] * 8, listeners=(0, 5))
-    for _ in range(3):      # later rounds arm recycled shells
-        net.broadcast(server.ip, ips, PORT, "boot.params", {"n": 1})
-        kernel.run()        # PoolHygieneError here would fail the test
-    assert len(got) == 6
-    assert kernel._handle_pool
-    for shell in kernel._handle_pool:
-        assert shell.fn is None and shell.args == () and not shell.cancelled
 
 
 def test_reached_counts_attached_unpartitioned_receivers():

@@ -204,8 +204,12 @@ def _run_program(backend, program, tail_run=True):
             kernel.run(until=kernel.now + op[1])
         elif kind == "run_one":
             kernel.run_one()
+        # The invariant _on_timer_drop exists for: if the mirror drifts
+        # low, run() skips peek() and armed timers silently never fire.
+        assert kernel._timer_count == len(kernel._timers)
     if tail_run:
         kernel.run()
+        assert kernel._timer_count == len(kernel._timers)
     return fired, kernel
 
 

@@ -2,7 +2,7 @@
 
 The index is a pure query accelerator: for every interleaving of emits
 and queries, ``select``/``count``/``last`` must return exactly what the
-reference O(n) scan (kept as ``TraceLog._select_linear``) returns.
+reference O(n) scan (``select_linear`` below) returns.
 Property-based interleavings are the point -- the index catches up
 lazily, so the bugs to guard against live at the emit/query boundaries.
 """
@@ -15,6 +15,21 @@ from repro.sim.trace import TraceEvent, TraceLog
 
 CATEGORIES = ["mms", "ras", "ns", "boot"]
 EVENTS = ["start", "stop", "poll", "fail"]
+
+
+def select_linear(trace, category=None, event=None, **field_filters):
+    """Reference O(n) scan over ``trace.events``: the oracle for the index."""
+    out = []
+    for ev in trace.events:
+        if category is not None and ev.category != category:
+            continue
+        if event is not None and ev.event != event:
+            continue
+        if any(ev.fields.get(k) != v for k, v in field_filters.items()):
+            continue
+        out.append(ev)
+    return out
+
 
 op_strategy = st.one_of(
     # emit(category, event, host=...)
@@ -43,14 +58,14 @@ class TestIndexEquivalence:
                 kernel.run(until=kernel.now + op[1])
             else:
                 _, cat, ev = op
-                assert trace.select(cat, ev) == trace._select_linear(cat, ev)
-                assert trace.count(cat, ev) == len(trace._select_linear(cat, ev))
-                linear = trace._select_linear(cat, ev)
+                linear = select_linear(trace, cat, ev)
+                assert trace.select(cat, ev) == linear
+                assert trace.count(cat, ev) == len(linear)
                 assert trace.last(cat, ev) == (linear[-1] if linear else None)
         # Final full sweep over every key, including the match-all key.
         for cat in [None] + CATEGORIES:
             for ev in [None] + EVENTS:
-                assert trace.select(cat, ev) == trace._select_linear(cat, ev)
+                assert trace.select(cat, ev) == select_linear(trace, cat, ev)
 
     @given(st.lists(op_strategy, max_size=80))
     @settings(max_examples=40, deadline=None)
@@ -63,7 +78,7 @@ class TestIndexEquivalence:
                 trace.emit(cat, ev, host=f"h{host}")
         for host in ("h0", "h1", "h9"):
             assert (trace.select("mms", None, host=host)
-                    == trace._select_linear("mms", None, host=host))
+                    == select_linear(trace, "mms", None, host=host))
 
 
 class TestTraceLogBasics:
@@ -72,7 +87,7 @@ class TestTraceLogBasics:
         trace.emit("a", "x")
         first = trace.select("a")
         first.append("junk")
-        assert trace.select("a") == trace._select_linear("a")
+        assert trace.select("a") == select_linear(trace, "a")
 
     def test_events_emitted_after_a_query_are_found(self):
         trace = TraceLog(Kernel())
@@ -114,8 +129,9 @@ class TestRingBuffer:
             trace.emit("cat", "ev" if i % 3 else "other", seq=i)
             if i % 7 == 0:
                 assert trace.select("cat", "ev") == \
-                    trace._select_linear("cat", "ev")
-        assert trace.count("cat", "ev") == len(trace._select_linear("cat", "ev"))
+                    select_linear(trace, "cat", "ev")
+        assert (trace.count("cat", "ev")
+                == len(select_linear(trace, "cat", "ev")))
 
     def test_on_drop_sink_receives_trimmed_block(self):
         archived = []
