@@ -16,7 +16,7 @@ duplication, and gray failures (a replica that answers, slowly).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 #: fault kind -> (required arg names, optional arg names).
 #: ``target`` args name a host as ``server:<i>`` or ``settop:<i>``.
@@ -146,7 +146,3 @@ def parse_target(target: str) -> Tuple[str, int]:
 def sort_key(fault: Fault) -> Tuple[float, str, str]:
     """Deterministic total order for schedules (time, then rendering)."""
     return (fault.at, fault.kind, fault.describe())
-
-
-def faults_to_dicts(faults: List[Fault]) -> List[Dict[str, Any]]:
-    return [f.to_dict() for f in faults]

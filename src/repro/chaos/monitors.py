@@ -32,12 +32,12 @@ The catalog (DESIGN.md section 9):
   and matches it exactly after the quiesce (PR 7);
 - every write a client saw acknowledged is readable after any
   crash-and-recovery -- the durability contract the sync-before-ack
-  barrier exists to uphold (PR 8, falsifiable via
-  ``Params.ack_after_sync=False``);
+  barrier exists to uphold (PR 8, falsifiable by patching
+  ``ReplicatedStore.sync_before_ack`` out);
 - no non-idempotent request id executes twice on the same server under
   duplication/reordering/retries -- the at-most-once contract the reply
-  cache exists to uphold (PR 9, falsifiable via
-  ``OCSRuntime.dedup_enabled=False``).
+  cache exists to uphold (PR 9, falsifiable by patching
+  ``OCSRuntime._dedup_key`` to return None).
 """
 
 from __future__ import annotations
@@ -720,10 +720,10 @@ class DurabilityLedger:
     """Side-channel record of every client-visible write acknowledgement.
 
     The db primary and the NS master call :meth:`ack_db` / :meth:`ack_ns`
-    at the exact instant a writer would see success (after the
-    sync-before-ack barrier when ``Params.ack_after_sync`` is on, after
-    the *buffered* write when it is off -- the sabotage the durability
-    monitor must catch).  The ledger lives on the kernel, outside every
+    at the exact instant a writer would see success (after
+    ``ReplicatedStore.sync_before_ack``; after the *buffered* write when
+    that barrier is patched out -- the sabotage the durability monitor
+    must catch).  The ledger lives on the kernel, outside every
     host, so crashes cannot lose it: it is the monitor's ground truth
     for "the client was promised this".
     """
@@ -765,8 +765,8 @@ class DurabilityMonitor(Monitor):
     and that loss is the known failover cost, not a storage bug.  What
     is *never* excused is the crash-reclaim path: a primary that synced,
     acked, crashed, and came back must still hold every acked value.
-    With ``Params.ack_after_sync=False`` the barrier is gone and this
-    monitor is what goes red -- the falsifiability check.
+    With ``ReplicatedStore.sync_before_ack`` patched out the barrier is
+    gone and this monitor is what goes red -- the falsifiability check.
 
     db rule: for the last ack per ``(table, key)`` from the current
     primary's host on a connected network, the primary's durable table
@@ -911,8 +911,8 @@ class AtMostOnceMonitor(Monitor):
     any request id with two executions by the same actor (``ip/pid``).
     Cross-actor re-execution after a rebind is excused -- see
     :meth:`EffectLedger.double_executions`.  Falsifiable both ways: with
-    ``OCSRuntime.dedup_enabled=False`` (the sabotage fixture) a hostile
-    schedule makes exactly this monitor go red.
+    ``OCSRuntime._dedup_key`` patched to return None (the sabotage
+    fixture) a hostile schedule makes exactly this monitor go red.
     """
 
     name = "at_most_once"

@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 import repro.core.naming.interfaces  # noqa: F401 - registers IDL types
 from repro.core.naming.cache import BindingCache
-from repro.core.naming.errors import NamingError, NoMaster
+from repro.core.naming.errors import NamingError
 from repro.core.params import Params
 from repro.ocs.exceptions import ServiceUnavailable
 from repro.ocs.objref import ANY_INCARNATION, ObjectRef
@@ -127,25 +127,6 @@ class NameClient:
                 await self.bind_new_context(name)
         except AlreadyBound:
             pass
-
-    async def bind_retrying(self, name: str, ref: ObjectRef,
-                            give_up_after: float = 120.0) -> None:
-        """Bind, retrying while the name service has no master.
-
-        Used during cluster start-up (section 6.3 step 3: services can
-        only register once a majority of name service replicas have
-        elected a primary).
-        """
-        kernel = self.runtime.kernel
-        deadline = kernel.now + give_up_after
-        while True:
-            try:
-                await self.bind(name, ref)
-                return
-            except (NoMaster, ServiceUnavailable):
-                if kernel.now >= deadline:
-                    raise
-                await kernel.sleep(1.0)
 
     async def wait_resolve(self, name: str, timeout: float = 60.0,
                            poll: float = 0.5) -> ObjectRef:

@@ -378,10 +378,7 @@ class NameReplicaProcess:
         self.store.apply_numbered(seq, op)
         log_seq = self.changelog.append(op, self.epoch)
         assert log_seq == seq, f"store/log desync: {seq} vs {log_seq}"
-        if self.params.ack_after_sync:
-            # Durability barrier: the entry is durable before the caller
-            # sees an ack or a slave sees the pushed copy.
-            self.process.host.disk.sync()
+        self.repl.sync_before_ack()
         self.updates_applied += 1
         self._sync_context_exports()
         self._emit("update", seq=seq, op=op[0], path=op[1])

@@ -108,16 +108,6 @@ class NameStore:
         except (NameNotFound, NotAContext):
             return False
 
-    def list_bindings(self, path: str) -> List[Tuple[str, str, Optional[ObjectRef]]]:
-        """List a context: (name, kind, ref-if-leaf) tuples."""
-        node = self.get_node(path)
-        if not node.is_context():
-            raise NotAContext(f"{path!r} is not a context")
-        out = []
-        for name, child in sorted(node.bindings.items()):
-            out.append((name, child.kind, child.ref))
-        return out
-
     def iter_leaf_bindings(self) -> Iterator[Tuple[str, ObjectRef]]:
         """Yield every bound object reference with its full path.
 

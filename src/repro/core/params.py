@@ -121,12 +121,6 @@ class Params:
     # schedules usually arm it per-disk via the disk_lose_unsynced /
     # disk_torn_write faults instead of flipping this globally.
     disk_write_barrier: bool = False
-    # Primaries/masters sync() their change log to the durable image
-    # *before* acknowledging a write.  This is the durability monitor's
-    # falsifiability knob: with the barrier armed and this off, a crash
-    # of the acking primary loses acknowledged writes and the monitor
-    # must fire (tests/fixtures/sabotage.py).
-    ack_after_sync: bool = True
 
     # -- chaos engine (repro.chaos) ---------------------------------------
     chaos_monitor_interval: float = 5.0    # invariant-monitor probe cadence

@@ -471,6 +471,13 @@ class ReplicatedStore:
         self.log.record(seq, epoch, op)
         return True
 
+    def sync_before_ack(self) -> None:
+        """The primary's durability barrier: the entry just appended and
+        the state it changed reach the durable image before any copy
+        leaves this host or the writer sees an ack, so a replica never
+        holds a streamed entry a crashed-and-recovered primary lacks."""
+        self.runtime.process.host.disk.sync()
+
     def on_apply_updates(self, from_seq: int, entries) -> None:
         """A streamed change-log batch from the primary (or a deposed one)."""
         if self.is_primary:
@@ -590,8 +597,6 @@ class PrimaryBackupBinder:
         self.on_promote = on_promote
         self.on_demote = on_demote
         self.role = "backup"
-        self.promotions = 0
-        self.bind_attempts = 0
 
     async def run(self) -> None:
         params = self.service.params
@@ -606,7 +611,6 @@ class PrimaryBackupBinder:
             await kernel.sleep(params.backup_bind_retry)
 
     async def _try_bind(self) -> None:
-        self.bind_attempts += 1
         try:
             parent = self._parent_of(self.name)
             if parent:
@@ -644,7 +648,6 @@ class PrimaryBackupBinder:
 
     async def _promote(self) -> None:
         self.role = "primary"
-        self.promotions += 1
         self.service.emit("promoted", name=self.name)
         if self.on_promote is not None:
             result = self.on_promote()

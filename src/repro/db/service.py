@@ -197,12 +197,7 @@ class DatabaseService(Service):
         op = ("write", table, key, value, deleted)
         seq = self.log.append(op, self.epoch)
         self.repl.primary_seq = seq
-        if self.params.ack_after_sync:
-            # Durability barrier: the log entry and the table row hit
-            # the durable image before any copy leaves this host or the
-            # writer sees an ack.  A replica can therefore never hold a
-            # streamed entry that a crashed-and-recovered primary lacks.
-            self.host.disk.sync()
+        self.repl.sync_before_ack()
         # The primary is the decision point for this row; replica
         # applyUpdates ingests are fan-out copies of the same decision
         # and do not emit.  Two primaries deciding unordered conflicting

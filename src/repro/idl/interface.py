@@ -63,13 +63,6 @@ class InterfaceDef:
             iface = iface.base
         raise NoSuchMethod(f"interface {self.name} has no operation {name!r}")
 
-    def has_method(self, name: str) -> bool:
-        try:
-            self.method(name)
-            return True
-        except NoSuchMethod:
-            return False
-
     def all_methods(self) -> Dict[str, MethodDef]:
         """Operations including inherited ones (derived-most wins)."""
         chain = []

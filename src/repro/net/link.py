@@ -43,8 +43,6 @@ class Link:
         # movie.  Recomputed wherever _reservations changes (rate_bps is
         # fixed at construction).
         self._effective_rate_bps = self._compute_effective_rate()
-        self.bytes_carried = 0
-        self.messages_carried = 0
 
     # -- datagram serialization ---------------------------------------
 
@@ -61,8 +59,6 @@ class Link:
         start = max(now, self._busy_until)
         finish = start + self.serialization_time(nbytes)
         self._busy_until = finish
-        self.bytes_carried += nbytes
-        self.messages_carried += 1
         return (finish - now) + self.latency
 
     @property

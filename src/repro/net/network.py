@@ -9,6 +9,10 @@ Delivery semantics chosen to match what the paper's clients observe:
   which is how "the client will detect this on the next attempt to use the
   object reference" (section 3.2.1) without waiting out a long timeout.
 
+Every unicast datagram is one kernel event.  Only a broadcast shares
+events, one per run of receivers with an equal arrival delay (DESIGN.md
+section 16.3).
+
 The network also keeps per-message-kind counters, which experiment E3
 (RAS message scaling, paper section 7.2.1) reads directly.
 """
@@ -81,14 +85,6 @@ class Network:
         self.messages_corrupted: int = 0
         # kind -> [count, bytes]: one dict probe per send instead of four.
         self._kind_stats: Dict[str, List[int]] = {}
-        # dst ip -> [deliver_at, kernel_seq, msgs]: open same-tick delivery
-        # batch.  Consecutive sends to one destination that compute the
-        # same delivery instant -- and between which *nothing else* was
-        # scheduled (kernel._seq unchanged) -- share one kernel event
-        # instead of one event each.  The seq guard is what keeps the
-        # collapse order-preserving: if no event was armed in between,
-        # nothing could have interleaved the two deliveries anyway.
-        self._batches: Dict[str, list] = {}
 
     @property
     def sent_by_kind(self) -> Dict[str, int]:
@@ -159,9 +155,6 @@ class Network:
     def downlink_of(self, ip: str) -> Link:
         """The inbound link of a host (where CBR movie streams reserve)."""
         return self.interface(ip).in_link
-
-    def uplink_of(self, ip: str) -> Link:
-        return self.interface(ip).out_link
 
     # -- ports -----------------------------------------------------------
 
@@ -352,32 +345,9 @@ class Network:
             hb.emit("hb", "send", msg=msg.msg_id,
                     src=f"{src_ip}:{msg.src[1]}",
                     dst=f"{dst_ip}:{msg.dst[1]}")
-        kernel = self.kernel
-        when = kernel._now + delay
-        batch = self._batches.get(dst_ip)
-        if batch is not None and batch[0] == when and batch[1] == kernel._seq:
-            batch[2].append(msg)
-        else:
-            msgs = [msg]
-            kernel.call_at(when, self._deliver_batch, msgs)
-            self._batches[dst_ip] = [when, kernel._seq, msgs]
+        self.kernel.call_later(delay, self._deliver, msg)
         if self._dup:
             self._maybe_duplicate(msg, delay)
-
-    def _deliver_batch(self, msgs: List[Message]) -> None:
-        """Deliver a same-instant batch in arrival order.
-
-        Equivalent to one ``_deliver`` event per message: the batch only
-        ever absorbed sends whose events would have been seq-adjacent
-        (see the guard in :meth:`send`), so back-to-back delivery within
-        one event is the order the kernel would have produced anyway.
-        """
-        deliver = self._deliver
-        for msg in msgs:
-            deliver(msg)
-        # A fired batch can never be appended to again (its deliver_at
-        # lies in the past), so drop the envelope references eagerly.
-        del msgs[:]
 
     def _fault_delay(self, src_ip: str, dst_ip: str) -> float:
         """Extra one-way delay from injected delay/gray/reorder faults
@@ -598,9 +568,10 @@ class Network:
         """Arrival of one broadcast run: ``_deliver`` per receiver, minus
         the envelope for receivers that never look at one.
 
-        The run's receivers had seq-adjacent events at one instant, so
-        walking them back to back is the order the kernel would have
-        produced (the :meth:`_deliver_batch` argument).  Each receiver
+        The run's receivers would have had seq-adjacent events at one
+        instant -- nothing was scheduled between them, so nothing could
+        have run between them -- and walking them back to back is the
+        order the kernel would have produced.  Each receiver
         gets exactly ``_deliver``'s checks in ``_deliver``'s order, and
         every fault rng is drawn as it would have been; a ``Message`` is
         built only where something reads it -- a bound handler, or the
@@ -637,12 +608,6 @@ class Network:
             handler(msg)
 
     # -- accounting ---------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self._kind_stats = {}
 
     def count_kind(self, prefix: str) -> int:
         """Total messages whose kind starts with ``prefix``."""

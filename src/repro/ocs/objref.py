@@ -40,11 +40,6 @@ class ObjectRef:
     # Marshaled size hint consumed by repro.idl.types.estimated_size.
     wire_size = 64
 
-    def same_implementor(self, other: "ObjectRef") -> bool:
-        """Do two references point into the same process incarnation?"""
-        return (self.ip == other.ip and self.port == other.port
-                and self.incarnation == other.incarnation)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         oid = f"/{self.object_id}" if self.object_id else ""
         return f"<ObjectRef {self.type_id}@{self.ip}:{self.port}{oid}>"

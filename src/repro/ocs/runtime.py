@@ -115,12 +115,9 @@ class _PendingCall:
 class OCSRuntime:
     """Object adapter + transport endpoint for one process."""
 
-    #: process-global falsifiability knobs (PR 9), flipped by the
-    #: sabotage fixtures the way broken_quorum() swaps a class property:
-    #: ``dedup_enabled=False`` builds runtimes without a reply cache
-    #: (retries double-execute -- what the at_most_once monitor must
-    #: catch); ``checksum_guard=False`` dispatches corrupt frames.
-    dedup_enabled: bool = True
+    #: process-global falsifiability knob (PR 9), flipped by the
+    #: sabotage fixture the way broken_quorum() swaps a class property:
+    #: ``checksum_guard=False`` dispatches corrupt frames.
     checksum_guard: bool = True
     reply_cache_capacity: int = 512
 
@@ -161,9 +158,7 @@ class OCSRuntime:
         # At-most-once machinery (PR 9): the reply cache dedups retried
         # request ids in front of non-idempotent dispatch, and the
         # checksum guard drops corrupt frames before they reach it.
-        self.reply_cache: Optional[ReplyCache] = (
-            ReplyCache(self.reply_cache_capacity) if self.dedup_enabled
-            else None)
+        self.reply_cache = ReplyCache(self.reply_cache_capacity)
         self.corrupt_dropped = 0
         self.corrupt_dispatched = 0
         network.bind_port(self.ip, self.port, self._on_message)
@@ -529,11 +524,10 @@ class OCSRuntime:
     def _dedup_key(self, payload: Dict[str, Any],
                    export: _Export) -> Optional[Tuple[str, int]]:
         """The reply-cache key for this call, or None when dedup does
-        not apply (no request id, cache disabled, export opted out, or
-        the method is oneway/idempotent)."""
+        not apply (no request id, export opted out, or the method is
+        oneway/idempotent)."""
         request_id = payload.get("request_id")
-        if (request_id is None or self.reply_cache is None
-                or not export.reply_cache):
+        if request_id is None or not export.reply_cache:
             return None
         mdef = export.interface.method(payload["method"])
         if mdef.oneway or mdef.idempotent:

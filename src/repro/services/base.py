@@ -180,12 +180,6 @@ class Service:
                 except AlreadyBound:
                     continue  # another live replica owns the member name
 
-    async def resolve_retrying(self, name: str, give_up_after: float = 120.0,
-                               poll: float = 1.0) -> ObjectRef:
-        """Resolve a peer service, waiting out start-up ordering races."""
-        return await self.names.wait_resolve(name, timeout=give_up_after,
-                                             poll=poll)
-
     def spawn_task(self, coro, name: Optional[str] = None):
         return self.process.create_task(coro, name=name)
 

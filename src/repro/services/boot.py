@@ -110,7 +110,6 @@ class KernelBroadcastService(Service):
     def __init__(self, env, process):
         super().__init__(env, process)
         self._is_primary = False
-        self.kernel_broadcasts = 0
 
     async def start(self) -> None:
         self.ref = self.runtime.export(_KernelServant(self), "KernelBroadcast")
@@ -138,7 +137,6 @@ class KernelBroadcastService(Service):
                     self.host.ip, all_ips, KERNEL_PORT, "boot.kernel",
                     {"version": KERNEL_VERSION, "image": image},
                     payload_bytes=KERNEL_SIZE)
-                self.kernel_broadcasts += 1
             await self.kernel.sleep(KERNEL_CYCLE)
 
 

@@ -78,7 +78,6 @@ class MediaDeliveryService(Service):
         super().__init__(env, process)
         self._open: Dict[str, "MovieServant"] = {}
         self._movie_counter = 0
-        self.chunks_sent = 0
 
     async def start(self) -> None:
         self.ref = self.runtime.export(_MDSServant(self), "MDS")
@@ -206,9 +205,7 @@ class MovieServant:
                 payload={"title": self.title, "position": self.pos,
                          "span": span, "eof": False},
                 payload_bytes=int(self.bitrate * span / 8))
-            delivered = self.mds.env.network.send_reserved(msg, self.conn_id)
-            if delivered:
-                self.mds.chunks_sent += 1
+            self.mds.env.network.send_reserved(msg, self.conn_id)
             self.pos += span
             await kernel.sleep(span)
         if self.state == "playing":

@@ -65,7 +65,6 @@ class MediaManagementService(Service):
         self._sessions: Dict[ObjectRef, dict] = {}
         self._dead_mds: Dict[str, float] = {}   # member name -> declared dead at
         self._is_primary = False
-        self.opens_served = 0
         self.recoveries = 0
         # Movie-location and load caches: "the MMS chooses an appropriate
         # MDS replica ... based on where the movie is available and the
@@ -198,7 +197,6 @@ class MediaManagementService(Service):
             self._load[member] = (cached_load[0], bumped)
         self._sessions[movie] = {"title": title, "settop_ip": settop_ip,
                                  "conn_id": conn_id, "mds_member": member}
-        self.opens_served += 1
         # Steps 9-10: watch the settop through the RAS; reclaim on death.
         self._watch_settop(settop_ip)
         self.emit("opened", title=title, settop=settop_ip, mds=member)

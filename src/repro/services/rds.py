@@ -48,11 +48,6 @@ def seed_data(disk, name: str, size: int, version: int = 1,
 class ReliableDeliveryService(Service):
     service_name = "rds"
 
-    def __init__(self, env, process):
-        super().__init__(env, process)
-        self.downloads_served = 0
-        self.bytes_served = 0
-
     async def start(self) -> None:
         self.ref = self.runtime.export(_RDSServant(self), "RDS")
         await self.register_objects([self.ref])
@@ -66,8 +61,6 @@ class ReliableDeliveryService(Service):
         meta = self.host.disk.read(RDS_DISK_PREFIX + name)
         if meta is None:
             raise NoSuchData(name)
-        self.downloads_served += 1
-        self.bytes_served += meta["size"]
         self.emit("download", name=name, size=meta["size"])
         return Blob(name=name, size=meta["size"], version=meta["version"],
                     kind=meta["kind"])

@@ -368,7 +368,6 @@ class Host:
         self.disk = Disk()
         self.processes: List[Process] = []
         self._boot_hooks: List[Callable[["Host"], None]] = []
-        self._crash_hooks: List[Callable[["Host"], None]] = []
         self.boot_count = 1
 
     def spawn(self, name: str, parent: Optional[Process] = None) -> Process:
@@ -387,8 +386,6 @@ class Host:
             proc.kill(status="host crashed")
         self.processes = []
         self.disk.crash()
-        for hook in list(self._crash_hooks):
-            hook(self)
 
     def boot(self) -> None:
         """Bring a crashed host back up and run its boot hooks (init)."""
@@ -401,14 +398,6 @@ class Host:
 
     def add_boot_hook(self, fn: Callable[["Host"], None]) -> None:
         self._boot_hooks.append(fn)
-
-    def add_crash_hook(self, fn: Callable[["Host"], None]) -> None:
-        """Register an observer called after this host fail-stops.
-
-        Chaos monitors use it to timestamp outages; hooks must only
-        observe (scheduling work from one would perturb event order
-        relative to an uninstrumented run)."""
-        self._crash_hooks.append(fn)
 
     def find_process(self, name: str) -> Optional[Process]:
         for proc in self.processes:

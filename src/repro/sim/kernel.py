@@ -15,7 +15,8 @@ within one time slot), or the original binary heap
 (``Kernel(timer_backend="heap")``), kept as the reference oracle for the
 differential suite in ``tests/test_timer_wheel.py``.  Both yield the
 same ``(when, seq)`` pop order, so traces are byte-identical across
-backends.
+backends.  The kernel keeps no timer count of its own: the run loop asks
+the backend's ``peek()``, which skips and reaps cancelled shells.
 
 The fast lane is purely an optimisation: every handle still carries a
 global sequence number and the run loop always executes the lowest
@@ -139,11 +140,6 @@ class Future:
             self._kernel.call_soon(fn, self)
         else:
             self._callbacks.append(fn)
-
-    def remove_done_callback(self, fn: Callable[["Future"], None]) -> int:
-        before = len(self._callbacks)
-        self._callbacks = [cb for cb in self._callbacks if cb is not fn]
-        return before - len(self._callbacks)
 
     def _schedule_callbacks(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
@@ -272,13 +268,11 @@ class Kernel:
     def __init__(self, timer_backend: str = "wheel") -> None:
         self._now = 0.0
         if timer_backend == "wheel":
-            self._timers: Any = TimerWheel(on_drop=self._on_timer_drop)
+            self._timers: Any = TimerWheel()
         elif timer_backend == "heap":
-            self._timers = TimerHeap(on_drop=self._on_timer_drop)
+            self._timers = TimerHeap()
         else:
             raise ValueError(f"unknown timer backend: {timer_backend!r}")
-        self.timer_backend = timer_backend
-        self._timer_count = 0   # mirrors len(self._timers); int ops beat calls
         self._ready: "deque[TimerHandle]" = deque()
         self._seq = 0
         self._stopped = False
@@ -318,7 +312,6 @@ class Kernel:
         else:
             handle = TimerHandle(when, self._seq, fn, args, self)
             handle._in_timers = True
-            self._timer_count += 1
             self._timers.push(handle)
         return handle
 
@@ -336,7 +329,6 @@ class Kernel:
             self._ready.append(handle)
         else:
             handle._in_timers = True
-            self._timer_count += 1
             self._timers.push(handle)
         return handle
 
@@ -352,10 +344,6 @@ class Kernel:
         handle = TimerHandle(self._now, self._seq, fn, args, self)
         self._ready.append(handle)
         return handle
-
-    def _on_timer_drop(self, handle: "TimerHandle") -> None:
-        """Backend reaped a cancelled handle (never handed back to us)."""
-        self._timer_count -= 1
 
     # -- tasks and futures --------------------------------------------
 
@@ -432,13 +420,12 @@ class Kernel:
             if ready:
                 head = ready[0]
                 from_timers = False
-                if self._timer_count:
-                    timer_head = peek()
-                    if timer_head is not None and (
-                            (timer_head.when, timer_head.seq)
-                            < (head.when, head.seq)):
-                        head = timer_head
-                        from_timers = True
+                timer_head = peek()
+                if timer_head is not None and (
+                        (timer_head.when, timer_head.seq)
+                        < (head.when, head.seq)):
+                    head = timer_head
+                    from_timers = True
             else:
                 head = peek()
                 if head is None:
@@ -451,7 +438,6 @@ class Kernel:
                 break
             if from_timers:
                 timers.pop()
-                self._timer_count -= 1
                 head._in_timers = False
             else:
                 ready.popleft()
@@ -465,7 +451,7 @@ class Kernel:
         """Run the loop until ``awaitable`` finishes; return its result."""
         fut = self.ensure_future(awaitable)
         while not fut.done():
-            if not self._timer_count and not self._ready:
+            if not self._ready and self._timers.peek() is None:
                 raise RuntimeError("event loop ran dry before future completed")
             if self._now > limit:
                 raise SimTimeoutError(f"run_until_complete exceeded t={limit}")
@@ -476,23 +462,14 @@ class Kernel:
         """Process a single (non-cancelled) event."""
         timers = self._timers
         ready = self._ready
-        while self._timer_count or ready:
-            timer_head = timers.peek() if self._timer_count else None
-            if ready:
-                handle = ready[0]
-                if timer_head is not None and (
-                        (timer_head.when, timer_head.seq)
-                        < (handle.when, handle.seq)):
-                    handle = timer_head
-                    timers.pop()
-                    self._timer_count -= 1
-                    handle._in_timers = False
-                else:
-                    ready.popleft()
-            elif timer_head is not None:
-                handle = timer_head
+        while True:
+            handle = timers.peek()
+            if ready and (handle is None
+                          or (ready[0].when, ready[0].seq)
+                          < (handle.when, handle.seq)):
+                handle = ready.popleft()
+            elif handle is not None:
                 timers.pop()
-                self._timer_count -= 1
                 handle._in_timers = False
             else:
                 return
@@ -640,12 +617,6 @@ class Queue:
         fut = self._kernel.create_future()
         self._getters.append(fut)
         return await fut
-
-    def qsize(self) -> int:
-        return len(self._items)
-
-    def empty(self) -> bool:
-        return not self._items
 
 
 class Semaphore:

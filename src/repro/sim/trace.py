@@ -18,7 +18,7 @@ do) therefore never rescans the log from the start.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class TraceEvent:
@@ -49,24 +49,12 @@ class TraceEvent:
 
 
 class TraceLog:
-    """An append-only trace with indexed category/event filtering.
+    """An append-only trace with indexed category/event filtering."""
 
-    ``max_events`` turns the log into a ring: once the buffer holds twice
-    that many events the oldest half is trimmed (amortised O(1) per
-    emit), optionally handing the trimmed block to ``on_drop`` (a sink
-    for long soak runs that want to archive rather than lose history).
-    Queries only see retained events; ``dropped`` counts the rest.
-    """
-
-    def __init__(self, kernel, enabled: bool = True,
-                 max_events: Optional[int] = None,
-                 on_drop: Optional[Callable[[List[TraceEvent]], None]] = None):
+    def __init__(self, kernel, enabled: bool = True):
         self._kernel = kernel
         self.enabled = enabled
         self.events: List[TraceEvent] = []
-        self.max_events = max_events
-        self.on_drop = on_drop
-        self.dropped = 0
         # (category|None, event|None) -> [events_scanned, matches]
         self._index: Dict[Tuple[Optional[str], Optional[str]],
                           List[Any]] = {}
@@ -75,20 +63,6 @@ class TraceLog:
         if not self.enabled:
             return
         self.events.append(TraceEvent(self._kernel.now, category, event, fields))
-        if self.max_events is not None and len(self.events) >= 2 * self.max_events:
-            self._trim()
-
-    def _trim(self) -> None:
-        cut = len(self.events) - self.max_events
-        old = self.events[:cut]
-        del self.events[:cut]
-        self.dropped += cut
-        # Index positions and cached matches reference trimmed events;
-        # rebuild lazily on next query.  Trims are rare (every
-        # max_events emits), so this amortises away.
-        self._index.clear()
-        if self.on_drop is not None:
-            self.on_drop(old)
 
     def _matches(self, category: Optional[str],
                  event: Optional[str]) -> List[TraceEvent]:

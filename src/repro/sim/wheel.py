@@ -20,7 +20,8 @@ the lowest ``(when, seq)``".  Two interchangeable backends provide it:
 Both backends expose the same five operations -- ``push`` / ``peek`` /
 ``pop`` / ``note_cancelled`` / iteration -- and both yield *exactly* the
 same ``(when, seq)`` pop order, which is what keeps golden trace digests
-byte-identical across the swap.
+byte-identical across the swap.  ``peek`` never returns a cancelled
+handle; shells are reaped inside the backend and nobody is told.
 
 Wheel geometry
 --------------
@@ -60,7 +61,7 @@ levels.  Each occupancy scan is a rotate-and-count-trailing-zeros on a
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
 _TICK_HZ = 256.0            # ticks per simulated second
 _SLOT_BITS = 8
@@ -74,15 +75,14 @@ _OCC_MASK = (1 << _SLOTS) - 1
 class TimerWheel:
     """Hierarchical timing wheel over ``TimerHandle`` objects.
 
-    ``on_drop`` is called once for every cancelled handle the wheel
-    reaps internally (so the owner can keep its own count of live
-    entries); handles returned by :meth:`pop` are the caller's problem.
+    ``len()`` counts queued handles, cancelled shells included, until
+    the wheel reaps them on the way past.
     """
 
     __slots__ = ("_cursor", "_buffer", "_head", "_slots", "_occ",
-                 "_overflow", "_size", "_on_drop")
+                 "_overflow", "_size")
 
-    def __init__(self, on_drop: Optional[Callable[[Any], None]] = None):
+    def __init__(self) -> None:
         self._cursor = 0                  # all slotted ticks are > cursor
         self._buffer: List[tuple] = []    # heap of (when, seq, handle)
         self._head: Optional[Any] = None  # popped-out next candidate
@@ -90,7 +90,6 @@ class TimerWheel:
         self._occ = [0] * _LEVELS         # level -> 256-bit occupancy bitmap
         self._overflow: List[tuple] = []  # heap of (when, seq, handle)
         self._size = 0
-        self._on_drop = on_drop
 
     def __len__(self) -> int:
         return self._size
@@ -163,12 +162,12 @@ class TimerWheel:
                 if not head.cancelled:
                     return head
                 self._head = None
-                self._reap(head)
+                self._size -= 1
             buffer = self._buffer
             while buffer:
                 _when, _seq, handle = heapq.heappop(buffer)
                 if handle.cancelled:
-                    self._reap(handle)
+                    self._size -= 1
                     continue
                 self._head = handle
                 return handle
@@ -184,11 +183,6 @@ class TimerWheel:
 
     def note_cancelled(self) -> None:
         """Cancelled handles are reaped lazily when their slot is reached."""
-
-    def _reap(self, handle: Any) -> None:
-        self._size -= 1
-        if self._on_drop is not None:
-            self._on_drop(handle)
 
     def _refill(self) -> bool:
         """Advance the cursor to the next occupied position and load it.
@@ -236,7 +230,7 @@ class TimerWheel:
                             int(overflow[0][0] * _TICK_HZ) <= horizon:
                         when, seq, handle = heapq.heappop(overflow)
                         if handle.cancelled:
-                            self._reap(handle)
+                            self._size -= 1
                             continue
                         tick = int(when * _TICK_HZ)
                         delta = tick - cursor
@@ -256,7 +250,7 @@ class TimerWheel:
                 loaded = False
                 for handle in bucket:
                     if handle.cancelled:
-                        self._reap(handle)
+                        self._size -= 1
                         continue
                     heapq.heappush(self._buffer,
                                    (handle.when, handle.seq, handle))
@@ -270,7 +264,7 @@ class TimerWheel:
             self._cursor = cursor = best_start - 1
             for handle in bucket:
                 if handle.cancelled:
-                    self._reap(handle)
+                    self._size -= 1
                     continue
                 tick = int(handle.when * _TICK_HZ)
                 delta = tick - cursor
@@ -292,12 +286,11 @@ class TimerHeap:
     ordering.
     """
 
-    __slots__ = ("_heap", "_cancelled", "_on_drop")
+    __slots__ = ("_heap", "_cancelled")
 
-    def __init__(self, on_drop: Optional[Callable[[Any], None]] = None):
+    def __init__(self) -> None:
         self._heap: List[Any] = []
         self._cancelled = 0
-        self._on_drop = on_drop
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -317,8 +310,6 @@ class TimerHeap:
             heapq.heappop(heap)
             if self._cancelled:
                 self._cancelled -= 1
-            if self._on_drop is not None:
-                self._on_drop(handle)
         return None
 
     def pop(self) -> Any:
@@ -328,11 +319,6 @@ class TimerHeap:
         self._cancelled += 1
         if self._cancelled > 64 and self._cancelled * 2 > len(self._heap):
             heap = self._heap
-            live = [h for h in heap if not h.cancelled]
-            if self._on_drop is not None:
-                for h in heap:
-                    if h.cancelled:
-                        self._on_drop(h)
-            heap[:] = live
+            heap[:] = [h for h in heap if not h.cancelled]
             heapq.heapify(heap)
             self._cancelled = 0

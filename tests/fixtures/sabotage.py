@@ -53,7 +53,7 @@ WEDGED_LOG_SCHEDULE = FaultSchedule(faults=(
 #: the db primary's server while viewer writes are in flight, reboot it
 #: soon enough that it reclaims its binding (so the durability monitor
 #: judges *its* disk), and leave a long tail for recovery to settle.
-#: Run it with ``ack_before_sync_params()``: the write barrier buffers
+#: Run it inside ``ack_before_sync_params()``: the write barrier buffers
 #: every write and the missing sync means acked rows evaporate in the
 #: crash -- the exact loss the ``durability`` monitor must report.
 ACK_BEFORE_SYNC_SCHEDULE = FaultSchedule(faults=(
@@ -63,21 +63,29 @@ ACK_BEFORE_SYNC_SCHEDULE = FaultSchedule(faults=(
 ), horizon=150.0)
 
 
+@contextmanager
 def ack_before_sync_params():
-    """Params that ack db/NS writes before the disk sync (PR 8 sabotage).
+    """db/NS primaries ack writes before the disk sync (PR 8 sabotage).
 
-    With the write barrier armed and ``ack_after_sync`` off, a primary
+    Yields the ``Params`` to run with.  With the write barrier armed and
+    ``ReplicatedStore.sync_before_ack`` patched to a no-op, a primary
     acknowledges out of its volatile write cache; any crash then loses
     client-acked state.  A ``durability`` monitor that stays green under
     this combination is not testing anything.
     """
     from repro.core.params import Params
-    return Params(disk_write_barrier=True, ack_after_sync=False)
+    from repro.core.replication import ReplicatedStore
+    original = ReplicatedStore.sync_before_ack
+    ReplicatedStore.sync_before_ack = lambda self: None
+    try:
+        yield Params(disk_write_barrier=True)
+    finally:
+        ReplicatedStore.sync_before_ack = original
 
 
 #: A schedule built to exploit disabled dedup (PR 9 sabotage): heavy
 #: duplication on every server's in-link while viewers place orders and
-#: play games.  With the reply cache off, a duplicated non-idempotent
+#: play games.  With the reply cache bypassed, a duplicated non-idempotent
 #: call envelope executes twice on the same server -- the exact double
 #: the ``at_most_once`` monitor must report.  (No corruption here: this
 #: schedule isolates the dedup layer, not the checksum layer.)
@@ -100,12 +108,12 @@ def disabled_dedup():
     under this patch is not testing anything.
     """
     from repro.ocs.runtime import OCSRuntime
-    original = OCSRuntime.dedup_enabled
-    OCSRuntime.dedup_enabled = False
+    original = OCSRuntime._dedup_key
+    OCSRuntime._dedup_key = lambda self, payload, export: None
     try:
         yield
     finally:
-        OCSRuntime.dedup_enabled = original
+        OCSRuntime._dedup_key = original
 
 
 @contextmanager

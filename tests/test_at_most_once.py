@@ -312,7 +312,6 @@ class TestRequestIdentity:
     def test_dedup_disabled_double_executes(self):
         with disabled_dedup():
             kernel, net, server, servant, ref, client = tally_world()
-            assert server.reply_cache is None
             rid = client.next_request_id()
 
             async def main():

@@ -336,8 +336,9 @@ class TestDurabilityFalsifiable:
 
     @pytest.fixture(scope="class")
     def sabotaged(self):
-        return run_schedule(ACK_BEFORE_SYNC_SCHEDULE, seed=0, settops=2,
-                            params=ack_before_sync_params())
+        with ack_before_sync_params() as params:
+            return run_schedule(ACK_BEFORE_SYNC_SCHEDULE, seed=0, settops=2,
+                                params=params)
 
     def test_ack_before_sync_trips_durability(self, sabotaged):
         assert not sabotaged.ok

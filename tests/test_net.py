@@ -213,6 +213,30 @@ class TestDelivery:
         kernel.run()
         assert arrival[0] < 0.001
 
+    def test_same_instant_sends_deliver_in_send_order(self, kernel, net):
+        # Two datagrams sent back to back arrive at one instant as two
+        # kernel events; work the first handler defers with call_soon
+        # carries a later seq than the second delivery and runs after it.
+        a = make_server(kernel, net, 0)
+        order = []
+
+        def handler(msg):
+            order.append(("recv", msg.payload, kernel.now))
+            if msg.payload == 1:
+                kernel.call_soon(order.append, ("soon", kernel.now))
+
+        net.bind_port(a.ip, 5, handler)
+
+        def send_both():
+            for n in (1, 2):
+                net.send(Message(src=(a.ip, 1), dst=(a.ip, 5), kind="local",
+                                 payload=n))
+
+        kernel.call_soon(send_both)
+        kernel.run()
+        at = order[0][2]
+        assert order == [("recv", 1, at), ("recv", 2, at), ("soon", at)]
+
 
 class TestLossInjection:
     def test_loss_drops_fraction(self, kernel, net):

@@ -237,54 +237,71 @@ _steps = st.one_of(
 )
 
 
+def _converges_after(steps):
+    """Play ``steps`` on three stores (retain=2 so compactions happen),
+    then assert one pull each leaves every log digest and state equal."""
+    replicas = [FakeReplica(retain=2) for _ in range(3)]
+    inbox = {i: [] for i in range(3)}       # undelivered pushes
+    reigns = 0
+
+    def crown(index):
+        nonlocal reigns
+        reigns += 1
+        for i, replica in enumerate(replicas):
+            replica.reign = ("reign", reigns) if i == index else None
+            replica.primary = None if i == index else replicas[index]
+        return index
+
+    primary = crown(0)
+    for step in steps:
+        kind, target = step[0], step[1] % 3
+        if kind == "write":
+            batch = replicas[primary].write(f"k{step[1]}", step[2])
+            for i in inbox:
+                if i != primary:
+                    inbox[i].append(batch)
+        elif kind in ("deliver", "lose") and inbox[target]:
+            pick = step[2] % len(inbox[target])
+            batch = inbox[target][pick]
+            if kind == "lose" or not step[3]:
+                del inbox[target][pick]
+            if kind == "deliver":
+                replicas[target].repl.on_apply_updates(*_wire(batch))
+        elif kind == "pull":
+            replicas[target].repl.schedule_catch_up()
+            replicas[target].run_tasks()
+        elif kind == "switch":
+            primary = crown(target)
+    leader = replicas[primary]
+    for _name, coro in leader.tasks:        # scheduled while a follower
+        coro.close()
+    for replica in replicas:
+        if replica is not leader:
+            replica.repl.schedule_catch_up()
+            assert replica.run_tasks() == 1
+    for replica in replicas:
+        assert replica.repl.log.digest == leader.repl.log.digest
+        assert replica.repl.log.seq == leader.repl.log.seq
+        assert replica.state == leader.state
+
+
 class TestConvergesUnderDisorder:
+    # Derandomised (hypothesis seeds from a hash of the test's source):
+    # a random search finds the ROADMAP 1(e) hole pinned below in about
+    # 1 run of 20, and tier-1 must not flip that coin.
     @given(st.lists(_steps, max_size=60))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
     def test_lost_duplicated_reordered_pushes_and_primary_switches(self, steps):
-        """Three stores, retain=2 so compactions happen: pushes are lost,
-        duplicated and reordered, the primary moves mid-stream (its
-        unreplicated tail becomes a forked minority history), and after
-        one pull each every log digest -- and every state -- is equal."""
-        replicas = [FakeReplica(retain=2) for _ in range(3)]
-        inbox = {i: [] for i in range(3)}       # undelivered pushes
-        reigns = 0
+        """Pushes are lost, duplicated and reordered, the primary moves
+        mid-stream (its unreplicated tail becomes a forked minority
+        history), and after one pull each every replica is equal."""
+        _converges_after(steps)
 
-        def crown(index):
-            nonlocal reigns
-            reigns += 1
-            for i, replica in enumerate(replicas):
-                replica.reign = ("reign", reigns) if i == index else None
-                replica.primary = None if i == index else replicas[index]
-            return index
-
-        primary = crown(0)
-        for step in steps:
-            kind, target = step[0], step[1] % 3
-            if kind == "write":
-                batch = replicas[primary].write(f"k{step[1]}", step[2])
-                for i in inbox:
-                    if i != primary:
-                        inbox[i].append(batch)
-            elif kind in ("deliver", "lose") and inbox[target]:
-                pick = step[2] % len(inbox[target])
-                batch = inbox[target][pick]
-                if kind == "lose" or not step[3]:
-                    del inbox[target][pick]
-                if kind == "deliver":
-                    replicas[target].repl.on_apply_updates(*_wire(batch))
-            elif kind == "pull":
-                replicas[target].repl.schedule_catch_up()
-                replicas[target].run_tasks()
-            elif kind == "switch":
-                primary = crown(target)
-        leader = replicas[primary]
-        for _name, coro in leader.tasks:        # scheduled while a follower
-            coro.close()
-        for replica in replicas:
-            if replica is not leader:
-                replica.repl.schedule_catch_up()
-                assert replica.run_tasks() == 1
-        for replica in replicas:
-            assert replica.repl.log.digest == leader.repl.log.digest
-            assert replica.repl.log.seq == leader.repl.log.seq
-            assert replica.state == leader.state
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1e")
+    def test_push_onto_a_deposed_primarys_unreplicated_entry(self):
+        """The deposed primary appends the new reign's seq 2 on top of
+        its own unreplicated seq 1 (the push of the new seq 1 was lost);
+        the pull then sees a matching cursor and streams nothing."""
+        _converges_after([("write", 0, 1), ("switch", 1), ("write", 0, 0),
+                          ("write", 0, 0), ("deliver", 0, 1, False)])

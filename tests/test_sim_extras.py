@@ -77,6 +77,15 @@ class TestKernelEdges:
         with pytest.raises(RuntimeError, match="ran dry"):
             kernel.run_until_complete(fut)
 
+    def test_run_until_complete_cancelled_timer_is_still_dry(self, kernel):
+        # A cancelled shell still sits in the timer backend; only a live
+        # timer may keep the loop waiting.
+        kernel.call_later(5.0, lambda: None).cancel()
+        fut = kernel.create_future()
+        with pytest.raises(RuntimeError, match="ran dry"):
+            kernel.run_until_complete(fut)
+        assert kernel.now == 0.0
+
     def test_wait_for_wraps_coroutines(self, kernel):
         async def slow():
             await kernel.sleep(10.0)

@@ -110,36 +110,3 @@ class TestTraceLogBasics:
         c = TraceEvent(1.0, "c", "e", {"k": 2})
         assert a == b and a != c
 
-
-class TestRingBuffer:
-    def test_ring_retains_newest_and_counts_dropped(self):
-        kernel = Kernel()
-        trace = TraceLog(kernel, max_events=10)
-        for i in range(35):
-            trace.emit("cat", "ev", seq=i)
-        assert len(trace) <= 2 * 10
-        assert trace.dropped == 35 - len(trace)
-        # The retained window is the newest suffix, still in order.
-        seqs = [ev.fields["seq"] for ev in trace]
-        assert seqs == list(range(35 - len(trace), 35))
-
-    def test_queries_agree_with_linear_after_trims(self):
-        trace = TraceLog(Kernel(), max_events=8)
-        for i in range(50):
-            trace.emit("cat", "ev" if i % 3 else "other", seq=i)
-            if i % 7 == 0:
-                assert trace.select("cat", "ev") == \
-                    select_linear(trace, "cat", "ev")
-        assert (trace.count("cat", "ev")
-                == len(select_linear(trace, "cat", "ev")))
-
-    def test_on_drop_sink_receives_trimmed_block(self):
-        archived = []
-        trace = TraceLog(Kernel(), max_events=5, on_drop=archived.extend)
-        for i in range(12):
-            trace.emit("cat", "ev", seq=i)
-        assert len(archived) == trace.dropped > 0
-        # sink + retained window together reconstruct the full stream
-        all_seqs = [ev.fields["seq"] for ev in archived] + \
-            [ev.fields["seq"] for ev in trace]
-        assert all_seqs == list(range(12))
