@@ -66,8 +66,9 @@ class QueryService(Service):
     async def _load_reporter(self):
         while True:
             try:
-                await self.names.report_load("svc/query", self.host.ip,
-                                             float(self.backlog))
+                await self.runtime.invoke(
+                    self.names.root, "reportLoadBatch",
+                    ([("svc/query", self.host.ip, float(self.backlog))],))
             except Exception:  # noqa: BLE001
                 pass
             await self.kernel.sleep(0.5)

@@ -361,8 +361,7 @@ class RawFaultSurfaceRule(Rule):
     #: from the 1-arg `str.partition(sep)`.
     _SURFACE = {"partition": 2, "heal_partitions": 0, "set_loss": (2, 3),
                 "set_delay": 2, "set_duplicate": (2, 3), "set_gray": 2,
-                "set_reorder": 4, "set_corrupt": 3,
-                "clear_faults": 0, "clear_loss": 0}
+                "set_reorder": 4, "set_corrupt": 3, "clear_faults": 0}
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
         # The chaos injector owns the surface; repro.net implements it.

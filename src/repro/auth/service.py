@@ -48,7 +48,7 @@ class AuthenticationService(Service):
         if secret is None:
             raise AuthRefused(f"no cluster secret on {self.host.name}")
         self._secret = secret
-        self.ref = self.runtime.export(_AuthServant(self), "Auth")
+        self.ref = self.runtime.export(self, "Auth")
         await self.register_objects([self.ref])
         await self.bind_as_replica("auth", self.host.ip, self.ref,
                                    selector="sameserver")
@@ -59,23 +59,18 @@ class AuthenticationService(Service):
         return sign_ticket(self._secret, principal, self.kernel.now,
                            DEFAULT_TICKET_LIFETIME)
 
-
-class _AuthServant:
-    def __init__(self, svc: AuthenticationService):
-        self._svc = svc
-
-    async def getTicket(self, ctx: CallContext, principal: str):
+    def getTicket(self, ctx: CallContext, principal: str) -> Ticket:
         # The caller may only obtain tickets for its own identity, which
         # OCS derives from the transport (ctx.caller).
         if principal != ctx.caller:
             raise AuthRefused(
                 f"{ctx.caller} may not obtain a ticket for {principal}")
-        return self._svc.issue(principal)
+        return self.issue(principal)
 
-    async def renewTicket(self, ctx: CallContext, ticket: Ticket):
+    def renewTicket(self, ctx: CallContext, ticket: Ticket) -> Ticket:
         if not isinstance(ticket, Ticket) or ticket.principal != ctx.caller:
             raise AuthRefused("renewal requires the caller's own ticket")
-        return self._svc.issue(ticket.principal)
+        return self.issue(ticket.principal)
 
 
 def enable_signing(runtime: OCSRuntime, ticket: Ticket) -> None:

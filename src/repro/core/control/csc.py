@@ -62,7 +62,7 @@ class ClusterServiceController(Service):
         self.reassignments = 0
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_CSCServant(self), "ClusterController")
+        self.ref = self.runtime.export(self, "ClusterController")
         await self.register_objects([self.ref])
         self._db = RebindingProxy(self.runtime, self.names, "svc/db",
                                   self.params)
@@ -206,8 +206,16 @@ class ClusterServiceController(Service):
         except ServiceUnavailable:
             pass  # the server is down; placement is already updated
 
-    async def move_service(self, service: str, from_ip: str,
-                           to_ip: str) -> None:
+    async def startServiceOn(self, ctx: CallContext, service: str,
+                             server_ip: str) -> None:
+        await self.start_service_on(service, server_ip)
+
+    async def stopServiceOn(self, ctx: CallContext, service: str,
+                            server_ip: str) -> None:
+        await self.stop_service_on(service, server_ip)
+
+    async def moveService(self, ctx: CallContext, service: str, from_ip: str,
+                          to_ip: str) -> None:
         """Operator tool: reassign a service between nodes (section 8.1)."""
         await self.stop_service_on(service, from_ip)
         await self.start_service_on(service, to_ip)
@@ -222,36 +230,21 @@ class ClusterServiceController(Service):
         except ServiceUnavailable:
             pass  # db temporarily down; in-memory placement still drives us
 
+    # -- introspection ------------------------------------------------------
 
-class _CSCServant:
-    def __init__(self, svc: ClusterServiceController):
-        self._svc = svc
+    def placement(self, ctx: CallContext) -> Dict[str, List[str]]:
+        return {k: list(v) for k, v in self._placement.items()}
 
-    async def placement(self, ctx: CallContext):
-        return {k: list(v) for k, v in self._svc._placement.items()}
-
-    async def clusterState(self, ctx: CallContext):
+    async def clusterState(self, ctx: CallContext) -> dict:
         state = {}
-        for ip in self._svc.env.cluster["server_ips"]:
+        for ip in self.env.cluster["server_ips"]:
             try:
-                state[ip] = await self._svc.runtime.invoke(
+                state[ip] = await self.runtime.invoke(
                     ssc_ref(ip), "listServices", (),
-                    timeout=self._svc.params.call_timeout)
+                    timeout=self.params.call_timeout)
             except ServiceUnavailable:
                 state[ip] = None
         return state
 
-    async def serverStatus(self, ctx: CallContext):
-        return dict(self._svc._server_up)
-
-    async def startServiceOn(self, ctx: CallContext, service: str,
-                             server_ip: str):
-        await self._svc.start_service_on(service, server_ip)
-
-    async def stopServiceOn(self, ctx: CallContext, service: str,
-                            server_ip: str):
-        await self._svc.stop_service_on(service, server_ip)
-
-    async def moveService(self, ctx: CallContext, service: str, from_ip: str,
-                          to_ip: str):
-        await self._svc.move_service(service, from_ip, to_ip)
+    def serverStatus(self, ctx: CallContext) -> Dict[str, bool]:
+        return dict(self._server_up)

@@ -72,7 +72,8 @@ class _ManagedService:
 
 
 class ServerServiceController:
-    """The ``ssc`` process: servant + child-service supervisor."""
+    """The ``ssc`` process: the exported ``ServiceController`` object and
+    the child-service supervisor in one."""
 
     def __init__(self, process: Process, env: ServiceEnv,
                  registry: ServiceRegistry,
@@ -82,7 +83,7 @@ class ServerServiceController:
         self.kernel = process.kernel
         self.registry = registry
         self.runtime = OCSRuntime(process, env.network, port=SSC_PORT)
-        self.ref = self.runtime.export(_SSCServant(self), "ServiceController")
+        self.ref = self.runtime.export(self, "ServiceController")
         self._managed: Dict[str, _ManagedService] = {}
         self._objects_by_pid: Dict[int, List[ObjectRef]] = {}
         self._pid_to_name: Dict[int, str] = {}
@@ -133,6 +134,9 @@ class ServerServiceController:
         if entry.process is not None and entry.process.alive:
             return
         self._spawn(entry)
+
+    def startService(self, ctx: CallContext, name: str) -> None:
+        self.start_service(name)
 
     # A service that keeps dying right after start is crash-looping;
     # its restart delay doubles up to this cap so it cannot consume the
@@ -197,7 +201,7 @@ class ServerServiceController:
                       restarts=entry.restarts)
         self._spawn(entry)
 
-    def stop_service(self, name: str) -> None:
+    def stopService(self, ctx: CallContext, name: str) -> None:
         entry = self._managed.get(name)
         if entry is None:
             return
@@ -208,6 +212,13 @@ class ServerServiceController:
     def running_services(self) -> List[str]:
         return sorted(name for name, e in self._managed.items()
                       if e.process is not None and e.process.alive)
+
+    def listServices(self, ctx: CallContext) -> List[str]:
+        return self.running_services()
+
+    def ping(self, ctx: CallContext) -> dict:
+        return {"host": self.env.host.name,
+                "services": self.running_services()}
 
     # -- aggregated load reporting (PR 5) ----------------------------------
 
@@ -313,7 +324,8 @@ class ServerServiceController:
 
     # -- object tracking (the RAS feed) ------------------------------------
 
-    def notify_ready(self, pid: int, objects: List[ObjectRef]) -> None:
+    def notifyReady(self, ctx: CallContext, pid: int,
+                    objects: List[ObjectRef]) -> None:
         existing = self._objects_by_pid.setdefault(pid, [])
         fresh = [ref for ref in objects if ref not in existing]
         existing.extend(fresh)
@@ -350,7 +362,11 @@ class ServerServiceController:
             out.extend(refs)
         return out
 
-    def register_callback(self, callback: ObjectRef) -> List[ObjectRef]:
+    def liveObjects(self, ctx: CallContext) -> List[ObjectRef]:
+        return self.live_objects()
+
+    def registerCallback(self, ctx: CallContext,
+                         callback: ObjectRef) -> List[ObjectRef]:
         """Record a callback; returns (and sends) the current live set."""
         if callback not in self._callbacks:
             self._callbacks.append(callback)
@@ -380,35 +396,6 @@ class ServerServiceController:
                 self._callbacks.remove(cb)
         except OCSError:
             pass
-
-
-class _SSCServant:
-    """Wire adapter for the ``ServiceController`` interface."""
-
-    def __init__(self, ssc: ServerServiceController):
-        self._ssc = ssc
-
-    async def startService(self, ctx: CallContext, name: str):
-        self._ssc.start_service(name)
-
-    async def stopService(self, ctx: CallContext, name: str):
-        self._ssc.stop_service(name)
-
-    async def listServices(self, ctx: CallContext):
-        return self._ssc.running_services()
-
-    async def notifyReady(self, ctx: CallContext, pid: int, objects):
-        self._ssc.notify_ready(pid, list(objects))
-
-    async def registerCallback(self, ctx: CallContext, callback: ObjectRef):
-        return self._ssc.register_callback(callback)
-
-    async def liveObjects(self, ctx: CallContext):
-        return self._ssc.live_objects()
-
-    async def ping(self, ctx: CallContext):
-        return {"host": self._ssc.env.host.name,
-                "services": self._ssc.running_services()}
 
 
 def install_init(host: Host, make_env: Callable[[], ServiceEnv],

@@ -111,9 +111,6 @@ class NameClient:
     async def list_repl(self, name: str) -> List[Tuple[str, str, Optional[ObjectRef]]]:
         return await self._invoke("listRepl", (name,))
 
-    async def report_load(self, name: str, member: str, load: float) -> None:
-        await self._invoke("reportLoad", (name, member, load))
-
     # -- start-up helpers ------------------------------------------------
 
     async def ensure_context(self, name: str, replicated: bool = False,

@@ -30,7 +30,8 @@ def _normalize_selector_spec(spec: Any) -> tuple:
 
 
 class ContextServant:
-    """Implements the ``NamingContext`` IDL against one tree node."""
+    """Implements the ``NamingContext`` IDL against one tree node (one
+    servant per context: its path is per-object state)."""
 
     def __init__(self, replica, path: str):
         self._replica = replica
@@ -76,14 +77,10 @@ class ContextServant:
 
     # -- local-only (not replicated) ------------------------------------------
 
-    async def reportLoad(self, ctx: CallContext, name: str, member: str,
-                         load: float):
-        self._replica.selector_state.report_load(self._abs(name), member, load)
-
     async def reportLoadBatch(self, ctx: CallContext, entries):
         # PR 5: the SSC's coalesced per-server report.  Selector state
-        # is per-replica and advisory, so -- like reportLoad -- this is
-        # deliberately not a replicated mutation.
+        # is per-replica and advisory, so this is deliberately not a
+        # replicated mutation.
         for name, member, load in entries:
             self._replica.selector_state.report_load(self._abs(name), member,
                                                      load)

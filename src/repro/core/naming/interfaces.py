@@ -3,7 +3,7 @@
 The operation set matches the paper's ``NamingContext`` interface, plus
 ``resolveFor`` (the internal recursion carrying the original caller's
 address so neighbourhood selectors work across context hops),
-``setSelector``/``reportLoad`` (management of builtin selector policies),
+``setSelector``/``reportLoadBatch`` (management of builtin selector policies),
 and the ``NameReplica`` internal interface used for master/slave
 replication and majority election (section 4.6).
 """
@@ -33,7 +33,6 @@ NAMING_CONTEXT = register_interface(
         # bindings in a replicated context."
         "listRepl": ("name",),
         "setSelector": ("name", "spec"),
-        "reportLoad": ("name", "member", "load"),
         # PR 5: one coalesced selector-load batch per server per
         # interval; ``entries`` is a list of (path, member, load).
         "reportLoadBatch": ("entries",),
@@ -44,7 +43,7 @@ NAMING_CONTEXT = register_interface(
     # cache.  bind/unbind/bindNewContext/bindReplContext/setSelector
     # mutate the tree and stay dedup'd.
     idempotent=("resolve", "resolveFor", "list", "listRepl",
-                "reportLoad", "reportLoadBatch"),
+                "reportLoadBatch"),
 )
 
 REPLICATED_CONTEXT = register_interface(

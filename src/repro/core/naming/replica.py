@@ -113,8 +113,7 @@ class NameReplicaProcess:
         self._restore_from_disk()
         # -- exports -------------------------------------------------------
         self._context_servants: Dict[str, ContextServant] = {}
-        self.runtime.export(_ReplicaServant(self), "NameReplica",
-                            object_id=REPLICA_OID)
+        self.runtime.export(self, "NameReplica", object_id=REPLICA_OID)
         self._sync_context_exports()
         self.process.create_task(self._watchdog(), name="ns-watchdog").detach()
 
@@ -637,10 +636,10 @@ class NameReplicaProcess:
                     return
             await self.kernel.sleep(self.params.ns_heartbeat)
 
-    # -- handlers for replica-to-replica operations ----------------------
+    # -- the ``NameReplica`` operations (replica to replica) --------------
 
-    def on_request_vote(self, epoch: int, candidate_ip: str,
-                        candidate_seq: int) -> Tuple[bool, int]:
+    def requestVote(self, ctx: CallContext, epoch: int, candidate_ip: str,
+                    candidate_seq: int) -> Tuple[bool, int]:
         if epoch > self.epoch:
             self.epoch = epoch
             self.voted_for = None
@@ -654,7 +653,8 @@ class NameReplicaProcess:
             self.last_heartbeat = self.kernel.now  # don't start a rival bid
         return granted, self.store.applied_seq
 
-    def on_heartbeat(self, epoch: int, master_ip: str, seq: int) -> None:
+    def heartbeat(self, ctx: CallContext, epoch: int, master_ip: str,
+                  seq: int) -> None:
         if epoch < self.epoch:
             return
         if epoch > self.epoch or self.master_ip != master_ip:
@@ -686,13 +686,21 @@ class NameReplicaProcess:
         self._election_timeout = self._new_timeout()
         self._emit("stepped_down", epoch=self.epoch)
 
-    def on_forward_update(self, op: tuple) -> Tuple[int, Any, tuple]:
+    def forwardUpdate(self, ctx: CallContext,
+                      op: tuple) -> Tuple[int, Any, tuple]:
         if self.role != "master":
             raise NoMaster(f"{self.ip} is not the master")
+        op = tuple(op)
         seq = self._master_apply(op)
         return seq, self.epoch, op
 
-    def status(self) -> dict:
+    def applyUpdates(self, ctx: CallContext, from_seq: int, entries) -> None:
+        self.repl.on_apply_updates(from_seq, entries)
+
+    def fetchUpdates(self, ctx: CallContext, from_seq: int, from_epoch):
+        return self.repl.serve_updates(from_seq, from_epoch)
+
+    def status(self, ctx: CallContext) -> dict:
         return {"ip": self.ip, "role": self.role, "epoch": self.epoch,
                 "master": self.master_ip, "seq": self.store.applied_seq,
                 "log_base": self.changelog.base_seq,
@@ -762,33 +770,6 @@ class NameReplicaProcess:
             except ServiceUnavailable:
                 continue
         return None
-
-
-class _ReplicaServant:
-    """Wire adapter for the ``NameReplica`` internal interface."""
-
-    def __init__(self, replica: NameReplicaProcess):
-        self._replica = replica
-
-    async def forwardUpdate(self, ctx: CallContext, op: tuple):
-        return self._replica.on_forward_update(tuple(op))
-
-    async def applyUpdates(self, ctx: CallContext, from_seq: int, entries):
-        self._replica.repl.on_apply_updates(from_seq, entries)
-
-    async def requestVote(self, ctx: CallContext, epoch: int,
-                          candidate_ip: str, candidate_seq: int):
-        return self._replica.on_request_vote(epoch, candidate_ip, candidate_seq)
-
-    async def heartbeat(self, ctx: CallContext, epoch: int, master_ip: str,
-                        seq: int):
-        self._replica.on_heartbeat(epoch, master_ip, seq)
-
-    async def fetchUpdates(self, ctx: CallContext, from_seq: int, from_epoch):
-        return self._replica.repl.serve_updates(from_seq, from_epoch)
-
-    async def status(self, ctx: CallContext):
-        return self._replica.status()
 
 
 def start_name_replica(host: Host, network: Network, params: Params,

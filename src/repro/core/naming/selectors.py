@@ -112,8 +112,8 @@ def select_least_loaded(bindings: List[Binding], caller_ip: str, path: str,
                         state: SelectorState) -> str:
     """Dynamic load balancing (section 5.1's "could be accomplished").
 
-    Members report load through ``reportLoad``; unreported members count
-    as idle, and ties break by name for determinism.
+    Members report load through ``reportLoadBatch``; unreported members
+    count as idle, and ties break by name for determinism.
     """
     members = _require_members(bindings)
     loads = state.loads.get(path, {})

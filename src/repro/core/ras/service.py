@@ -37,19 +37,17 @@ register_interface("RAS", {
     # of each."
     "checkStatus": ("entities",),
     "watchedCounts": (),
-    # PR 4: services with admission gates push their load/queue gauges
-    # here so operators (and the chaos monitors) can read saturation off
-    # the audit service the paper already routes status through.
-    "reportLoad": ("service", "gauges"),
-    # PR 5: the SSC coalesces every gated service's gauges into one
-    # batch per server per load_report_interval -- O(servers) report
-    # messages instead of O(services).
+    # PR 4/5: the SSC pushes every local admission-gated service's
+    # load/queue gauges here, coalesced into one batch per server per
+    # load_report_interval, so operators (and the chaos monitors) can
+    # read saturation off the audit service the paper already routes
+    # status through.
     "reportLoadBatch": ("reports",),
     "loadGauges": (),
     # Status probes and absolute gauge upserts, all safe to re-run.
 }, doc="Resource Audit Service (section 7.2)",
-   idempotent=("checkStatus", "watchedCounts", "reportLoad",
-               "reportLoadBatch", "loadGauges"))
+   idempotent=("checkStatus", "watchedCounts", "reportLoadBatch",
+               "loadGauges"))
 
 Entity = Union[str, ObjectRef]   # settop IP string, or a service object ref
 
@@ -80,9 +78,9 @@ class ResourceAuditService(Service):
         self.checkstatus_served = 0
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_RASServant(self), "RAS")
-        callback_ref = self.runtime.export(_SSCCallback(self),
-                                           "ObjectStatusCallback",
+        self.ref = self.runtime.export(self, "RAS")
+        # The same object under a second id: the SSC's callback interface.
+        callback_ref = self.runtime.export(self, "ObjectStatusCallback",
                                            object_id="callback")
         await self.register_objects([self.ref])
         await self.bind_as_replica("ras", self.host.ip, self.ref,
@@ -106,7 +104,8 @@ class ResourceAuditService(Service):
 
     # -- the single RAS operation -------------------------------------------
 
-    def check_status(self, entities: List[Entity]) -> List[str]:
+    def checkStatus(self, ctx: CallContext,
+                    entities: List[Entity]) -> List[str]:
         self.checkstatus_served += 1
         return [self._status_of(entity) for entity in entities]
 
@@ -135,11 +134,13 @@ class ResourceAuditService(Service):
 
     # -- source 2: SSC callbacks ------------------------------------------
 
-    def on_objects_registered(self, objects: List[ObjectRef]) -> None:
+    def objectsRegistered(self, ctx: CallContext,
+                          objects: List[ObjectRef]) -> None:
         self._local_live.update(objects)
         self._ssc_synced = True
 
-    def on_objects_failed(self, objects: List[ObjectRef]) -> None:
+    def objectsFailed(self, ctx: CallContext,
+                      objects: List[ObjectRef]) -> None:
         for ref in objects:
             self._local_live.discard(ref)
 
@@ -217,22 +218,19 @@ class ResourceAuditService(Service):
 
     # -- PR 4: load gauges ----------------------------------------------
 
-    def report_load(self, service: str, gauges: dict) -> None:
-        """A local admission-gated service pushed its current gauges."""
-        self._load_gauges[service] = dict(gauges)
-        if gauges.get("shedding"):
-            self.emit("service_shedding", service=service,
-                      queue_depth=gauges.get("queue_depth", 0))
-
-    def report_load_batch(self, reports: dict) -> None:
+    def reportLoadBatch(self, ctx: CallContext, reports: dict) -> None:
         """The local SSC pushed one coalesced gauge batch (PR 5)."""
         for service in sorted(reports):
-            self.report_load(service, reports[service])
+            gauges = reports[service]
+            self._load_gauges[service] = dict(gauges)
+            if gauges.get("shedding"):
+                self.emit("service_shedding", service=service,
+                          queue_depth=gauges.get("queue_depth", 0))
 
-    def load_gauges(self) -> dict:
+    def loadGauges(self, ctx: CallContext) -> dict:
         return {name: dict(g) for name, g in sorted(self._load_gauges.items())}
 
-    def watched_counts(self) -> dict:
+    def watchedCounts(self, ctx: CallContext) -> dict:
         return {
             "local": len(self._local_live),
             "remote": len(self._remote_status),
@@ -241,34 +239,3 @@ class ResourceAuditService(Service):
             "peer_polls_sent": self.peer_polls_sent,
             "checkstatus_served": self.checkstatus_served,
         }
-
-
-class _RASServant:
-    def __init__(self, svc: ResourceAuditService):
-        self._svc = svc
-
-    async def checkStatus(self, ctx: CallContext, entities: List[Entity]):
-        return self._svc.check_status(list(entities))
-
-    async def watchedCounts(self, ctx: CallContext):
-        return self._svc.watched_counts()
-
-    async def reportLoad(self, ctx: CallContext, service, gauges):
-        self._svc.report_load(service, gauges)
-
-    async def reportLoadBatch(self, ctx: CallContext, reports):
-        self._svc.report_load_batch(dict(reports))
-
-    async def loadGauges(self, ctx: CallContext):
-        return self._svc.load_gauges()
-
-
-class _SSCCallback:
-    def __init__(self, svc: ResourceAuditService):
-        self._svc = svc
-
-    async def objectsRegistered(self, ctx: CallContext, objects):
-        self._svc.on_objects_registered(list(objects))
-
-    async def objectsFailed(self, ctx: CallContext, objects):
-        self._svc.on_objects_failed(list(objects))

@@ -200,9 +200,6 @@ class Network:
         else:
             self._loss[ip] = (probability, rng)
 
-    def clear_loss(self) -> None:
-        self._loss.clear()
-
     # -- chaos fault hooks (delay / duplication / gray failure) ----------
 
     def set_delay(self, ip: str, extra_seconds: float) -> None:

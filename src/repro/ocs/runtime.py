@@ -15,6 +15,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.idl.errors import NoSuchMethod
 from repro.idl.interface import InterfaceDef, MethodDef, lookup_interface
 from repro.idl.types import estimated_size, resolve_exception
 from repro.net.message import (
@@ -212,8 +213,14 @@ class OCSRuntime:
         """Make ``servant`` invocable as an object of type ``type_id``.
 
         Most services export exactly one object with a null object id
-        (paper section 9.2); dynamically created objects (MDS movie
-        objects, naming contexts) pass an explicit ``object_id``.
+        (paper section 9.2) -- the service itself: each IDL operation is
+        a method of the same name taking the :class:`CallContext` first,
+        ``def`` or ``async def`` alike.  A separate servant class is for
+        per-object state only: the dynamically created objects (MDS
+        movies, naming contexts, files, selectors), which pass an
+        explicit ``object_id`` -- and ``_DatabaseServant``, because
+        ``DatabaseService.get``/``write`` are also in-process entry
+        points under those same names.
         ``single_threaded`` serializes calls through a queue, modelling
         the paper's single-threaded services that could not answer pings
         while busy (section 7.2).  ``reply_cache=False`` skips at-most-
@@ -383,6 +390,13 @@ class OCSRuntime:
                 self._reply_error(msg, call_id, "AuthError",
                                   f"bad credentials from {payload['caller']}")
                 return
+        try:
+            mdef = export.interface.method(payload["method"])
+        except NoSuchMethod as err:
+            # Remote reach is exactly the IDL: a frame naming anything
+            # else is answered here, before any getattr on the servant.
+            self._reply_error(msg, call_id, "NoSuchMethod", str(err))
+            return
         ctx = CallContext(caller=payload["caller"], caller_ip=msg.src[0],
                           authenticated=self.verifier is not None,
                           encrypted=bool(payload.get("encrypted")),
@@ -397,7 +411,7 @@ class OCSRuntime:
             self._reply_error(msg, call_id, "DeadlineExceeded",
                               f"{payload['method']} expired before dispatch")
             return
-        key = self._dedup_key(payload, export)
+        key = self._dedup_key(payload, export, mdef)
         if key is not None:
             # At-most-once gate: a retried or duplicated request id is
             # answered from the reply cache (or parked on the inflight
@@ -428,23 +442,22 @@ class OCSRuntime:
                 retry_after=self.admission.retry_after)
             return
         if export.single_threaded:
-            export.queue.put((msg, ctx, export))
+            export.queue.put((msg, ctx, export, mdef))
         else:
             self.process.create_task(
-                self._run_servant(msg, ctx, export),
+                self._run_servant(msg, ctx, export, mdef),
                 name=f"serve-{payload['method']}").detach()
 
     async def _single_thread_worker(self, export: _Export) -> None:
         while True:
-            msg, ctx, exp = await export.queue.get()
-            await self._run_servant(msg, ctx, exp)
+            msg, ctx, exp, mdef = await export.queue.get()
+            await self._run_servant(msg, ctx, exp, mdef)
 
     async def _run_servant(self, msg: Message, ctx: CallContext,
-                           export: _Export) -> None:
+                           export: _Export, mdef: MethodDef) -> None:
         payload = msg.payload
         call_id = payload["call_id"]
-        method_name = payload["method"]
-        mdef = export.interface.method(method_name)
+        method_name = mdef.name
         oneway = mdef.oneway
         gate = self.admission
         if self.servant_lag > 0:
@@ -463,7 +476,7 @@ class OCSRuntime:
                 # The request never executed: forget its inflight reply-
                 # cache entry so a retry can run, and give any parked
                 # duplicates the same expiry verdict.
-                key = self._dedup_key(payload, export)
+                key = self._dedup_key(payload, export, mdef)
                 if key is not None:
                     for wmsg, wcall_id in self.reply_cache.abort(*key):
                         self._reply_error(wmsg, wcall_id, "DeadlineExceeded",
@@ -513,7 +526,7 @@ class OCSRuntime:
         # The executed outcome (result *or* marshaled exception) is what
         # this request id did; cache it and answer everyone waiting on it.
         waiters = []
-        key = self._dedup_key(payload, export)
+        key = self._dedup_key(payload, export, mdef)
         if key is not None:
             waiters = self.reply_cache.complete(key[0], key[1], record)
         self._send_record(msg, call_id, record, bool(payload.get("encrypted")))
@@ -521,15 +534,14 @@ class OCSRuntime:
             self._send_record(wmsg, wcall_id, record,
                               bool(wmsg.payload.get("encrypted")))
 
-    def _dedup_key(self, payload: Dict[str, Any],
-                   export: _Export) -> Optional[Tuple[str, int]]:
+    def _dedup_key(self, payload: Dict[str, Any], export: _Export,
+                   mdef: MethodDef) -> Optional[Tuple[str, int]]:
         """The reply-cache key for this call, or None when dedup does
         not apply (no request id, export opted out, or the method is
         oneway/idempotent)."""
         request_id = payload.get("request_id")
         if request_id is None or not export.reply_cache:
             return None
-        mdef = export.interface.method(payload["method"])
         if mdef.oneway or mdef.idempotent:
             return None
         return (request_id[0], request_id[1])

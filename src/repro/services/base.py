@@ -3,7 +3,9 @@
 Encodes the paper's standard service start-up sequence (section 9.1):
 create and export the service object, register it with the local SSC
 (``notifyReady``, so the RAS can audit it), and bind it into the cluster
-name space -- retrying through name-service start-up races.
+name space -- retrying through name-service start-up races.  The
+exported object is the service itself (``runtime.export(self, "VOD")``):
+each IDL operation is a method of the same name taking ``ctx`` first.
 """
 
 from __future__ import annotations
@@ -179,6 +181,18 @@ class Service:
                     self.emit("binding_reasserted", name=name)
                 except AlreadyBound:
                     continue  # another live replica owns the member name
+
+    async def bind_per_neighborhood(self, context: str,
+                                    ref: ObjectRef) -> None:
+        """Bind under every neighbourhood ``env.cluster`` assigns to this
+        server, behind the neighbourhood selector (section 5.1)."""
+        for nbhd in self.my_neighborhoods():
+            await self.bind_as_replica(context, str(nbhd), ref,
+                                       selector="neighborhood")
+
+    def my_neighborhoods(self) -> List[int]:
+        return self.env.cluster.get("neighborhoods_by_server",
+                                    {}).get(self.host.ip, [])
 
     def spawn_task(self, coro, name: Optional[str] = None):
         return self.process.create_task(coro, name=name)

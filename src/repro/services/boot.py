@@ -14,8 +14,6 @@ the kernel image, cluster-wide.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.core.replication import PrimaryBackupBinder
 from repro.idl import register_interface
 from repro.ocs.runtime import CallContext
@@ -51,15 +49,11 @@ class BootBroadcastService(Service):
         self.broadcasts = 0
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_BootServant(self), "BootBroadcast")
+        self.ref = self.runtime.export(self, "BootBroadcast")
         await self.register_objects([self.ref])
         await self.bind_as_replica("boot", self.host.ip, self.ref,
                                    selector="sameserver")
         self.spawn_task(self._broadcast_loop(), name="boot-broadcast").detach()
-
-    def _my_neighborhoods(self) -> List[int]:
-        return self.env.cluster.get("neighborhoods_by_server",
-                                    {}).get(self.host.ip, [])
 
     def boot_params(self, neighborhood: int) -> dict:
         return {
@@ -79,10 +73,16 @@ class BootBroadcastService(Service):
             "venues": self.env.cluster.get("venues", {}),
         }
 
+    def bootInfo(self, ctx: CallContext, neighborhood: int) -> dict:
+        return self.boot_params(neighborhood)
+
+    def broadcastCount(self, ctx: CallContext) -> int:
+        return self.broadcasts
+
     async def _broadcast_loop(self) -> None:
         while True:
             settops = self.env.cluster.get("settops_by_neighborhood", {})
-            for nbhd in self._my_neighborhoods():
+            for nbhd in self.my_neighborhoods():
                 ips = settops.get(nbhd, [])
                 if not ips:
                     continue
@@ -93,17 +93,6 @@ class BootBroadcastService(Service):
             await self.kernel.sleep(BOOT_CYCLE)
 
 
-class _BootServant:
-    def __init__(self, svc: BootBroadcastService):
-        self._svc = svc
-
-    async def bootInfo(self, ctx: CallContext, neighborhood: int):
-        return self._svc.boot_params(neighborhood)
-
-    async def broadcastCount(self, ctx: CallContext):
-        return self._svc.broadcasts
-
-
 class KernelBroadcastService(Service):
     service_name = "kbs"
 
@@ -112,7 +101,7 @@ class KernelBroadcastService(Service):
         self._is_primary = False
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_KernelServant(self), "KernelBroadcast")
+        self.ref = self.runtime.export(self, "KernelBroadcast")
         await self.register_objects([self.ref])
         self.binder = PrimaryBackupBinder(self, "svc/kbs", self.ref,
                                           on_promote=self._on_promote,
@@ -139,10 +128,5 @@ class KernelBroadcastService(Service):
                     payload_bytes=KERNEL_SIZE)
             await self.kernel.sleep(KERNEL_CYCLE)
 
-
-class _KernelServant:
-    def __init__(self, svc: KernelBroadcastService):
-        self._svc = svc
-
-    async def kernelVersion(self, ctx: CallContext):
+    def kernelVersion(self, ctx: CallContext) -> int:
         return KERNEL_VERSION

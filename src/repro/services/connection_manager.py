@@ -71,7 +71,7 @@ class ConnectionManagerService(Service):
         self._db = None  # lazy accounting proxy
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_CmgrServant(self), "ConnectionManager")
+        self.ref = self.runtime.export(self, "ConnectionManager")
         await self.register_objects([self.ref])
         # Per-server active replica (state push + direct addressing).
         await self.bind_as_replica("cmgr-all", self.host.ip, self.ref,
@@ -94,7 +94,8 @@ class ConnectionManagerService(Service):
 
     # -- allocation -----------------------------------------------------
 
-    def allocate(self, settop_ip: str, server_ip: str, bps: float) -> str:
+    def allocate(self, ctx: CallContext, settop_ip: str, server_ip: str,
+                 bps: float) -> str:
         # Section 7.3 resource limit: "either its request is denied or
         # one of the previously allocated resources is freed."
         held = [(rec["allocated_at"], cid) for cid, rec in self._conns.items()
@@ -103,7 +104,7 @@ class ConnectionManagerService(Service):
             if self.params.connection_limit_policy == "evict":
                 _when, oldest = min(held)
                 self.emit("limit_evicted", conn=oldest, settop=settop_ip)
-                self.deallocate(oldest)
+                self.deallocate(ctx, oldest)
             else:
                 raise ResourceLimitExceeded(
                     f"{settop_ip} already holds {len(held)} connections "
@@ -126,7 +127,7 @@ class ConnectionManagerService(Service):
                         name="cmgr-push").detach()
         return conn_id
 
-    def deallocate(self, conn_id: str) -> None:
+    def deallocate(self, ctx: CallContext, conn_id: str) -> None:
         record = self._conns.pop(conn_id, None)
         settop_ip = (record or {}).get("settop_ip") or self._settop_of(conn_id)
         if settop_ip is None:
@@ -176,7 +177,8 @@ class ConnectionManagerService(Service):
         parts = conn_id.split(":")
         return parts[-1] if len(parts) >= 3 else None
 
-    def apply_conn(self, conn_id: str, record: dict, deleted: bool) -> None:
+    def applyConn(self, ctx: CallContext, conn_id: str, record: dict,
+                  deleted: bool) -> None:
         if deleted:
             self._conns.pop(conn_id, None)
         else:
@@ -198,27 +200,8 @@ class ConnectionManagerService(Service):
             except ServiceUnavailable:
                 continue
 
-    def available_bps(self, settop_ip: str) -> float:
+    def connections(self, ctx: CallContext) -> Dict[str, dict]:
+        return dict(self._conns)
+
+    def available(self, ctx: CallContext, settop_ip: str) -> float:
         return self.env.network.downlink_of(settop_ip).available_bps
-
-
-class _CmgrServant:
-    def __init__(self, svc: ConnectionManagerService):
-        self._svc = svc
-
-    async def allocate(self, ctx: CallContext, settop_ip: str, server_ip: str,
-                       bps: float):
-        return self._svc.allocate(settop_ip, server_ip, bps)
-
-    async def deallocate(self, ctx: CallContext, conn_id: str):
-        self._svc.deallocate(conn_id)
-
-    async def connections(self, ctx: CallContext):
-        return dict(self._svc._conns)
-
-    async def available(self, ctx: CallContext, settop_ip: str):
-        return self._svc.available_bps(settop_ip)
-
-    async def applyConn(self, ctx: CallContext, conn_id: str, record: dict,
-                        deleted: bool):
-        self._svc.apply_conn(conn_id, record, deleted)

@@ -118,7 +118,8 @@ class FileService(Service):
 
 
 class _FSContextServant:
-    """One directory, speaking the NamingContext protocol."""
+    """One directory, speaking the NamingContext protocol (a servant of
+    its own, not the service: it carries per-object state, the path)."""
 
     def __init__(self, svc: FileService, path: str):
         self._svc = svc
@@ -181,8 +182,7 @@ class _FSContextServant:
     async def setSelector(self, ctx: CallContext, name: str, spec):
         raise InvalidName("file service contexts have no selectors")
 
-    async def reportLoad(self, ctx: CallContext, name: str, member: str,
-                         load: float):
+    async def reportLoadBatch(self, ctx: CallContext, entries):
         return None
 
     # -- FileSystemContext extensions -------------------------------------

@@ -44,13 +44,9 @@ class GameService(Service):
         self._games: Dict[str, dict] = {}
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_GameServant(self), "Game")
+        self.ref = self.runtime.export(self, "Game")
         await self.register_objects([self.ref])
-        neighborhoods = self.env.cluster.get(
-            "neighborhoods_by_server", {}).get(self.host.ip, [])
-        for nbhd in neighborhoods:
-            await self.bind_as_replica("game", str(nbhd), self.ref,
-                                       selector="neighborhood")
+        await self.bind_per_neighborhood("game", self.ref)
 
     def _game(self, game_id: str) -> dict:
         if game_id not in self._games:
@@ -62,20 +58,22 @@ class GameService(Service):
             }
         return self._games[game_id]
 
-    def join(self, game_id: str, player: str, score: int) -> dict:
+    def join(self, ctx: CallContext, game_id: str, player: str,
+             score: int) -> dict:
         game = self._game(game_id)
         # Rejoin after a service restart restores the client-held score.
         game["players"][player] = max(game["players"].get(player, 0), score)
         return self.state(game_id)
 
-    def leave(self, game_id: str, player: str) -> None:
+    def leave(self, ctx: CallContext, game_id: str, player: str) -> None:
         game = self._games.get(game_id)
         if game is not None:
             game["players"].pop(player, None)
             if not game["players"]:
                 del self._games[game_id]
 
-    def guess(self, game_id: str, player: str, number: int) -> dict:
+    def guess(self, ctx: CallContext, game_id: str, player: str,
+              number: int) -> dict:
         game = self._game(game_id)
         if player not in game["players"]:
             raise NotInGame(f"{player} must join {game_id} first")
@@ -92,25 +90,9 @@ class GameService(Service):
             result = "lower"
         return {"result": result, "state": self.state(game_id)}
 
+    def gameState(self, ctx: CallContext, game_id: str) -> dict:
+        return self.state(game_id)
+
     def state(self, game_id: str) -> dict:
         game = self._game(game_id)
         return {"players": dict(game["players"]), "rounds": game["rounds"]}
-
-
-class _GameServant:
-    def __init__(self, svc: GameService):
-        self._svc = svc
-
-    async def join(self, ctx: CallContext, game_id: str, player: str,
-                   score: int):
-        return self._svc.join(game_id, player, score)
-
-    async def leave(self, ctx: CallContext, game_id: str, player: str):
-        self._svc.leave(game_id, player)
-
-    async def guess(self, ctx: CallContext, game_id: str, player: str,
-                    number: int):
-        return self._svc.guess(game_id, player, number)
-
-    async def gameState(self, ctx: CallContext, game_id: str):
-        return self._svc.state(game_id)

@@ -80,14 +80,14 @@ class MediaDeliveryService(Service):
         self._movie_counter = 0
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_MDSServant(self), "MDS")
+        self.ref = self.runtime.export(self, "MDS")
         await self.register_objects([self.ref])
         await self.bind_as_replica("mds", self.host.name, self.ref,
                                    selector="first")
 
     # -- catalog ------------------------------------------------------------
 
-    def titles(self) -> List[str]:
+    def listTitles(self, ctx: CallContext) -> List[str]:
         prefix = MOVIE_DISK_PREFIX
         return [k[len(prefix):] for k in self.host.disk.keys(prefix)]
 
@@ -99,8 +99,8 @@ class MediaDeliveryService(Service):
 
     # -- movie objects --------------------------------------------------------
 
-    def open_movie(self, title: str, settop_ip: str, conn_id: str,
-                   data_port: int) -> ObjectRef:
+    def open(self, ctx: CallContext, title: str, settop_ip: str,
+             conn_id: str, data_port: int) -> ObjectRef:
         info = self.movie_info(title)
         if len(self._open) >= self.params.mds_disk_streams:
             raise DiskStreamsExhausted(
@@ -123,19 +123,20 @@ class MediaDeliveryService(Service):
             self.emit("movie_closed", title=servant.title,
                       settop=servant.settop_ip)
 
-    def load(self) -> dict:
+    def load(self, ctx: CallContext) -> dict:
         return {"open_streams": len(self._open),
                 "capacity": self.params.mds_disk_streams,
                 "host": self.host.name}
 
-    def list_open(self) -> List[dict]:
+    def listOpen(self, ctx: CallContext) -> List[dict]:
         return [{"movie": s.ref, "title": s.title, "settop_ip": s.settop_ip,
                  "conn_id": s.conn_id}
                 for s in self._open.values()]
 
 
 class MovieServant:
-    """One open movie: position tracking + the chunk pump."""
+    """One open movie: position tracking + the chunk pump (per-object
+    state, so a servant of its own beside the self-exporting MDS)."""
 
     def __init__(self, mds: MediaDeliveryService, object_id: str, title: str,
                  info: dict, settop_ip: str, conn_id: str, data_port: int):
@@ -217,21 +218,3 @@ class MovieServant:
                          "span": 0.0, "eof": True},
                 payload_bytes=64)
             self.mds.env.network.send_reserved(msg, self.conn_id)
-
-
-class _MDSServant:
-    def __init__(self, svc: MediaDeliveryService):
-        self._svc = svc
-
-    async def open(self, ctx: CallContext, title: str, settop_ip: str,
-                   conn_id: str, data_port: int):
-        return self._svc.open_movie(title, settop_ip, conn_id, data_port)
-
-    async def listTitles(self, ctx: CallContext):
-        return self._svc.titles()
-
-    async def load(self, ctx: CallContext):
-        return self._svc.load()
-
-    async def listOpen(self, ctx: CallContext):
-        return self._svc.list_open()

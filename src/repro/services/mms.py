@@ -82,7 +82,7 @@ class MediaManagementService(Service):
         self._fetching: Dict[tuple, Any] = {}
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_MMSServant(self), "MMS")
+        self.ref = self.runtime.export(self, "MMS")
         await self.register_objects([self.ref])
         self.audit = AuditClient(self.runtime, self.names, self.params)
         self.audit.start(self.process)
@@ -124,8 +124,9 @@ class MediaManagementService(Service):
 
     # -- opening (Figure 4) ---------------------------------------------------
 
-    async def open_movie(self, settop_ip: str, title: str,
-                         data_port: int) -> ObjectRef:
+    async def open(self, ctx: CallContext, title: str,
+                   data_port: int) -> ObjectRef:
+        settop_ip = ctx.caller_ip
         # A re-open of the same title from the same settop supersedes any
         # existing session: "the Media Delivery Service ... waits for
         # clients to call in to restart the movie they were viewing at
@@ -201,6 +202,9 @@ class MediaManagementService(Service):
         self._watch_settop(settop_ip)
         self.emit("opened", title=title, settop=settop_ip, mds=member)
         return movie
+
+    async def close(self, ctx: CallContext, movie: ObjectRef) -> None:
+        await self.close_movie(movie)
 
     async def close_movie(self, movie: ObjectRef) -> None:
         session = self._sessions.pop(movie, None)
@@ -409,7 +413,16 @@ class MediaManagementService(Service):
 
     # -- introspection --------------------------------------------------------
 
-    async def list_titles(self) -> List[str]:
+    def openCount(self, ctx: CallContext) -> int:
+        return len(self._sessions)
+
+    def status(self, ctx: CallContext) -> dict:
+        return {"primary": self._is_primary,
+                "sessions": len(self._sessions),
+                "dead_mds": sorted(self._dead_mds),
+                "host": self.host.name}
+
+    async def listTitles(self, ctx: CallContext) -> List[str]:
         titles = set()
         for _member, ref in await self._mds_members():
             try:
@@ -418,26 +431,3 @@ class MediaManagementService(Service):
             except (ServiceUnavailable, OCSError):
                 continue
         return sorted(titles)
-
-
-class _MMSServant:
-    def __init__(self, svc: MediaManagementService):
-        self._svc = svc
-
-    async def open(self, ctx: CallContext, title: str, data_port: int):
-        return await self._svc.open_movie(ctx.caller_ip, title, data_port)
-
-    async def close(self, ctx: CallContext, movie: ObjectRef):
-        await self._svc.close_movie(movie)
-
-    async def openCount(self, ctx: CallContext):
-        return len(self._svc._sessions)
-
-    async def status(self, ctx: CallContext):
-        return {"primary": self._svc._is_primary,
-                "sessions": len(self._svc._sessions),
-                "dead_mds": sorted(self._svc._dead_mds),
-                "host": self._svc.host.name}
-
-    async def listTitles(self, ctx: CallContext):
-        return await self._svc.list_titles()

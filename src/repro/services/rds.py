@@ -49,15 +49,11 @@ class ReliableDeliveryService(Service):
     service_name = "rds"
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_RDSServant(self), "RDS")
+        self.ref = self.runtime.export(self, "RDS")
         await self.register_objects([self.ref])
-        neighborhoods = self.env.cluster.get(
-            "neighborhoods_by_server", {}).get(self.host.ip, [])
-        for nbhd in neighborhoods:
-            await self.bind_as_replica("rds", str(nbhd), self.ref,
-                                       selector="neighborhood")
+        await self.bind_per_neighborhood("rds", self.ref)
 
-    def open_data(self, name: str) -> Blob:
+    def openData(self, ctx: CallContext, name: str) -> Blob:
         meta = self.host.disk.read(RDS_DISK_PREFIX + name)
         if meta is None:
             raise NoSuchData(name)
@@ -65,23 +61,12 @@ class ReliableDeliveryService(Service):
         return Blob(name=name, size=meta["size"], version=meta["version"],
                     kind=meta["kind"])
 
-    def list_data(self) -> List[str]:
+    def listData(self, ctx: CallContext) -> List[str]:
         prefix = RDS_DISK_PREFIX
         return [k[len(prefix):] for k in self.host.disk.keys(prefix)]
 
-
-class _RDSServant:
-    def __init__(self, svc: ReliableDeliveryService):
-        self._svc = svc
-
-    async def openData(self, ctx: CallContext, name: str):
-        return self._svc.open_data(name)
-
-    async def listData(self, ctx: CallContext):
-        return self._svc.list_data()
-
-    async def stat(self, ctx: CallContext, name: str):
-        meta = self._svc.host.disk.read(RDS_DISK_PREFIX + name)
+    def stat(self, ctx: CallContext, name: str) -> dict:
+        meta = self.host.disk.read(RDS_DISK_PREFIX + name)
         if meta is None:
             raise NoSuchData(name)
         return dict(meta)

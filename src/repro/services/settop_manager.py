@@ -46,13 +46,9 @@ class SettopManagerService(Service):
         self._shutdown: Dict[str, bool] = {}
 
     async def start(self) -> None:
-        ref = self.runtime.export(_SettopManagerServant(self), "SettopManager")
+        ref = self.runtime.export(self, "SettopManager")
         await self.register_objects([ref])
-        neighborhoods = self.env.cluster.get(
-            "neighborhoods_by_server", {}).get(self.host.ip, [])
-        for nbhd in neighborhoods:
-            await self.bind_as_replica("settopmgr", str(nbhd), ref,
-                                       selector="neighborhood")
+        await self.bind_per_neighborhood("settopmgr", ref)
         # Also reachable per-server for the local RAS.
         await self.bind_as_replica("settopmgr-local", self.host.ip, ref,
                                    selector="sameserver")
@@ -63,7 +59,13 @@ class SettopManagerService(Service):
         self._last_seen[settop_ip] = self.kernel.now
         self._shutdown[settop_ip] = False
 
-    def record_shutdown(self, settop_ip: str) -> None:
+    def reportBoot(self, ctx: CallContext, settop_ip: str) -> None:
+        self.record_alive(settop_ip)
+
+    def heartbeat(self, ctx: CallContext, settop_ip: str) -> None:
+        self.record_alive(settop_ip)
+
+    def reportShutdown(self, ctx: CallContext, settop_ip: str) -> None:
         self._shutdown[settop_ip] = True
 
     def status_of(self, settop_ip: str) -> str:
@@ -77,22 +79,9 @@ class SettopManagerService(Service):
         return "up"
 
 
-class _SettopManagerServant:
-    def __init__(self, svc: SettopManagerService):
-        self._svc = svc
+    def getStatus(self, ctx: CallContext, settop_ips: List[str]) -> List[str]:
+        return [self.status_of(ip) for ip in settop_ips]
 
-    async def reportBoot(self, ctx: CallContext, settop_ip: str):
-        self._svc.record_alive(settop_ip)
-
-    async def heartbeat(self, ctx: CallContext, settop_ip: str):
-        self._svc.record_alive(settop_ip)
-
-    async def reportShutdown(self, ctx: CallContext, settop_ip: str):
-        self._svc.record_shutdown(settop_ip)
-
-    async def getStatus(self, ctx: CallContext, settop_ips: List[str]):
-        return [self._svc.status_of(ip) for ip in settop_ips]
-
-    async def listSettops(self, ctx: CallContext):
-        return sorted(ip for ip in self._svc._last_seen
-                      if self._svc.status_of(ip) == "up")
+    def listSettops(self, ctx: CallContext) -> List[str]:
+        return sorted(ip for ip in self._last_seen
+                      if self.status_of(ip) == "up")

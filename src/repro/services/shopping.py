@@ -50,24 +50,20 @@ class ShoppingService(Service):
         self._order_counter = 0
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_ShoppingServant(self), "Shopping")
+        self.ref = self.runtime.export(self, "Shopping")
         await self.register_objects([self.ref])
         self._db = RebindingProxy(self.runtime, self.names, "svc/db",
                                   self.params)
-        neighborhoods = self.env.cluster.get(
-            "neighborhoods_by_server", {}).get(self.host.ip, [])
-        for nbhd in neighborhoods:
-            await self.bind_as_replica("shopping", str(nbhd), self.ref,
-                                       selector="neighborhood")
+        await self.bind_per_neighborhood("shopping", self.ref)
 
-    async def catalog(self) -> dict:
+    async def catalog(self, ctx: CallContext) -> dict:
         try:
             return await self._db.call("scan", CATALOG_TABLE)
         except ServiceUnavailable as err:
             raise StoreUnavailable(str(err)) from err
 
-    async def place_order(self, customer_ip: str, item_id: str,
-                          quantity: int) -> str:
+    async def order(self, ctx: CallContext, item_id: str,
+                    quantity: int) -> str:
         try:
             item = await self._db.call("get", CATALOG_TABLE, item_id)
         except NoSuchKey as err:
@@ -76,7 +72,7 @@ class ShoppingService(Service):
             raise StoreUnavailable(str(err)) from err
         self._order_counter += 1
         order_id = f"{self.host.ip}-{self.process.pid}-{self._order_counter}"
-        record = {"customer": customer_ip, "item": item_id,
+        record = {"customer": ctx.caller_ip, "item": item_id,
                   "quantity": quantity, "unit_price": item["price"],
                   "placed_at": self.kernel.now, "status": "accepted"}
         try:
@@ -86,27 +82,13 @@ class ShoppingService(Service):
         self.emit("order_placed", order=order_id, item=item_id)
         return order_id
 
-    async def order_status(self, order_id: str) -> dict:
+    async def orderStatus(self, ctx: CallContext, order_id: str) -> dict:
         try:
             return await self._db.call("get", ORDERS_TABLE, order_id)
         except ServiceUnavailable as err:
             raise StoreUnavailable(str(err)) from err
 
-
-class _ShoppingServant:
-    def __init__(self, svc: ShoppingService):
-        self._svc = svc
-
-    async def catalog(self, ctx: CallContext):
-        return await self._svc.catalog()
-
-    async def order(self, ctx: CallContext, item_id: str, quantity: int):
-        return await self._svc.place_order(ctx.caller_ip, item_id, quantity)
-
-    async def orderStatus(self, ctx: CallContext, order_id: str):
-        return await self._svc.order_status(order_id)
-
-    async def myOrders(self, ctx: CallContext):
-        orders = await self._svc._db.call("scan", ORDERS_TABLE)
+    async def myOrders(self, ctx: CallContext) -> dict:
+        orders = await self._db.call("scan", ORDERS_TABLE)
         return {oid: rec for oid, rec in orders.items()
                 if rec["customer"] == ctx.caller_ip}

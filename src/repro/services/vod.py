@@ -53,23 +53,19 @@ class VODService(Service):
         self.degraded_answers = 0
 
     async def start(self) -> None:
-        self.ref = self.runtime.export(_VODServant(self), "VOD")
+        self.ref = self.runtime.export(self, "VOD")
         await self.register_objects([self.ref])
         self._db = RebindingProxy(self.runtime, self.names, "svc/db",
                                   self.params)
         self._mds = RebindingProxy(self.runtime, self.names, "svc/mds",
                                    self.params, give_up_after=10.0)
-        neighborhoods = self.env.cluster.get(
-            "neighborhoods_by_server", {}).get(self.host.ip, [])
-        for nbhd in neighborhoods:
-            await self.bind_as_replica("vod", str(nbhd), self.ref,
-                                       selector="neighborhood")
+        await self.bind_per_neighborhood("vod", self.ref)
 
     @staticmethod
     def _key(settop_ip: str, title: str) -> str:
         return f"{settop_ip}/{title}"
 
-    async def catalog(self) -> dict:
+    async def catalog(self, ctx: CallContext) -> dict:
         """Title catalog, degrading instead of failing under overload.
 
         The full answer asks the MDS for its live title list at the
@@ -96,8 +92,8 @@ class VODService(Service):
                     * self.params.degraded_bitrate_fraction,
                     "degraded": True}
 
-    async def get_bookmark(self, settop_ip: str, title: str) -> float:
-        key = self._key(settop_ip, title)
+    async def getBookmark(self, ctx: CallContext, title: str) -> float:
+        key = self._key(ctx.caller_ip, title)
         if key in self._bookmarks:
             return self._bookmarks[key]
         try:
@@ -111,42 +107,24 @@ class VODService(Service):
         self._bookmarks[key] = pos
         return pos
 
-    async def report_position(self, settop_ip: str, title: str,
-                              position: float) -> None:
-        key = self._key(settop_ip, title)
+    async def reportPosition(self, ctx: CallContext, title: str,
+                             position: float) -> None:
+        key = self._key(ctx.caller_ip, title)
         self._bookmarks[key] = position
         try:
             await self._db.call("put", BOOKMARK_TABLE, key, position)
         except ServiceUnavailable:
             pass  # the in-memory copy still serves until the db returns
 
-    async def clear_bookmark(self, settop_ip: str, title: str) -> None:
-        key = self._key(settop_ip, title)
+    async def clearBookmark(self, ctx: CallContext, title: str) -> None:
+        key = self._key(ctx.caller_ip, title)
         self._bookmarks.pop(key, None)
         try:
             await self._db.call("delete", BOOKMARK_TABLE, key)
         except ServiceUnavailable:
             pass
 
-
-class _VODServant:
-    def __init__(self, svc: VODService):
-        self._svc = svc
-
-    async def getBookmark(self, ctx: CallContext, title: str):
-        return await self._svc.get_bookmark(ctx.caller_ip, title)
-
-    async def reportPosition(self, ctx: CallContext, title: str,
-                             position: float):
-        await self._svc.report_position(ctx.caller_ip, title, position)
-
-    async def clearBookmark(self, ctx: CallContext, title: str):
-        await self._svc.clear_bookmark(ctx.caller_ip, title)
-
-    async def listBookmarks(self, ctx: CallContext):
+    def listBookmarks(self, ctx: CallContext) -> Dict[str, float]:
         prefix = f"{ctx.caller_ip}/"
-        return {k[len(prefix):]: v for k, v in self._svc._bookmarks.items()
+        return {k[len(prefix):]: v for k, v in self._bookmarks.items()
                 if k.startswith(prefix)}
-
-    async def catalog(self, ctx: CallContext):
-        return await self._svc.catalog()

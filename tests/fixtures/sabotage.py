@@ -109,7 +109,7 @@ def disabled_dedup():
     """
     from repro.ocs.runtime import OCSRuntime
     original = OCSRuntime._dedup_key
-    OCSRuntime._dedup_key = lambda self, payload, export: None
+    OCSRuntime._dedup_key = lambda self, payload, export, mdef: None
     try:
         yield
     finally:

@@ -302,7 +302,8 @@ class TestReplicatedContexts:
         r2 = make_ref(world.hosts[1].ip, port=2)
         world.run_async(client.bind("mds/a", r1))
         world.run_async(client.bind("mds/b", r2))
-        world.run_async(client.report_load("mds", "a", 10.0))
-        world.run_async(client.report_load("mds", "b", 2.0))
+        world.run_async(client.runtime.invoke(
+            client.root, "reportLoadBatch",
+            ([("mds", "a", 10.0), ("mds", "b", 2.0)],)))
         got = world.run_async(client.resolve("mds"))
         assert got == r2

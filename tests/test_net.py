@@ -262,7 +262,7 @@ class TestLossInjection:
         net.send(Message(src=(a.ip, 1), dst=(b.ip, 1), kind="x"))
         kernel.run()
         assert received == []
-        net.clear_loss()
+        net.clear_faults()
         net.send(Message(src=(a.ip, 1), dst=(b.ip, 1), kind="x"))
         kernel.run()
         assert len(received) == 1
@@ -319,7 +319,7 @@ class TestFaultParity:
                              "boot.announce", payload=None) == 1
         kernel.run()
         assert got == [] and net.messages_lost == 1
-        net.clear_loss()
+        net.clear_faults()
         net.broadcast(server.ip, [settop.ip], 7000, "boot.announce",
                       payload=None)
         kernel.run()

@@ -11,6 +11,7 @@ from repro.ocs import (
     OCSRuntime,
     RemoteException,
 )
+from repro.ocs.objref import ObjectRef
 from repro.sim import Host, Kernel
 
 register_interface("TestEcho", {
@@ -19,6 +20,9 @@ register_interface("TestEcho", {
     "slow": ("duration",),
     "add": ("a", "b"),
 }, doc="toy interface for runtime tests")
+
+register_interface("TestEchoForged", {"secret": ()},
+                   doc="a lying type id for the TestEcho export")
 
 
 @register_exception
@@ -176,6 +180,50 @@ class TestInvocation:
         kernel.run_until_complete(main())
         # Both ~1s: the servant handles calls concurrently.
         assert all(t < 1.5 for t in done_times)
+
+
+    def test_plain_def_and_async_def_operations_are_interchangeable(
+            self, world):
+        kernel, net, hosts = world
+
+        class PlainAdd:
+            def add(self, ctx, a, b):
+                return a + b
+
+        class AsyncAdd:
+            async def add(self, ctx, a, b):
+                return a + b
+
+        outcomes = []
+        for servant in (PlainAdd(), AsyncAdd()):
+            name = type(servant).__name__
+            ref = OCSRuntime(hosts[0].spawn(name), net).export(servant,
+                                                               "TestEcho")
+            _, cli = client_runtime(net, hosts[1], name=f"client-{name}")
+            sent, start = net.messages_sent, kernel.now
+            reply = kernel.run_until_complete(cli.invoke(ref, "add", (2, 3)))
+            outcomes.append((reply, net.messages_sent - sent,
+                             round(kernel.now - start, 9)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (5, 2)
+
+    def test_operation_outside_the_interface_is_answered_not_raised(
+            self, world):
+        """A raw call frame naming a servant attribute the interface
+        does not declare gets an error reply; it must neither run the
+        attribute nor raise out of the kernel."""
+        kernel, net, hosts = world
+        _, runtime, servant, ref = start_echo(kernel, net, hosts[0])
+        servant.secret = lambda ctx: servant.calls.append("secret")
+        forged = ObjectRef(ip=ref.ip, port=ref.port,
+                           incarnation=ref.incarnation,
+                           type_id="TestEchoForged", object_id=ref.object_id)
+        _, cli = client_runtime(net, hosts[1])
+        fut = cli.invoke(forged, "secret", ())
+        kernel.run()
+        assert isinstance(fut.exception(), RemoteException)
+        assert "NoSuchMethod" in str(fut.exception())
+        assert servant.calls == [] and runtime.calls_served == 0
 
 
 class TestFailureDetection:
