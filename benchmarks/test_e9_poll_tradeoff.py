@@ -34,7 +34,7 @@ def run_point(ras_poll: float, seed: int = 9001):
     # Measure steady-state RAS message rates over a quiet window.  The
     # poll-scaled audit traffic (checkStatus) is what the paper's knob
     # controls; the SSC's coalesced load reports (PR 5) ride their own
-    # fixed load_report_interval cadence, so they are accounted
+    # fixed LOAD_REPORT_INTERVAL cadence, so they are accounted
     # separately rather than diluting the trade-off curve.
     window = 120.0
     before_polls = cluster.net.count_kind("rpc.call.RAS.checkStatus")
@@ -86,7 +86,7 @@ def test_e9_poll_interval_tradeoff(benchmark):
              round(p["report_msgs_per_s"], 2),
              round(p["failover_s"], 1), p["bound_s"]) for p in points],
            notes="paper setting is 5s: cheap enough, fast enough; load "
-                 "reports ride load_report_interval, not the poll knob")
+                 "reports ride LOAD_REPORT_INTERVAL, not the poll knob")
     by = {p["poll"]: p for p in points}
     # Messages fall as the interval grows...
     assert by[1.0]["ras_msgs_per_s"] > by[5.0]["ras_msgs_per_s"] > \
@@ -95,7 +95,7 @@ def test_e9_poll_interval_tradeoff(benchmark):
     ratio = by[1.0]["ras_msgs_per_s"] / by[5.0]["ras_msgs_per_s"]
     assert 2.5 <= ratio <= 7.5
     # The load-report channel is poll-invariant: same rate at every
-    # point (it scales with load_report_interval instead).
+    # point (it scales with LOAD_REPORT_INTERVAL instead).
     rates = [p["report_msgs_per_s"] for p in points]
     assert max(rates) - min(rates) <= 0.25 * max(rates)
     # ...while fail-over slows down.

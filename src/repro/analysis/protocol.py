@@ -1,4 +1,4 @@
-"""Protocol conformance checking (rules P001..P006).
+"""Protocol conformance checking (rules P001..P005).
 
 The paper's IDL compiler made a whole class of bugs impossible: a stub
 call that names a missing operation or passes the wrong argument count
@@ -21,10 +21,7 @@ compile-time guarantee statically:
    - P004: a two-way call's future is ``.detach()``-ed, silently
      dropping the reply (and any marshalled exception);
    - P005: a function that holds a ``deadline`` budget issues a call
-     without propagating it (the flow-sensitive upgrade of D010);
-   - P006: a service exports with ``reply_cache=False`` although its
-     interface declares two-way operations not marked ``idempotent`` --
-     retried calls would re-execute them (PR 9's at-most-once contract).
+     without propagating it (the flow-sensitive upgrade of D010).
 
 Sites whose operation name is not a string literal (the rebinding
 proxy's own forwarder, the fault injector) are *dynamic*: they cannot be
@@ -54,7 +51,6 @@ class ProtoMethod:
     params: Tuple[str, ...]
     oneway: bool
     interface: str
-    idempotent: bool = False
 
 
 @dataclass
@@ -141,7 +137,6 @@ def _parse_methoddef(call: ast.Call, default_name: str,
     name = default_name
     params: Optional[Tuple[str, ...]] = ()
     oneway = False
-    idempotent = False
     if call.args:
         name = _literal_str(call.args[0]) or default_name
     if len(call.args) >= 2:
@@ -152,15 +147,12 @@ def _parse_methoddef(call: ast.Call, default_name: str,
         elif kw.arg == "oneway":
             if isinstance(kw.value, ast.Constant):
                 oneway = bool(kw.value.value)
-        elif kw.arg == "idempotent":
-            if isinstance(kw.value, ast.Constant):
-                idempotent = bool(kw.value.value)
         elif kw.arg == "name":
             name = _literal_str(kw.value) or name
     if params is None:
         return None  # computed params: not statically checkable
     return ProtoMethod(name=name, params=params, oneway=oneway,
-                       interface=interface, idempotent=idempotent)
+                       interface=interface)
 
 
 def _extract_from_tree(tree: ast.Module, path: str,
@@ -177,12 +169,9 @@ def _extract_from_tree(tree: ast.Module, path: str,
         if iface_name is None or not isinstance(node.args[1], ast.Dict):
             continue
         base = None
-        idempotent_names: Tuple[str, ...] = ()
         for kw in node.keywords:
             if kw.arg == "base":
                 base = _literal_str(kw.value)
-            elif kw.arg == "idempotent":
-                idempotent_names = _literal_params(kw.value) or ()
         methods: Dict[str, ProtoMethod] = {}
         for key, value in zip(node.args[1].keys, node.args[1].values):
             mname = _literal_str(key) if key is not None else None
@@ -198,12 +187,6 @@ def _extract_from_tree(tree: ast.Module, path: str,
                     methods[mname] = ProtoMethod(
                         name=mname, params=params, oneway=False,
                         interface=iface_name)
-        for mname in idempotent_names:
-            if mname in methods:
-                methods[mname] = ProtoMethod(
-                    name=methods[mname].name, params=methods[mname].params,
-                    oneway=methods[mname].oneway, interface=iface_name,
-                    idempotent=True)
         model.add(ProtoInterface(name=iface_name, methods=methods,
                                  base=base, path=path,
                                  line=node.lineno))
@@ -556,51 +539,9 @@ class DeadlinePropagationRule(_ProtocolRule):
         return out
 
 
-class UncachedDispatchRule(_ProtocolRule):
-    rule_id = "P006"
-    title = "non-idempotent two-way operations need the reply cache"
-    rationale = ("`export(..., reply_cache=False)` turns at-most-once "
-                 "dedup off for the whole servant; any two-way operation "
-                 "not declared `idempotent=True` then re-executes on a "
-                 "duplicated or retried envelope -- the double-order/"
-                 "double-score bug PR 9's reply cache exists to prevent.  "
-                 "Declare the operations idempotent (and make them so), "
-                 "or keep the cache on.")
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
-        if self._exempt(ctx):
-            return []
-        out = []
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "export"):
-                continue
-            opted_out = any(
-                kw.arg == "reply_cache"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is False
-                for kw in node.keywords)
-            if not opted_out or len(node.args) < 2:
-                continue
-            iface = _literal_str(node.args[1])
-            if iface is None or iface not in self.model.interfaces:
-                continue
-            unsafe = sorted(
-                m.name for m in self.model.resolved_methods(iface).values()
-                if not m.oneway and not m.idempotent)
-            if unsafe:
-                out.append(self.violation(
-                    ctx, node,
-                    f"export of {iface!r} with reply_cache=False, but "
-                    f"{', '.join(unsafe)} are two-way and not declared "
-                    "idempotent; retried envelopes would re-execute them"))
-        return out
-
-
 def protocol_rules(model: Optional[ProtocolModel] = None) -> List[Rule]:
     """The P-rule set, sharing one model and one coverage census."""
     coverage = SiteCoverage()
     return [UnknownOperationRule(model, coverage), ArityMismatchRule(model),
             AwaitOnewayRule(model), DetachedReplyRule(model),
-            DeadlinePropagationRule(model), UncachedDispatchRule(model)]
+            DeadlinePropagationRule(model)]

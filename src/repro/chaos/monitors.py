@@ -28,7 +28,7 @@ The catalog (DESIGN.md section 9):
 - admission-gated services keep their queues bounded under any surge:
   the gate's limits are never exceeded, only shed around (PR 4);
 - every NS/db replica's change-log cursor stays within
-  ``Params.replica_lag_bound`` of its primary while live and connected,
+  ``REPLICA_LAG_BOUND`` of its primary while live and connected,
   and matches it exactly after the quiesce (PR 7);
 - every write a client saw acknowledged is readable after any
   crash-and-recovery -- the durability contract the sync-before-ack
@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.injector import FaultInjector
 from repro.cluster.builder import Cluster
-from repro.core.params import Params
+from repro.core.params import NS_ELECTION_TIMEOUT, NS_HEARTBEAT, Params
 from repro.db.service import read_row
 from repro.metrics.availability import AvailabilityTimeline
 from repro.metrics.delivery import live_runtimes
@@ -60,6 +60,10 @@ from repro.sim.host import CorruptBlob
 #: how long a killed process gets to drain its cancelled tasks before
 #: an undone task counts as a leaked Future.
 LEAK_GRACE = 10.0
+#: how long a live replica may trail its primary's change-log sequence
+#: before ``replica_lag_bounded`` trips.  Sized to cover one anti-entropy
+#: poll plus the catch-up RPC with slack.
+REPLICA_LAG_BOUND = 30.0
 _ABSENT = object()   # durability read-back: the row is not on disk
 
 
@@ -175,8 +179,7 @@ class NsAgreementMonitor(Monitor):
         super().bind(cluster, injector, params, context)
         # An isolated old master steps down after missing heartbeat
         # acks; two election cycles plus margin covers the window.
-        self._split_grace = 2 * (params.ns_election_timeout[1]
-                                 + params.ns_heartbeat) + 10.0
+        self._split_grace = 2 * (NS_ELECTION_TIMEOUT[1] + NS_HEARTBEAT) + 10.0
         self._masterless_grace = 2 * params.max_failover
         self._split_since: Optional[float] = None
         self._split_reported = False
@@ -508,7 +511,7 @@ class FutureLeakMonitor(Monitor):
         out: List[Violation] = []
         for runtime in live_runtimes(self.cluster.servers):
             for call_id, pending in runtime._pending.items():
-                deadline = getattr(pending, "deadline", None)
+                deadline = pending.deadline
                 if deadline is None or pending.future.done():
                     continue
                 if now - deadline > LEAK_GRACE:
@@ -544,7 +547,7 @@ class ExpiredWorkMonitor(Monitor):
     def _sweep(self) -> List[Violation]:
         out: List[Violation] = []
         for runtime in live_runtimes(self.cluster.servers):
-            count = getattr(runtime, "expired_executions", 0)
+            count = runtime.expired_executions
             key = (runtime.ip, runtime.port)
             if count > self._reported.get(key, 0):
                 self._reported[key] = count
@@ -630,9 +633,8 @@ class HbRaceMonitor(Monitor):
 
 def _gated_runtimes(cluster: Cluster):
     for runtime in live_runtimes(cluster.servers):
-        gate = getattr(runtime, "admission", None)
-        if gate is not None:
-            yield runtime, gate
+        if runtime.admission is not None:
+            yield runtime, runtime.admission
 
 
 class ReplicaLagMonitor(Monitor):
@@ -643,7 +645,7 @@ class ReplicaLagMonitor(Monitor):
     makes any gap O(gap) ops to close -- one heartbeat (NS)
     or one anti-entropy poll (db) away -- so a live, connected replica
     observed behind a settled primary's cursor must reach that cursor
-    within ``Params.replica_lag_bound``.  Lag that *persists* is the
+    within ``REPLICA_LAG_BOUND``.  Lag that *persists* is the
     silent replication gap this monitor exists to expose: a promoted
     backup would serve diverged data.  The clock pauses while a
     partition is in force or while no single primary is settled; after
@@ -692,7 +694,7 @@ class ReplicaLagMonitor(Monitor):
                     self._behind[key] = (now, primary_seq)
                     continue
                 if (key not in self._reported
-                        and now - since > self.params.replica_lag_bound):
+                        and now - since > REPLICA_LAG_BOUND):
                     self._reported.add(key)
                     out.append(self._violation(
                         f"{kind} replica {ip} wedged at seq {seq} < "

@@ -12,6 +12,7 @@ import importlib
 
 from repro.core.control.registry import ServiceEnv, ServiceRegistry
 from repro.core.naming.replica import NameReplicaProcess
+from repro.core.params import NS_PORT
 from repro.ocs.runtime import OCSRuntime
 from repro.sim.host import Process
 
@@ -20,7 +21,7 @@ class _NameServiceAdapter:
     """Runs a name-service replica as an SSC-managed service."""
 
     def __init__(self, env: ServiceEnv, process: Process):
-        runtime = OCSRuntime(process, env.network, port=env.params.ns_port)
+        runtime = OCSRuntime(process, env.network, port=NS_PORT)
         self.replica = NameReplicaProcess(
             process, runtime, env.params,
             env.cluster["ns_replica_ips"],

@@ -7,38 +7,34 @@ all retry at the same instants and hammer the name service in lockstep
 -- the recovery-storm problem of paper section 8.2, but self-inflicted.
 
 :class:`Backoff` is the one implementation those loops share.  Delays
-grow geometrically from ``Params.retry_backoff_base`` by
-``retry_backoff_multiplier`` up to ``retry_backoff_max``, each draw
-jittered by ``+/- retry_backoff_jitter`` of itself from a *seeded*
-stream, so two runs with the same seed retry at identical times (the
-repo's byte-identical-trace invariant) while distinct services spread
-out within a run.
+grow geometrically from ``Backoff.base`` by ``Backoff.multiplier`` up
+to ``Backoff.max_delay``, each draw jittered by ``+/- Backoff.jitter``
+of itself from a *seeded* stream, so two runs with the same seed retry
+at identical times (the repo's byte-identical-trace invariant) while
+distinct services spread out within a run.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.params import Params
 from repro.sim.rand import SeededRandom
 
 
 class Backoff:
     """One retry loop's delay state; create one per loop, reset on success."""
 
-    def __init__(self, params: Params, rng: SeededRandom,
-                 base: Optional[float] = None,
-                 multiplier: Optional[float] = None,
-                 max_delay: Optional[float] = None,
-                 jitter: Optional[float] = None,
+    # Start-up races (notifyReady before the SSC listens, bind before the
+    # name service elects) retry through this one helper instead of
+    # ad-hoc sleep(1.0) loops, so a restart storm of N services spreads
+    # its retries instead of phase-locking.
+    base = 1.0         # first retry delay (seconds)
+    multiplier = 2.0   # growth per failed attempt
+    max_delay = 8.0    # delay cap
+    jitter = 0.25      # +/- fraction drawn per retry
+
+    def __init__(self, rng: SeededRandom,
                  max_elapsed: Optional[float] = None):
-        self.base = base if base is not None else params.retry_backoff_base
-        self.multiplier = (multiplier if multiplier is not None
-                           else params.retry_backoff_multiplier)
-        self.max_delay = (max_delay if max_delay is not None
-                          else params.retry_backoff_max)
-        self.jitter = (jitter if jitter is not None
-                       else params.retry_backoff_jitter)
         # Total-sleep budget: once the sum of returned delays reaches
         # this, next_delay() returns 0.0 and ``exhausted`` turns true.
         # A retry loop with a deadline must not sleep past it (PR 4

@@ -27,6 +27,8 @@ from repro.ocs.exceptions import ServiceUnavailable
 from repro.ocs.runtime import CallContext
 from repro.services.base import Service
 
+CSC_PING_INTERVAL = 5.0    # CSC pings each SSC
+
 register_interface("ClusterController", {
     "placement": (),
     "clusterState": (),
@@ -95,7 +97,7 @@ class ClusterServiceController(Service):
         await self._discover_cluster_state()
         while self._is_primary:
             await self._reconcile()
-            await self.kernel.sleep(self.params.csc_ping_interval)
+            await self.kernel.sleep(CSC_PING_INTERVAL)
 
     async def _load_placement(self) -> None:
         while self._is_primary:

@@ -15,6 +15,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.control.registry import ServiceEnv, ServiceRegistry
 from repro.core.naming.client import NameClient, ns_root_ref
 from repro.core.naming.errors import NamingError
+from repro.core.params import LOAD_REPORT_INTERVAL, RAS_CALL_TIMEOUT
 from repro.idl import MethodDef, register_interface
 from repro.ocs.admission import coalesce_gauges
 from repro.ocs.exceptions import OCSError, ServiceUnavailable
@@ -143,6 +144,7 @@ class ServerServiceController:
     # server (the paper's debugging era had plenty of these).
     CRASH_LOOP_WINDOW = 10.0
     MAX_RESTART_BACKOFF = 30.0
+    SSC_RESTART_DELAY = 1.0    # backoff before restarting a service
 
     def _spawn(self, entry: _ManagedService) -> None:
         factory = self.registry.lookup(entry.name)
@@ -188,7 +190,7 @@ class ServerServiceController:
             else:
                 entry.backoff = 0.0
             self.kernel.call_later(
-                self.env.params.ssc_restart_delay + entry.backoff,
+                self.SSC_RESTART_DELAY + entry.backoff,
                 self._maybe_restart, entry)
 
     def _maybe_restart(self, entry: _ManagedService) -> None:
@@ -246,7 +248,8 @@ class ServerServiceController:
                     or not entry.process.alive):
                 continue
             report: Dict[str, object] = {}
-            gate = getattr(getattr(service, "runtime", None), "admission", None)
+            gate = (service.runtime.admission
+                    if hasattr(service, "runtime") else None)
             if gate is not None:
                 report.update(gate.gauges())
             repl = entry.process.attachments.get("repl")
@@ -287,12 +290,11 @@ class ServerServiceController:
         throughout: a dead RAS or minority NS replica must not wedge the
         SSC.
         """
-        params = self.env.params
         ras_ref: Optional[ObjectRef] = None
         ns_ips = (self.env.cluster.get("ns_replica_ips", [])
                   if self.env.cluster else [])
         while True:
-            await self.kernel.sleep(params.load_report_interval)
+            await self.kernel.sleep(LOAD_REPORT_INTERVAL)
             reports, entries = self._collect_load_reports()
             if not reports and not entries:
                 continue
@@ -308,7 +310,7 @@ class ServerServiceController:
                 try:
                     await self.runtime.invoke(
                         ras_ref, "reportLoadBatch", (reports,),
-                        timeout=params.ras_call_timeout)
+                        timeout=RAS_CALL_TIMEOUT)
                 except (ServiceUnavailable, OCSError):
                     ras_ref = None
             if not entries:
@@ -316,9 +318,8 @@ class ServerServiceController:
             for ns_ip in ns_ips:
                 try:
                     await self.runtime.invoke(
-                        ns_root_ref(ns_ip, params.ns_port),
-                        "reportLoadBatch", (entries,),
-                        timeout=params.ras_call_timeout)
+                        ns_root_ref(ns_ip), "reportLoadBatch", (entries,),
+                        timeout=RAS_CALL_TIMEOUT)
                 except (ServiceUnavailable, OCSError):
                     continue
 

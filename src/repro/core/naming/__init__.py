@@ -8,7 +8,7 @@ election.
 """
 
 from repro.core.naming.cache import BindingCache, cache_for
-from repro.core.naming.client import NameClient, ns_replica_ref, ns_root_ref
+from repro.core.naming.client import NameClient, ns_root_ref
 from repro.core.naming.errors import (
     AlreadyBound,
     InvalidName,
@@ -32,7 +32,6 @@ __all__ = [
     "NameStore",
     "NoMaster",
     "NotAContext",
-    "ns_replica_ref",
     "ns_root_ref",
     "start_name_replica",
 ]

@@ -178,6 +178,6 @@ class BindingCache:
 
 def cache_for(host, params) -> Optional[BindingCache]:
     """The host's shared cache, or ``None`` when caching is disabled."""
-    if params is not None and not getattr(params, "binding_cache", True):
+    if params is not None and not params.binding_cache:
         return None
     return BindingCache.for_host(host)

@@ -13,23 +13,17 @@ from typing import List, Optional, Tuple
 import repro.core.naming.interfaces  # noqa: F401 - registers IDL types
 from repro.core.naming.cache import BindingCache
 from repro.core.naming.errors import NamingError
-from repro.core.params import Params
+from repro.core.params import NS_PORT, Params
 from repro.ocs.exceptions import ServiceUnavailable
 from repro.ocs.objref import ANY_INCARNATION, ObjectRef
 from repro.ocs.runtime import OCSRuntime
 from repro.sim.errors import SimTimeoutError
 
 
-def ns_root_ref(ip: str, port: int = 5000) -> ObjectRef:
+def ns_root_ref(ip: str) -> ObjectRef:
     """The persistent bootstrap reference to a replica's root context."""
-    return ObjectRef(ip=ip, port=port, incarnation=ANY_INCARNATION,
+    return ObjectRef(ip=ip, port=NS_PORT, incarnation=ANY_INCARNATION,
                      type_id="NamingContext", object_id="")
-
-
-def ns_replica_ref(ip: str, port: int = 5000) -> ObjectRef:
-    """The internal replica object at ``ip`` (tests and tooling)."""
-    return ObjectRef(ip=ip, port=port, incarnation=ANY_INCARNATION,
-                     type_id="NameReplica", object_id="replica")
 
 
 class NameClient:
@@ -57,7 +51,7 @@ class NameClient:
         ips = [ns_ip] if isinstance(ns_ip, str) else list(ns_ip)
         if not ips:
             raise ValueError("NameClient needs at least one replica address")
-        self._roots = [ns_root_ref(ip, self.params.ns_port) for ip in ips]
+        self._roots = [ns_root_ref(ip) for ip in ips]
         self._current = 0
         self.cache = cache
 

@@ -30,7 +30,13 @@ from repro.core.naming.errors import (
 )
 from repro.core.naming.selectors import SelectorState, run_builtin
 from repro.core.naming.store import SELECTOR_NAME, NameStore, join_name, split_name
-from repro.core.params import Params
+from repro.core.params import (
+    NS_ELECTION_TIMEOUT,
+    NS_HEARTBEAT,
+    NS_PORT,
+    RAS_CALL_TIMEOUT,
+    Params,
+)
 from repro.core.replication import (
     GENESIS_EPOCH,
     ReplicatedStore,
@@ -161,7 +167,7 @@ class NameReplicaProcess:
         return self.context_ref("")
 
     def peer_replica_ref(self, ip: str) -> ObjectRef:
-        return ObjectRef(ip=ip, port=self.params.ns_port,
+        return ObjectRef(ip=ip, port=NS_PORT,
                          incarnation=ANY_INCARNATION, type_id="NameReplica",
                          object_id=REPLICA_OID)
 
@@ -536,7 +542,7 @@ class NameReplicaProcess:
     # ------------------------------------------------------------------
 
     def _new_timeout(self) -> float:
-        low, high = self.params.ns_election_timeout
+        low, high = NS_ELECTION_TIMEOUT
         return self.rng.uniform(low, high)
 
     def _suspect_master(self) -> None:
@@ -614,7 +620,7 @@ class NameReplicaProcess:
             peers = [p for p in self.replica_ips if p != self.ip]
             probes = [self.runtime.invoke(self.peer_replica_ref(p), "heartbeat",
                                           (epoch, self.ip, self.store.applied_seq),
-                                          timeout=self.params.ns_heartbeat)
+                                          timeout=NS_HEARTBEAT)
                       for p in peers]
             reachable = 1  # self
             results = await gather(self.kernel, probes, return_exceptions=True)
@@ -634,7 +640,7 @@ class NameReplicaProcess:
                     self.last_heartbeat = self.kernel.now
                     self._election_timeout = self._new_timeout()
                     return
-            await self.kernel.sleep(self.params.ns_heartbeat)
+            await self.kernel.sleep(NS_HEARTBEAT)
 
     # -- the ``NameReplica`` operations (replica to replica) --------------
 
@@ -751,7 +757,7 @@ class NameReplicaProcess:
         The local RAS is the cheapest oracle, but the audit must not
         have a single-point dependency on it: a gray (slow-but-alive)
         master host stretches the loopback round trip past
-        ``ras_call_timeout``, and without a fallback every audit cycle
+        ``RAS_CALL_TIMEOUT``, and without a fallback every audit cycle
         times out and dead bindings linger cluster-wide.  Peer RAS
         replicas track remote liveness through their own peer polls, so
         any of them can answer.
@@ -766,7 +772,7 @@ class NameReplicaProcess:
             try:
                 return await self.runtime.invoke(
                     ras_ref, "checkStatus", (refs,),
-                    timeout=self.params.ras_call_timeout)
+                    timeout=RAS_CALL_TIMEOUT)
             except ServiceUnavailable:
                 continue
         return None
@@ -779,6 +785,6 @@ def start_name_replica(host: Host, network: Network, params: Params,
                        parent: Optional[Process] = None) -> NameReplicaProcess:
     """Spawn the ``ns`` process on ``host`` and return its replica object."""
     process = host.spawn("ns", parent=parent)
-    runtime = OCSRuntime(process, network, port=params.ns_port)
+    runtime = OCSRuntime(process, network, port=NS_PORT)
     return NameReplicaProcess(process, runtime, params, replica_ips,
                               rng=rng, trace=trace)

@@ -123,7 +123,7 @@ def select_least_loaded(bindings: List[Binding], caller_ip: str, path: str,
 # Load at or above this level means the member is shedding (its
 # admission gate's inflight capacity is full); the load-aware policy
 # treats it as unavailable.  Overridable per replica via
-# ``SelectorState.shed_level`` (set from Params.shed_load_level).
+# ``SelectorState.shed_level``.
 SHED_LOAD = 1.0
 
 
@@ -142,7 +142,7 @@ def select_load_aware(bindings: List[Binding], caller_ip: str, path: str,
     """
     members = _require_members(bindings)
     loads = state.loads.get(path, {})
-    shed_level = getattr(state, "shed_level", SHED_LOAD)
+    shed_level = state.shed_level
     healthy = [b for b in members if loads.get(b[0], 0.0) < shed_level]
     pool = healthy or members
     count = state.rr_counters.get(path, 0)

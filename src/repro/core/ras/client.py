@@ -16,22 +16,22 @@ from typing import Callable, Dict, Optional, Union
 
 from repro.core.naming.client import NameClient
 from repro.core.naming.errors import NamingError
-from repro.core.params import Params
+from repro.core.params import RAS_CALL_TIMEOUT
 from repro.ocs.exceptions import ServiceUnavailable
 from repro.ocs.objref import ObjectRef
 from repro.ocs.runtime import OCSRuntime
 from repro.sim.host import Process
 
 Entity = Union[str, ObjectRef]
+RAS_CLIENT_POLL = 10.0     # library checkStatus cadence (MMS)
 
 
 class AuditClient:
     """Watches entities through the local RAS and fires death callbacks."""
 
-    def __init__(self, runtime: OCSRuntime, names: NameClient, params: Params):
+    def __init__(self, runtime: OCSRuntime, names: NameClient):
         self.runtime = runtime
         self.names = names
-        self.params = params
         self.kernel = runtime.kernel
         self._watches: Dict[Entity, Callable[[Entity], None]] = {}
         self._ras_ref: Optional[ObjectRef] = None
@@ -55,7 +55,7 @@ class AuditClient:
 
     async def _poll_loop(self) -> None:
         while True:
-            await self.kernel.sleep(self.params.ras_client_poll)
+            await self.kernel.sleep(RAS_CLIENT_POLL)
             await self.poll_once()
 
     async def poll_once(self) -> None:
@@ -72,7 +72,7 @@ class AuditClient:
         try:
             statuses = await self.runtime.invoke(
                 self._ras_ref, "checkStatus", (entities,),
-                timeout=self.params.ras_call_timeout)
+                timeout=RAS_CALL_TIMEOUT)
         except ServiceUnavailable:
             self._ras_ref = None  # local RAS restarting; re-resolve next time
             return

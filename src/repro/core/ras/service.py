@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from repro.core.naming.errors import NamingError
+from repro.core.params import RAS_CALL_TIMEOUT
 from repro.idl import register_interface
 from repro.net.address import is_settop_ip, neighborhood_of
 from repro.ocs.exceptions import (
@@ -39,7 +40,7 @@ register_interface("RAS", {
     "watchedCounts": (),
     # PR 4/5: the SSC pushes every local admission-gated service's
     # load/queue gauges here, coalesced into one batch per server per
-    # load_report_interval, so operators (and the chaos monitors) can
+    # LOAD_REPORT_INTERVAL, so operators (and the chaos monitors) can
     # read saturation off the audit service the paper already routes
     # status through.
     "reportLoadBatch": ("reports",),
@@ -167,7 +168,7 @@ class ResourceAuditService(Service):
             self.peer_polls_sent += 1
             statuses = await self.runtime.invoke(
                 peer, "checkStatus", (watched,),
-                timeout=self.params.ras_call_timeout)
+                timeout=RAS_CALL_TIMEOUT)
             for ref, status in zip(watched, statuses):
                 self._remote_status[ref] = status
         except InvalidObjectReference:
@@ -209,7 +210,7 @@ class ResourceAuditService(Service):
                 return
         try:
             statuses = await self.runtime.invoke(
-                mgr, "getStatus", (ips,), timeout=self.params.ras_call_timeout)
+                mgr, "getStatus", (ips,), timeout=RAS_CALL_TIMEOUT)
             for ip, status in zip(ips, statuses):
                 self._settop_status[ip] = {
                     "up": ALIVE, "down": DEAD}.get(status, UNKNOWN)

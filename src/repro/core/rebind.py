@@ -33,6 +33,9 @@ from repro.ocs.objref import ObjectRef
 from repro.ocs.runtime import OCSRuntime
 from repro.sim.rand import SeededRandom
 
+OVERLOAD_COOLDOWN_FLOOR = 0.5    # min client-side replica cooldown
+OVERLOAD_COOLDOWN_JITTER = 0.5   # +/- fraction on the cooldown
+
 
 class RebindError(ServiceUnavailable):
     """The service stayed unavailable past the caller's deadline."""
@@ -99,9 +102,7 @@ class RebindingProxy:
         """
         if ref is None or self._ref is not ref:
             return
-        invalidate = getattr(self._names, "invalidate", None)
-        if invalidate is not None:
-            invalidate(self._name, ref)
+        self._names.invalidate(self._name, ref)
         self._ref = None
 
     def _cooling(self, ref: ObjectRef) -> Optional[Overloaded]:
@@ -116,9 +117,9 @@ class RebindingProxy:
         return err
 
     def _note_shed(self, ref: ObjectRef, err: Overloaded) -> None:
-        floor = self._params.overload_cooldown_floor
-        cooldown = jittered(self._rng, max(err.retry_after, floor),
-                            self._params.overload_cooldown_jitter)
+        cooldown = jittered(
+            self._rng, max(err.retry_after, OVERLOAD_COOLDOWN_FLOOR),
+            OVERLOAD_COOLDOWN_JITTER)
         self._cooldowns[(ref.ip, ref.port)] = (
             self._runtime.kernel.now + cooldown, err)
 

@@ -72,6 +72,11 @@ class NoSuchKey(Exception):
 _DISK_PREFIX = "db/"
 # The change log lives outside the table prefix so tables() stays clean.
 _LOG_KEY = "dbrepl/changelog"
+# Anti-entropy cadence: a db backup polls the primary's change log on
+# this interval (devpi's replica poll), so a push missed during a
+# partition is repaired even if no further write ever arrives.  The NS
+# needs no poll -- its heartbeats already carry the master seq.
+DB_REPLICATION_POLL = 10.0
 _MISSING = object()
 
 
@@ -354,11 +359,11 @@ class DatabaseService(Service):
         A push can be lost entirely (backup partitioned or down when the
         write happened); without a poll the backup would stay behind
         until the *next* write pushed to it.  The poll bounds that lag
-        at ``db_replication_poll`` regardless of write traffic -- the
+        at ``DB_REPLICATION_POLL`` regardless of write traffic -- the
         bound ``replica_lag_bounded`` holds the cluster to.
         """
         while True:
-            await self.kernel.sleep(self.params.db_replication_poll)
+            await self.kernel.sleep(DB_REPLICATION_POLL)
             if not self.is_primary:
                 self.repl.schedule_catch_up()
 

@@ -50,17 +50,13 @@ def collect_delivery(cluster) -> Dict[str, dict]:
                  "caching_runtimes": 0}
     for runtime in live_runtimes(list(cluster.servers)
                                  + list(cluster.settops)):
-        envelopes["corrupt_dropped"] += getattr(runtime, "corrupt_dropped", 0)
-        envelopes["corrupt_dispatched"] += getattr(
-            runtime, "corrupt_dispatched", 0)
-        cache = getattr(runtime, "reply_cache", None)
-        if cache is None:
-            continue
+        envelopes["corrupt_dropped"] += runtime.corrupt_dropped
+        envelopes["corrupt_dispatched"] += runtime.corrupt_dispatched
         envelopes["caching_runtimes"] += 1
-        for key, value in cache.stats().items():
+        for key, value in runtime.reply_cache.stats().items():
             envelopes[key] += value
 
-    ledger = getattr(cluster.kernel, "effect_ledger", None)
+    ledger = cluster.kernel.effect_ledger
     return {
         "net": {"duplicated": net.messages_duplicated,
                 "reordered": net.messages_reordered,

@@ -32,9 +32,9 @@ def collect_overload(cluster, settop_kernels: Optional[List] = None) -> Dict[str
             runtime = proc.attachments.get("ocs")
             if runtime is None:
                 continue
-            deadline_rejects += getattr(runtime, "deadline_rejects", 0)
-            expired_executions += getattr(runtime, "expired_executions", 0)
-            gate = getattr(runtime, "admission", None)
+            deadline_rejects += runtime.deadline_rejects
+            expired_executions += runtime.expired_executions
+            gate = runtime.admission
             if gate is None:
                 continue
             agg = gates.setdefault(gate.service, {

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from repro.core.params import Params
 
+ADMISSION_RETRY_AFTER = 2.0    # server's cool-down hint on a shed call
+
 
 class AdmissionGate:
     """Inflight/queue accounting for one service's OCS runtime.
@@ -33,13 +35,12 @@ class AdmissionGate:
 
     __slots__ = ("service", "max_inflight", "max_queue", "inflight",
                  "queued", "admitted", "shed_count", "peak_queue",
-                 "peak_inflight", "retry_after")
+                 "peak_inflight")
 
     def __init__(self, service: str, params: Params):
         self.service = service
         self.max_inflight = params.admission_max_inflight
         self.max_queue = params.admission_max_queue
-        self.retry_after = params.admission_retry_after
         self.inflight = 0
         self.queued = 0
         self.admitted = 0

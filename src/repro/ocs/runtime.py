@@ -25,7 +25,7 @@ from repro.net.message import (
     Message,
 )
 from repro.net.network import Network
-from repro.ocs.admission import AdmissionGate
+from repro.ocs.admission import ADMISSION_RETRY_AFTER, AdmissionGate
 from repro.ocs.replycache import ReplyCache
 from repro.ocs.exceptions import (
     AuthError,
@@ -98,10 +98,6 @@ class _Export:
     interface: InterfaceDef
     single_threaded: bool = False
     queue: Optional[Queue] = None
-    #: at-most-once dedup for this export's non-idempotent two-way
-    #: methods.  Opting out (reply_cache=False) is only legitimate when
-    #: every such method is declared idempotent -- lint rule P006.
-    reply_cache: bool = True
 
 
 @dataclass
@@ -116,10 +112,6 @@ class _PendingCall:
 class OCSRuntime:
     """Object adapter + transport endpoint for one process."""
 
-    #: process-global falsifiability knob (PR 9), flipped by the
-    #: sabotage fixture the way broken_quorum() swaps a class property:
-    #: ``checksum_guard=False`` dispatches corrupt frames.
-    checksum_guard: bool = True
     reply_cache_capacity: int = 512
 
     def __init__(self, process: Process, network: Network,
@@ -151,9 +143,6 @@ class OCSRuntime:
         # between dequeue and execution so queues genuinely build.
         self.admission: Optional[AdmissionGate] = None
         self.servant_lag: float = 0.0
-        # ``reject_expired`` is the deadline guard this PR adds; tests
-        # flip it off to prove the expired-work monitor is falsifiable.
-        self.reject_expired: bool = True
         self.deadline_rejects = 0
         self.expired_executions = 0
         # At-most-once machinery (PR 9): the reply cache dedups retried
@@ -208,8 +197,7 @@ class OCSRuntime:
     # -- server side ---------------------------------------------------
 
     def export(self, servant: Any, type_id: str, object_id: str = "",
-               single_threaded: bool = False,
-               reply_cache: bool = True) -> ObjectRef:
+               single_threaded: bool = False) -> ObjectRef:
         """Make ``servant`` invocable as an object of type ``type_id``.
 
         Most services export exactly one object with a null object id
@@ -223,17 +211,14 @@ class OCSRuntime:
         points under those same names.
         ``single_threaded`` serializes calls through a queue, modelling
         the paper's single-threaded services that could not answer pings
-        while busy (section 7.2).  ``reply_cache=False`` skips at-most-
-        once dedup for this export -- legitimate only when every two-way
-        method is declared idempotent (lint rule P006).
+        while busy (section 7.2).
         """
         iface = lookup_interface(type_id)
         if object_id in self._exports:
             raise OCSError(
                 f"object id {object_id!r} already exported by {self.process.name}")
         export = _Export(servant=servant, interface=iface,
-                         single_threaded=single_threaded,
-                         reply_cache=reply_cache)
+                         single_threaded=single_threaded)
         if single_threaded:
             export.queue = Queue(self.kernel)
             self.process.create_task(
@@ -344,19 +329,18 @@ class OCSRuntime:
         if not self.process.alive:
             return
         if msg.corrupted:
-            if self.checksum_guard:
-                # The payload checksum fails: drop the frame before any
-                # dispatch.  The sender's timeout machinery retries under
-                # the same request id, so the op still happens once.
+            if self._checksum_fails(msg):
+                # Drop the frame before any dispatch.  The sender's
+                # timeout machinery retries under the same request id,
+                # so the op still happens once.
                 self.corrupt_dropped += 1
                 trace = self.network.trace
                 if trace is not None:
                     trace.emit("net", "corrupt_dropped",
                                dst=f"{self.ip}:{self.port}", kind=msg.kind)
                 return
-            # Guard disabled (sabotage only): the corrupt frame reaches
-            # dispatch, which is precisely what E18 asserts never happens
-            # with the guard on.
+            # Evidence, counted past the guard: a corrupt frame reaches
+            # dispatch, which is precisely what E18 asserts never happens.
             self.corrupt_dispatched += 1
         if msg.kind.startswith("rpc.call."):
             self._handle_call(msg)
@@ -401,8 +385,8 @@ class OCSRuntime:
                           authenticated=self.verifier is not None,
                           encrypted=bool(payload.get("encrypted")),
                           deadline=msg.deadline)
-        if (self.reject_expired and msg.deadline is not None
-                and self.kernel.now >= msg.deadline):
+        if (msg.deadline is not None and self.kernel.now >= msg.deadline
+                and self._rejects_expired()):
             # Pre-enqueue deadline check: the call expired in flight, so
             # queueing it would only burn servant time on work nobody is
             # waiting for.  The error reply resolves the caller's future
@@ -411,7 +395,7 @@ class OCSRuntime:
             self._reply_error(msg, call_id, "DeadlineExceeded",
                               f"{payload['method']} expired before dispatch")
             return
-        key = self._dedup_key(payload, export, mdef)
+        key = self._dedup_key(payload, mdef)
         if key is not None:
             # At-most-once gate: a retried or duplicated request id is
             # answered from the reply cache (or parked on the inflight
@@ -439,7 +423,7 @@ class OCSRuntime:
                 f"{self.admission.service} shedding at "
                 f"inflight={self.admission.inflight} "
                 f"queued={self.admission.queued}",
-                retry_after=self.admission.retry_after)
+                retry_after=ADMISSION_RETRY_AFTER)
             return
         if export.single_threaded:
             export.queue.put((msg, ctx, export, mdef))
@@ -469,14 +453,14 @@ class OCSRuntime:
         if msg.deadline is not None and self.kernel.now >= msg.deadline:
             # Post-dequeue deadline check: the call expired while it sat
             # in the queue.  Reject instead of executing dead work.
-            if self.reject_expired:
+            if self._rejects_expired():
                 if gate is not None:
                     gate.drop_queued()
                 self.deadline_rejects += 1
                 # The request never executed: forget its inflight reply-
                 # cache entry so a retry can run, and give any parked
                 # duplicates the same expiry verdict.
-                key = self._dedup_key(payload, export, mdef)
+                key = self._dedup_key(payload, mdef)
                 if key is not None:
                     for wmsg, wcall_id in self.reply_cache.abort(*key):
                         self._reply_error(wmsg, wcall_id, "DeadlineExceeded",
@@ -485,7 +469,7 @@ class OCSRuntime:
                     self._reply_error(msg, call_id, "DeadlineExceeded",
                                       f"{method_name} expired in queue")
                 return
-            # Guard disabled (tests only): the expired call runs anyway,
+            # Evidence, counted past the guard: the expired call runs,
             # which is precisely what the expired_work monitor flags.
             self.expired_executions += 1
         if gate is not None:
@@ -526,7 +510,7 @@ class OCSRuntime:
         # The executed outcome (result *or* marshaled exception) is what
         # this request id did; cache it and answer everyone waiting on it.
         waiters = []
-        key = self._dedup_key(payload, export, mdef)
+        key = self._dedup_key(payload, mdef)
         if key is not None:
             waiters = self.reply_cache.complete(key[0], key[1], record)
         self._send_record(msg, call_id, record, bool(payload.get("encrypted")))
@@ -534,13 +518,24 @@ class OCSRuntime:
             self._send_record(wmsg, wcall_id, record,
                               bool(wmsg.payload.get("encrypted")))
 
-    def _dedup_key(self, payload: Dict[str, Any], export: _Export,
+    # Guards are patchable methods (tests/fixtures/sabotage.py swaps them
+    # the way broken_quorum() swaps a class property); the evidence
+    # counters are bumped *past* them, so they are live code either way.
+
+    def _checksum_fails(self, msg: Message) -> bool:
+        """Does the envelope checksum reject this frame?"""
+        return msg.corrupted
+
+    def _rejects_expired(self) -> bool:
+        """Is a call whose deadline has passed refused, not executed?"""
+        return True
+
+    def _dedup_key(self, payload: Dict[str, Any],
                    mdef: MethodDef) -> Optional[Tuple[str, int]]:
         """The reply-cache key for this call, or None when dedup does
-        not apply (no request id, export opted out, or the method is
-        oneway/idempotent)."""
+        not apply (no request id, or the method is oneway/idempotent)."""
         request_id = payload.get("request_id")
-        if request_id is None or not export.reply_cache:
+        if request_id is None:
             return None
         if mdef.oneway or mdef.idempotent:
             return None

@@ -67,8 +67,7 @@ class Service:
         ``max_elapsed`` caps the loop's *total* sleep time so a retry
         loop with a deadline cannot sleep past its own budget.
         """
-        return Backoff(self.params, self._backoff_rng,
-                       max_elapsed=max_elapsed)
+        return Backoff(self._backoff_rng, max_elapsed=max_elapsed)
 
     async def run(self) -> None:
         """Process main: start, then serve until killed.
@@ -76,7 +75,7 @@ class Service:
         Overload reporting (PR 4) no longer spawns a per-service loop
         here: the SSC scrapes every managed service's admission gauges
         and replica bindings in-process and sends *one* coalesced
-        ``reportLoadBatch`` per server per ``load_report_interval``
+        ``reportLoadBatch`` per server per ``LOAD_REPORT_INTERVAL``
         (PR 5) -- O(servers) report messages instead of O(services).
         """
         await self.start()

@@ -8,7 +8,7 @@ that lives until closed or until its process dies, when the MMS's audit
 machinery reclaims it.
 
 Streaming: the movie object emits one chunk per
-``Params.stream_chunk_seconds`` over the ATM circuit the Connection
+``STREAM_CHUNK_SECONDS`` over the ATM circuit the Connection
 Manager reserved (``Network.send_reserved``); the settop application
 detects delivery failure as a chunk gap (section 3.5.2: "the application
 detects the failure when it stops receiving data").
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.params import STREAM_CHUNK_SECONDS
 from repro.idl import register_exception, register_interface
 from repro.ocs import Message
 from repro.ocs.objref import ObjectRef
@@ -196,9 +197,8 @@ class MovieServant:
 
     async def _pump_loop(self) -> None:
         kernel = self.mds.kernel
-        chunk = self.mds.params.stream_chunk_seconds
         while self.state == "playing" and self.pos < self.duration:
-            span = min(chunk, self.duration - self.pos)
+            span = min(STREAM_CHUNK_SECONDS, self.duration - self.pos)
             msg = Message(
                 src=(self.mds.host.ip, self.mds.runtime.port),
                 dst=(self.settop_ip, self.data_port),

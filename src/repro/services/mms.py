@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.core.naming.errors import NamingError
+from repro.core.params import MOVIE_BITRATE_BPS
 from repro.core.ras.client import AuditClient
 from repro.core.replication import PrimaryBackupBinder
 from repro.idl import register_exception, register_interface
@@ -84,7 +85,7 @@ class MediaManagementService(Service):
     async def start(self) -> None:
         self.ref = self.runtime.export(self, "MMS")
         await self.register_objects([self.ref])
-        self.audit = AuditClient(self.runtime, self.names, self.params)
+        self.audit = AuditClient(self.runtime, self.names)
         self.audit.start(self.process)
         self.binder = PrimaryBackupBinder(self, "svc/mms", self.ref,
                                           on_promote=self._on_promote,
@@ -153,7 +154,7 @@ class MediaManagementService(Service):
             try:
                 conn_id = await self.runtime.invoke(
                     cmgr, "allocate",
-                    (settop_ip, mds_ref.ip, self.params.movie_bitrate_bps),
+                    (settop_ip, mds_ref.ip, MOVIE_BITRATE_BPS),
                     timeout=self.params.call_timeout)
             except ServiceUnavailable:
                 # The cached reference went stale (the cmgr restarted or
@@ -163,7 +164,7 @@ class MediaManagementService(Service):
                 cmgr = await self._resolve_cmgr(settop_ip)
                 conn_id = await self.runtime.invoke(
                     cmgr, "allocate",
-                    (settop_ip, mds_ref.ip, self.params.movie_bitrate_bps),
+                    (settop_ip, mds_ref.ip, MOVIE_BITRATE_BPS),
                     timeout=self.params.call_timeout)
             # Steps 5-6: open the movie on the chosen MDS.
             try:

@@ -4,7 +4,7 @@ Replicated per neighbourhood (section 5.1's per-neighbourhood style):
 each server runs one Settop Manager process that is bound into the name
 space under every neighbourhood number assigned to that server.  Settops
 report a boot and then heartbeat on their slow uplink; a settop that
-misses heartbeats for ``Params.settop_dead_after`` is reported down.
+misses heartbeats for ``SETTOP_DEAD_AFTER`` is reported down.
 
 State is volatile and rebuilt from heartbeats after a restart -- the
 stateless-server recovery pattern of section 10.1.1.
@@ -17,6 +17,8 @@ from typing import Dict, List
 from repro.idl import MethodDef, register_interface
 from repro.ocs.runtime import CallContext
 from repro.services.base import Service
+
+SETTOP_DEAD_AFTER = 15.0   # missed heartbeats before "down"
 
 register_interface("SettopManager", {
     "reportBoot": ("settop_ip",),
@@ -74,7 +76,7 @@ class SettopManagerService(Service):
         last = self._last_seen.get(settop_ip)
         if last is None:
             return "unknown"
-        if self.kernel.now - last > self.params.settop_dead_after:
+        if self.kernel.now - last > SETTOP_DEAD_AFTER:
             return "down"
         return "up"
 

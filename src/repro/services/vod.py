@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.params import MOVIE_BITRATE_BPS
 from repro.core.rebind import RebindingProxy
 from repro.idl import register_interface
 from repro.ocs.exceptions import DeadlineExceeded, Overloaded, ServiceUnavailable
@@ -38,6 +39,7 @@ register_interface("VOD", {
                "listBookmarks", "catalog"))
 
 BOOKMARK_TABLE = "vod_bookmarks"
+DEGRADED_BITRATE_FRACTION = 0.25   # low-bitrate catalog fallback
 
 
 class VODService(Service):
@@ -81,15 +83,14 @@ class VODService(Service):
                 deadline=self.kernel.now + self.params.call_timeout)
             self._catalog_cache = list(titles)
             return {"titles": list(titles),
-                    "bitrate": self.params.movie_bitrate_bps,
+                    "bitrate": MOVIE_BITRATE_BPS,
                     "degraded": False}
         except (Overloaded, DeadlineExceeded, ServiceUnavailable):
             self.degraded_answers += 1
             self.emit("degraded_catalog",
                       cached=self._catalog_cache is not None)
             return {"titles": list(self._catalog_cache or []),
-                    "bitrate": self.params.movie_bitrate_bps
-                    * self.params.degraded_bitrate_fraction,
+                    "bitrate": MOVIE_BITRATE_BPS * DEGRADED_BITRATE_FRACTION,
                     "degraded": True}
 
     async def getBookmark(self, ctx: CallContext, title: str) -> float:

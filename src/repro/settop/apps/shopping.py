@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.params import INTERACTIVE_DEADLINE
 from repro.settop.apps.base import SettopApp
 
 
@@ -21,7 +22,7 @@ class ShoppingApp(SettopApp):
 
     def _budget(self) -> float:
         """Viewer patience: degrade rather than retry past this."""
-        return self.kernel.now + self.params.interactive_deadline
+        return self.kernel.now + INTERACTIVE_DEADLINE
 
     async def browse(self) -> Dict[str, dict]:
         """Fetch the catalog (navigated as video clips in the real UI)."""

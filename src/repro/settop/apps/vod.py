@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.params import INTERACTIVE_DEADLINE, STREAM_CHUNK_SECONDS
 from repro.ocs import Message
 from repro.ocs.exceptions import (
     DeadlineExceeded,
@@ -75,7 +76,7 @@ class VODApp(SettopApp):
             await self.stop()
         # Viewer patience for the whole open sequence: past this the
         # app degrades instead of letting the proxy retry for a minute.
-        budget = self.kernel.now + self.params.interactive_deadline
+        budget = self.kernel.now + INTERACTIVE_DEADLINE
         start_at = 0.0
         if resume:
             try:
@@ -184,9 +185,9 @@ class VODApp(SettopApp):
 
     async def _watchdog(self) -> None:
         """Detect stream stalls and re-open through the MMS (section 3.5.2)."""
-        stall_after = self.params.stream_chunk_seconds * STALL_FACTOR
+        stall_after = STREAM_CHUNK_SECONDS * STALL_FACTOR
         while True:
-            await self.kernel.sleep(self.params.stream_chunk_seconds)
+            await self.kernel.sleep(STREAM_CHUNK_SECONDS)
             if self._needs_recovery and not self.playing and not self.finished:
                 # An earlier recovery attempt failed (e.g. the replacement
                 # replica had not failed over yet); keep trying.

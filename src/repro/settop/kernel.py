@@ -24,6 +24,8 @@ from repro.services.boot import BOOT_PARAMS_PORT, KERNEL_PORT, KERNEL_VERSION
 from repro.sim.host import Host, Process
 from repro.sim.trace import TraceLog
 
+SETTOP_HEARTBEAT = 5.0
+
 
 class SettopKernel:
     """Software stack of one settop host."""
@@ -164,7 +166,7 @@ class SettopKernel:
         names = self._names(runtime)
         mgr = getattr(self, "_mgr_ref", None)
         while True:
-            await self.kernel.sleep(self.params.settop_heartbeat)
+            await self.kernel.sleep(SETTOP_HEARTBEAT)
             if mgr is None:
                 try:
                     mgr = await names.resolve("svc/settopmgr")

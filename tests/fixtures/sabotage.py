@@ -43,7 +43,7 @@ def broken_quorum():
 #: realistic noise, nothing that touches the db replicas.  The viewer
 #: workload's own writes wedge the sabotaged backups immediately, so the
 #: long tail of the horizon is what lets ``replica_lag_bounded`` observe
-#: the cursor stuck past ``Params.replica_lag_bound``.
+#: the cursor stuck past ``monitors.REPLICA_LAG_BOUND``.
 WEDGED_LOG_SCHEDULE = FaultSchedule(faults=(
     Fault(15.0, "kill_service", {"server": 1, "service": "mds"}),
 ), horizon=120.0)
@@ -109,7 +109,7 @@ def disabled_dedup():
     """
     from repro.ocs.runtime import OCSRuntime
     original = OCSRuntime._dedup_key
-    OCSRuntime._dedup_key = lambda self, payload, export, mdef: None
+    OCSRuntime._dedup_key = lambda self, payload, mdef: None
     try:
         yield
     finally:
@@ -120,17 +120,37 @@ def disabled_dedup():
 def disabled_checksums():
     """Receivers dispatch corrupt frames instead of dropping them.
 
-    With the envelope checksum guard off, a payload-damaged call reaches
-    the servant; E18's ``corrupt_dispatched == 0`` assertion (and the
-    delivery collector it reads) must go red under this patch.
+    With ``OCSRuntime._checksum_fails`` patched to accept every frame,
+    a payload-damaged call reaches the servant; E18's
+    ``corrupt_dispatched == 0`` assertion (and the delivery collector it
+    reads) must go red under this patch.
     """
     from repro.ocs.runtime import OCSRuntime
-    original = OCSRuntime.checksum_guard
-    OCSRuntime.checksum_guard = False
+    original = OCSRuntime._checksum_fails
+    OCSRuntime._checksum_fails = lambda self, msg: False
     try:
         yield
     finally:
-        OCSRuntime.checksum_guard = original
+        OCSRuntime._checksum_fails = original
+
+
+@contextmanager
+def allowed_expired_work():
+    """Servers execute calls whose deadline has already passed.
+
+    With ``OCSRuntime._rejects_expired`` patched to refuse nothing, a
+    call that expired in flight or in a slow consumer's queue still
+    runs the servant -- dead work nobody is waiting for.  The
+    ``expired_work`` monitor must notice; a monitor that stays quiet
+    under this patch is not testing anything.
+    """
+    from repro.ocs.runtime import OCSRuntime
+    original = OCSRuntime._rejects_expired
+    OCSRuntime._rejects_expired = lambda self: False
+    try:
+        yield
+    finally:
+        OCSRuntime._rejects_expired = original
 
 
 @contextmanager

@@ -295,20 +295,6 @@ class TestRequestIdentity:
         assert servant.peeks == 2
         assert server.reply_cache.executions == 0
 
-    def test_reply_cache_false_export_opts_out(self):
-        kernel, net, server, servant, ref, client = tally_world()
-        bare = TallyServant(kernel)
-        bare_ref = server.export(bare, "TallyCounter", object_id="bare",
-                                 reply_cache=False)
-        rid = client.next_request_id()
-
-        async def main():
-            await client.invoke(bare_ref, "bump", (1,), request_id=rid)
-            await client.invoke(bare_ref, "bump", (1,), request_id=rid)
-
-        kernel.run_until_complete(main())
-        assert bare.executions == 2
-
     def test_dedup_disabled_double_executes(self):
         with disabled_dedup():
             kernel, net, server, servant, ref, client = tally_world()

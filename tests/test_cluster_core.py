@@ -9,7 +9,7 @@ rebinding (section 8.2).
 import pytest
 
 from repro.cluster import build_cluster
-from repro.core.control.ssc import ssc_ref
+from repro.core.control.ssc import ServerServiceController, ssc_ref
 from repro.core.naming.errors import NameNotFound, SelectorFailed
 from repro.core.rebind import RebindingProxy
 from repro.ocs import ServiceUnavailable
@@ -244,4 +244,4 @@ class TestCrashLoopBackoff:
             if proc is not None and proc.alive:
                 break
         # Restarted within the plain restart delay (+1s slack).
-        assert cluster.now - t0 <= cluster.params.ssc_restart_delay + 1.5
+        assert cluster.now - t0 <= ServerServiceController.SSC_RESTART_DELAY + 1.5

@@ -17,7 +17,7 @@ import pytest
 
 from repro.chaos import FaultSchedule, run_schedule
 from repro.cluster import build_cluster
-from repro.core.params import Params
+from repro.core.params import LOAD_REPORT_INTERVAL, Params
 from repro.core.replication import ChangeLog, atomic_disk_write
 from repro.metrics.disks import total as disk_total
 from repro.metrics.replication import all_converged
@@ -378,7 +378,7 @@ class TestGaugesStaleTransition:
         cluster = build_cluster(seed=11)
         wedged_at = cluster.now
         cluster.servers[0].disk.wedged = True
-        cluster.run_for(3 * cluster.params.load_report_interval)
+        cluster.run_for(3 * LOAD_REPORT_INTERVAL)
         stale = [ev for ev in cluster.trace.events
                  if ev.category == "ssc" and ev.event == "gauges_stale"]
         assert stale, "no gauges_stale transition emitted"
@@ -396,9 +396,9 @@ class TestGaugesStaleTransition:
         assert later_reports, "the SSC load batch wedged with the disk"
         # Recovery: heal, and the next wedge is a fresh transition.
         cluster.servers[0].disk.wedged = False
-        cluster.run_for(2 * cluster.params.load_report_interval)
+        cluster.run_for(2 * LOAD_REPORT_INTERVAL)
         cluster.servers[0].disk.wedged = True
-        cluster.run_for(2 * cluster.params.load_report_interval)
+        cluster.run_for(2 * LOAD_REPORT_INTERVAL)
         stale_after = [ev for ev in cluster.trace.events
                        if ev.category == "ssc"
                        and ev.event == "gauges_stale"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import build_full_cluster
-from repro.core.control.csc import NotPrimary
+from repro.core.control.csc import CSC_PING_INTERVAL, NotPrimary
 from repro.core.control.tools import OperatorConsole
 
 
@@ -59,7 +59,7 @@ class TestDirectedOperations:
         _client, console = console_on(cluster)
         cluster.run_async(console.stop_service("game",
                                                cluster.server_ips[1]))
-        cluster.run_for(3 * cluster.params.csc_ping_interval)
+        cluster.run_for(3 * CSC_PING_INTERVAL)
         assert "game" not in cluster.running_services()["server-1"]
 
     def test_backup_refuses_directed_ops(self):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import build_cluster
 from repro.db.service import (
+    DB_REPLICATION_POLL,
     NoSuchKey,
     _disk_key,
     read_row,
@@ -167,7 +168,7 @@ class TestFaultsCostARow:
         with pytest.raises(NoSuchKey):
             revived.get("tear", "row")
         assert "row:tear/row" in _corrupt_reports(cluster)
-        cluster.run_for(cluster.params.db_replication_poll + 5.0)
+        cluster.run_for(DB_REPLICATION_POLL + 5.0)
         assert revived.repl.snapshot_fetches == 1
         assert revived.get("tear", "row") == "v1"
         assert revived.log.digest == primary.log.digest

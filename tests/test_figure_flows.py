@@ -9,6 +9,7 @@ movie is opened").
 import pytest
 
 from repro.cluster import build_full_cluster
+from repro.core.ras.client import RAS_CLIENT_POLL
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +99,7 @@ class TestFigure4Flow:
         vod = stk.app_manager.current_app
         cluster.run_async(vod.play("T2"))
         before = kind_count(cluster, "rpc.call.RAS.checkStatus")
-        cluster.run_for(3 * cluster.params.ras_client_poll)
+        cluster.run_for(3 * RAS_CLIENT_POLL)
         polls = kind_count(cluster, "rpc.call.RAS.checkStatus") - before
         # At least the MMS's periodic polls landed (the NS audit also
         # uses checkStatus, so >=).
@@ -115,7 +116,7 @@ class TestFigure4Flow:
         before = kind_count(cluster, "mds.stream")
         cluster.run_for(10.0)
         chunks = kind_count(cluster, "mds.stream") - before
-        assert 8 <= chunks <= 12   # ~1 per stream_chunk_seconds
+        assert 8 <= chunks <= 12   # ~1 per STREAM_CHUNK_SECONDS
 
     def test_close_deallocates_once(self):
         cluster = build_full_cluster(n_servers=3, seed=205)

@@ -27,7 +27,7 @@ from repro.analysis.determinism import reference_scenario_trace
 #
 # Re-recorded for PR 5 (population scale): the SSC now owns the load
 # reporting loop -- it coalesces every local gate's gauges and pushes
-# ONE reportLoadBatch per target per load_report_interval, emitting an
+# ONE reportLoadBatch per target per LOAD_REPORT_INTERVAL, emitting an
 # ``ssc load_report`` trace event per push.  The diff against the PR 4
 # goldens is exactly +75 ``ssc.load_report`` lines per scenario (all
 # other event kinds and counts unchanged; timestamps shift with the

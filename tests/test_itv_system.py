@@ -8,7 +8,10 @@ import pytest
 
 from repro.cluster import build_full_cluster
 from repro.cluster.media import movie_locations
+from repro.core.params import MOVIE_BITRATE_BPS
+from repro.core.ras.client import RAS_CLIENT_POLL
 from repro.services.connection_manager import BandwidthUnavailable
+from repro.services.settop_manager import SETTOP_DEAD_AFTER
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +87,7 @@ class TestMoviePlayback:
         downlink = cluster.net.downlink_of(stk.host.ip)
         before = downlink.reserved_bps
         play_movie(cluster, vod)
-        assert downlink.reserved_bps == before + cluster.params.movie_bitrate_bps
+        assert downlink.reserved_bps == before + MOVIE_BITRATE_BPS
 
     def test_chunks_flow_and_position_advances(self):
         cluster, stk = fresh_itv(seed=104)
@@ -240,10 +243,10 @@ class TestFailureScenarios:
         downlink = cluster.net.downlink_of(stk.host.ip)
         assert downlink.reserved_bps > 0
         stk.crash()
-        # settop_dead_after (15 s) + RAS settop poll + MMS client poll.
-        budget = (cluster.params.settop_dead_after
+        # SETTOP_DEAD_AFTER (15 s) + RAS settop poll + MMS client poll.
+        budget = (SETTOP_DEAD_AFTER
                   + cluster.params.ras_peer_poll
-                  + cluster.params.ras_client_poll + 15.0)
+                  + RAS_CLIENT_POLL + 15.0)
         cluster.run_for(budget)
         assert downlink.reserved_bps == 0, "circuit leaked after settop crash"
         client = cluster.client_on(cluster.servers[0], name="t-settop")

@@ -10,8 +10,10 @@ Four layers under test:
 - client library: the rebinding proxy's shed cooldown and steering;
 - cluster: a viewer-session surge against a 2-replica VOD pool must
   shed (bounded queues), never execute expired work, and keep p99 open
-  latency under ``Params.surge_p99_bound``.
+  latency under ``SURGE_P99_BOUND``.
 """
+
+import os
 
 import pytest
 
@@ -20,8 +22,10 @@ from repro.core.naming.errors import NamingError
 from repro.core.params import Params
 from repro.core.rebind import RebindError, RebindingProxy
 from repro.metrics.overload import collect_overload, total_sheds
+from repro.ocs.admission import ADMISSION_RETRY_AFTER
 from repro.ocs import CallTimeout, DeadlineExceeded, Overloaded
 from repro.sim import SeededRandom
+from tests.fixtures.sabotage import allowed_expired_work
 from tests.helpers import (
     StubNames,
     client_runtime,
@@ -29,6 +33,11 @@ from tests.helpers import (
     small_world,
     start_echo,
 )
+
+SURGE_P99_BOUND = 10.0   # E14 acceptance: p99 open latency (seconds)
+E14_SCHEDULE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "schedules", "e14_surge.json")
 
 
 @pytest.fixture
@@ -43,14 +52,15 @@ def world():
 
 class TestBackoffBudget:
     def test_unbudgeted_backoff_grows_as_before(self):
-        backoff = Backoff(Params(), SeededRandom(3), jitter=0.0)
+        backoff = Backoff(SeededRandom(3))
+        backoff.jitter = 0.0
         delays = [backoff.next_delay() for _ in range(4)]
         assert delays == sorted(delays)
         assert not backoff.exhausted
 
     def test_total_sleep_clamped_to_max_elapsed(self):
-        backoff = Backoff(Params(), SeededRandom(3), base=1.0,
-                          multiplier=2.0, jitter=0.0, max_elapsed=4.5)
+        backoff = Backoff(SeededRandom(3), max_elapsed=4.5)
+        backoff.jitter = 0.0
         delays = [backoff.next_delay() for _ in range(5)]
         assert sum(delays) == pytest.approx(4.5)
         # 1.0 + 2.0 fit; the 4.0 draw is clamped to the 1.5 remaining.
@@ -59,15 +69,15 @@ class TestBackoffBudget:
         assert backoff.exhausted
 
     def test_jittered_draws_also_respect_budget(self):
-        backoff = Backoff(Params(), SeededRandom(11), base=2.0,
-                          multiplier=2.0, jitter=0.5, max_elapsed=3.0)
+        backoff = Backoff(SeededRandom(11), max_elapsed=3.0)
+        backoff.base, backoff.jitter = 2.0, 0.5
         total = sum(backoff.next_delay() for _ in range(10))
         assert total <= 3.0 + 1e-9
         assert backoff.exhausted
 
     def test_reset_restores_budget(self):
-        backoff = Backoff(Params(), SeededRandom(3), base=1.0, jitter=0.0,
-                          max_elapsed=1.0)
+        backoff = Backoff(SeededRandom(3), max_elapsed=1.0)
+        backoff.jitter = 0.0
         assert backoff.next_delay() == pytest.approx(1.0)
         assert backoff.exhausted
         backoff.reset()
@@ -198,13 +208,13 @@ class TestDeadlineEnvelope:
         kernel, net, hosts = world
         server, ref = start_echo(kernel, net, hosts[0])
         server.servant_lag = 5.0
-        server.reject_expired = False
         client = client_runtime(net, hosts[1])
 
-        fut = client.invoke(ref, "echo", ("hi",), timeout=60.0,
-                            deadline=kernel.now + 1.0)
-        fut.detach()   # the client timer raises; the servant still runs
-        kernel.run(until=kernel.now + 10.0)
+        with allowed_expired_work():
+            fut = client.invoke(ref, "echo", ("hi",), timeout=60.0,
+                                deadline=kernel.now + 1.0)
+            fut.detach()   # the client timer raises; the servant still runs
+            kernel.run(until=kernel.now + 10.0)
         assert server.expired_executions == 1
         assert server.deadline_rejects == 0
 
@@ -219,7 +229,7 @@ class TestDeadlineEnvelope:
 
         with pytest.raises(Overloaded) as excinfo:
             kernel.run_until_complete(call())
-        assert excinfo.value.retry_after == Params().admission_retry_after
+        assert excinfo.value.retry_after == ADMISSION_RETRY_AFTER
         # The shed resolved the future immediately, not at the timeout.
         assert kernel.now < 1.0
         assert server.admission.shed_count == 1
@@ -421,12 +431,26 @@ class TestViewerSurge:
         _params, _stats, overload = surge_run
         assert overload["deadlines"]["expired_executions"] == 0
 
+    def test_expired_work_monitor_trips_when_guard_patched_out(self):
+        # The other direction, cluster-wide: the E14 replay with the
+        # deadline guard sabotaged runs dead work on live servers, and
+        # exactly the expired_work monitor goes red.
+        from repro.chaos.engine import run_schedule
+        from repro.chaos.schedule import FaultSchedule
+        with allowed_expired_work():
+            result = run_schedule(FaultSchedule.load(E14_SCHEDULE),
+                                  seed=1, settops=8)
+        assert result.violated_monitors() == ["expired_work"]
+        deadlines = result.overload["deadlines"]
+        assert deadlines["expired_executions"] > 0
+        assert deadlines["rejected"] == 0
+
     def test_p99_open_latency_within_bound(self, surge_run):
         from repro.metrics import percentile
         params, stats, _overload = surge_run
         assert stats.opens > 0, "surge run produced no successful opens"
         p99 = percentile(stats.open_latencies, 99)
-        assert p99 < params.surge_p99_bound, \
+        assert p99 < SURGE_P99_BOUND, \
             f"p99 open latency {p99:.2f}s over bound"
 
     def test_viewers_survived_the_surge(self, surge_run):
@@ -443,12 +467,8 @@ class TestViewerSurge:
 
 class TestSurgeFixture:
     def test_e14_schedule_parses(self):
-        import os
         from repro.chaos.schedule import FaultSchedule
-        path = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "benchmarks", "schedules",
-            "e14_surge.json")
-        schedule = FaultSchedule.load(path)
+        schedule = FaultSchedule.load(E14_SCHEDULE)
         kinds = {f.kind for f in schedule}
         assert "load_surge" in kinds and "slow_consumer" in kinds
         assert schedule.horizon >= 60.0

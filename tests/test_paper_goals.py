@@ -94,11 +94,11 @@ class TestSection8AvailabilityMechanisms:
     def test_mechanism3_failure_notification(self):
         """Paper: "Optional notification of failures among clients or
         services" -- the audit library calls back on death."""
-        from repro.core.ras.client import AuditClient
+        from repro.core.ras.client import RAS_CLIENT_POLL, AuditClient
         cluster = build_full_cluster(n_servers=2, seed=284)
         client = cluster.client_on(cluster.servers[0], name="m3")
         target = cluster.run_async(client.names.resolve("svc/kbs"))
-        audit = AuditClient(client.runtime, client.names, cluster.params)
+        audit = AuditClient(client.runtime, client.names)
         deaths = []
         audit.watch(target, deaths.append)
         audit.start(client.process)
@@ -107,5 +107,5 @@ class TestSection8AvailabilityMechanisms:
         console = OperatorConsole(client.runtime, client.names,
                                   cluster.params)
         cluster.run_async(console.stop_service("kbs", target.ip))
-        cluster.run_for(3 * cluster.params.ras_client_poll)
+        cluster.run_for(3 * RAS_CLIENT_POLL)
         assert deaths == [target]

@@ -1,4 +1,4 @@
-"""Protocol conformance checker (P001-P006): model extraction + rules.
+"""Protocol conformance checker (P001-P005): model extraction + rules.
 
 The checker's model is extracted statically from every
 ``register_interface`` call in the tree, then every ``invoke``/proxy
@@ -54,15 +54,6 @@ class TestModelExtraction:
         mgr = model.resolved_methods("SettopManager")
         assert mgr["reportShutdown"].oneway
 
-    def test_idempotent_extraction(self):
-        model = default_model()
-        shop = model.resolved_methods("Shopping")
-        assert shop["catalog"].idempotent
-        assert not shop["order"].idempotent
-        naming = model.resolved_methods("NamingContext")
-        assert naming["resolve"].idempotent
-        assert not naming["bind"].idempotent
-
     def test_base_chain_resolution(self):
         model = default_model()
         fsc = model.resolved_methods("FileSystemContext")
@@ -117,21 +108,6 @@ class TestProtocolRules:
     def test_p005_deadline_propagation(self):
         violations = lint_fixture("p005_deadline.py")
         assert hits(violations, "P005") == [("P005", 5), ("P005", 16)]
-
-    def test_p006_uncached_dispatch(self):
-        violations = lint_fixture("p006_uncached.py")
-        # Only the Shopping opt-out fires: order/orderStatus/... are
-        # two-way and not all idempotent.  Selector (all idempotent),
-        # cached exports, and reply_cache=True stay clean.
-        assert hits(violations, "P006") == [("P006", 5)]
-        first = [v for v in violations if v.rule == "P006"][0]
-        assert "order" in first.message
-
-    def test_p006_message_names_only_unsafe_methods(self):
-        violations = lint_fixture("p006_uncached.py")
-        first = [v for v in violations if v.rule == "P006"][0]
-        # catalog/orderStatus/myOrders are declared idempotent.
-        assert "catalog" not in first.message
 
     def test_rules_exempt_test_files(self):
         source = "async def f(r, ref):\n    await r.invoke(ref, 'nope', ())\n"

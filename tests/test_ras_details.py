@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import build_cluster
-from repro.core.ras.client import AuditClient
+from repro.core.params import RAS_CALL_TIMEOUT
+from repro.core.ras.client import RAS_CLIENT_POLL, AuditClient
 from repro.ocs import ObjectRef
 
 from tests.helpers import PingService
@@ -90,7 +91,7 @@ class TestStatusSources:
         cluster.run_for(2 * cluster.params.ras_peer_poll + 2.0)
         cluster.crash_server(1)
         cluster.run_for(cluster.params.ras_peer_poll
-                        + cluster.params.ras_call_timeout + 3.0)
+                        + RAS_CALL_TIMEOUT + 3.0)
         assert local_ras_call(cluster, client, [ref]) == ["dead"]
 
     def test_never_seen_settop_unknown(self):
@@ -134,19 +135,19 @@ class TestAuditClientLibrary:
         client = cluster.client_on(cluster.servers[0], name="watcher")
         start_ping(cluster, client, 0)
         ref = ping_ref(cluster, client, 0)
-        audit = AuditClient(client.runtime, client.names, cluster.params)
+        audit = AuditClient(client.runtime, client.names)
         deaths = []
         audit.watch(ref, deaths.append)
         audit.start(client.process)
-        cluster.run_for(cluster.params.ras_client_poll + 2.0)
+        cluster.run_for(RAS_CLIENT_POLL + 2.0)
         assert deaths == []
         proc = cluster.find_service(0, "ping")
         proc.kill()
-        cluster.run_for(2 * cluster.params.ras_client_poll + 2.0)
+        cluster.run_for(2 * RAS_CLIENT_POLL + 2.0)
         assert deaths == [ref]
         assert not audit.watching(ref)
         # No duplicate callbacks on later polls.
-        cluster.run_for(2 * cluster.params.ras_client_poll)
+        cluster.run_for(2 * RAS_CLIENT_POLL)
         assert len(deaths) == 1
 
     def test_unwatch_stops_callbacks(self):
@@ -154,11 +155,11 @@ class TestAuditClientLibrary:
         client = cluster.client_on(cluster.servers[0], name="watcher")
         start_ping(cluster, client, 0)
         ref = ping_ref(cluster, client, 0)
-        audit = AuditClient(client.runtime, client.names, cluster.params)
+        audit = AuditClient(client.runtime, client.names)
         deaths = []
         audit.watch(ref, deaths.append)
         audit.start(client.process)
         audit.unwatch(ref)
         cluster.find_service(0, "ping").kill()
-        cluster.run_for(3 * cluster.params.ras_client_poll)
+        cluster.run_for(3 * RAS_CLIENT_POLL)
         assert deaths == []

@@ -14,7 +14,7 @@ from repro.chaos import FaultSchedule, default_monitors, run_schedule
 from repro.cluster import build_cluster
 from repro.core.rebind import RebindingProxy
 from repro.core.replication import GENESIS_EPOCH, ChangeLog
-from repro.db.service import DatabaseClient
+from repro.db.service import DB_REPLICATION_POLL, DatabaseClient
 from repro.metrics.replication import (
     all_converged,
     collect_replication,
@@ -218,7 +218,7 @@ class TestDbReplication:
         assert events and events[-1].fields["reason"] == "list_repl"
         monkeypatch.undo()
         # The gap is repaired from the log by anti-entropy, not lost.
-        cluster.run_for(cluster.params.db_replication_poll + 5.0)
+        cluster.run_for(DB_REPLICATION_POLL + 5.0)
         for svc in _db_services(cluster).values():
             assert svc.log.seq >= seq
             assert svc.get("obs", "k") == 1
@@ -239,7 +239,7 @@ class TestDbReplication:
 
         cluster.run_async(gather(cluster.kernel, [
             storm(a, [1, 3, 5, 7, 9]), storm(b, [2, 4, 6, 8, 10])]))
-        cluster.run_for(cluster.params.db_replication_poll + 5.0)
+        cluster.run_for(DB_REPLICATION_POLL + 5.0)
         services = _db_services(cluster)
         digests = {svc.log.digest for svc in services.values()}
         assert len(digests) == 1, "replicas applied different write orders"
@@ -321,7 +321,7 @@ class TestOnlineBootstrap:
         assert resumed_at == before[primary_ip].log.seq > 0
         assert cluster.kill_service(victim, kind)
         cluster.run_async(mutate(cluster, server, "while", 6))
-        cluster.run_for(cluster.params.db_replication_poll + 10.0)
+        cluster.run_for(DB_REPLICATION_POLL + 10.0)
         after = dict(live_replicas(cluster, kind))
         revived, primary = after[victim_ip], after[primary_ip]
         assert revived is not before[victim_ip]          # a new process

@@ -10,6 +10,8 @@ from repro.services.connection_manager import (
 )
 from repro.services.mds import DiskStreamsExhausted, NoSuchTitle
 from repro.services.rds import NoSuchData
+from repro.services.settop_manager import SETTOP_DEAD_AFTER
+from repro.settop.kernel import SETTOP_HEARTBEAT
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +40,7 @@ class TestSettopManager:
         client = cluster.client_on(cluster.servers[0], name="sm2")
         mgr = resolve(cluster, client, "svc/settopmgr/2")
         stk.crash()
-        cluster.run_for(cluster.params.settop_dead_after + 2.0)
+        cluster.run_for(SETTOP_DEAD_AFTER + 2.0)
         status = cluster.run_async(client.runtime.invoke(
             mgr, "getStatus", ([stk.host.ip],)))
         assert status == ["down"]
@@ -57,7 +59,7 @@ class TestSettopManager:
         server = cluster.server_for_neighborhood(3)
         index = cluster.servers.index(server)
         cluster.kill_service(index, "settopmgr")
-        cluster.run_for(cluster.params.settop_heartbeat * 4 + 5.0)
+        cluster.run_for(SETTOP_HEARTBEAT * 4 + 5.0)
         client = cluster.client_on(cluster.servers[0], name="sm4")
         mgr = resolve(cluster, client, "svc/settopmgr/3")
         status = cluster.run_async(client.runtime.invoke(

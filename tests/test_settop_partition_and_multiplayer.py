@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cluster import build_full_cluster
+from repro.core.params import MOVIE_BITRATE_BPS
+from repro.core.ras.client import RAS_CLIENT_POLL
+from repro.services.settop_manager import SETTOP_DEAD_AFTER
 
 
 class TestSettopPartition:
@@ -28,7 +31,7 @@ class TestSettopPartition:
         # session was superseded rather than doubled.
         assert vod.interruptions
         downlink = cluster.net.downlink_of(stk.host.ip)
-        assert downlink.reserved_bps == cluster.params.movie_bitrate_bps
+        assert downlink.reserved_bps == MOVIE_BITRATE_BPS
 
     def test_long_partition_reclaims_resources(self):
         """If the settop stays unreachable past the liveness horizon, the
@@ -41,9 +44,9 @@ class TestSettopPartition:
         cluster.run_async(vod.play("T2"))
         cluster.run_for(10.0)
         cluster.net.partition({stk.host.ip}, set(cluster.server_ips))
-        budget = (cluster.params.settop_dead_after
+        budget = (SETTOP_DEAD_AFTER
                   + cluster.params.ras_peer_poll
-                  + cluster.params.ras_client_poll + 20.0)
+                  + RAS_CLIENT_POLL + 20.0)
         cluster.run_for(budget)
         client = cluster.client_on(cluster.servers[0], name="part")
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.ras.client import RAS_CLIENT_POLL
+from repro.services.settop_manager import SETTOP_DEAD_AFTER
 from repro.sim import CancelledError, Kernel, SimTimeoutError, gather
 from repro.sim.errors import KernelStopped
 from repro.sim.trace import TraceLog
@@ -159,7 +161,7 @@ class TestSettopPowerCycle:
         cluster.run_for(10.0)
         assert status() == "up"
         stk.power_off()
-        cluster.run_for(cluster.params.settop_dead_after + 5.0)
+        cluster.run_for(SETTOP_DEAD_AFTER + 5.0)
         assert status() == "down"
         stk.power_on()
         assert cluster.boot_settops([stk], timeout=60.0)
@@ -212,7 +214,7 @@ class TestGracefulPowerOff:
         mgr = cluster.run_async(client.names.resolve("svc/settopmgr/1"))
         cluster.run_for(10.0)
         stk.power_off()
-        cluster.run_for(2.0)  # well inside settop_dead_after (15 s)
+        cluster.run_for(2.0)  # well inside SETTOP_DEAD_AFTER (15 s)
         status = cluster.run_async(client.runtime.invoke(
             mgr, "getStatus", ([stk.host.ip],)))
         assert status == ["down"]
@@ -232,11 +234,11 @@ class TestGracefulPowerOff:
         downlink = cluster.net.downlink_of(stk.host.ip)
         assert downlink.reserved_bps > 0
         stk.power_off()
-        # Crash-grade budget includes settop_dead_after (15 s); a clean
+        # Crash-grade budget includes SETTOP_DEAD_AFTER (15 s); a clean
         # power-off only needs the RAS + MMS polling pipeline.
         t0 = cluster.now
         budget = (cluster.params.ras_peer_poll
-                  + cluster.params.ras_client_poll + 10.0)
+                  + RAS_CLIENT_POLL + 10.0)
         while downlink.reserved_bps > 0 and cluster.now - t0 < budget:
             cluster.run_for(1.0)
         assert downlink.reserved_bps == 0
