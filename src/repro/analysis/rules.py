@@ -26,7 +26,8 @@ _SET_METHODS = {"difference", "union", "intersection", "symmetric_difference",
                 "copy"}
 
 #: Calls that create a kernel Future/Task whose result must not be
-#: silently discarded (rule D008).
+#: silently discarded (rule D008).  Not ``start_task``: fire-and-forget
+#: by contract, it returns None unless the coroutine suspended.
 FUTURE_CREATORS = {"create_task", "create_future", "ensure_future",
                    "spawn_task", "invoke", "gather"}
 

@@ -381,10 +381,6 @@ class OCSRuntime:
             # else is answered here, before any getattr on the servant.
             self._reply_error(msg, call_id, "NoSuchMethod", str(err))
             return
-        ctx = CallContext(caller=payload["caller"], caller_ip=msg.src[0],
-                          authenticated=self.verifier is not None,
-                          encrypted=bool(payload.get("encrypted")),
-                          deadline=msg.deadline)
         if (msg.deadline is not None and self.kernel.now >= msg.deadline
                 and self._rejects_expired()):
             # Pre-enqueue deadline check: the call expired in flight, so
@@ -425,12 +421,29 @@ class OCSRuntime:
                 f"queued={self.admission.queued}",
                 retry_after=ADMISSION_RETRY_AFTER)
             return
+        ctx = CallContext(caller=payload["caller"], caller_ip=msg.src[0],
+                          authenticated=self.verifier is not None,
+                          encrypted=bool(payload.get("encrypted")),
+                          deadline=msg.deadline)
         if export.single_threaded:
             export.queue.put((msg, ctx, export, mdef))
         else:
-            self.process.create_task(
-                self._run_servant(msg, ctx, export, mdef),
-                name=f"serve-{payload['method']}").detach()
+            self._dispatch(msg, ctx, export, mdef)
+
+    def _dispatch(self, msg: Message, ctx: CallContext,
+                  export: _Export, mdef: MethodDef) -> None:
+        # One event per call.  The hop takes the seq a Task's first-step
+        # call_soon took, so every later event keeps its (when, seq).
+        self.kernel.call_soon(self._start_servant, msg, ctx, export, mdef)
+
+    def _start_servant(self, msg: Message, ctx: CallContext,
+                       export: _Export, mdef: MethodDef) -> None:
+        process = self.process
+        if not process.alive:
+            return   # killed since delivery: the caller hears silence
+        task = process.start_task(self._run_servant(msg, ctx, export, mdef))
+        if task is not None:    # the servant suspended
+            task.name = f"{process.name}:serve-{mdef.name}"
 
     async def _single_thread_worker(self, export: _Export) -> None:
         while True:

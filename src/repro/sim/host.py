@@ -89,9 +89,9 @@ def reset_pid_counter() -> None:
 class Process:
     """A crashable unit of execution on a :class:`Host`.
 
-    Tasks created through :meth:`create_task` are cancelled when the
-    process is killed; exit watchers fire afterwards (the SSC and the OCS
-    transport both register watchers).
+    Tasks created through :meth:`create_task` or :meth:`start_task` are
+    cancelled when the process is killed; exit watchers fire afterwards
+    (the SSC and the OCS transport both register watchers).
     """
 
     def __init__(self, host: "Host", name: str, parent: Optional["Process"] = None):
@@ -127,13 +127,32 @@ class Process:
             coro.close()
             raise ProcessExit(f"process {self.name}({self.pid}) has exited")
         task = self.kernel.create_task(coro, name=f"{self.name}:{name or 'task'}")
+        self._track(task)
+        return task
+
+    def start_task(self, coro) -> Optional[Task]:
+        """Fire-and-forget :meth:`Kernel.start_task`: ``None`` when the
+        first step finished ``coro``, else the detached, tracked Task
+        (named after the process; the caller may refine ``task.name``)."""
+        if not self.alive:
+            coro.close()
+            raise ProcessExit(f"process {self.name}({self.pid}) has exited")
+        task = self.kernel.start_task(coro, self.name)
+        if task is not None:
+            self._track(task.detach())
+            if not self.alive:
+                # The first step killed this process, unseen by kill().
+                task.cancel()
+                self.cancelled_tasks.append(task)
+        return task
+
+    def _track(self, task: Task) -> None:
         self._tasks.append(task)
         if len(self._tasks) >= self._prune_at:
             # Amortised: drop finished tasks only once the list has
             # doubled since the last prune, not on every spawn.
             self._tasks = [t for t in self._tasks if not t.done()]
             self._prune_at = max(16, 2 * len(self._tasks))
-        return task
 
     def on_exit(self, fn: Callable[["Process"], None]) -> None:
         """Register a watcher called (once) after this process dies."""

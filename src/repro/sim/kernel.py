@@ -166,12 +166,18 @@ class Task(Future):
 
     __slots__ = ("_coro", "name", "_waiting_on", "_must_cancel", "_coro_closer")
 
-    def __init__(self, kernel: "Kernel", coro, name: str = "task"):
+    def __init__(self, kernel: "Kernel", coro, name: str = "task",
+                 started: bool = False):
         super().__init__(kernel)
         self._coro = coro
         self.name = name
         self._waiting_on: Optional[Future] = None
         self._must_cancel = False
+        self._coro_closer = None
+        if started:
+            # Kernel.start_task parks us; a started coroutine warns
+            # about nothing when it dies, so it needs no closer.
+            return
         # Teardown hygiene: a task scheduled just before its kernel stops
         # never gets a first _step, leaving the coroutine unstarted.  A
         # plain __del__ cannot close it reliably -- task and coroutine die
@@ -215,6 +221,9 @@ class Task(Future):
         except BaseException as err:  # repro: noqa D005 - the task stepper is the propagation boundary; failures land in the future
             self._finish(exception=err)
             return
+        self._park(yielded)
+
+    def _park(self, yielded: Any) -> None:
         if not isinstance(yielded, Future):
             self._finish(
                 exception=RuntimeError(
@@ -239,7 +248,8 @@ class Task(Future):
 
     def _finish(self, result: Any = None, exception: Optional[BaseException] = None,
                 cancelled: bool = False) -> None:
-        self._coro_closer.detach()
+        if self._coro_closer is not None:
+            self._coro_closer.detach()
         self._coro.close()
         if cancelled:
             Future.cancel(self)
@@ -353,6 +363,21 @@ class Kernel:
     def create_task(self, coro, name: Optional[str] = None) -> Task:
         self._task_count += 1
         return Task(self, coro, name=name or f"task-{self._task_count}")
+
+    def start_task(self, coro, name: str) -> Optional[Task]:
+        """Run ``coro``'s first step now; a Task only if it suspends.
+
+        Fire-and-forget: ``None`` when that step finished (or cancelled)
+        the coroutine, any other exception it raised propagates, else
+        the Task that adopted the suspended coroutine.
+        """
+        try:
+            yielded = coro.send(None)
+        except (StopIteration, CancelledError):
+            return None
+        task = Task(self, coro, name, started=True)
+        task._park(yielded)
+        return task
 
     def sleep(self, delay: float) -> Future:
         """Return a future completing ``delay`` simulated seconds from now."""

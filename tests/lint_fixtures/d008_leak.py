@@ -6,4 +6,5 @@ async def leaky(kernel, service):
     service.spawn_task(service.audit())          # line 6: D008
     kept = kernel.create_task(service.other())   # fine: handle kept
     kernel.create_task(service.bg()).detach()    # fine: detached
+    service.process.start_task(service.bg())     # fine: fire-and-forget
     await kept

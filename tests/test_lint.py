@@ -94,6 +94,8 @@ class TestRuleFixtures:
 
     def test_d008_future_leak(self):
         violations = lint_fixture("d008_leak.py")
+        # a bare create_task (line 5) is a leak; start_task (line 9) is
+        # fire-and-forget by contract and returns None on the common path
         assert hits(violations, "D008") == [("D008", 5), ("D008", 6)]
 
     def test_d009_raw_fault_surface(self):

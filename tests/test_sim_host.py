@@ -111,6 +111,56 @@ class TestProcessLifecycle:
         with pytest.raises(ProcessExit):
             proc.create_task(noop())
 
+    def test_start_task_on_dead_process_raises(self, host):
+        proc = host.spawn("svc")
+        proc.kill()
+
+        async def noop():
+            return None
+
+        with pytest.raises(ProcessExit):
+            proc.start_task(noop())
+
+    def test_start_task_tracks_only_what_suspended(self, kernel, host):
+        proc = host.spawn("svc")
+
+        async def quick():
+            return None
+
+        async def brief():
+            await kernel.sleep(0.0005)
+
+        async def forever():
+            await kernel.sleep(1000.0)
+
+        assert proc.start_task(quick()) is None
+        assert proc._tasks == []
+        pending = [proc.start_task(forever()) for _ in range(3)]
+        assert all(t.detached and t.name == "svc" for t in pending)
+        # The adopted tasks go through create_task's amortised prune ...
+        for _ in range(40):
+            proc.start_task(brief())
+            kernel.run(until=kernel.now + 0.001)
+        assert len(proc._tasks) <= 16
+        proc.kill()
+        # ... and die with the process like any created task.
+        assert proc.cancelled_tasks == pending
+        kernel.run(until=kernel.now + 1.0)
+        assert all(t.cancelled() for t in pending)
+
+    def test_start_task_whose_first_step_kills_its_process(
+            self, kernel, host):
+        proc = host.spawn("svc")
+
+        async def last_words():
+            proc.kill()
+            await kernel.sleep(1.0)
+
+        task = proc.start_task(last_words())
+        assert proc.cancelled_tasks == [task]
+        kernel.run(until=5.0)
+        assert task.cancelled()
+
 
 class TestHostFailure:
     def test_crash_kills_all_processes(self, host):

@@ -310,6 +310,109 @@ class TestTask:
         assert results[1] == 1
 
 
+class TestStartTask:
+    """``Kernel.start_task``: the first step runs in the caller's event,
+    and a Task exists only for a coroutine that suspended in it."""
+
+    def test_returns_none_when_the_first_step_finishes(self, kernel):
+        seen = []
+
+        async def quick():
+            seen.append(kernel.now)
+
+        seq = kernel._seq
+        assert kernel.start_task(quick(), "quick") is None
+        assert seen == [0.0]
+        assert kernel._seq == seq          # no event, no future, no Task
+        assert kernel.pending_events() == 0
+
+    def test_first_step_exception_propagates_to_the_caller(self, kernel):
+        async def broken():
+            raise RuntimeError("kaboom")
+
+        with pytest.raises(RuntimeError, match="kaboom"):
+            kernel.start_task(broken(), "broken")
+
+    def test_first_step_cancellation_is_a_quiet_finish(self, kernel):
+        async def gives_up():
+            raise CancelledError("not today")
+
+        assert kernel.start_task(gives_up(), "gives-up") is None
+
+    def test_adopted_task_resumes_like_any_other(self, kernel):
+        async def main():
+            await kernel.sleep(1.0)
+            await kernel.sleep(2.0)
+            return kernel.now
+
+        task = kernel.start_task(main(), "main")
+        assert task.name == "main" and not task.done()
+        assert kernel.pending_events() == 1    # the sleep; no _step event
+        kernel.run()
+        assert task.result() == 3.0
+
+    def test_adopted_task_failure_lands_in_the_task(self, kernel):
+        async def main():
+            await kernel.sleep(1.0)
+            raise RuntimeError("later")
+
+        task = kernel.start_task(main(), "main")
+        kernel.run()
+        with pytest.raises(RuntimeError, match="later"):
+            task.result()
+
+    def test_adopted_task_cancels_like_any_other(self, kernel):
+        state = {"cleaned": False}
+
+        async def main():
+            try:
+                await kernel.sleep(100.0)
+            except CancelledError:
+                state["cleaned"] = True
+                raise
+
+        task = kernel.start_task(main(), "main")
+        kernel.call_later(1.0, task.cancel)
+        kernel.run(until=10.0)
+        assert task.cancelled() and state["cleaned"]
+
+    def test_same_order_as_create_task_after_the_first_step(self, kernel):
+        """An adopted coroutine wakes in the same event a created one
+        would: only the first step moved."""
+        def trace(start):
+            k = Kernel()
+            seen = []
+
+            async def worker(tag):
+                seen.append((k.now, tag, "first"))
+                await k.sleep(1.0)
+                seen.append((k.now, tag, "second"))
+
+            for tag in ("a", "b"):
+                start(k, worker(tag), tag)
+            k.run()
+            return seen[2:]
+
+        assert (trace(lambda k, coro, tag: k.start_task(coro, tag))
+                == trace(lambda k, coro, tag: k.create_task(coro, tag)))
+
+    def test_non_kernel_awaitable_fails_as_in_a_created_task(self, kernel):
+        import types
+
+        @types.coroutine
+        def bare_yield():
+            yield "not a future"
+
+        async def main():
+            await bare_yield()
+
+        adopted = kernel.start_task(main(), "main")
+        created = kernel.create_task(main(), "main")
+        kernel.run()
+        assert str(adopted.exception()) == str(created.exception())
+        assert "non-kernel awaitable" in str(adopted.exception())
+
+
 class TestSyncPrimitives:
     def test_event_wakes_waiters(self, kernel):
         ev = Event(kernel)
