@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.chaos.faults import Fault, FaultError, sort_key
+from repro.core.naming.replica import LOG_KEY as NS_LOG_KEY
+from repro.core.replication import entry_key
+from repro.db.service import LOG_KEY as DB_LOG_KEY
 from repro.sim.rand import SeededRandom
 
 #: services the generator may kill (every SSC-restartable process; the
@@ -26,11 +29,13 @@ KILLABLE_SERVICES = ["mds", "rds", "mms", "cmgr", "vod", "shopping", "game",
 SURGEABLE_SERVICES = ["vod", "shopping", "mms", "mds"]
 
 #: durable keys a generated disk_corrupt may bit-rot: the replication
-#: state the PR 8 recovery paths must survive losing (PR 8).  The
-#: change logs persist per-entry (schema 2), so the faults target the
-#: first entry key -- garbling it invalidates the whole on-disk chain,
-#: the worst case the truncate-to-valid-prefix recovery must absorb.
-DISK_FAULT_KEYS = ["dbrepl/changelog.e/1", "ns/changelog.e/1", "ns/state"]
+#: state the PR 8 recovery paths must survive losing (PR 8).  The first
+#: entry key of either change log -- garbling it invalidates the whole
+#: on-disk chain, the worst case the truncate-to-valid-prefix recovery
+#: must absorb -- and the NS log's header, its checkpoint of the name
+#: tree (written once the log first compacts).
+DISK_FAULT_KEYS = [entry_key(DB_LOG_KEY, 1), entry_key(NS_LOG_KEY, 1),
+                   NS_LOG_KEY]
 
 SCHEDULE_FORMAT_VERSION = 1
 

@@ -16,7 +16,6 @@ every ``Params.ns_audit_poll`` seconds (section 9.7).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro.core.naming.interfaces  # noqa: F401 - registers IDL types
@@ -37,11 +36,7 @@ from repro.core.params import (
     RAS_CALL_TIMEOUT,
     Params,
 )
-from repro.core.replication import (
-    GENESIS_EPOCH,
-    ReplicatedStore,
-    atomic_disk_write,
-)
+from repro.core.replication import ReplicatedStore
 from repro.idl import lookup_interface
 from repro.net.network import Network
 from repro.ocs.exceptions import ServiceUnavailable
@@ -64,21 +59,9 @@ def _context_oid(path: str) -> str:
     return ROOT_OID if path == "" else f"ctx:{path}"
 
 
-#: on-disk key of the persisted name-tree snapshot (plus the write-swap
-#: spare that atomic_disk_write maintains next to it)
-SNAPSHOT_KEY = "ns/state"
-
-
-def _snapshot_sum(wrapper: dict) -> str:
-    """Integrity checksum over a persisted snapshot wrapper.
-
-    Covers the tree snapshot plus the change-log anchor (epoch, digest)
-    stored beside it, so a torn or bit-rotten ``ns/state`` is detected
-    on restore instead of loaded as truth.
-    """
-    return hashlib.sha256(
-        f"{wrapper.get('snap')!r}|{wrapper.get('epoch')!r}"
-        f"|{wrapper.get('digest')}".encode()).hexdigest()[:16]
+#: on-disk key of the replica's change log; its header is the one
+#: durable record of the name tree (the log's checkpoint)
+LOG_KEY = "ns/changelog"
 
 
 class NameReplicaProcess:
@@ -98,9 +81,8 @@ class NameReplicaProcess:
         self.rng = rng or SeededRandom(stable_seed("ns", self.ip))
         self.trace = trace
         self.store = NameStore()
-        self.repl = ReplicatedStore(self, runtime, params, "ns",
-                                    "ns/changelog",
-                                    on_compact=self._persist_snapshot)
+        self.repl = ReplicatedStore(self, runtime, params, "ns", LOG_KEY,
+                                    checkpoint=self.store.snapshot)
         self.changelog = self.repl.log
         self.selector_state = SelectorState(rng=self.rng.stream("selectors"))
         self._cpu = Semaphore(self.kernel, 1)
@@ -430,78 +412,23 @@ class NameReplicaProcess:
     # state transfer and restart: what ReplicatedStore asks of its owner
     # ------------------------------------------------------------------
 
-    def _persist_snapshot(self) -> None:
-        """Keep an on-disk snapshot covering everything below the log.
-
-        Fired by change-log compaction (and snapshot adoption): boot
-        restores the snapshot, then replays the retained log tail, so
-        truncation never loses restart coverage.  The wrapper carries
-        the change-log anchor (epoch + digest at the snapshot's seq) and
-        a checksum, and lands via write-new-then-swap, so a recovery
-        whose log came back corrupt can re-anchor the log at the
-        snapshot's cursor -- and a torn snapshot is detected, not loaded.
-        """
-        snap, epoch, digest = self.snapshot_payload()
-        wrapper = {"snap": snap, "epoch": epoch, "digest": digest}
-        wrapper["sum"] = _snapshot_sum(wrapper)
-        atomic_disk_write(self.process.host.disk, SNAPSHOT_KEY, wrapper)
-
-    def _load_snapshot_wrapper(self) -> Tuple[Optional[dict], bool]:
-        """Read back the persisted snapshot, preferring the main copy.
-
-        Returns ``(wrapper or None, saw_garbage)``: a checksum-failing
-        copy is skipped (torn write / bit rot), and the write-swap spare
-        is consulted before giving up.
-        """
-        saw_garbage = False
-        for key in (SNAPSHOT_KEY, SNAPSHOT_KEY + ".new"):
-            wrapper = self.process.host.disk.read(key)
-            if wrapper is None:
-                continue
-            if (isinstance(wrapper, dict)
-                    and isinstance(wrapper.get("snap"), dict)
-                    and isinstance(wrapper.get("digest"), str)
-                    and wrapper.get("sum") == _snapshot_sum(wrapper)):
-                return wrapper, saw_garbage
-            saw_garbage = True
-        return None, saw_garbage
-
     def _restore_from_disk(self) -> None:
-        """Online bootstrap: resume from the persisted snapshot + log.
+        """Online bootstrap: the log's checkpoint, then its retained tail.
 
-        Both artifacts may have come back damaged (PR 8 storage fault
-        model); whatever survives is reconciled into a consistent
-        (store, log) pair and the rest is repaired from a peer via the
-        normal catch-up -- never a crash, never silent divergence.
+        The change log reopens self-consistent whatever the disk did to
+        it (PR 8 storage fault model): the tree it checkpointed and the
+        entries that still chain from there.  What it lost is repaired
+        from a peer via the normal catch-up -- never a crash, never
+        silent divergence.
         """
-        wrapper, snap_corrupt = self._load_snapshot_wrapper()
-        log_corrupt = (self.changelog.recovered_corrupt
-                       or bool(self.changelog.recovered_truncated))
-        if wrapper is not None:
-            snap = wrapper["snap"]
-            if snap["seq"] > self.store.applied_seq:
-                self.store.load_snapshot(snap)
-        elif snap_corrupt and self.changelog.base_seq > 0:
-            # The snapshot is garbage and the log alone cannot rebuild
-            # the prefix below its compaction watermark: drop the cursor
-            # to zero so the next catch-up takes a full peer snapshot.
-            self.changelog.reset(0, GENESIS_EPOCH, "")
-        for seq, _epoch, op in self.changelog.entries:
-            try:
-                self.store.apply_numbered(seq, op)
-            except ValueError:
-                # Tail starts above the snapshot's seq (the snapshot we
-                # restored predates the log's compaction watermark).
-                break
-        if self.changelog.seq != self.store.applied_seq and wrapper is not None:
-            # The log came back truncated/garbled out of step with the
-            # snapshot: re-anchor it at the snapshot's cursor so the
-            # next append numbers entries in agreement with the store.
-            self.changelog.reset(wrapper["snap"]["seq"], wrapper["epoch"],
-                                 wrapper["digest"])
-        if snap_corrupt or log_corrupt:
-            self._emit("restore_corrupt", snapshot=bool(snap_corrupt),
-                       log_truncated=self.changelog.recovered_truncated,
+        log = self.changelog
+        if log.checkpoint_state is not None:
+            self.store.load_snapshot(log.checkpoint_state)
+        for seq, _epoch, op in log.entries:
+            self.store.apply_numbered(seq, op)
+        if log.recovered_corrupt or log.recovered_truncated:
+            self._emit("restore_corrupt", snapshot=log.recovered_corrupt,
+                       log_truncated=log.recovered_truncated,
                        seq=self.store.applied_seq)
             self.repl.schedule_catch_up()
         if self.store.applied_seq:
@@ -533,7 +460,6 @@ class NameReplicaProcess:
     def load_snapshot(self, snap: dict, epoch, digest: str) -> None:
         self.store.load_snapshot(snap)
         self.changelog.reset(snap["seq"], epoch, digest)
-        self._persist_snapshot()
         self._sync_context_exports()
         self._emit("state_fetched", seq=snap["seq"])
 

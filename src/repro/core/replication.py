@@ -89,13 +89,25 @@ def _entry_sum(prev: str, seq: int, epoch, op: tuple) -> str:
         f"{prev}|{seq}|{epoch!r}|{op!r}".encode()).hexdigest()[:_SUM_WIDTH]
 
 
+def entry_key(disk_key: str, seq) -> str:
+    """Where the log under ``disk_key`` persists entry ``seq`` (``""``:
+    the prefix all its entries share)."""
+    return f"{disk_key}.e/{seq}"
+
+
+def _header_sum(header: dict) -> str:
+    """Integrity checksum over every header field but the sum itself."""
+    body = sorted((k, v) for k, v in header.items() if k != "sum")
+    return hashlib.sha256(repr(body).encode()).hexdigest()[:_SUM_WIDTH]
+
+
 def atomic_disk_write(disk, key: str, value) -> None:
     """Write-new-then-swap: a crash can tear at most one of two copies.
 
     Write the spare (``<key>.new``), sync, write the main copy, sync,
     drop the spare.  Whatever instant a power failure hits, at least one
     durable, checksum-valid copy exists: readers prefer the main copy
-    and fall back to the spare (see ``ChangeLog._load_state``).  With
+    and fall back to the spare (see ``ChangeLog._load_header``).  With
     the write barrier off the syncs are counted no-ops and the dance
     degrades to a plain (still atomic) write.
     """
@@ -120,57 +132,56 @@ class ChangeLog:
 
     Compaction keeps the newest ``retain`` entries; ``(base_seq,
     base_epoch)`` describe the entry just below the retained window.
-    ``on_compact`` fires after each truncation so the owner can persist
-    a matching state snapshot (the NS stores its tree; db tables are
-    already the materialized on-disk state).
 
     ``digest`` is a running sha256 chain over every applied ``(seq,
     op)``.  A replica that adopts a snapshot adopts the sender's digest
     at that seq, so at quiesce equal digests mean byte-identical update
     histories -- the cross-replica conformance oracle.
 
-    On-disk layout (schema 2): each entry persists under its own key
-    (``<disk_key>.e/<seq>`` holding ``(seq, epoch, op, chained_sum)``),
-    so an append writes one small record instead of rewriting the whole
-    retained window -- O(1) bytes per append where schema 1 paid
-    O(retain).  The header key (``disk_key``) holds only the compaction
-    watermark -- ``{schema, base_seq, base_epoch, base_digest,
-    base_sum, compactions}`` -- and is (re)written only when the
-    watermark moves (compaction, snapshot adoption); a missing header
-    just means the log never compacted, and recovery scans entry keys
-    forward from the genesis base.  ``seq`` and ``digest`` are not
-    persisted at all: recovery re-derives both by walking the entry
-    chain from the header's base.
+    On-disk layout (schema 3): each entry persists under its own key
+    (:func:`entry_key`, holding ``(seq, epoch, op, chained_sum)``), so
+    an append writes one small record.  The header (``disk_key``) is
+    the replica's one checkpoint record -- ``{schema, base_seq,
+    base_epoch, base_digest, base_sum, compactions, seq, epoch, digest,
+    checkpoint, sum}``: the compaction watermark, the head cursor at the
+    time of writing, the owner state *at that cursor* (whatever
+    ``checkpoint()`` returned: the NS passes its tree, the db nothing --
+    its rows are already the materialised state) and a checksum over
+    all of it.  It is (re)written only when the watermark moves
+    (compaction, snapshot adoption), through :func:`atomic_disk_write`,
+    so watermark and state commit together or not at all; a missing
+    header just means the log never compacted.  The live ``seq`` and
+    ``digest`` are re-derived on reopen by walking the entry chain from
+    the header's base.
 
     Compaction runs with hysteresis: the log grows to ``2 * retain``
-    entries, then cuts back to ``retain`` in one step, so steady-state
-    appends trigger one compaction per ``retain`` appends instead of
-    one per append.  The compaction write order is header first (via
-    :func:`atomic_disk_write`), dropped entry keys after: a crash in
-    between strands orphan entry keys below the new watermark, which
-    recovery sweeps and which never shadow live entries.
+    entries, then cuts back to ``retain`` in one step -- one header
+    write per ``retain`` appends.  Header first, dropped entry keys
+    after: a crash in between strands orphan keys below the new
+    watermark, which never shadow live entries and which reopen sweeps.
 
     Against the PR 8 storage fault model the log defends itself: every
-    persisted entry carries a chained checksum (``_entry_sum``), reopen
-    validates the chain and truncates (and deletes) the invalid suffix
-    (``recovered_truncated``), an unreadable-garbage header falls back
-    to the write-swap spare and then to an empty log
-    (``recovered_corrupt``), and header rewrites go through
-    :func:`atomic_disk_write`.
+    persisted entry carries a chained checksum (``_entry_sum``); reopen
+    keeps the longest valid prefix of the chain and deletes every other
+    entry key (``recovered_truncated`` counts the cut suffix); a garbage
+    header falls back to the write-swap spare and then to an empty log
+    (``recovered_corrupt``); and a chain that stops short of the
+    header's own cursor -- a retained entry rotted -- re-anchors the
+    log at that cursor, where ``checkpoint_state`` is.  Owners emit
+    ``restore_corrupt`` and fall back to peer catch-up when either
+    report is set.
     """
 
     def __init__(self, disk, disk_key: str, retain: int = 512,
-                 on_compact: Optional[Callable[[], None]] = None):
+                 checkpoint: Optional[Callable[[], Any]] = None):
         self.disk = disk
         self.disk_key = disk_key
         self.retain = max(1, retain)
-        self.on_compact = on_compact
-        #: recovery report for the owner: the persisted log (and its
-        #: swap spare) was unusable garbage / how many tail entries the
-        #: checksum scan truncated.  Owners emit ``restore_corrupt`` and
-        #: fall back to peer catch-up when either is set.
+        self.checkpoint = checkpoint or (lambda: None)
         self.recovered_corrupt = False
         self.recovered_truncated = 0
+        #: the owner state the header held at reopen (None: no header)
+        self.checkpoint_state = None
         self.entries: List[LogEntry] = []
         self._sums: List[str] = []
         self.seq = 0
@@ -180,68 +191,50 @@ class ChangeLog:
         self.base_sum = ""
         self.digest = ""
         self.compactions = 0
-        self._recover(self._load_state())
+        self._recover(self._load_header())
 
     # -- crash recovery ------------------------------------------------
 
     def _entry_key(self, seq: int) -> str:
-        return f"{self.disk_key}.e/{seq}"
+        return entry_key(self.disk_key, seq)
 
-    def _load_state(self):
+    def _load_header(self) -> Optional[dict]:
         """Prefer the main header copy; fall back to the write-swap spare.
 
-        Returns None both for "never compacted" (no header was ever
-        written -- a fresh or young log) and for "header is garbage"
-        (``recovered_corrupt`` set); either way recovery scans entry
-        keys from the genesis base.
+        Returns None both for "never compacted" (a fresh or young log)
+        and for "no copy passes its checksum" (``recovered_corrupt``
+        set; an older schema's header is refused the same way); either
+        way recovery scans entry keys from the genesis base.
         """
-        main = self.disk.read(self.disk_key)
-        if self._state_shape_ok(main):
-            return main
-        if main is not None:
-            self.recovered_corrupt = True
-        spare = self.disk.read(self.disk_key + ".new")
-        if self._state_shape_ok(spare):
-            return spare
-        if spare is not None:
-            self.recovered_corrupt = True
+        for key in (self.disk_key, self.disk_key + ".new"):
+            header = self.disk.read(key)
+            if (isinstance(header, dict) and header.get("schema") == 3
+                    and header.get("sum") == _header_sum(header)):
+                return header
+            if header is not None:
+                self.recovered_corrupt = True
         return None
 
-    @staticmethod
-    def _state_shape_ok(state) -> bool:
-        if not isinstance(state, dict) or state.get("schema") != 2:
-            return False
-        return (all(isinstance(state.get(k), int)
-                    for k in ("base_seq", "compactions"))
-                and all(isinstance(state.get(k), str)
-                        for k in ("base_digest", "base_sum"))
-                and "base_epoch" in state)
-
-    def _recover(self, state) -> None:
+    def _recover(self, header: Optional[dict]) -> None:
         """Adopt the longest self-consistent prefix of the on-disk log.
 
         Starting at the header's watermark (or the genesis base when no
         header exists), entry keys are probed forward and validated
         against the checksum chain rooted at ``base_sum``; the first
-        torn/garbled/mis-numbered entry and everything after it are
-        truncated and their keys deleted (they were never synced, so by
-        the sync-before-ack discipline nothing acknowledged is lost).
-        ``seq`` and the running digest are both re-derived from the
-        surviving prefix.  Orphan entry keys below the watermark (a
-        crash between a compaction's header write and its key deletes)
-        are swept here too.
+        torn/garbled/mis-numbered entry and everything after it are cut
+        (they were never synced, so by the sync-before-ack discipline
+        nothing acknowledged is lost).  ``seq`` and the running digest
+        are re-derived from the surviving prefix.
         """
-        if state is not None:
-            self.base_seq = state["base_seq"]
-            self.base_epoch = state["base_epoch"]
-            self.base_digest = state["base_digest"]
-            self.base_sum = state["base_sum"]
-            self.compactions = state["compactions"]
+        if header is not None:
+            self.base_seq = header["base_seq"]
+            self.base_epoch = header["base_epoch"]
+            self.base_digest = header["base_digest"]
+            self.base_sum = header["base_sum"]
+            self.compactions = header["compactions"]
+            self.checkpoint_state = header["checkpoint"]
         seq, digest, prev_sum = self.base_seq, self.base_digest, self.base_sum
-        entries: List[LogEntry] = []
-        sums: List[str] = []
         read = self.disk.read
-        dropped = 0
         while True:
             item = read(self._entry_key(seq + 1))
             if item is None:
@@ -253,32 +246,40 @@ class ChangeLog:
                 ok = (isinstance(e_op, tuple)
                       and e_sum == _entry_sum(prev_sum, e_seq, e_epoch, e_op))
             if not ok:
-                # Count and delete the whole invalid suffix: entries past
-                # the break can never re-anchor to the chain, and leaving
-                # their keys behind would shadow future appends at the
-                # same sequence numbers across a later crash.
+                # Entries past the break can never re-anchor to the
+                # chain: the whole contiguous suffix counts as cut.
                 probe = seq + 1
                 while read(self._entry_key(probe)) is not None:
-                    self.disk.delete(self._entry_key(probe))
-                    dropped += 1
+                    self.recovered_truncated += 1
                     probe += 1
                 break
-            entries.append((e_seq, e_epoch, e_op))
-            sums.append(e_sum)
+            self.entries.append((e_seq, e_epoch, e_op))
+            self._sums.append(e_sum)
             seq = e_seq
             digest = _chain_digest(digest, e_seq, e_op)
             prev_sum = e_sum
-        self.entries = entries
-        self._sums = sums
         self.seq = seq
         self.digest = digest
-        self.recovered_truncated = dropped
-        # Sweep compaction orphans below the watermark (none in a clean
-        # shutdown; bounded by one cut per crashed compaction).
-        probe = self.base_seq
-        while probe > 0 and read(self._entry_key(probe)) is not None:
-            self.disk.delete(self._entry_key(probe))
-            probe -= 1
+        if header is not None and seq < header["seq"]:
+            # A retained entry rotted below the checkpoint's cursor: the
+            # state is ahead of the chain.  Restart the log where the
+            # state is, re-persisting the *recovered* checkpoint -- the
+            # owner has not loaded it yet, so ``checkpoint()`` would
+            # write an empty state over it.
+            self._anchor(header["seq"], header["epoch"], header["digest"],
+                         self.checkpoint_state)
+        else:
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """Delete every entry key outside the live window: a cut suffix,
+        a crashed compaction's or a lost header's orphans, the history a
+        snapshot replaced.  Left behind they would shadow later appends
+        at the same sequence numbers across the next crash."""
+        live = {self._entry_key(seq) for seq, _epoch, _op in self.entries}
+        for key in self.disk.keys(self._entry_key("")):
+            if key not in live:
+                self.disk.delete(key)
 
     # -- mutation ------------------------------------------------------
 
@@ -312,9 +313,9 @@ class ChangeLog:
         # not change (recovery re-derives seq/digest from the chain).
         self.disk.write(self._entry_key(seq), (seq, epoch, op, entry_sum))
         # Hysteresis: let the log grow to twice the retained window, then
-        # cut back to ``retain`` in one step -- one compaction (and one
-        # header rewrite + snapshot hook) per ``retain`` appends, not one
-        # per append at the high-water mark.
+        # cut back to ``retain`` in one step -- one compaction (one
+        # checkpoint write) per ``retain`` appends, not one per append
+        # at the high-water mark.
         if len(self.entries) > 2 * self.retain:
             self._compact()
 
@@ -332,52 +333,54 @@ class ChangeLog:
         self.base_seq = last_dropped[0]
         self.base_epoch = last_dropped[1]
         self.compactions += 1
-        # Hook fires BEFORE the truncated log is persisted: a crash
-        # inside (or right after) the owner's snapshot write leaves
-        # the pre-compaction log on disk, so no state is lost -- the
-        # truncation and the snapshot commit together or not at all.
-        if self.on_compact is not None:
-            self.on_compact()
-        # Header first, dropped keys after: once the watermark is
-        # durable, the dropped entries are dead weight whichever subset
-        # of the deletes survives a crash (recovery sweeps the orphans).
-        # The reverse order could lose acknowledged entries -- deleted
-        # keys with a header that still claims the old base.
-        self._persist_header()
+        # Header first, dropped keys after: once the watermark (and the
+        # owner state committed with it) is durable, the dropped entries
+        # are dead weight whichever subset of the deletes survives a
+        # crash.  The reverse order could lose acknowledged entries --
+        # deleted keys with a header that still claims the old base.
+        self._persist_header(self.checkpoint())
         delete = self.disk.delete
         for s in range(old_base + 1, self.base_seq + 1):
             delete(self._entry_key(s))
 
     def reset(self, seq: int, epoch, digest: str) -> None:
-        """Adopt a snapshot: the log restarts empty at the sender's seq."""
-        old_lo, old_hi = self.base_seq + 1, self.seq
+        """Adopt a snapshot: the log restarts empty at the sender's seq
+        (the owner has already laid the snapshot's state down)."""
+        self._anchor(seq, epoch, digest, self.checkpoint())
+
+    def _anchor(self, seq: int, epoch, digest: str, state) -> None:
+        """Restart the log empty at a cursor whose owner state is ``state``."""
         self.entries = []
         self._sums = []
-        self.seq = seq
-        self.base_seq = seq
+        self.seq = self.base_seq = seq
         self.base_epoch = epoch
-        self.base_digest = digest
+        self.digest = self.base_digest = digest
         self.base_sum = ""
-        self.digest = digest
-        # Same ordering discipline as _compact: the new watermark becomes
-        # durable before the old history's keys go away.
-        self._persist_header()
-        for s in range(old_lo, old_hi + 1):
-            self.disk.delete(self._entry_key(s))
+        # Same ordering discipline as _compact: the new cursor becomes
+        # durable before the old history's keys go away -- by prefix,
+        # since a lossy reopen may have forgotten where they were.
+        self._persist_header(state)
+        self._sweep()
 
-    def _persist_header(self) -> None:
-        state = {
-            "schema": 2,
+    def _persist_header(self, state) -> None:
+        """Commit watermark, head cursor and the owner ``state`` at that
+        cursor as one checksummed record.  Every header write *shrinks*
+        the log -- exactly the writes where a torn copy could lose both
+        the old and the new state -- so all of them swap."""
+        header = {
+            "schema": 3,
             "base_seq": self.base_seq,
             "base_epoch": self.base_epoch,
             "base_digest": self.base_digest,
             "base_sum": self.base_sum,
             "compactions": self.compactions,
+            "seq": self.seq,
+            "epoch": self.epoch_at(self.seq),
+            "digest": self.digest,
+            "checkpoint": state,
         }
-        # Every header write moves the watermark and thereby *shrinks*
-        # the log -- exactly the writes where a torn copy could lose
-        # both the old and the new state -- so all of them swap.
-        atomic_disk_write(self.disk, self.disk_key, state)
+        header["sum"] = _header_sum(header)
+        atomic_disk_write(self.disk, self.disk_key, header)
 
     # -- queries -------------------------------------------------------
 
@@ -434,17 +437,19 @@ class ReplicatedStore:
     - ``primary_ref()`` (async): whom -- ``None`` when it is this replica;
     - ``caught_up(from_seq, applied)``: emit ``catch_up``, or return
       False for a pull not worth reporting.
+
+    ``checkpoint`` goes to the log: the owner state its header carries.
     """
 
     def __init__(self, owner, runtime, params, name: str, disk_key: str,
-                 on_compact: Optional[Callable[[], None]] = None):
+                 checkpoint: Optional[Callable[[], Any]] = None):
         self.owner = owner
         self.runtime = runtime
         self.params = params
         self.name = name
         self.log = ChangeLog(runtime.process.host.disk, disk_key,
                              retain=params.changelog_retain,
-                             on_compact=on_compact)
+                             checkpoint=checkpoint)
         #: the primary's cursor as the owner last heard it (lag gauge)
         self.primary_seq = 0
         self.catch_ups = 0

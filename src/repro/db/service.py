@@ -71,7 +71,7 @@ class NoSuchKey(Exception):
 # module is the only place that spells a db disk key.
 _DISK_PREFIX = "db/"
 # The change log lives outside the table prefix so tables() stays clean.
-_LOG_KEY = "dbrepl/changelog"
+LOG_KEY = "dbrepl/changelog"
 # Anti-entropy cadence: a db backup polls the primary's change log on
 # this interval (devpi's replica poll), so a push missed during a
 # partition is repaired even if no further write ever arrives.  The NS
@@ -109,7 +109,7 @@ class DatabaseService(Service):
 
     async def start(self) -> None:
         self.repl = ReplicatedStore(self, self.runtime, self.params, "db",
-                                    _LOG_KEY)
+                                    LOG_KEY)
         self.log = self.repl.log
         self.repl.primary_seq = self.log.seq
         self.replication_skipped = 0

@@ -4,11 +4,12 @@ The faulty-disk model's unit contract (write barrier, torn writes,
 bit rot, wedging, and the deep-copy fix for the disk aliasing bug);
 ChangeLog per-entry checksums with truncate-to-valid-prefix recovery
 and the atomic write-new-then-swap fallback; the compaction-vs-catch-up
-boundary and the crash window between compaction and its snapshot hook;
-``durability`` falsifiability in both directions (the ack-before-sync
-sabotage trips it, the committed E17 power-failure drill replays
-green); and the SSC load batch surviving a wedged replica disk with a
-``gauges_stale`` transition instead of a wedged report loop.
+boundary (the crash points of a compaction are walked in
+``test_checkpoint_record.py``); ``durability`` falsifiability in both
+directions (the ack-before-sync sabotage trips it, the committed E17
+power-failure drill replays green); and the SSC load batch surviving a
+wedged replica disk with a ``gauges_stale`` transition instead of a
+wedged report loop.
 """
 
 from pathlib import Path
@@ -303,31 +304,6 @@ class TestCompactionRace:
         for i in range(10):
             log.append(_op(i), epoch=2)
         assert log.entries_from(4, 2) is None       # one past the window
-
-    def test_on_compact_fires_before_truncation_persists(self):
-        """The crash-safety ordering: the snapshot hook runs while the
-        disk still holds the pre-compaction log, so a crash inside the
-        hook loses neither (old snapshot + old log recover), and a crash
-        after it commits both (new snapshot + truncated log)."""
-        disk = Disk()
-        seen = []
-
-        def hook():
-            # At hook time the *durable* image must still be the
-            # pre-truncation log: the header (if any) still claims the
-            # old watermark and every about-to-drop entry key is intact,
-            # even though the in-memory window has already moved.
-            header = disk.read("log")
-            durable_base = header["base_seq"] if header is not None else 0
-            seen.append((durable_base, log.base_seq))
-            assert disk.read(f"log.e/{durable_base + 1}") is not None
-
-        log = ChangeLog(disk, "log", retain=4, on_compact=hook)
-        for i in range(10):
-            log.append(_op(i), epoch=2)
-        assert seen, "compaction never fired its hook"
-        for durable_base, memory_base in seen:
-            assert durable_base < memory_base
 
 
 class TestDurabilityFalsifiable:

@@ -68,25 +68,27 @@ class TestChangeLogUnit:
         assert a.seq == c.seq and a.digest != c.digest
 
     def test_compaction_keeps_window_and_watermark(self):
-        fired = []
-        log = ChangeLog(Disk(), "log", retain=4,
-                        on_compact=lambda: fired.append(log.seq))
+        disk = Disk()
+        log = ChangeLog(disk, "log", retain=4,
+                        checkpoint=lambda: {"head": log.seq})
         for i in range(10):
             log.append(_op(i), epoch=2)
         # Hysteresis: the log grew to 2*retain+1 entries (seq 9), then
         # cut back to retain in one step; one more append since.
         assert len(log.entries) == 5
         assert log.base_seq == 5 and log.base_epoch == 2
-        assert log.compactions == 1 and fired == [9]
+        assert log.compactions == 1
+        # The owner's state was taken once, at the head, with the cut.
+        assert ChangeLog(disk, "log").checkpoint_state == {"head": 9}
         assert log.epoch_at(log.base_seq) == 2      # watermark answers
         assert log.epoch_at(log.base_seq - 1) is None  # truncated away
 
     def test_compaction_frequency_is_appends_over_retain(self):
         """The hysteresis contract: steady-state appends pay one
-        compaction (one header rewrite + one snapshot hook) per
-        ``retain`` appends -- not one per append at the high-water
-        mark, the schema-1 pathology the changelog_append bench caught
-        (5000 appends used to cost ~4500 compactions)."""
+        compaction (one checkpoint write) per ``retain`` appends -- not
+        one per append at the high-water mark, the schema-1 pathology
+        the changelog_append bench caught (5000 appends used to cost
+        ~4500 compactions)."""
         retain = 8
         n = 400
         log = ChangeLog(Disk(), "log", retain=retain)
