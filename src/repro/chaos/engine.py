@@ -52,25 +52,14 @@ class ChaosResult:
     finished_at: float = 0.0
     faults_injected: int = 0
     procs_killed: int = 0
-    # PR 4: what the admission gates, deadline guards, and degraded
-    # fallbacks did (see repro.metrics.overload.collect_overload).
+    # The repro.metrics collectors' sections, read at quiesce.
     overload: Dict[str, dict] = field(default_factory=dict)
     degraded_ops: int = 0
-    # PR 7: per-group replication state at quiesce -- replica cursors,
-    # log digests, catch-up counters, and the converged verdict (see
-    # repro.metrics.replication.collect_replication).
     replication: Dict[str, dict] = field(default_factory=dict)
-    # PR 8: per-server disk counters at quiesce (writes, syncs, lost and
-    # torn writes, corrupted keys) -- see repro.metrics.disks.
     disks: Dict[str, dict] = field(default_factory=dict)
-    # PR 9: hostile-delivery accounting at quiesce (duplicated/reordered/
-    # corrupted frames, checksum drops, reply-cache counters, effect-
-    # ledger summary) -- see repro.metrics.delivery.
     delivery: Dict[str, dict] = field(default_factory=dict)
-    # PR 6: happens-before summary (race count, write-order digests) when
-    # the run was built with Params.hb_trace; None otherwise.  hb_events
-    # is the raw event stream the verdict came from -- kept out of
-    # to_dict() (it can be large), exposed for `repro analyze-trace`.
+    # Happens-before summary and raw event stream when the run was built
+    # with Params.hb_trace (read by `repro analyze-trace`); None otherwise.
     hb: Optional[dict] = None
     hb_events: Optional[list] = None
 
@@ -80,26 +69,6 @@ class ChaosResult:
 
     def violated_monitors(self) -> List[str]:
         return sorted({v.monitor for v in self.violations})
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "digest": self.digest,
-            "trace_lines": self.trace_lines,
-            "viewer_ops": self.viewer_ops,
-            "finished_at": round(self.finished_at, 3),
-            "violations": [{"monitor": v.monitor, "t": round(v.time, 3),
-                            "detail": v.detail} for v in self.violations],
-            "availability": self.availability,
-            "overload": self.overload,
-            "degraded_ops": self.degraded_ops,
-            "replication": self.replication,
-            "disks": self.disks,
-            "delivery": self.delivery,
-            "hb": self.hb,
-            "schedule": self.schedule.to_dict(),
-        }
 
 
 def trace_digest(cluster: Cluster) -> str:
@@ -116,7 +85,9 @@ def run_schedule(schedule: FaultSchedule, seed: int, n_servers: int = 3,
     Deterministic end to end: calling this twice with the same arguments
     yields identical :attr:`ChaosResult.digest` values.  (It restarts the
     process-global allocators, so do not call it while another cluster
-    is live in the same interpreter.)
+    is live in the same interpreter.)  A ``monitors`` list replacing the
+    default catalog must keep ``settop_service`` and ``hb_race``: the
+    result reads them.
     """
     from repro.workloads.sessions import ViewerSession
 
@@ -157,36 +128,31 @@ def run_schedule(schedule: FaultSchedule, seed: int, n_servers: int = 3,
     scenario.run(cluster)
     bus.finish()
 
-    settop_monitor = None
     hb_summary = None
     hb_events = None
-    for monitor in bus.monitors:
-        if monitor.name == "settop_service":
-            settop_monitor = monitor
-        report = getattr(monitor, "report", None)
-        if monitor.name == "hb_race" and report is not None:
-            from repro.analysis.hb import (hb_events_from_trace,
-                                           write_order_digests)
-            hb_summary = {
-                "races": len(report.races),
-                "events": report.events,
-                "writes": report.write_count(),
-                "digests": write_order_digests(report),
-            }
-            hb_events = hb_events_from_trace(cluster.trace.events)
+    report = getattr(bus.monitor("hb_race"), "report", None)
+    if report is not None:
+        from repro.analysis.hb import hb_events_from_trace, write_order_digests
+        hb_summary = {
+            "races": len(report.races),
+            "events": report.events,
+            "writes": report.write_count(),
+            "digests": write_order_digests(report),
+        }
+        hb_events = hb_events_from_trace(cluster.trace.events)
     return ChaosResult(
         seed=seed,
         schedule=schedule,
         violations=list(bus.violations),
         digest=trace_digest(cluster),
         trace_lines=len(cluster.trace.events),
-        availability=(settop_monitor.summaries() if settop_monitor else {}),
+        availability=bus.monitor("settop_service").summaries(),
         viewer_ops=sum(s.stats.opens + s.stats.orders + s.stats.game_rounds
                        + s.stats.tunes for s in sessions),
         finished_at=cluster.now,
         faults_injected=len(injector.injected),
         procs_killed=len(injector.killed),
-        overload=collect_overload(cluster, kernels),
+        overload=collect_overload(cluster),
         degraded_ops=sum(s.stats.degraded for s in sessions),
         replication=collect_replication(cluster),
         disks=collect_disks(cluster),

@@ -101,6 +101,44 @@ class Monitor:
                          detail=detail)
 
 
+class _Stretch:
+    """The clock behind "a condition must not persist past ``grace``".
+
+    :meth:`overdue` is fed the condition on every probe.  It returns the
+    stretch's length on the first probe that finds it held for longer
+    than ``grace``, then stays silent until the condition breaks, which
+    re-arms the clock for the next stretch.
+    """
+
+    def __init__(self, grace: float):
+        self.grace = grace
+        self._since: Optional[float] = None
+        self._reported = False
+
+    def overdue(self, holds: bool, now: float) -> Optional[float]:
+        if not holds:
+            self._since, self._reported = None, False
+            return None
+        if self._since is None:
+            self._since = now
+        if self._reported or now - self._since <= self.grace:
+            return None
+        self._reported = True
+        return now - self._since
+
+
+def _ref_alive(cluster: Cluster, ref) -> bool:
+    """Is ``ref``'s incarnation a live process on an up host?"""
+    try:
+        host = cluster.net.host_at(ref.ip)
+    except KeyError:
+        return False
+    if not host.up:
+        return False
+    return any(proc.alive and tuple(proc.incarnation) ==
+               tuple(ref.incarnation) for proc in host.processes)
+
+
 class CscPrimaryMonitor(Monitor):
     """At most one live CSC may believe it is the cluster primary.
 
@@ -119,10 +157,9 @@ class CscPrimaryMonitor(Monitor):
 
     def bind(self, cluster, injector, params, context) -> None:
         super().bind(cluster, injector, params, context)
-        self._grace = (params.backup_bind_retry + 2 * params.call_timeout
-                       + 2 * params.chaos_monitor_interval + 5.0)
-        self._dual_since: Optional[float] = None
-        self._reported = False
+        self._dual = _Stretch(params.backup_bind_retry
+                              + 2 * params.call_timeout
+                              + 2 * params.chaos_monitor_interval + 5.0)
 
     def _primaries(self) -> List[str]:
         primaries = []
@@ -136,23 +173,16 @@ class CscPrimaryMonitor(Monitor):
         return primaries
 
     def check(self) -> List[Violation]:
-        now = self.cluster.now
         primaries = self._primaries()
-        if len(primaries) <= 1 or self.cluster.net.partitioned:
-            # Single primary, or a split where the stale one is excused.
-            self._dual_since = None
-            self._reported = False
+        # A split excuses the stale primary: it cannot learn it lost.
+        held = self._dual.overdue(
+            len(primaries) > 1 and not self.cluster.net.partitioned,
+            self.cluster.now)
+        if held is None:
             return []
-        if self._dual_since is None:
-            self._dual_since = now
-        if (not self._reported
-                and now - self._dual_since > self._grace):
-            self._reported = True
-            return [self._violation(
-                f"{len(primaries)} CSCs claim primary for "
-                f"{now - self._dual_since:.1f}s on a connected network: "
-                f"{sorted(primaries)}")]
-        return []
+        return [self._violation(
+            f"{len(primaries)} CSCs claim primary for {held:.1f}s on a "
+            f"connected network: {sorted(primaries)}")]
 
     def finish(self) -> List[Violation]:
         primaries = self._primaries()
@@ -179,12 +209,10 @@ class NsAgreementMonitor(Monitor):
         super().bind(cluster, injector, params, context)
         # An isolated old master steps down after missing heartbeat
         # acks; two election cycles plus margin covers the window.
-        self._split_grace = 2 * (NS_ELECTION_TIMEOUT[1] + NS_HEARTBEAT) + 10.0
-        self._masterless_grace = 2 * params.max_failover
-        self._split_since: Optional[float] = None
-        self._split_reported = False
-        self._masterless_since: Optional[float] = None
-        self._masterless_reported = False
+        self._split = _Stretch(2 * (NS_ELECTION_TIMEOUT[1] + NS_HEARTBEAT)
+                               + 10.0)
+        self._masterless = _Stretch(2 * params.max_failover)
+        self._quorum = len(cluster.servers) // 2 + 1
 
     def _masters(self) -> Tuple[List[str], int]:
         stores = list(live_replicas(self.cluster, "ns"))
@@ -194,41 +222,23 @@ class NsAgreementMonitor(Monitor):
         now = self.cluster.now
         masters, live = self._masters()
         out: List[Violation] = []
-
-        if len(masters) > 1:
-            if self._split_since is None:
-                self._split_since = now
-            elif (not self._split_reported
-                  and now - self._split_since > self._split_grace):
-                self._split_reported = True
-                out.append(self._violation(
-                    f"{len(masters)} ns masters for "
-                    f"{now - self._split_since:.1f}s: {sorted(masters)}"))
-        else:
-            self._split_since = None
-            self._split_reported = False
-
-        quorum = (len(self.cluster.servers) // 2) + 1
-        can_elect = (live >= quorum and not masters
-                     and not self.cluster.net.partitioned)
-        if can_elect:
-            if self._masterless_since is None:
-                self._masterless_since = now
-            elif (not self._masterless_reported
-                  and now - self._masterless_since > self._masterless_grace):
-                self._masterless_reported = True
-                out.append(self._violation(
-                    f"no ns master for {now - self._masterless_since:.1f}s "
-                    f"with {live} replicas up"))
-        else:
-            self._masterless_since = None
-            self._masterless_reported = False
+        split = self._split.overdue(len(masters) > 1, now)
+        if split is not None:
+            out.append(self._violation(
+                f"{len(masters)} ns masters for {split:.1f}s: "
+                f"{sorted(masters)}"))
+        masterless = self._masterless.overdue(
+            live >= self._quorum and not masters
+            and not self.cluster.net.partitioned, now)
+        if masterless is not None:
+            out.append(self._violation(
+                f"no ns master for {masterless:.1f}s with {live} "
+                f"replicas up"))
         return out
 
     def finish(self) -> List[Violation]:
         masters, live = self._masters()
-        quorum = (len(self.cluster.servers) // 2) + 1
-        if live >= quorum and len(masters) != 1:
+        if live >= self._quorum and len(masters) != 1:
             return [self._violation(
                 f"after quiesce: {len(masters)} masters with {live} "
                 f"replicas up")]
@@ -269,7 +279,7 @@ class AuditConvergenceMonitor(Monitor):
             # on servers); settop-side refs age out by other means.
             if ref.ip not in self._server_ips:
                 continue
-            if self._ref_alive(ref):
+            if _ref_alive(self.cluster, ref):
                 continue
             key = (path, ref.ip, ref.port, tuple(ref.incarnation),
                    ref.object_id)
@@ -291,7 +301,8 @@ class AuditConvergenceMonitor(Monitor):
             return []
         stale = []
         for path, ref in master.leaf_bindings():
-            if ref.ip in self._server_ips and not self._ref_alive(ref):
+            if (ref.ip in self._server_ips
+                    and not _ref_alive(self.cluster, ref)):
                 stale.append(path)
         if stale:
             return [self._violation(
@@ -303,16 +314,6 @@ class AuditConvergenceMonitor(Monitor):
         return next((store.owner
                      for _ip, store in live_replicas(self.cluster, "ns")
                      if store.is_primary), None)
-
-    def _ref_alive(self, ref) -> bool:
-        try:
-            host = self.cluster.net.host_at(ref.ip)
-        except KeyError:
-            return False
-        if not host.up:
-            return False
-        return any(proc.alive and tuple(proc.incarnation) ==
-                   tuple(ref.incarnation) for proc in host.processes)
 
 
 class CacheCoherenceMonitor(Monitor):
@@ -358,7 +359,7 @@ class CacheCoherenceMonitor(Monitor):
             for name, entry in cache.entries():
                 if tuple(entry.ref.incarnation) == tuple(ANY_INCARNATION):
                     continue  # bootstrap refs never go stale
-                if self._ref_alive(entry.ref):
+                if _ref_alive(self.cluster, entry.ref):
                     continue
                 key = (host.ip, name, entry.ref.ip, entry.ref.port,
                        tuple(entry.ref.incarnation))
@@ -378,18 +379,7 @@ class CacheCoherenceMonitor(Monitor):
                 del self._dead_since[key]
         return out
 
-    def finish(self) -> List[Violation]:
-        return self.check()
-
-    def _ref_alive(self, ref) -> bool:
-        try:
-            host = self.cluster.net.host_at(ref.ip)
-        except KeyError:
-            return False
-        if not host.up:
-            return False
-        return any(proc.alive and tuple(proc.incarnation) ==
-                   tuple(ref.incarnation) for proc in host.processes)
+    finish = check
 
 
 class SettopServiceMonitor(Monitor):
@@ -463,42 +453,31 @@ class FutureLeakMonitor(Monitor):
         self._checked = 0   # prefix of injector.killed already verified
 
     def check(self) -> List[Violation]:
+        return self._sweep_kills(settled=False)
+
+    def finish(self) -> List[Violation]:
+        return self._sweep_kills(settled=True) + self._sweep_pending()
+
+    def _sweep_kills(self, settled: bool) -> List[Violation]:
+        """Judge unjudged kills; unless ``settled``, stop at a fresh one."""
         now = self.cluster.now
         out: List[Violation] = []
         records = self.injector.killed
         while self._checked < len(records):
             record = records[self._checked]
             proc = record["proc"]
-            if proc.alive:
-                # Snapshotted before the kill landed but survived (e.g. a
-                # process the SSC cascade did not reach): nothing to check.
-                self._checked += 1
-                continue
-            if now - record["t"] <= LEAK_GRACE:
-                break   # too fresh; re-examine on a later probe
-            leaked = [t for t in proc.cancelled_tasks if not t.done()]
-            if leaked:
-                names = sorted(t.name or "?" for t in leaked)[:5]
-                out.append(self._violation(
-                    f"process {proc.name} (pid {proc.pid}) leaked "
-                    f"{len(leaked)} task(s) across its crash: {names}"))
+            # A process snapshotted before the kill landed but survived
+            # (e.g. one the SSC cascade did not reach) has nothing to check.
+            if not proc.alive:
+                if not settled and now - record["t"] <= LEAK_GRACE:
+                    break   # too fresh; re-examine on a later probe
+                leaked = [t for t in proc.cancelled_tasks if not t.done()]
+                if leaked:
+                    names = sorted(t.name or "?" for t in leaked)[:5]
+                    out.append(self._violation(
+                        f"process {proc.name} (pid {proc.pid}) leaked "
+                        f"{len(leaked)} task(s) across its crash: {names}"))
             self._checked += 1
-        return out
-
-    def finish(self) -> List[Violation]:
-        out: List[Violation] = []
-        for record in self.injector.killed[self._checked:]:
-            proc = record["proc"]
-            if proc.alive:
-                continue
-            leaked = [t for t in proc.cancelled_tasks if not t.done()]
-            if leaked:
-                names = sorted(t.name or "?" for t in leaked)[:5]
-                out.append(self._violation(
-                    f"process {proc.name} (pid {proc.pid}) leaked "
-                    f"{len(leaked)} task(s) across its crash: {names}"))
-        self._checked = len(self.injector.killed)
-        out.extend(self._sweep_pending())
         return out
 
     def _sweep_pending(self) -> List[Violation]:
@@ -539,12 +518,6 @@ class ExpiredWorkMonitor(Monitor):
         self._reported: Dict[tuple, int] = {}
 
     def check(self) -> List[Violation]:
-        return self._sweep()
-
-    def finish(self) -> List[Violation]:
-        return self._sweep()
-
-    def _sweep(self) -> List[Violation]:
         out: List[Violation] = []
         for runtime in live_runtimes(self.cluster.servers):
             count = runtime.expired_executions
@@ -555,6 +528,8 @@ class ExpiredWorkMonitor(Monitor):
                     f"{runtime.process.name} on {runtime.ip} executed "
                     f"{count} call(s) past their deadline"))
         return out
+
+    finish = check
 
 
 class QueueBoundMonitor(Monitor):
@@ -718,22 +693,26 @@ class ReplicaLagMonitor(Monitor):
         return out
 
 
-class DurabilityLedger:
-    """Side-channel record of every client-visible write acknowledgement.
+class EvidenceLedger:
+    """What clients were promised and what servers ran: monitor evidence.
 
-    The db primary and the NS master call :meth:`ack_db` / :meth:`ack_ns`
-    at the exact instant a writer would see success (after
-    ``ReplicatedStore.sync_before_ack``; after the *buffered* write when
-    that barrier is patched out -- the sabotage the durability monitor
-    must catch).  The ledger lives on the kernel, outside every
-    host, so crashes cannot lose it: it is the monitor's ground truth
-    for "the client was promised this".
+    :class:`MonitorBus` installs one as ``kernel.ledger``, outside every
+    host, so crashes cannot lose it.  The db primary and the NS master
+    call :meth:`ack_db` / :meth:`ack_ns` the instant a writer would see
+    success (after ``ReplicatedStore.sync_before_ack``, or after the
+    buffered write when that barrier is patched out).  Servant dispatch
+    (``OCSRuntime._note_effect``) calls :meth:`record` for each
+    non-idempotent execution *whether or not* the reply cache is on, so
+    a dedup-disabled server's double execution shows up here.
     """
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.db_acks: List[dict] = []
         self.ns_acks: List[dict] = []
+        #: request id -> list of {"t", "actor", "method"} executions.
+        self.executions: Dict[tuple, List[dict]] = {}
+        self.total = 0
 
     def ack_db(self, ip: str, epoch: tuple, seq: int, table: str,
                key: str, value, deleted: bool) -> None:
@@ -752,118 +731,6 @@ class DurabilityLedger:
             "op": copy.deepcopy(op),
             "partitioned": self.cluster.net.partitioned,
         })
-
-
-class DurabilityMonitor(Monitor):
-    """Every acked write is readable after any crash-and-recovery (PR 8).
-
-    The replication design is primary/backup, not consensus, so the
-    contract has a boundary: an ack is *binding* when the host that
-    issued it is still the settled primary after the quiesce (it kept or
-    reclaimed its role across any crash, so its durable image is the
-    authoritative one).  Acks from a deposed primary or from a reign cut
-    short by a partition are excused -- asynchronous fan-out means a
-    promoted backup may legitimately miss the deposed primary's tail,
-    and that loss is the known failover cost, not a storage bug.  What
-    is *never* excused is the crash-reclaim path: a primary that synced,
-    acked, crashed, and came back must still hold every acked value.
-    With ``ReplicatedStore.sync_before_ack`` patched out the barrier is
-    gone and this monitor is what goes red -- the falsifiability check.
-
-    db rule: for the last ack per ``(table, key)`` from the current
-    primary's host on a connected network, the primary's durable table
-    must read exactly the acked value (or lack the key, for a delete).
-    NS rule: for every ack carried by the current master's reign
-    (``ack.epoch == master.epoch``), the master's change log must still
-    cover ``seq`` with that same epoch (or have compacted past it).
-    """
-
-    name = "durability"
-
-    def bind(self, cluster, injector, params, context) -> None:
-        super().bind(cluster, injector, params, context)
-        self.ledger = DurabilityLedger(cluster)
-        cluster.kernel.durability_ledger = self.ledger
-
-    def finish(self) -> List[Violation]:
-        return self._check_db() + self._check_ns()
-
-    def _sole_primary(self, kind: str):
-        primaries = [store.owner
-                     for _ip, store in live_replicas(self.cluster, kind)
-                     if store.is_primary]
-        return primaries[0] if len(primaries) == 1 else None
-
-    def _check_db(self) -> List[Violation]:
-        primary = self._sole_primary("db")
-        if primary is None:
-            return []   # none, or unsettled primaryship: nothing to judge
-        last: Dict[tuple, dict] = {}
-        for ack in self.ledger.db_acks:
-            last[(ack["table"], ack["key"])] = ack
-        out: List[Violation] = []
-        disk = primary.host.disk
-        for (table, key), ack in sorted(last.items()):
-            if ack["partitioned"] or ack["ip"] != primary.host.ip:
-                continue
-            row = read_row(disk, table, key, _ABSENT)
-            if isinstance(row, CorruptBlob):
-                out.append(self._violation(
-                    f"db row {table}/{key} unreadable on primary "
-                    f"{primary.host.ip}; acked write (seq "
-                    f"{ack['seq']}) is gone"))
-            elif ack["deleted"]:
-                if row is not _ABSENT:
-                    out.append(self._violation(
-                        f"db {table}/{key}: acked delete (seq {ack['seq']}) "
-                        f"resurrected as {row!r}"))
-            elif row is _ABSENT:
-                out.append(self._violation(
-                    f"db {table}/{key}: acked write {ack['value']!r} "
-                    f"(seq {ack['seq']}) lost after recovery"))
-            elif row != ack["value"]:
-                out.append(self._violation(
-                    f"db {table}/{key}: acked value {ack['value']!r} "
-                    f"(seq {ack['seq']}) reads back {row!r}"))
-        return out
-
-    def _check_ns(self) -> List[Violation]:
-        master = self._sole_primary("ns")
-        if master is None:
-            return []   # none, or split mastership: ns_agreement's problem
-        out: List[Violation] = []
-        log = master.changelog
-        for ack in self.ledger.ns_acks:
-            if ack["partitioned"] or ack["epoch"] != master.epoch:
-                continue
-            seq = ack["seq"]
-            if seq <= log.base_seq:
-                continue   # compacted into the snapshot: durable
-            if log.epoch_at(seq) != ack["epoch"]:
-                out.append(self._violation(
-                    f"ns seq {seq} ({ack['op'][0]} {ack['op'][1]}): acked "
-                    f"in epoch {ack['epoch']} but the master log "
-                    f"{'ends at ' + str(log.seq) if seq > log.seq else 'holds another reign there'}"))
-        return out
-
-
-class EffectLedger:
-    """Side-channel record of every non-idempotent servant execution.
-
-    :meth:`repro.ocs.runtime.OCSRuntime._run_servant` stamps each
-    execution of a two-way non-idempotent method with the call's
-    ``(client_id, call_seq)`` request id, *regardless* of whether the
-    reply cache is enabled -- that independence is what lets the
-    at-most-once monitor catch a sabotaged (dedup-disabled) server
-    actually double-executing.  The ledger lives on the kernel, outside
-    every host, so crashes cannot lose it.
-    """
-
-    def __init__(self, cluster: Cluster):
-        self.cluster = cluster
-        #: request id -> list of {"t", "actor", "method"} executions.
-        self.executions: Dict[tuple, List[dict]] = {}
-        self.total = 0
 
     def record(self, request_id: tuple, actor: str, method: str,
                at: float) -> None:
@@ -903,16 +770,113 @@ class EffectLedger:
                 "cross_actor_reexecutions": cross_actor}
 
 
+class DurabilityMonitor(Monitor):
+    """Every acked write is readable after any crash-and-recovery (PR 8).
+
+    The replication design is primary/backup, not consensus, so the
+    contract has a boundary: an ack is *binding* when the host that
+    issued it is still the settled primary after the quiesce (it kept or
+    reclaimed its role across any crash, so its durable image is the
+    authoritative one).  Acks from a deposed primary or from a reign cut
+    short by a partition are excused -- asynchronous fan-out means a
+    promoted backup may legitimately miss the deposed primary's tail,
+    and that loss is the known failover cost, not a storage bug.  What
+    is *never* excused is the crash-reclaim path: a primary that synced,
+    acked, crashed, and came back must still hold every acked value.
+    With ``ReplicatedStore.sync_before_ack`` patched out the barrier is
+    gone and this monitor is what goes red -- the falsifiability check.
+
+    db rule: each ``(table, key)`` is judged by its highest-``seq`` ack
+    in the last reign (``epoch``) that acked it -- acks land in stream-
+    completion order, and a reclaimed primary may restart its numbering
+    from a snapshot.  If that ack came from the current primary's host
+    on a connected network, the primary's durable table must read
+    exactly the acked value (or lack the key, for a delete).  NS rule:
+    for every ack carried by the current master's reign, the master's
+    change log must still cover ``seq`` with that epoch (or have
+    compacted past it).
+    """
+
+    name = "durability"
+
+    def finish(self) -> List[Violation]:
+        return self._check_db() + self._check_ns()
+
+    def _sole_primary(self, kind: str):
+        primaries = [store.owner
+                     for _ip, store in live_replicas(self.cluster, kind)
+                     if store.is_primary]
+        return primaries[0] if len(primaries) == 1 else None
+
+    def _check_db(self) -> List[Violation]:
+        primary = self._sole_primary("db")
+        if primary is None:
+            return []   # none, or unsettled primaryship: nothing to judge
+        reign: Dict[tuple, tuple] = {}   # (table, key) -> its last epoch
+        top: Dict[tuple, dict] = {}      # (cell, epoch) -> highest-seq ack
+        for ack in self.cluster.kernel.ledger.db_acks:
+            cell = (ack["table"], ack["key"])
+            reign[cell] = ack["epoch"]
+            held = top.get((cell, ack["epoch"]))
+            if held is None or ack["seq"] > held["seq"]:
+                top[(cell, ack["epoch"])] = ack
+        out: List[Violation] = []
+        disk = primary.host.disk
+        for (table, key), epoch in sorted(reign.items()):
+            ack = top[((table, key), epoch)]
+            if ack["partitioned"] or ack["ip"] != primary.host.ip:
+                continue
+            row = read_row(disk, table, key, _ABSENT)
+            if isinstance(row, CorruptBlob):
+                out.append(self._violation(
+                    f"db row {table}/{key} unreadable on primary "
+                    f"{primary.host.ip}; acked write (seq "
+                    f"{ack['seq']}) is gone"))
+            elif ack["deleted"]:
+                if row is not _ABSENT:
+                    out.append(self._violation(
+                        f"db {table}/{key}: acked delete (seq {ack['seq']}) "
+                        f"resurrected as {row!r}"))
+            elif row is _ABSENT:
+                out.append(self._violation(
+                    f"db {table}/{key}: acked write {ack['value']!r} "
+                    f"(seq {ack['seq']}) lost after recovery"))
+            elif row != ack["value"]:
+                out.append(self._violation(
+                    f"db {table}/{key}: acked value {ack['value']!r} "
+                    f"(seq {ack['seq']}) reads back {row!r}"))
+        return out
+
+    def _check_ns(self) -> List[Violation]:
+        master = self._sole_primary("ns")
+        if master is None:
+            return []   # none, or split mastership: ns_agreement's problem
+        out: List[Violation] = []
+        log = master.changelog
+        for ack in self.cluster.kernel.ledger.ns_acks:
+            if ack["partitioned"] or ack["epoch"] != master.epoch:
+                continue
+            seq = ack["seq"]
+            if seq <= log.base_seq:
+                continue   # compacted into the snapshot: durable
+            if log.epoch_at(seq) != ack["epoch"]:
+                out.append(self._violation(
+                    f"ns seq {seq} ({ack['op'][0]} {ack['op'][1]}): acked "
+                    f"in epoch {ack['epoch']} but the master log "
+                    f"{'ends at ' + str(log.seq) if seq > log.seq else 'holds another reign there'}"))
+        return out
+
+
 class AtMostOnceMonitor(Monitor):
     """No non-idempotent request id executes twice on one server (PR 9).
 
     Under duplication, reordering, and retry-after-timeout the network
     hands a server the same call envelope more than once; the reply
     cache must collapse every re-arrival onto the single execution.  The
-    monitor reads the kernel-resident :class:`EffectLedger` and flags
+    monitor reads the kernel-resident :class:`EvidenceLedger` and flags
     any request id with two executions by the same actor (``ip/pid``).
     Cross-actor re-execution after a rebind is excused -- see
-    :meth:`EffectLedger.double_executions`.  Falsifiable both ways: with
+    :meth:`EvidenceLedger.double_executions`.  Falsifiable both ways: with
     ``OCSRuntime._dedup_key`` patched to return None (the sabotage
     fixture) a hostile schedule makes exactly this monitor go red.
     """
@@ -921,19 +885,11 @@ class AtMostOnceMonitor(Monitor):
 
     def bind(self, cluster, injector, params, context) -> None:
         super().bind(cluster, injector, params, context)
-        self.ledger = EffectLedger(cluster)
-        cluster.kernel.effect_ledger = self.ledger
         self._reported: set = set()
 
     def check(self) -> List[Violation]:
-        return self._sweep()
-
-    def finish(self) -> List[Violation]:
-        return self._sweep()
-
-    def _sweep(self) -> List[Violation]:
         out: List[Violation] = []
-        for rid, execs in self.ledger.double_executions():
+        for rid, execs in self.cluster.kernel.ledger.double_executions():
             if rid in self._reported:
                 continue
             self._reported.add(rid)
@@ -942,6 +898,8 @@ class AtMostOnceMonitor(Monitor):
                 f"request {rid[0]}#{rid[1]} ({execs[0]['method']}) "
                 f"executed {len(execs)}x: {times}"))
         return out
+
+    finish = check
 
 
 def default_monitors() -> List[Monitor]:
@@ -967,6 +925,7 @@ class MonitorBus:
         self.cluster = cluster
         self.monitors = monitors if monitors is not None else default_monitors()
         self.violations: List[Violation] = []
+        cluster.kernel.ledger = EvidenceLedger(cluster)
         for monitor in self.monitors:
             monitor.bind(cluster, injector, params, context or {})
 

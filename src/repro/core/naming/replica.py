@@ -386,7 +386,7 @@ class NameReplicaProcess:
                 self.runtime.invoke(self.peer_replica_ref(peer),
                                     "applyUpdates", (seq - 1, [entry]),
                                     timeout=self.params.call_timeout).detach()
-        ledger = self.kernel.durability_ledger
+        ledger = self.kernel.ledger
         if ledger is not None:
             ledger.ack_ns(self.ip, self.epoch, seq, op)
         return seq

@@ -211,7 +211,7 @@ class DatabaseService(Service):
                               ver="<deleted>" if deleted else repr(value))
         await self._stream_to_replicas([(seq, self.epoch, op)],
                                        deadline=deadline)
-        ledger = self.kernel.durability_ledger
+        ledger = self.kernel.ledger
         if ledger is not None:
             ledger.ack_db(self.host.ip, self.epoch, seq,
                           table, key, value, deleted)

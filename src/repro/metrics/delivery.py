@@ -3,7 +3,7 @@
 One collection surface shared by the chaos engine and the E18 drill, so
 both report the same numbers the same way.  Like every other collector
 it only *reads* state (network counters, runtime reply-cache stats, the
-kernel-resident effect ledger) -- it must never perturb the run.
+kernel-resident evidence ledger) -- it must never perturb the run.
 
 The load-bearing numbers mirror the PR 8 disks collector: a run where
 ``duplicated``/``reordered``/``corrupted`` are all zero never actually
@@ -38,10 +38,11 @@ def collect_delivery(cluster) -> Dict[str, dict]:
     - ``"envelopes"``: what the receivers did about it -- checksum-failed
       frames dropped vs. (should-be-zero) dispatched, plus the summed
       reply-cache counters of every live runtime;
-    - ``"effects"``: the :class:`~repro.chaos.monitors.EffectLedger`
-      summary (executions, distinct request ids, same-actor doubles,
-      excused cross-actor re-executions), or an empty dict when no
-      ledger was installed (non-chaos runs).
+    - ``"effects"``: the execution summary of the
+      :class:`~repro.chaos.monitors.EvidenceLedger` (executions, distinct
+      request ids, same-actor doubles, excused cross-actor
+      re-executions), or an empty dict when no ledger was installed
+      (non-chaos runs).
     """
     net = cluster.net
     envelopes = {"corrupt_dropped": 0, "corrupt_dispatched": 0,
@@ -56,7 +57,7 @@ def collect_delivery(cluster) -> Dict[str, dict]:
         for key, value in runtime.reply_cache.stats().items():
             envelopes[key] += value
 
-    ledger = cluster.kernel.effect_ledger
+    ledger = cluster.kernel.ledger
     return {
         "net": {"duplicated": net.messages_duplicated,
                 "reordered": net.messages_reordered,

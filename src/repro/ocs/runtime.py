@@ -555,14 +555,14 @@ class OCSRuntime:
         return (request_id[0], request_id[1])
 
     def _note_effect(self, payload: Dict[str, Any], mdef: MethodDef) -> None:
-        """Stamp a non-idempotent execution into the kernel's effect
+        """Stamp a non-idempotent execution into the kernel's evidence
         ledger (chaos runs only) -- the at_most_once monitor's evidence."""
         if mdef.oneway or mdef.idempotent:
             return
         request_id = payload.get("request_id")
         if request_id is None:
             return
-        ledger = self.kernel.effect_ledger
+        ledger = self.kernel.ledger
         if ledger is not None:
             ledger.record((request_id[0], request_id[1]),
                           actor=self.hb_actor,

@@ -52,7 +52,6 @@ class VODService(Service):
         self._bookmarks: Dict[str, float] = {}
         # Last good full-bitrate title list, kept for the degraded path.
         self._catalog_cache: Optional[List[str]] = None
-        self.degraded_answers = 0
 
     async def start(self) -> None:
         self.ref = self.runtime.export(self, "VOD")
@@ -86,7 +85,6 @@ class VODService(Service):
                     "bitrate": MOVIE_BITRATE_BPS,
                     "degraded": False}
         except (Overloaded, DeadlineExceeded, ServiceUnavailable):
-            self.degraded_answers += 1
             self.emit("degraded_catalog",
                       cached=self._catalog_cache is not None)
             return {"titles": list(self._catalog_cache or []),

@@ -26,7 +26,6 @@ class NavigatorApp(SettopApp):
         self.current_venue = None
         self.shop = None
         self._menu_cache: Optional[dict] = None
-        self.cached_menus = 0
 
     async def start(self) -> None:
         self.shop = self.proxy("svc/shopping")
@@ -48,7 +47,6 @@ class NavigatorApp(SettopApp):
             self._menu_cache = dict(catalog)
             return {"items": dict(catalog), "cached": False}
         except (StoreUnavailable, ServiceUnavailable, OCSError):
-            self.cached_menus += 1
             items = dict(self._menu_cache) if self._menu_cache else {}
             self.emit("cached_menu", items=len(items))
             return {"items": items, "cached": True}

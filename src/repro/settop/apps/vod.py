@@ -48,7 +48,6 @@ class VODApp(SettopApp):
         self.data_port = allocate_port()
         self.interruptions: List[dict] = []
         self.chunks_received = 0
-        self.degraded_plays = 0
         self._needs_recovery = False
 
     async def start(self) -> None:
@@ -90,7 +89,6 @@ class VODApp(SettopApp):
         try:
             await self._open_and_play(start_at, deadline=budget)
         except (Overloaded, DeadlineExceeded):
-            self.degraded_plays += 1
             try:
                 answer = await self.vod.call("catalog")
             except (ServiceUnavailable, OCSError):

@@ -292,16 +292,12 @@ class Kernel:
         # single attribute check, so runs that do not ask for HB events
         # (Params.hb_trace) stay byte-identical to the golden traces.
         self.hb_log: Optional[Any] = None
-        # Durability-audit sink (chaos DurabilityLedger): primaries call
-        # ``ack_db``/``ack_ns`` at their acknowledgement points when one
-        # is installed.  Same discipline as hb_log -- None by default so
-        # un-audited runs pay one attribute check and emit nothing.
-        self.durability_ledger: Optional[Any] = None
-        # Side-effect ledger (chaos EffectLedger): servant dispatch
-        # stamps each non-idempotent execution with its request id when
-        # one is installed, so the at_most_once monitor can prove no
-        # request ran twice.  Same None-by-default discipline as above.
-        self.effect_ledger: Optional[Any] = None
+        # Chaos evidence sink (repro.chaos.monitors.EvidenceLedger, set
+        # by MonitorBus): primaries record write acks and servant dispatch
+        # records non-idempotent executions when one is installed.  Same
+        # discipline as hb_log -- None by default so unmonitored runs pay
+        # one attribute check and record nothing.
+        self.ledger: Optional[Any] = None
 
     @property
     def now(self) -> float:

@@ -102,7 +102,7 @@ def disabled_dedup():
     """Servers skip the reply cache entirely (PR 9 sabotage).
 
     Recreates the pre-PR 9 failure shape: a duplicated or retried call
-    envelope re-executes the servant.  The effect ledger still stamps
+    envelope re-executes the servant.  The evidence ledger still stamps
     every execution (it is independent of the cache by design), so the
     ``at_most_once`` monitor must notice; a monitor that stays quiet
     under this patch is not testing anything.

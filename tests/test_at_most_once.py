@@ -4,7 +4,7 @@ The server-side reply cache (seq-windowed dedup with LRU eviction,
 inflight waiter parking, and the stale floor); request identity reuse
 across ``RebindingProxy`` retries (the latent double-execution fix);
 the envelope checksum guard dropping corrupt frames before dispatch;
-the kernel-resident effect ledger behind the ``at_most_once`` monitor;
+the kernel-resident evidence ledger behind the ``at_most_once`` monitor;
 and the committed E18 hostile-network drill -- green with the guards
 on, red under the dedup/checksum sabotage fixtures.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import FaultSchedule, run_schedule
-from repro.chaos.monitors import EffectLedger
+from repro.chaos.monitors import EvidenceLedger
 from repro.core.params import Params
 from repro.core.rebind import RebindingProxy
 from repro.idl import register_interface
@@ -374,13 +374,13 @@ class TestChecksumGuard:
 
 
 # ---------------------------------------------------------------------------
-# The effect ledger and the at_most_once monitor's evidence
+# The evidence ledger and the at_most_once monitor's evidence
 # ---------------------------------------------------------------------------
 
 
 class TestEffectLedger:
     def test_same_actor_double_is_flagged(self):
-        ledger = EffectLedger(None)
+        ledger = EvidenceLedger(None)
         ledger.record(("c", 1), actor="a1", method="Shopping.order", at=1.0)
         ledger.record(("c", 1), actor="a1", method="Shopping.order", at=2.0)
         ledger.record(("c", 2), actor="a1", method="Shopping.order", at=3.0)
@@ -396,7 +396,7 @@ class TestEffectLedger:
         # Failover: the first server died with the reply; the rebound
         # attempt executing on a different incarnation is the known
         # at-most-once-per-incarnation cost, not a violation.
-        ledger = EffectLedger(None)
+        ledger = EvidenceLedger(None)
         ledger.record(("c", 1), actor="a1", method="VOD.play", at=1.0)
         ledger.record(("c", 1), actor="a2", method="VOD.play", at=2.0)
         assert ledger.double_executions() == []
@@ -404,7 +404,7 @@ class TestEffectLedger:
 
     def test_runtime_stamps_executions_into_kernel_ledger(self):
         kernel, net, server, servant, ref, client = tally_world()
-        kernel.effect_ledger = EffectLedger(None)
+        kernel.ledger = EvidenceLedger(None)
         rid = client.next_request_id()
 
         async def main():
@@ -412,7 +412,7 @@ class TestEffectLedger:
             await client.invoke(ref, "peek", ())   # idempotent: no stamp
 
         kernel.run_until_complete(main())
-        ledger = kernel.effect_ledger
+        ledger = kernel.ledger
         assert ledger.total == 1
         assert list(ledger.executions) == [rid]
         assert ledger.executions[rid][0]["method"] == "TallyCounter.bump"

@@ -409,7 +409,7 @@ def surge_run():
 
     stats = viewer_evening(cluster, kernels, 150.0, seed=7)
     injector.heal_all()
-    overload = collect_overload(cluster, kernels)
+    overload = collect_overload(cluster)
     return params, stats, overload
 
 
