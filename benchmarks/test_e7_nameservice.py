@@ -47,7 +47,7 @@ def run_update_serialization(seed=7001):
     cluster.run_for(30.0)
     replicas = [replica_of(cluster, h) for h in cluster.servers]
     masters = [r for r in replicas if r.role == "master"]
-    rows = [(r.ip, r.role, r.store.applied_seq, r.updates_forwarded)
+    rows = [(r.ip, r.role, r.changelog.seq, r.updates_forwarded)
             for r in replicas]
     return rows, masters, per_client * len(clients)
 
@@ -85,10 +85,10 @@ def run_steady_state(seed=7003, window=120.0):
     assert cluster.boot_settops([stk])
     cluster.run_for(30.0)  # shake out start-up binds
     replicas = [replica_of(cluster, h) for h in cluster.servers]
-    seq_before = max(r.store.applied_seq for r in replicas)
+    seq_before = max(r.changelog.seq for r in replicas)
     reads_before = sum(r.resolves_served for r in replicas)
     cluster.run_for(window)
-    seq_after = max(r.store.applied_seq for r in replicas)
+    seq_after = max(r.changelog.seq for r in replicas)
     reads_after = sum(r.resolves_served for r in replicas)
     return {"updates": seq_after - seq_before,
             "reads": reads_after - reads_before, "window": window}

@@ -28,7 +28,6 @@ from repro.analysis.hb import (
     HbWrite,
     analyze_events,
     analyze_trace,
-    conformance_diff,
     hb_events_from_trace,
     write_order_digests,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "analyze_events",
     "analyze_trace",
     "collect_files",
-    "conformance_diff",
     "default_model",
     "default_rules",
     "double_run_diff",

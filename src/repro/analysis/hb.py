@@ -17,19 +17,16 @@ the trace under category ``hb``:
 This module replays those events in trace order and maintains one
 vector clock per actor (a ``(host, pid)`` pair rendered ``ip/pid``):
 program order advances an actor's own component, a ``recv`` joins the
-clock snapshot captured at the matching ``send``, and ``timer`` edges
-(``timer_set``/``timer_fire`` with a shared ``tid``) are supported for
-traces from backends whose timers cross actors.  Two writes to the same
+clock snapshot captured at the matching ``send``.  Two writes to the same
 variable *race* when they come from different actors, carry different
 versions, and neither happens-before the other -- the unordered
 dual-write that split-brain masters and stale primaries produce, and
 that replicated fan-out of one update (same version everywhere) does
 not.
 
-The per-variable write chains double as the cross-backend conformance
-oracle ROADMAP item 5 needs: two runs of different transports conform
-when :func:`write_order_digests` agree, i.e. every piece of shared
-state saw the same updates in the same order.
+The per-variable write chains double as a conformance oracle: two runs
+conform when :func:`write_order_digests` agree, i.e. every piece of
+shared state saw the same updates in the same order.
 """
 
 from __future__ import annotations
@@ -113,24 +110,6 @@ class HbReport:
         lines.append(f"{len(self.races)} race(s)")
         return lines
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "events": self.events,
-            "actors": self.actors,
-            "messages": self.messages,
-            "writes": self.write_count(),
-            "variables": len(self.writes),
-            "races": [{"var": r.var,
-                       "first": {"actor": r.first.actor,
-                                 "time": round(r.first.time, 6),
-                                 "ver": r.first.ver},
-                       "second": {"actor": r.second.actor,
-                                  "time": round(r.second.time, 6),
-                                  "ver": r.second.ver}}
-                      for r in self.races],
-        }
-
 
 class HbAnalyzer:
     """Replays hb events in order, building clocks and catching races."""
@@ -139,7 +118,6 @@ class HbAnalyzer:
         self._clocks: Dict[str, VectorClock] = {}
         self._ep_actor: Dict[str, str] = {}
         self._sends: Dict[Any, Tuple[Tuple[str, int], ...]] = {}
-        self._timers: Dict[Any, Tuple[Tuple[str, int], ...]] = {}
         self.report = HbReport()
 
     # -- clock plumbing -------------------------------------------------
@@ -186,15 +164,6 @@ class HbAnalyzer:
             actor = self._actor_for(event["dst"])
             clock = self._tick(actor)
             snapshot = self._sends.get(event["msg"])
-            if snapshot is not None:
-                self._join(clock, snapshot)
-        elif kind == "timer_set":
-            actor = event["actor"]
-            self._timers[event["tid"]] = self._freeze(self._tick(actor))
-        elif kind == "timer_fire":
-            actor = event["actor"]
-            clock = self._tick(actor)
-            snapshot = self._timers.pop(event["tid"], None)
             if snapshot is not None:
                 self._join(clock, snapshot)
         elif kind == "write":
@@ -270,7 +239,7 @@ def analyze_trace(trace_events: Iterable[Any]) -> HbReport:
 
 
 # ----------------------------------------------------------------------
-# the cross-backend conformance oracle (ROADMAP item 5)
+# the write-order conformance oracle
 # ----------------------------------------------------------------------
 
 def write_order_digests(report: HbReport) -> Dict[str, str]:
@@ -292,21 +261,6 @@ def write_order_digests(report: HbReport) -> Dict[str, str]:
                 chain.append(ver)
         digest = hashlib.sha256("\n".join(chain).encode()).hexdigest()
         out[var] = digest
-    return out
-
-
-def conformance_diff(a: HbReport, b: HbReport) -> List[str]:
-    """Human-readable differences between two runs' write orders."""
-    da, db = write_order_digests(a), write_order_digests(b)
-    out = []
-    for var in sorted(set(da) | set(db)):
-        if var not in da:
-            out.append(f"{var}: only written in run B")
-        elif var not in db:
-            out.append(f"{var}: only written in run A")
-        elif da[var] != db[var]:
-            out.append(f"{var}: write order diverges "
-                       f"({da[var][:12]} != {db[var][:12]})")
     return out
 
 

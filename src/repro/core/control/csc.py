@@ -53,7 +53,6 @@ class ClusterServiceController(Service):
         self._placement: Dict[str, List[str]] = {}
         self._server_up: Dict[str, bool] = {}
         self._down_since: Dict[str, float] = {}
-        self._is_primary = False
         # The paper's stated future work (sections 6.3, 8.1): "Ultimately
         # we expect the CSC to be able to automatically restart services
         # on other servers after a machine failure, but this is not yet
@@ -65,42 +64,33 @@ class ClusterServiceController(Service):
 
     async def start(self) -> None:
         self.ref = self.runtime.export(self, "ClusterController")
+        self.binder = PrimaryBackupBinder(self, "svc/csc", self.ref,
+                                          on_promote=self._on_promote)
         await self.register_objects([self.ref])
         self._db = RebindingProxy(self.runtime, self.names, "svc/db",
                                   self.params)
-        self.binder = PrimaryBackupBinder(self, "svc/csc", self.ref,
-                                          on_promote=self._on_promote,
-                                          on_demote=self._on_demote)
         self.spawn_task(self.binder.run(), name="csc-binder").detach()
 
     @property
     def is_primary(self) -> bool:
-        """Monitor probe: is this replica currently acting as primary?
-
-        The chaos invariant "at most one CSC primary" reads this rather
-        than poking ``_is_primary`` on internals.
-        """
-        return self._is_primary
+        """Monitor probe: the chaos invariant "at most one CSC primary"."""
+        return self.binder.is_primary
 
     # -- primary duties ----------------------------------------------------
 
     def _on_promote(self):
-        self._is_primary = True
         self.spawn_task(self._primary_loop(), name="csc-primary").detach()
-
-    def _on_demote(self):
-        self._is_primary = False
 
     async def _primary_loop(self) -> None:
         """Step 4 of section 6.3 + the periodic SSC ping."""
         await self._load_placement()
         await self._discover_cluster_state()
-        while self._is_primary:
+        while self.binder.is_primary:
             await self._reconcile()
             await self.kernel.sleep(CSC_PING_INTERVAL)
 
     async def _load_placement(self) -> None:
-        while self._is_primary:
+        while self.binder.is_primary:
             try:
                 config = await self._db.call("get", "config", "placement")
                 self._placement = {svc: list(ips)
@@ -182,7 +172,7 @@ class ClusterServiceController(Service):
     # -- directed operations ------------------------------------------------
 
     def _require_primary(self) -> None:
-        if not self._is_primary:
+        if not self.binder.is_primary:
             raise NotPrimary("this CSC replica is a backup")
 
     async def start_service_on(self, service: str, server_ip: str) -> None:

@@ -82,7 +82,7 @@ class NameReplicaProcess:
         self.trace = trace
         self.store = NameStore()
         self.repl = ReplicatedStore(self, runtime, params, "ns", LOG_KEY,
-                                    checkpoint=self.store.snapshot)
+                                    checkpoint=True)
         self.changelog = self.repl.log
         self.selector_state = SelectorState(rng=self.rng.stream("selectors"))
         self._cpu = Semaphore(self.kernel, 1)
@@ -153,7 +153,7 @@ class NameReplicaProcess:
                          incarnation=ANY_INCARNATION, type_id="NameReplica",
                          object_id=REPLICA_OID)
 
-    def _emit(self, event: str, **fields: Any) -> None:
+    def emit(self, event: str, **fields: Any) -> None:
         if self.trace is not None:
             self.trace.emit("ns", event, replica=self.ip, **fields)
 
@@ -173,49 +173,26 @@ class NameReplicaProcess:
             await self.kernel.sleep(RESOLVE_CPU_SECONDS)
         finally:
             self._cpu.release()
-        components = split_name(path)
-        node = self.store.root
-        prefix: List[str] = []
-        i = 0
-        while True:
-            if node.kind == "leaf":
-                ref = node.ref
-                if i >= len(components):
-                    return ref
-                # A context implemented by another name service (section
-                # 4.3, third class): hand the rest of the lookup off.
-                if lookup_interface(ref.type_id).is_a("NamingContext"):
-                    rest = join_name(components[i:])
-                    return await self.runtime.invoke(
-                        ref, "resolveFor", (rest, caller_ip),
-                        timeout=self.params.call_timeout)
-                raise NotAContext(join_name(prefix))
-            if i >= len(components):
-                if node.kind == "replicated":
-                    # Resolving the replicated context itself: the
-                    # selector chooses which member to return (Figure 6).
-                    chosen = await self._select(node, prefix, caller_ip)
-                    node = node.bindings[chosen]
-                    prefix.append(chosen)
-                    continue
-                return self.context_ref(join_name(prefix), node.kind)
-            comp = components[i]
-            if node.kind == "replicated" and comp not in node.bindings:
-                if comp == SELECTOR_NAME:
-                    raise NameNotFound(f"{join_name(prefix)}/selector")
-                # Figure 7: the selector picks the member context in which
-                # to complete the lookup; the component is not consumed.
-                chosen = await self._select(node, prefix, caller_ip)
-                node = node.bindings[chosen]
-                prefix.append(chosen)
-                continue
-            node = self.store.child(node, comp)
-            prefix.append(comp)
-            i += 1
+        walked = await self._walk(path, caller_ip)
+        if walked[0] == "remote":
+            _tag, ref, rest = walked
+            return await self.runtime.invoke(ref, "resolveFor",
+                                             (rest, caller_ip),
+                                             timeout=self.params.call_timeout)
+        _tag, node, prefix = walked
+        while node.kind == "replicated":
+            # Resolving the replicated context itself: the selector
+            # chooses which member to return (Figure 6).
+            chosen = await self._select(node, prefix, caller_ip)
+            node = node.bindings[chosen]
+            prefix.append(chosen)
+        if node.kind == "leaf":
+            return node.ref
+        return self.context_ref(join_name(prefix), node.kind)
 
     async def op_list(self, path: str, caller_ip: str):
         """List bindings; a replicated context lists its *selected* member."""
-        walked = await self._walk_for_list(path, caller_ip)
+        walked = await self._walk(path, caller_ip)
         if walked[0] == "remote":
             _tag, ref, rest = walked
             return await self.runtime.invoke(ref, "list", (rest,),
@@ -236,7 +213,7 @@ class NameReplicaProcess:
 
     async def op_list_repl(self, path: str, caller_ip: str):
         """``listRepl``: binding information about *all* members."""
-        walked = await self._walk_for_list(path, caller_ip)
+        walked = await self._walk(path, caller_ip)
         if walked[0] == "remote":
             _tag, ref, rest = walked
             return await self.runtime.invoke(ref, "listRepl", (rest,),
@@ -246,10 +223,12 @@ class NameReplicaProcess:
             raise NotAContext(f"{path!r} is not a replicated context")
         return [(name, child.kind, child.ref) for name, child in node.members()]
 
-    async def _walk_for_list(self, path: str, caller_ip: str):
-        """Walk to the listed node, or hand off at a remote context.
+    async def _walk(self, path: str, caller_ip: str):
+        """Walk to the named node, or hand off at a remote context.
 
-        Returns ``("local", node, prefix)`` or ``("remote", ref, rest)``.
+        Returns ``("local", node, prefix)`` or ``("remote", ref, rest)``:
+        a leaf naming a context implemented by another name service
+        (section 4.3, third class) takes the rest of the lookup.
         """
         components = split_name(path)
         node = self.store.root
@@ -262,6 +241,10 @@ class NameReplicaProcess:
                     return ("remote", node.ref, join_name(components[i:]))
                 raise NotAContext(join_name(prefix))
             if node.kind == "replicated" and comp not in node.bindings:
+                if comp == SELECTOR_NAME:
+                    raise NameNotFound(f"{join_name(prefix)}/selector")
+                # Figure 7: the selector picks the member context in which
+                # to complete the lookup; the component is not consumed.
                 chosen = await self._select(node, prefix, caller_ip)
                 node = node.bindings[chosen]
                 prefix.append(chosen)
@@ -361,14 +344,12 @@ class NameReplicaProcess:
 
     def _master_apply(self, op: tuple) -> int:
         self.store.check(op)
-        seq = self.store.applied_seq + 1
-        self.store.apply_numbered(seq, op)
-        log_seq = self.changelog.append(op, self.epoch)
-        assert log_seq == seq, f"store/log desync: {seq} vs {log_seq}"
+        self.store.apply(op)
+        seq = self.changelog.append(op, self.epoch)
         self.repl.sync_before_ack()
         self.updates_applied += 1
         self._sync_context_exports()
-        self._emit("update", seq=seq, op=op[0], path=op[1])
+        self.emit("update", seq=seq, op=op[0], path=op[1])
         # The master is the decision point for this name-space mutation;
         # replica ingests are fan-out copies of the same decision and do
         # not emit.  Two masters deciding *conflicting* updates without a
@@ -422,17 +403,22 @@ class NameReplicaProcess:
         silent divergence.
         """
         log = self.changelog
+        covered = 0
         if log.checkpoint_state is not None:
             self.store.load_snapshot(log.checkpoint_state)
+            covered = log.checkpoint_state["seq"]
+        # Retained entries at or below the checkpoint's cursor are already
+        # in its tree, and replaying them is not harmless: a covered bind
+        # under a context that a later covered entry removed has no parent.
         for seq, _epoch, op in log.entries:
-            self.store.apply_numbered(seq, op)
+            if seq > covered:
+                self.store.apply(op)
         if log.recovered_corrupt or log.recovered_truncated:
-            self._emit("restore_corrupt", snapshot=log.recovered_corrupt,
-                       log_truncated=log.recovered_truncated,
-                       seq=self.store.applied_seq)
+            self.emit("restore_corrupt", snapshot=log.recovered_corrupt,
+                      log_truncated=log.recovered_truncated, seq=log.seq)
             self.repl.schedule_catch_up()
-        if self.store.applied_seq:
-            self._emit("restored", seq=self.store.applied_seq)
+        if log.seq:
+            self.emit("restored", seq=log.seq)
 
     def knows_primary(self) -> bool:
         return self.master_ip not in (None, self.ip)
@@ -441,27 +427,23 @@ class NameReplicaProcess:
         return self.peer_replica_ref(self.master_ip)
 
     def apply_op(self, seq: int, op: tuple) -> None:
-        self.store.apply_numbered(seq, op)
+        self.store.apply(op)
         self.updates_applied += 1
         self._sync_context_exports()
 
     def caught_up(self, from_seq: int, applied: int) -> bool:
         # Zero-op pulls are reported too: a new reign's fork check that
         # found shared history is worth seeing in the trace.
-        self._emit("catch_up", from_seq=from_seq,
-                   to_seq=self.store.applied_seq, ops=applied)
+        self.emit("catch_up", from_seq=from_seq,
+                  to_seq=self.changelog.seq, ops=applied)
         return True
 
-    def snapshot_payload(self) -> tuple:
-        return (self.store.snapshot(),
-                self.changelog.epoch_at(self.changelog.seq),
-                self.changelog.digest)
+    def snapshot_state(self) -> dict:
+        return self.store.snapshot()
 
-    def load_snapshot(self, snap: dict, epoch, digest: str) -> None:
-        self.store.load_snapshot(snap)
-        self.changelog.reset(snap["seq"], epoch, digest)
+    def install_snapshot(self, body: dict) -> None:
+        self.store.load_snapshot(body)
         self._sync_context_exports()
-        self._emit("state_fetched", seq=snap["seq"])
 
     # ------------------------------------------------------------------
     # election (Echo-style majority voting)
@@ -490,8 +472,8 @@ class NameReplicaProcess:
         self.epoch += 1
         epoch = self.epoch
         self.voted_for = self.ip
-        self._emit("election_started", epoch=epoch)
-        my_seq = self.store.applied_seq
+        self.emit("election_started", epoch=epoch)
+        my_seq = self.changelog.seq
         peers = [p for p in self.replica_ips if p != self.ip]
         calls = [self.runtime.invoke(self.peer_replica_ref(p), "requestVote",
                                      (epoch, self.ip, my_seq), timeout=2.0)
@@ -523,7 +505,7 @@ class NameReplicaProcess:
                 return
             self.role = "master"
             self.master_ip = self.ip
-            self._emit("master_elected", epoch=epoch, votes=votes)
+            self.emit("master_elected", epoch=epoch, votes=votes)
             self.process.create_task(self._master_heartbeats(epoch),
                                      name="ns-heartbeats").detach()
             self.process.create_task(self._audit_loop(epoch), name="ns-audit").detach()
@@ -545,7 +527,7 @@ class NameReplicaProcess:
         while self.role == "master" and self.epoch == epoch:
             peers = [p for p in self.replica_ips if p != self.ip]
             probes = [self.runtime.invoke(self.peer_replica_ref(p), "heartbeat",
-                                          (epoch, self.ip, self.store.applied_seq),
+                                          (epoch, self.ip, self.changelog.seq),
                                           timeout=NS_HEARTBEAT)
                       for p in peers]
             reachable = 1  # self
@@ -560,7 +542,7 @@ class NameReplicaProcess:
             else:
                 missed_rounds += 1
                 if missed_rounds >= 3:
-                    self._emit("lost_quorum", epoch=epoch, reachable=reachable)
+                    self.emit("lost_quorum", epoch=epoch, reachable=reachable)
                     self.role = "slave"
                     self.master_ip = None
                     self.last_heartbeat = self.kernel.now
@@ -583,7 +565,7 @@ class NameReplicaProcess:
         if granted:
             self.voted_for = candidate_ip
             self.last_heartbeat = self.kernel.now  # don't start a rival bid
-        return granted, self.store.applied_seq
+        return granted, self.changelog.seq
 
     def heartbeat(self, ctx: CallContext, epoch: int, master_ip: str,
                   seq: int) -> None:
@@ -597,7 +579,7 @@ class NameReplicaProcess:
             self.master_ip = master_ip
             if master_ip != self.ip:
                 self.role = "slave"
-            self._emit("adopted_master", epoch=epoch, master=master_ip)
+            self.emit("adopted_master", epoch=epoch, master=master_ip)
             # A new reign: our history may have forked from the new
             # master's (minority-side updates during a partition).  The
             # catch-up request carries our cursor *epoch*, so the master
@@ -608,7 +590,7 @@ class NameReplicaProcess:
                 self.repl.schedule_catch_up()
         self.last_heartbeat = self.kernel.now
         self.repl.primary_seq = seq
-        if seq > self.store.applied_seq:
+        if seq > self.changelog.seq:
             self.repl.schedule_catch_up()
 
     def _step_down(self, candidate_ip: Optional[str]) -> None:
@@ -616,7 +598,7 @@ class NameReplicaProcess:
         self.master_ip = candidate_ip
         self.last_heartbeat = self.kernel.now
         self._election_timeout = self._new_timeout()
-        self._emit("stepped_down", epoch=self.epoch)
+        self.emit("stepped_down", epoch=self.epoch)
 
     def forwardUpdate(self, ctx: CallContext,
                       op: tuple) -> Tuple[int, Any, tuple]:
@@ -634,7 +616,7 @@ class NameReplicaProcess:
 
     def status(self, ctx: CallContext) -> dict:
         return {"ip": self.ip, "role": self.role, "epoch": self.epoch,
-                "master": self.master_ip, "seq": self.store.applied_seq,
+                "master": self.master_ip, "seq": self.changelog.seq,
                 "log_base": self.changelog.base_seq,
                 "catch_ups": self.repl.catch_ups,
                 "snapshot_fetches": self.repl.snapshot_fetches}
@@ -671,7 +653,7 @@ class NameReplicaProcess:
                 try:
                     self._master_apply(("unbind", path))
                     self.audit_removals += 1
-                    self._emit("audit_removed", path=path)
+                    self.emit("audit_removed", path=path)
                 except (NamingError, DiskWedged):
                     # DiskWedged: the audit loop must survive a wedged
                     # local log; the removal retries next cycle.

@@ -75,11 +75,11 @@ class Node:
 
 
 class NameStore:
-    """One replica's copy of the name space plus the update log cursor."""
+    """One replica's copy of the name space (its cursor is the change
+    log's: :mod:`repro.core.naming.replica`)."""
 
     def __init__(self) -> None:
         self.root = Node(kind="context")
-        self.applied_seq = 0
 
     # -- lookup ----------------------------------------------------------
 
@@ -197,24 +197,6 @@ class NameStore:
         else:  # pragma: no cover - check() rejects these first
             raise InvalidName(f"unknown update op {kind!r}")
 
-    def apply_numbered(self, seq: int, op: tuple) -> bool:
-        """Apply update ``seq`` if it is the next expected one.
-
-        Returns True when applied; False when already applied (duplicate
-        delivery).  A gap (seq too far ahead) raises ``ValueError`` so the
-        replica knows to catch up from the master's change log (PR 7) --
-        it streams the missing ``(from_seq, current]`` tail in O(gap)
-        ops, taking a full snapshot only if the log was truncated past
-        our cursor or the histories forked.
-        """
-        if seq <= self.applied_seq:
-            return False
-        if seq != self.applied_seq + 1:
-            raise ValueError(f"update gap: have {self.applied_seq}, got {seq}")
-        self.apply(op)
-        self.applied_seq = seq
-        return True
-
     def _parent_of(self, path: str) -> Tuple[Node, str]:
         components = split_name(path)
         parent = self.get_node(join_name(components[:-1]))
@@ -233,7 +215,7 @@ class NameStore:
                 out["bindings"] = {n: encode(c) for n, c in node.bindings.items()}
             return out
 
-        return {"seq": self.applied_seq, "root": encode(self.root)}
+        return {"root": encode(self.root)}
 
     def load_snapshot(self, snap: dict) -> None:
         def decode(data: dict) -> Node:
@@ -247,7 +229,6 @@ class NameStore:
             return node
 
         self.root = decode(snap["root"])
-        self.applied_seq = snap["seq"]
 
     def context_paths(self) -> List[str]:
         """All context/replicated paths (for exporting context objects)."""

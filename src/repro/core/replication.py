@@ -145,7 +145,7 @@ class ChangeLog:
     base_epoch, base_digest, base_sum, compactions, seq, epoch, digest,
     checkpoint, sum}``: the compaction watermark, the head cursor at the
     time of writing, the owner state *at that cursor* (whatever
-    ``checkpoint()`` returned: the NS passes its tree, the db nothing --
+    ``checkpoint()`` returned: the NS's snapshot body, the db nothing --
     its rows are already the materialised state) and a checksum over
     all of it.  It is (re)written only when the watermark moves
     (compaction, snapshot adoption), through :func:`atomic_disk_write`,
@@ -267,7 +267,7 @@ class ChangeLog:
             # owner has not loaded it yet, so ``checkpoint()`` would
             # write an empty state over it.
             self._anchor(header["seq"], header["epoch"], header["digest"],
-                         self.checkpoint_state)
+                         lambda: self.checkpoint_state)
         else:
             self._sweep()
 
@@ -346,10 +346,13 @@ class ChangeLog:
     def reset(self, seq: int, epoch, digest: str) -> None:
         """Adopt a snapshot: the log restarts empty at the sender's seq
         (the owner has already laid the snapshot's state down)."""
-        self._anchor(seq, epoch, digest, self.checkpoint())
+        self._anchor(seq, epoch, digest, self.checkpoint)
 
-    def _anchor(self, seq: int, epoch, digest: str, state) -> None:
-        """Restart the log empty at a cursor whose owner state is ``state``."""
+    def _anchor(self, seq: int, epoch, digest: str,
+                state: Callable[[], Any]) -> None:
+        """Restart the log empty at a cursor whose owner state ``state()``
+        returns -- called once the cursor has moved, since a checkpoint
+        may record the cursor it was taken at."""
         self.entries = []
         self._sums = []
         self.seq = self.base_seq = seq
@@ -359,7 +362,7 @@ class ChangeLog:
         # Same ordering discipline as _compact: the new cursor becomes
         # durable before the old history's keys go away -- by prefix,
         # since a lossy reopen may have forgotten where they were.
-        self._persist_header(state)
+        self._persist_header(state())
         self._sweep()
 
     def _persist_header(self, state) -> None:
@@ -426,30 +429,37 @@ class ReplicatedStore:
     the db both do over it: ingest a pushed ``(from_seq, entries)``
     batch, tell a duplicate from a gap from a forked reign, pull the
     tail or a snapshot from the primary under a reentrancy guard, answer
-    a peer's pull, report lag.  ``owner`` supplies only what differs:
+    a peer's pull, report lag.  It also builds the one snapshot record,
+    ``{"seq": log.seq, **owner.snapshot_state()}``, which a pull answers
+    as ``("snapshot", body, epoch, digest)``.  ``owner`` supplies only
+    what differs:
 
     - ``apply_op(seq, op)``: apply one op to the materialised state;
-    - ``snapshot_payload()``: the reply fields after ``"snapshot"``;
-    - ``load_snapshot(*payload)``: lay that state down, adopt its cursor
-      with ``log.reset`` and emit ``state_fetched``;
+    - ``snapshot_state()``: the state fields of the snapshot body;
+    - ``install_snapshot(body)``: lay that state down (the store then
+      adopts the body's cursor and emits ``state_fetched``);
+    - ``emit(event, **fields)``: trace under the owner's category;
     - ``is_primary``: a push that reaches a primary is stale;
     - ``knows_primary()``: is there anyone to pull from right now;
     - ``primary_ref()`` (async): whom -- ``None`` when it is this replica;
     - ``caught_up(from_seq, applied)``: emit ``catch_up``, or return
       False for a pull not worth reporting.
 
-    ``checkpoint`` goes to the log: the owner state its header carries.
+    ``checkpoint``: the log header carries the snapshot body -- for an
+    owner whose state lives only in memory (the NS tree; the db's rows
+    are already on disk).
     """
 
     def __init__(self, owner, runtime, params, name: str, disk_key: str,
-                 checkpoint: Optional[Callable[[], Any]] = None):
+                 checkpoint: bool = False):
         self.owner = owner
         self.runtime = runtime
         self.params = params
         self.name = name
         self.log = ChangeLog(runtime.process.host.disk, disk_key,
                              retain=params.changelog_retain,
-                             checkpoint=checkpoint)
+                             checkpoint=self.snapshot_body if checkpoint
+                             else None)
         #: the primary's cursor as the owner last heard it (lag gauge)
         self.primary_seq = 0
         self.catch_ups = 0
@@ -553,17 +563,33 @@ class ReplicatedStore:
             if self.owner.caught_up(from_seq, applied):
                 self.catch_ups += 1
         else:
-            self.owner.load_snapshot(*reply[1:])
+            self.adopt_snapshot(*reply[1:])
             self.snapshot_fetches += 1
             self._force_snapshot = False
         self.primary_seq = max(self.primary_seq, self.log.seq)
+
+    def snapshot_body(self) -> dict:
+        """The one snapshot record: the cursor and the owner state there."""
+        return {"seq": self.log.seq, **self.owner.snapshot_state()}
+
+    def adopt_snapshot(self, body: dict, epoch, digest: str) -> None:
+        """Lay a peer's snapshot down, then restart the log at its cursor.
+
+        Adopting the snapshot adopts the sender's digest at that seq, so
+        the conformance oracle (equal digests <=> identical update
+        histories) survives the fallback.
+        """
+        self.owner.install_snapshot(body)
+        self.log.reset(body["seq"], _wire_epoch(epoch), digest)
+        self.owner.emit("state_fetched", seq=body["seq"])
 
     def serve_updates(self, from_seq: int, from_epoch) -> tuple:
         """Answer a peer's pull: the tail after its cursor, else a snapshot."""
         entries = self.log.entries_from(from_seq, _wire_epoch(from_epoch))
         if entries is not None:
             return ("ops", entries)
-        return ("snapshot",) + self.owner.snapshot_payload()
+        return ("snapshot", self.snapshot_body(),
+                self.log.epoch_at(self.log.seq), self.log.digest)
 
     def replication_gauges(self) -> dict:
         """Lag gauges scraped into the SSC load-report batch (PR 7)."""
@@ -585,12 +611,13 @@ from repro.core.naming.errors import AlreadyBound, NamingError  # noqa: E402
 class PrimaryBackupBinder:
     """Runs the bind-retry race for one service replica.
 
-    Create it in a service's ``start``, then ``service.spawn_task(
-    binder.run())``.  ``on_promote`` fires when this replica wins the
-    binding (it should recover state -- from the database or from peers --
-    before serving, section 9.4); ``on_demote`` fires if the replica later
-    discovers its binding gone while still alive (operator moved the
-    service, or a spurious audit removal).
+    Create it in a service's ``start`` before the first ``await``, then
+    ``service.spawn_task(binder.run())``.  ``is_primary`` is the
+    service's one primary flag.  ``on_promote`` fires when this replica
+    wins the binding (it should recover state -- from the database or
+    from peers -- before serving, section 9.4); ``on_demote`` fires if
+    the replica later discovers its binding gone while still alive
+    (operator moved the service, or a spurious audit removal).
     """
 
     def __init__(self, service, name: str, ref: ObjectRef,
@@ -602,6 +629,10 @@ class PrimaryBackupBinder:
         self.on_promote = on_promote
         self.on_demote = on_demote
         self.role = "backup"
+
+    @property
+    def is_primary(self) -> bool:
+        return self.role == "primary"
 
     async def run(self) -> None:
         params = self.service.params

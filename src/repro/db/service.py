@@ -136,7 +136,7 @@ class DatabaseService(Service):
 
     @property
     def is_primary(self) -> bool:
-        return self.binder.role == "primary"
+        return self.binder.is_primary
 
     @property
     def epoch(self) -> tuple:
@@ -325,21 +325,18 @@ class DatabaseService(Service):
         return sorted({k[len(_DISK_PREFIX):].partition("/")[0]
                        for k in self.host.disk.keys(_DISK_PREFIX)})
 
-    def snapshot_payload(self) -> tuple:
-        return ({"seq": self.log.seq,
-                 "epoch": self.log.epoch_at(self.log.seq),
-                 "digest": self.log.digest,
-                 "tables": {t: self._rows(t) for t in self._tables()}},)
+    def snapshot_state(self) -> dict:
+        return {"tables": {t: self._rows(t) for t in self._tables()}}
 
-    def load_snapshot(self, snap: dict) -> None:
+    def install_snapshot(self, body: dict) -> None:
         # Write-new-then-prune: lay the snapshot rows down first, drop
-        # stale rows second, adopt the cursor last (reset persists via
-        # the atomic swap, whose syncs also flush the rows).  A crash at
-        # any point leaves either the old consistent state (buffered
-        # writes lost) or a replayable superset -- never an empty prefix
-        # with an advanced cursor.
+        # stale rows second; the store adopts the cursor last (reset
+        # persists via the atomic swap, whose syncs also flush the rows).
+        # A crash at any point leaves either the old consistent state
+        # (buffered writes lost) or a replayable superset -- never an
+        # empty prefix with an advanced cursor.
         keep = set()
-        for table, rows in sorted(snap["tables"].items()):
+        for table, rows in sorted(body["tables"].items()):
             for key, value in rows.items():
                 disk_key = _disk_key(table, key)
                 keep.add(disk_key)
@@ -347,11 +344,6 @@ class DatabaseService(Service):
         for disk_key in self.host.disk.keys(_DISK_PREFIX):
             if disk_key not in keep:
                 self.host.disk.delete(disk_key)
-        # Adopting the snapshot adopts the sender's digest at that seq,
-        # so the conformance oracle (equal digests <=> identical update
-        # histories) survives the fallback.
-        self.log.reset(snap["seq"], snap["epoch"], snap["digest"])
-        self.emit("state_fetched", seq=snap["seq"])
 
     async def _replication_poll(self) -> None:
         """Anti-entropy: poll the primary's log on a fixed cadence.

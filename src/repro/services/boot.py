@@ -96,29 +96,20 @@ class BootBroadcastService(Service):
 class KernelBroadcastService(Service):
     service_name = "kbs"
 
-    def __init__(self, env, process):
-        super().__init__(env, process)
-        self._is_primary = False
-
     async def start(self) -> None:
         self.ref = self.runtime.export(self, "KernelBroadcast")
-        await self.register_objects([self.ref])
         self.binder = PrimaryBackupBinder(self, "svc/kbs", self.ref,
-                                          on_promote=self._on_promote,
-                                          on_demote=self._on_demote)
+                                          on_promote=self._on_promote)
+        await self.register_objects([self.ref])
         self.spawn_task(self.binder.run(), name="kbs-binder").detach()
 
     def _on_promote(self):
-        self._is_primary = True
         self.spawn_task(self._broadcast_loop(), name="kbs-broadcast").detach()
-
-    def _on_demote(self):
-        self._is_primary = False
 
     async def _broadcast_loop(self) -> None:
         image = Blob(name="kernel", size=KERNEL_SIZE, version=KERNEL_VERSION,
                      kind="kernel")
-        while self._is_primary:
+        while self.binder.is_primary:
             settops = self.env.cluster.get("settops_by_neighborhood", {})
             all_ips = [ip for ips in settops.values() for ip in ips]
             if all_ips:

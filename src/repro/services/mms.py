@@ -65,7 +65,6 @@ class MediaManagementService(Service):
         # movie ref -> session record
         self._sessions: Dict[ObjectRef, dict] = {}
         self._dead_mds: Dict[str, float] = {}   # member name -> declared dead at
-        self._is_primary = False
         self.recoveries = 0
         # Movie-location and load caches: "the MMS chooses an appropriate
         # MDS replica ... based on where the movie is available and the
@@ -84,24 +83,19 @@ class MediaManagementService(Service):
 
     async def start(self) -> None:
         self.ref = self.runtime.export(self, "MMS")
+        self.binder = PrimaryBackupBinder(self, "svc/mms", self.ref,
+                                          on_promote=self._on_promote)
         await self.register_objects([self.ref])
         self.audit = AuditClient(self.runtime, self.names)
         self.audit.start(self.process)
-        self.binder = PrimaryBackupBinder(self, "svc/mms", self.ref,
-                                          on_promote=self._on_promote,
-                                          on_demote=self._on_demote)
         self.spawn_task(self.binder.run(), name="mms-binder").detach()
         self.spawn_task(self._mds_retry_loop(), name="mms-mds-retry").detach()
 
     # -- primary/backup ---------------------------------------------------
 
     def _on_promote(self):
-        self._is_primary = True
         self.spawn_task(self._circuit_audit_loop(), name="mms-circuit-audit").detach()
         return self._recover_state()
-
-    def _on_demote(self):
-        self._is_primary = False
 
     async def _recover_state(self) -> None:
         """Rebuild the open-movie table by querying every MDS replica."""
@@ -366,9 +360,9 @@ class MediaManagementService(Service):
         a double failure -- is an orphan, and the MMS collects it after a
         grace period.
         """
-        while self._is_primary:
+        while self.binder.is_primary:
             await self.kernel.sleep(self.CIRCUIT_AUDIT_INTERVAL)
-            if not self._is_primary:
+            if not self.binder.is_primary:
                 return
             await self._audit_circuits_once()
 
@@ -418,7 +412,7 @@ class MediaManagementService(Service):
         return len(self._sessions)
 
     def status(self, ctx: CallContext) -> dict:
-        return {"primary": self._is_primary,
+        return {"primary": self.binder.is_primary,
                 "sessions": len(self._sessions),
                 "dead_mds": sorted(self._dead_mds),
                 "host": self.host.name}

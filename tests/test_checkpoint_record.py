@@ -100,6 +100,38 @@ class TestNsRestartsFromItsCheckpoint:
         assert len(_events(world, "restore_corrupt", slave)) == 1
         assert again.store.snapshot() == master.store.snapshot()
 
+    def test_restart_replays_only_the_tail_past_the_checkpoint(self):
+        """The retained tail overlaps the checkpoint: binds under ``a``
+        and then ``unbind a`` sit at or below its cursor, and the re-made
+        ``mkcontext a`` with binds under it sit past it.  Replaying the
+        covered entries would bind under an ``a`` the checkpoint's tree
+        no longer has."""
+        world = NsWorld(n_servers=3, params=Params(changelog_retain=4))
+        master = world.settle()
+        _, _, client = world.client(master.process.host)
+        ref = make_ref(master.ip)
+        world.run_async(client.bind_new_context("a"))          # seq 1
+        for i in range(12):                                     # 2..13
+            world.run_async(client.bind(f"a/s{i}", ref))
+        world.run_async(client.unbind("a"))                     # 14
+        world.run_async(client.bind_new_context("a"))          # 15
+        for i in range(2):                                      # 16, 17
+            world.run_async(client.bind(f"a/t{i}", ref))
+        world.kernel.run(until=world.kernel.now + 3.0)
+        slave = next(r for r in world.replicas.values() if r is not master)
+        log = slave.changelog
+        # Compactions at seq 9 and 14: checkpoint at 14, tail 11..17.
+        assert (log.seq, log.base_seq) == (17, 10)
+        assert [e[2][0] for e in log.entries] == (
+            ["bind"] * 3 + ["unbind", "mkcontext", "bind", "bind"])
+        tree = slave.store.snapshot()
+        revived = _restart(world, slave)
+        assert revived.changelog.checkpoint_state["seq"] == 14
+        assert revived.changelog.seq == 17
+        assert revived.store.snapshot() == tree
+        assert set(revived.store.get_node("a").bindings) == {"t0", "t1"}
+        assert revived.repl.snapshot_fetches == 0
+
     def test_lone_survivor_keeps_the_checkpoint_when_the_tail_rots(self):
         world, master, client = _compacted_world(1)
         disk = master.process.host.disk
@@ -108,17 +140,17 @@ class TestNsRestartsFromItsCheckpoint:
         revived = _restart(world, master)
         assert len(_events(world, "restore_corrupt", master)) == 1
         # The tree is the checkpoint's (seq 19): s0..s17, not s18/s19.
-        assert revived.store.applied_seq == revived.changelog.seq == 19
+        assert revived.changelog.seq == 19
         names = set(revived.store.get_node("ck").bindings)
         assert names == {f"s{i}" for i in range(18)}
         assert revived.role == "master"
         world.run_async(client.bind("ck/after", make_ref(master.ip)))
-        assert revived.store.applied_seq == revived.changelog.seq == 20
+        assert revived.changelog.seq == 20
         # ... and the re-anchored record still holds that tree: a second
         # restart loses neither it nor the bind made on top of it.
         again = _restart(world, revived)
         assert again.changelog.recovered_truncated == 0
-        assert again.store.applied_seq == again.changelog.seq == 20
+        assert again.changelog.seq == 20
         assert set(again.store.get_node("ck").bindings) == names | {"after"}
 
 

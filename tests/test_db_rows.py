@@ -191,12 +191,20 @@ class TestSnapshotPerRow:
         backup.apply_write("a", "stale", "left over", False)
         return primary, backup
 
+    @staticmethod
+    def _snapshot_reply(primary):
+        """The primary's answer to a cursor no history matches."""
+        reply = primary.repl.serve_updates(1, "no-such-reign")
+        assert reply[0] == "snapshot"
+        return reply[1:]
+
     def test_round_trip_prunes_rows_absent_from_snapshot(self):
         primary, backup = self._diverged(135)
-        snap = primary.snapshot_payload()[0]
-        assert snap["tables"]["a"] == {"1": "x", "p/q": [1, 2]}
-        backup.load_snapshot(snap)
-        assert backup.snapshot_payload()[0] == snap
+        body, epoch, digest = self._snapshot_reply(primary)
+        assert list(body) == ["seq", "tables"]
+        assert body["tables"]["a"] == {"1": "x", "p/q": [1, 2]}
+        backup.repl.adopt_snapshot(body, epoch, digest)
+        assert backup.repl.snapshot_body() == body
         assert "stale" not in backup._tables()
         assert read_row(backup.host.disk, "a", "stale", None) is None
 
@@ -204,9 +212,10 @@ class TestSnapshotPerRow:
             self, monkeypatch):
         primary, backup = self._diverged(136)
         cluster_seq = backup.log.seq
-        cluster_rows = primary.snapshot_payload()[0]["tables"]
+        body, epoch, digest = self._snapshot_reply(primary)
+        cluster_rows = body["tables"]
         backup.apply_write("a", "1", "behind", False)
-        snap = dict(primary.snapshot_payload()[0], seq=cluster_seq + 7)
+        body = dict(body, seq=cluster_seq + 7)
 
         def power_cut(prefix=""):
             raise RuntimeError("power cut before the prune")
@@ -215,15 +224,15 @@ class TestSnapshotPerRow:
         with monkeypatch.context() as patch:
             patch.setattr(disk, "keys", power_cut)
             with pytest.raises(RuntimeError):
-                backup.load_snapshot(snap)
+                backup.repl.adopt_snapshot(body, epoch, digest)
         # Every snapshot row landed, the stale rows are still there, and
         # the cursor did not move -- so the next catch-up replays.
         for table, rows in cluster_rows.items():
             assert rows.items() <= table_rows(disk, table).items()
         assert read_row(disk, "stale", "row") == "left over"
         assert backup.log.seq == cluster_seq
-        backup.load_snapshot(snap)
-        assert backup.snapshot_payload()[0]["tables"] == cluster_rows
+        backup.repl.adopt_snapshot(body, epoch, digest)
+        assert backup.repl.snapshot_body()["tables"] == cluster_rows
         assert backup.log.seq == cluster_seq + 7
 
 

@@ -16,7 +16,6 @@ from repro.analysis.hb import (
     HbAnalyzer,
     analyze_events,
     analyze_trace,
-    conformance_diff,
     dump_jsonl,
     load_jsonl,
     write_order_digests,
@@ -74,15 +73,6 @@ class TestVectorClocks:
         ]
         assert analyze_events(events).races == []
 
-    def test_timer_edge_carries_order(self):
-        events = [
-            w("a/1", "x", "v1"),
-            {"event": "timer_set", "tid": 9, "actor": "a/1"},
-            {"event": "timer_fire", "tid": 9, "actor": "b/2"},
-            w("b/2", "x", "v2"),
-        ]
-        assert analyze_events(events).races == []
-
     def test_dropped_message_adds_no_edge(self):
         events = [
             {"event": "bind", "ep": "1:1", "actor": "a/1"},
@@ -110,13 +100,11 @@ class TestOracle:
         b = analyze_events([w("z/9", "x", "v1", t=50.0),
                             w("z/9", "x", "v2", t=60.0)])
         assert write_order_digests(a) == write_order_digests(b)
-        assert conformance_diff(a, b) == []
 
     def test_digests_catch_reordering(self):
         a = analyze_events([w("a/1", "x", "v1"), w("a/1", "x", "v2")])
         b = analyze_events([w("a/1", "x", "v2"), w("a/1", "x", "v1")])
-        diff = conformance_diff(a, b)
-        assert diff and "x" in diff[0]
+        assert write_order_digests(a)["x"] != write_order_digests(b)["x"]
 
     def test_consecutive_duplicates_collapse(self):
         a = analyze_events([w("a/1", "x", "v1"), w("b/2", "x", "v1"),

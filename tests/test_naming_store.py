@@ -123,36 +123,21 @@ class TestUpdates:
             store.check(("frobnicate", "x"))
 
 
-class TestSequencing:
-    def test_apply_numbered_in_order(self, store):
-        assert store.apply_numbered(1, ("mkcontext", "a"))
-        assert store.apply_numbered(2, ("mkcontext", "a/b"))
-        assert store.applied_seq == 2
-
-    def test_duplicate_seq_is_noop(self, store):
-        store.apply_numbered(1, ("mkcontext", "a"))
-        assert not store.apply_numbered(1, ("mkcontext", "a"))
-
-    def test_gap_raises(self, store):
-        store.apply_numbered(1, ("mkcontext", "a"))
-        with pytest.raises(ValueError):
-            store.apply_numbered(3, ("mkcontext", "b"))
-
-
 class TestSnapshot:
     def test_round_trip(self, store):
         ref = make_ref()
-        for seq, op in enumerate([
+        for op in [
             ("mkcontext", "svc"),
             ("mkrepl", "svc/rds", ("builtin", "neighborhood")),
             ("bind", "svc/rds/1", ref),
             ("bind", "svc/mms", make_ref(port=9)),
-        ], start=1):
-            store.apply_numbered(seq, op)
+        ]:
+            store.apply(op)
         snap = store.snapshot()
+        assert list(snap) == ["root"]       # the tree only: no cursor
         other = NameStore()
         other.load_snapshot(snap)
-        assert other.applied_seq == 4
+        assert other.snapshot() == snap
         assert other.get_node("svc/rds").selector == ("builtin", "neighborhood")
         assert other.get_node("svc/rds/1").ref == ref
         assert other.context_paths() == store.context_paths()
@@ -160,20 +145,20 @@ class TestSnapshot:
     def test_iter_leaf_bindings(self, store):
         r1, r2 = make_ref(port=1), make_ref(port=2)
         sel = make_ref(type_id="Selector", port=3)
-        for seq, op in enumerate([
+        for op in [
             ("mkcontext", "svc"),
             ("bind", "svc/mms", r1),
             ("mkrepl", "svc/rds", ("builtin", "first")),
             ("bind", "svc/rds/1", r2),
             ("bind", "svc/rds/selector", sel),
-        ], start=1):
-            store.apply_numbered(seq, op)
+        ]:
+            store.apply(op)
         bindings = dict(store.iter_leaf_bindings())
         assert bindings["svc/mms"] == r1
         assert bindings["svc/rds/1"] == r2
         assert bindings["svc/rds/selector"] == sel
 
     def test_context_paths(self, store):
-        store.apply_numbered(1, ("mkcontext", "svc"))
-        store.apply_numbered(2, ("mkrepl", "svc/rds", ("builtin", "first")))
+        store.apply(("mkcontext", "svc"))
+        store.apply(("mkrepl", "svc/rds", ("builtin", "first")))
         assert store.context_paths() == ["", "svc", "svc/rds"]

@@ -95,7 +95,7 @@ class TestQuorum:
                    if r.role == "master" and r.process.alive]
         assert len(masters) == 1
         # Everyone converged to the same state, including the ex-minority.
-        seqs = {r.store.applied_seq for r in world.replicas.values()
+        seqs = {r.changelog.seq for r in world.replicas.values()
                 if r.process.alive}
         assert len(seqs) == 1
         for r in world.replicas.values():

@@ -73,17 +73,14 @@ class TestNameStoreProperties:
     @settings(max_examples=40, deadline=None)
     def test_snapshot_round_trip_is_identity(self, ops):
         store = NameStore()
-        seq = 0
         for op in ops:
             try:
                 store.check(op)
             except NamingError:
                 continue
-            seq += 1
-            store.apply_numbered(seq, op)
+            store.apply(op)
         clone = NameStore()
         clone.load_snapshot(store.snapshot())
-        assert clone.applied_seq == store.applied_seq
         assert clone.context_paths() == store.context_paths()
         assert (sorted(clone.iter_leaf_bindings())
                 == sorted(store.iter_leaf_bindings()))
@@ -93,15 +90,13 @@ class TestNameStoreProperties:
     def test_replicas_applying_same_ops_converge(self, ops):
         """Determinism: the replication safety property."""
         a, b = NameStore(), NameStore()
-        seq = 0
         for op in ops:
             try:
                 a.check(op)
             except NamingError:
                 continue
-            seq += 1
-            a.apply_numbered(seq, op)
-            b.apply_numbered(seq, op)
+            a.apply(op)
+            b.apply(op)
         assert a.snapshot() == b.snapshot()
 
     @given(path_strategy)

@@ -49,6 +49,7 @@ class FakeReplica:
         self.reign = reign          # set: this replica is the primary
         self.primary = None         # whom a follower pulls from
         self.reports = []           # caught_up(from_seq, applied) calls
+        self.events = []            # emit(event, **fields) calls
         self.process = self.host = self    # .process.host.disk, .attachments
         self.disk = Disk()
         self.attachments = {}
@@ -57,18 +58,19 @@ class FakeReplica:
         self.restart()
 
     def restart(self):
-        """(Re)open on the same Disk: the log's checkpoint, then its
-        retained tail -- ``set`` ops, so replaying the part of the tail
-        the checkpoint already covers is harmless."""
+        """(Re)open on the same Disk: the log's checkpoint (the snapshot
+        body), then the retained entries past its cursor, as the NS does."""
         for _name, coro in self.tasks:
             coro.close()
         self.tasks = []
         self.repl = ReplicatedStore(
             self, self, Params(changelog_retain=self.retain), "fake",
-            "fake/log", checkpoint=lambda: dict(self.state))
-        self.state = dict(self.repl.log.checkpoint_state or {})
+            "fake/log", checkpoint=True)
+        body = self.repl.log.checkpoint_state or {"seq": 0, "state": {}}
+        self.state = dict(body["state"])
         for seq, _epoch, op in self.repl.log.entries:
-            self.apply_op(seq, op)
+            if seq > body["seq"]:
+                self.apply_op(seq, op)
 
     # -- runtime / process ----------------------------------------------
 
@@ -105,17 +107,14 @@ class FakeReplica:
         self.reports.append((from_seq, applied))
         return True
 
-    def snapshot_payload(self):
-        log = self.repl.log
-        return ({"seq": log.seq, "epoch": log.epoch_at(log.seq),
-                 "digest": log.digest, "state": dict(self.state)},)
+    def snapshot_state(self):
+        return {"state": dict(self.state)}
 
-    def load_snapshot(self, snap):
-        self.state = dict(snap["state"])
-        epoch = snap["epoch"]
-        self.repl.log.reset(snap["seq"],
-                            tuple(epoch) if isinstance(epoch, list) else epoch,
-                            snap["digest"])
+    def install_snapshot(self, body):
+        self.state = dict(body["state"])
+
+    def emit(self, event, **fields):
+        self.events.append((event, fields))
 
     # -- primary side ---------------------------------------------------
 
@@ -211,6 +210,28 @@ class TestServeAndPull:
         assert follower.state == primary.state
         assert follower.repl.log.digest == primary.repl.log.digest
 
+    def test_snapshot_reply_is_one_record_and_survives_the_wire(self):
+        """``("snapshot", body, epoch, digest)`` with ``body = {seq,
+        **snapshot_state()}``; the follower adopts it with the epoch
+        normalised back to a tuple and keeps the body as its checkpoint."""
+        primary, follower = _pair(retain=2)
+        for i in range(8):
+            primary.write(f"k{i}", i)
+        reply = _wire(primary.repl.serve_updates(0, None))
+        assert reply == ["snapshot", {"seq": 8, "state": primary.state},
+                         ["a", 1], primary.repl.log.digest]
+        follower.repl.schedule_catch_up()
+        follower.run_tasks()
+        log = follower.repl.log
+        assert follower.events == [("state_fetched", {"seq": 8})]
+        assert (log.seq, log.base_seq, log.entries) == (8, 8, [])
+        assert log.epoch_at(8) == ("a", 1)       # a tuple again
+        assert log.digest == primary.repl.log.digest
+        assert follower.state == primary.state
+        follower.restart()
+        assert follower.repl.log.checkpoint_state == {"seq": 8,
+                                                      "state": primary.state}
+
     def test_resync_from_snapshot_overrides_a_matching_cursor(self):
         primary, follower = _pair()
         follower.repl.on_apply_updates(*primary.write("k", 1))
@@ -239,7 +260,8 @@ class TestServeAndPull:
         log = follower.repl.log
         assert log.compactions == 2 and [e[0] for e in log.entries] == [7, 8, 9]
         follower.restart()
-        assert follower.repl.log.checkpoint_state == {"k0": 6, "k1": 7, "k2": 5}
+        assert follower.repl.log.checkpoint_state == {
+            "seq": 8, "state": {"k0": 6, "k1": 7, "k2": 5}}
         assert follower.state == primary.state
         assert follower.repl.log.digest == primary.repl.log.digest
         primary.write("k9", 9)

@@ -145,7 +145,7 @@ class TestNsIncrementalCatchUp:
         world.run_async(client.bind_new_context("gapctx"))
         world.kernel.run(until=world.kernel.now + 3.0)
         # Streaming path healthy: the slave holds the pre-partition state.
-        assert slave.store.applied_seq == master.store.applied_seq > 0
+        assert slave.changelog.seq == master.changelog.seq > 0
         pre = sum(ev.fields["ops"] for ev in world.trace.select(
             "ns", "catch_up", replica=slave.ip))
         # Partition the slave away, grow the namespace by a known gap.
@@ -153,11 +153,11 @@ class TestNsIncrementalCatchUp:
                                          if ip != slave.ip})
         for i in range(8):
             world.run_async(client.bind(f"gapctx/svc{i}", make_ref(master.ip)))
-        gap = master.store.applied_seq - slave.store.applied_seq
+        gap = master.changelog.seq - slave.changelog.seq
         assert gap == 8
         world.net.heal_partitions()
         world.kernel.run(until=world.kernel.now + 15.0)
-        assert slave.store.applied_seq == master.store.applied_seq
+        assert slave.changelog.seq == master.changelog.seq
         # Catch-up cost == the gap, zero full-snapshot transfers.
         pulled = sum(ev.fields["ops"] for ev in world.trace.select(
             "ns", "catch_up", replica=slave.ip))

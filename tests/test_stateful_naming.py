@@ -35,18 +35,16 @@ class NameStoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.store = NameStore()
-        self.twin = NameStore()      # receives the identical numbered ops
+        self.twin = NameStore()      # receives the identical ops
         self.model = {}              # path -> ("context"|"replicated"|tag)
-        self.seq = 0
 
     def _apply(self, op) -> bool:
         try:
             self.store.check(op)
         except NamingError:
             return False
-        self.seq += 1
-        self.store.apply_numbered(self.seq, op)
-        self.twin.apply_numbered(self.seq, op)
+        self.store.apply(op)
+        self.twin.apply(op)
         return True
 
     @rule(target=paths, parent=st.sampled_from(["", "svc", "apps"]),
@@ -91,7 +89,6 @@ class NameStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def replicas_converged(self):
-        assert self.twin.applied_seq == self.store.applied_seq
         assert self.twin.snapshot() == self.store.snapshot()
 
     @invariant()
