@@ -24,6 +24,23 @@ _CONTAINER_OVERHEAD = 4
 
 def estimated_size(value: Any) -> int:
     """Bytes this value would occupy on the wire, CDR-style."""
+    # Exact built-in types first: no isinstance walk, and a container is
+    # summed in C.  bool, subclasses (IntEnum, namedtuples), sets,
+    # bytearray and wire_size hints take the general chain below.
+    kind = type(value)
+    if kind is str:
+        if value.isascii():
+            return _STRING_OVERHEAD + len(value)
+        return _STRING_OVERHEAD + len(value.encode("utf-8"))
+    if kind is int or kind is float:
+        return _SCALAR_SIZE
+    if kind is tuple or kind is list:
+        return _CONTAINER_OVERHEAD + sum(map(estimated_size, value))
+    if kind is dict:
+        return (_CONTAINER_OVERHEAD + sum(map(estimated_size, value))
+                + sum(map(estimated_size, value.values())))
+    if kind is bytes:
+        return _CONTAINER_OVERHEAD + len(value)
     if value is None:
         return 1
     if isinstance(value, bool):

@@ -1,6 +1,6 @@
 """Virtual-time event loop with ``async``/``await`` support.
 
-The kernel is a classic discrete-event scheduler: a timer backend of
+The kernel is a classic discrete-event scheduler: a timer heap of
 ``(time, sequence, callback)`` entries plus a FIFO fast lane for
 callbacks scheduled *at the current timestamp* (``call_soon`` and past
 ``call_at`` targets).  Time only advances when a timer fires, so a
@@ -9,14 +9,12 @@ themselves.  Everything above this file -- the network, OCS, the name
 service, the ITV services -- is written as ordinary ``async`` code
 awaiting :class:`Future` objects created here.
 
-Future timers live in a pluggable backend (``repro.sim.wheel``): a
-hierarchical timer wheel by default (O(1) arm/cancel, comparisons only
-within one time slot), or the original binary heap
-(``Kernel(timer_backend="heap")``), kept as the reference oracle for the
-differential suite in ``tests/test_timer_wheel.py``.  Both yield the
-same ``(when, seq)`` pop order, so traces are byte-identical across
-backends.  The kernel keeps no timer count of its own: the run loop asks
-the backend's ``peek()``, which skips and reaps cancelled shells.
+Future timers live in one :class:`~repro.sim.wheel.TimerHeap` of
+``(when, seq, handle)`` tuples; there is no other backend.  ``run``
+drains its list in place -- it reads the top, drops cancelled shells and
+pops with ``heapq`` -- so an event costs no method call on the store.
+``tests/test_timer_wheel.py`` checks the kernel's firing order against
+a one-list reference scheduler kept in that file.
 
 The fast lane is purely an optimisation: every handle still carries a
 global sequence number and the run loop always executes the lowest
@@ -35,6 +33,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
+from heapq import heappop
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.sim.errors import (
@@ -43,7 +42,7 @@ from repro.sim.errors import (
     KernelStopped,
     SimTimeoutError,
 )
-from repro.sim.wheel import TimerHeap, TimerWheel
+from repro.sim.wheel import TimerHeap
 
 _PENDING = "PENDING"
 _DONE = "DONE"
@@ -100,7 +99,8 @@ class Future:
             raise InvalidStateError("future already completed")
         self._state = _DONE
         self._result = value
-        self._schedule_callbacks()
+        if self._callbacks:
+            self._schedule_callbacks()
 
     def set_exception(self, exc: BaseException) -> None:
         if self._state != _PENDING:
@@ -109,13 +109,15 @@ class Future:
             exc = exc()
         self._state = _DONE
         self._exception = exc
-        self._schedule_callbacks()
+        if self._callbacks:
+            self._schedule_callbacks()
 
     def cancel(self) -> bool:
         if self._state != _PENDING:
             return False
         self._state = _CANCELLED
-        self._schedule_callbacks()
+        if self._callbacks:
+            self._schedule_callbacks()
         return True
 
     def detach(self) -> "Future":
@@ -136,10 +138,10 @@ class Future:
         return self._detached
 
     def add_done_callback(self, fn: Callable[["Future"], None]) -> None:
-        if self.done():
-            self._kernel.call_soon(fn, self)
-        else:
+        if self._state == _PENDING:
             self._callbacks.append(fn)
+        else:
+            self._kernel.call_soon(fn, self)
 
     def _schedule_callbacks(self) -> None:
         callbacks, self._callbacks = self._callbacks, []
@@ -147,8 +149,10 @@ class Future:
             self._kernel.call_soon(cb, self)
 
     def __await__(self):
-        if not self.done():
+        if self._state == _PENDING:
             yield self
+        if self._state == _DONE and self._exception is None:
+            return self._result
         return self.result()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -201,7 +205,7 @@ class Task(Future):
         return True
 
     def _step(self, send_value: Any = None, exc: Optional[BaseException] = None) -> None:
-        if self.done():
+        if self._state != _PENDING:
             return
         if self._must_cancel:
             exc = CancelledError(f"task {self.name!r} cancelled")
@@ -232,19 +236,21 @@ class Task(Future):
             )
             return
         self._waiting_on = yielded
-        yielded.add_done_callback(self._wakeup)
+        if yielded._state == _PENDING:
+            yielded._callbacks.append(self._wakeup)
+        else:
+            self._kernel.call_soon(self._wakeup, yielded)
 
     def _wakeup(self, fut: Future) -> None:
-        if self.done():
+        # Only a completed future schedules its callbacks, so fut is done.
+        if self._state != _PENDING:
             return
-        if fut.cancelled():
+        if fut._state == _CANCELLED:
             self._step(exc=CancelledError(f"task {self.name!r} cancelled"))
-            return
-        err = fut.exception()
-        if err is not None:
-            self._step(exc=err)
+        elif fut._exception is not None:
+            self._step(exc=fut._exception)
         else:
-            self._step(send_value=fut.result())
+            self._step(send_value=fut._result)
 
     def _finish(self, result: Any = None, exception: Optional[BaseException] = None,
                 cancelled: bool = False) -> None:
@@ -275,14 +281,9 @@ class Kernel:
     / :meth:`wait_for` inside coroutines.
     """
 
-    def __init__(self, timer_backend: str = "wheel") -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        if timer_backend == "wheel":
-            self._timers: Any = TimerWheel()
-        elif timer_backend == "heap":
-            self._timers = TimerHeap()
-        else:
-            raise ValueError(f"unknown timer backend: {timer_backend!r}")
+        self._timers = TimerHeap()
         self._ready: "deque[TimerHandle]" = deque()
         self._seq = 0
         self._stopped = False
@@ -313,11 +314,10 @@ class Kernel:
         if when <= self._now:
             # Fast lane: already due.  The deque is FIFO and every handle
             # in it shares when == now, so seq order is preserved.
-            handle = TimerHandle(self._now, self._seq, fn, args, self)
+            handle = TimerHandle(self._now, self._seq, fn, args)
             self._ready.append(handle)
         else:
-            handle = TimerHandle(when, self._seq, fn, args, self)
-            handle._in_timers = True
+            handle = TimerHandle(when, self._seq, fn, args)
             self._timers.push(handle)
         return handle
 
@@ -330,11 +330,10 @@ class Kernel:
             raise KernelStopped("kernel has been stopped")
         when = self._now if delay <= 0.0 else self._now + delay
         self._seq += 1
-        handle = TimerHandle(when, self._seq, fn, args, self)
+        handle = TimerHandle(when, self._seq, fn, args)
         if when <= self._now:
             self._ready.append(handle)
         else:
-            handle._in_timers = True
             self._timers.push(handle)
         return handle
 
@@ -342,12 +341,12 @@ class Kernel:
         """Schedule ``fn`` at the current timestamp (FIFO fast lane).
 
         This is the hottest scheduling path -- every future completion
-        callback lands here -- so it skips the timer backend entirely.
+        callback lands here -- so it skips the timer heap entirely.
         """
         if self._stopped:
             raise KernelStopped("kernel has been stopped")
         self._seq += 1
-        handle = TimerHandle(self._now, self._seq, fn, args, self)
+        handle = TimerHandle(self._now, self._seq, fn, args)
         self._ready.append(handle)
         return handle
 
@@ -429,37 +428,39 @@ class Kernel:
         observe a monotone clock).
         """
         timers = self._timers
+        entries = timers.entries    # compaction rebuilds it in place
         ready = self._ready
-        peek = timers.peek
         while not self._stopped:
             # The next event is the lowest (when, seq) across the ready
-            # deque and the timer backend.  Ready handles all sit at
-            # when == now, which is <= every queued timer, so the only
-            # real contest is a timer at the same timestamp with an
-            # earlier seq.  peek() skips cancelled timers, so only the
-            # ready lane can surface a cancelled head here.
-            if ready:
+            # deque and the heap.  Ready handles all sit at when == now,
+            # which is <= every queued timer, so the only real contest is
+            # a timer at the same timestamp with an earlier seq.  A heap
+            # entry compares as (when, seq): seq is unique, so the
+            # handle in its third field is never compared.
+            if entries:
+                top = entries[0]
+                head = top[2]
+                if head.cancelled:
+                    heappop(entries)
+                    if timers.shells:
+                        timers.shells -= 1
+                    continue
+                from_heap = not ready or top < (ready[0].when, ready[0].seq)
+                if not from_heap:
+                    head = ready[0]
+            elif ready:
                 head = ready[0]
-                from_timers = False
-                timer_head = peek()
-                if timer_head is not None and (
-                        (timer_head.when, timer_head.seq)
-                        < (head.when, head.seq)):
-                    head = timer_head
-                    from_timers = True
+                from_heap = False
             else:
-                head = peek()
-                if head is None:
-                    break
-                from_timers = True
-            if head.cancelled:
+                break
+            if head.cancelled:      # only a ready head can be
                 ready.popleft()
                 continue
             if until is not None and head.when > until:
                 break
-            if from_timers:
-                timers.pop()
-                head._in_timers = False
+            if from_heap:
+                heappop(entries)
+                head._store = None
             else:
                 ready.popleft()
             self._now = head.when
@@ -491,7 +492,6 @@ class Kernel:
                 handle = ready.popleft()
             elif handle is not None:
                 timers.pop()
-                handle._in_timers = False
             else:
                 return
             if handle.cancelled:
@@ -504,43 +504,41 @@ class Kernel:
         self._stopped = True
 
     def pending_events(self) -> int:
-        return (sum(1 for h in self._timers if not h.cancelled)
+        return (sum(1 for _w, _s, h in self._timers.entries if not h.cancelled)
                 + sum(1 for h in self._ready if not h.cancelled))
 
 
 class TimerHandle:
-    """A cancellable scheduled callback, orderable for the timer backends."""
+    """A cancellable scheduled callback.
 
-    __slots__ = ("when", "seq", "fn", "args", "cancelled", "_kernel",
-                 "_in_timers")
+    ``_store`` is the :class:`TimerHeap` holding the handle, or None once
+    it has left the heap (and always for the ready lane).
+    """
 
-    def __init__(self, when: float, seq: int, fn: Callable, args: tuple,
-                 kernel: Optional["Kernel"] = None):
+    __slots__ = ("when", "seq", "fn", "args", "cancelled", "_store")
+
+    def __init__(self, when: float, seq: int, fn: Callable, args: tuple):
         self.when = when
         self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._kernel = kernel
-        self._in_timers = False
+        self._store: Optional[TimerHeap] = None
 
     def cancel(self) -> None:
         if self.cancelled:
             return
         self.cancelled = True
         # Release the callback and its closed-over state immediately; the
-        # shell of the handle stays queued until the backend skips it.
+        # shell of the handle stays queued until the run loop skips it.
         self.fn = None
         self.args = ()
-        if self._in_timers and self._kernel is not None:
-            self._kernel._timers.note_cancelled()
-
-    def __lt__(self, other: "TimerHandle") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
+        if self._store is not None:
+            self._store.note_cancelled()
 
 
 def _set_result_if_pending(fut: Future, value: Any) -> None:
-    if not fut.done():
+    if fut._state == _PENDING:
         fut.set_result(value)
 
 

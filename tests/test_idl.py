@@ -1,6 +1,11 @@
 """Unit tests for the IDL layer: declarations, subtyping, marshal sizes."""
 
+from collections import namedtuple
+from enum import IntEnum
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.idl import (
     MethodDef,
@@ -119,3 +124,90 @@ class TestEstimatedSize:
                                     incarnation=(0.0, 1),
                                     type_id="IdlBase")] * 3}
         assert estimated_size(value) > 3 * 64
+
+
+# ---------------------------------------------------------------------
+# estimated_size against the plain isinstance chain
+# ---------------------------------------------------------------------
+
+def _chain_size(value):
+    """The cost model as one isinstance chain: the oracle the exact-type
+    fast path in ``estimated_size`` must agree with."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return 4 + len(value.encode("utf-8"))
+    if isinstance(value, (bytes, bytearray)):
+        return 4 + len(value)
+    if isinstance(value, (list, tuple, set)):
+        return 4 + sum(_chain_size(v) for v in value)
+    if isinstance(value, dict):
+        return 4 + sum(
+            _chain_size(k) + _chain_size(v) for k, v in value.items())
+    hint = getattr(value, "wire_size", None)
+    if hint is not None:
+        return int(hint)
+    return 64
+
+
+class _Colour(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+_Pair = namedtuple("_Pair", "left right")
+
+
+class _Label(str):
+    pass
+
+
+class _Hinted:
+    wire_size = 123
+
+
+class _Unhinted:
+    pass
+
+
+_hashable_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from(list(_Colour)),
+    st.text(), st.text().map(_Label), st.binary(),
+    st.builds(ObjectRef, ip=st.just("1.2.3.4"), port=st.integers(0, 9),
+              incarnation=st.just((0.0, 1)), type_id=st.just("IdlBase")),
+    st.builds(_Hinted), st.builds(_Unhinted))
+_hashable = st.recursive(
+    _hashable_leaf,
+    lambda kids: st.one_of(st.tuples(kids, kids), st.builds(_Pair, kids, kids),
+                           st.frozensets(kids, max_size=4)),
+    max_leaves=8)
+_value = st.recursive(
+    st.one_of(_hashable_leaf, st.binary().map(bytearray)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.builds(_Pair, kids, kids),
+        st.dictionaries(_hashable, kids, max_size=4),
+        st.sets(_hashable, max_size=4), st.frozensets(_hashable, max_size=4)),
+    max_leaves=20)
+
+
+class TestEstimatedSizeDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_value)
+    def test_agrees_with_the_isinstance_chain(self, value):
+        assert estimated_size(value) == _chain_size(value)
+
+    @pytest.mark.parametrize("value", [
+        True, False, _Colour.BLUE, _Pair(1, "x"), _Label("lbl"),
+        "naïve ☃", "", bytearray(b"abc"), {1, 2.5}, frozenset({"a"}),
+        ObjectRef(ip="1.2.3.4", port=1, incarnation=(0.0, 1),
+                  type_id="IdlBase"),
+        _Hinted(), _Unhinted(), {"k": [None, (b"v", 3)]},
+    ])
+    def test_each_fall_through_kind(self, value):
+        assert estimated_size(value) == _chain_size(value)

@@ -310,6 +310,81 @@ class TestTask:
         assert results[1] == 1
 
 
+class TestAwaitPath:
+    """What an awaited future hands its task: the exception object, the
+    cancellation, or the value -- and in which event."""
+
+    def test_exception_object_reaches_the_awaiting_task(self, kernel):
+        fut = kernel.create_future()
+        boom = ValueError("boom")
+        caught = []
+
+        async def main():
+            try:
+                await fut
+            except ValueError as err:
+                caught.append(err)
+                raise
+
+        task = kernel.create_task(main(), "main")
+        kernel.call_later(1.0, fut.set_exception, boom)
+        kernel.run()
+        assert caught == [boom]
+        assert task.exception() is boom
+
+    def test_cancelled_inner_future_cancels_the_task(self, kernel):
+        fut = kernel.create_future()
+        caught = []
+
+        async def main():
+            try:
+                await fut
+            except CancelledError as err:
+                caught.append(str(err))
+                raise
+
+        task = kernel.create_task(main(), "main")
+        kernel.call_later(1.0, fut.cancel)
+        kernel.run()
+        assert caught == ["task 'main' cancelled"]
+        assert task.cancelled()
+
+    def test_already_done_future_returns_in_the_same_step(self, kernel):
+        done = kernel.create_future()
+        done.set_result("ready")
+        failed = kernel.create_future()
+        failed.set_exception(KeyError("k"))
+        cancelled = kernel.create_future()
+        cancelled.cancel()
+        seen = []
+
+        async def main():
+            seq = kernel._seq
+            seen.append(await done)
+            for fut in (failed, cancelled):
+                try:
+                    await fut
+                except (KeyError, CancelledError) as err:
+                    seen.append(repr(err))
+            seen.append(kernel._seq - seq)
+
+        kernel.run_until_complete(main())
+        assert seen == ["ready", "KeyError('k')",
+                        "CancelledError('future was cancelled')", 0]
+
+    def test_set_result_without_waiters_schedules_nothing(self, kernel):
+        fut = kernel.create_future()
+        seen = []
+        kernel.call_soon(seen.append, "queued before")
+        seq = kernel._seq
+        fut.set_result(1)
+        assert kernel._seq == seq
+        kernel.call_soon(seen.append, "queued after")
+        fut.add_done_callback(lambda f: seen.append(("callback", f.result())))
+        kernel.run()
+        assert seen == ["queued before", "queued after", ("callback", 1)]
+
+
 class TestStartTask:
     """``Kernel.start_task``: the first step runs in the caller's event,
     and a Task exists only for a coroutine that suspended in it."""

@@ -1,45 +1,90 @@
-"""Differential proof that the timer wheel equals the reference heap.
+"""The kernel's event order against a one-list reference scheduler.
 
-The kernel's timer backend was swapped from a binary heap to a
-hierarchical timer wheel (``repro.sim.wheel``).  The contract is strict:
-*byte-identical* ``(when, seq)`` firing order, because every golden
-trace digest depends on it.  This suite drives both backends through
-identical workloads -- seeded unit scenarios plus hypothesis-generated
-arm/cancel/advance programs -- and asserts the observable event streams
-are equal.
+The contract is strict: events fire in *exact* ``(when, seq)`` order,
+because every golden trace digest depends on it.  The kernel splits its
+events over a ready deque and a ``TimerHeap`` of tuples, drains the heap
+in place and compacts it under mass cancellation; the reference below
+keeps one list and takes ``min`` over it.  Two layers:
 
-Two layers:
+- Heap-level: synthetic ``TimerHandle`` streams pushed straight into a
+  ``TimerHeap``, popped in interleaved batches, with cancellations
+  (including enough to trip the mass-cancellation compaction).  Every
+  pop must be the minimum of what is queued.
 
-- Backend-level: synthetic ``TimerHandle`` streams pushed straight into
-  ``TimerWheel`` / ``TimerHeap``, popped in interleaved batches, with
-  cancellations (including enough to trip the heap's mass-cancellation
-  compaction).  Exercises slot math, cascades, head demotion and the
-  overflow heap without kernel noise.
-
-- Kernel-level: full ``Kernel(timer_backend=...)`` pairs running the
-  same program of ``call_soon`` / ``call_at`` / ``call_later`` /
-  ``cancel`` / ``run(until)`` steps, including callbacks that re-arm
-  timers mid-fire and ``wait_for`` churn.  The recorded ``(now, tag)``
-  stream must match exactly.
+- Kernel-level: ``Kernel`` and ``ReferenceKernel`` run the same program
+  of ``call_soon`` / ``call_at`` / ``call_later`` / ``cancel`` /
+  ``run(until)`` / ``run_one`` steps, including callbacks that re-arm
+  timers mid-fire, compaction from inside a callback, and ``wait_for``
+  churn.  The recorded ``(now, tag)`` streams must be equal.
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.sim import Kernel
+from repro.sim.errors import KernelStopped
 from repro.sim.kernel import TimerHandle
 from repro.sim.rand import SeededRandom
-from repro.sim.wheel import TimerHeap, TimerWheel
+from repro.sim.wheel import TimerHeap
 
-# One tick at the wheel's 256 Hz resolution, and the spans of its four
-# levels, in seconds: the boundaries where cascade bugs would live.
-TICK = 1.0 / 256.0
-LEVEL_SPANS = [256 * TICK, 256 ** 2 * TICK, 256 ** 3 * TICK, 256 ** 4 * TICK]
+
+class ReferenceKernel(Kernel):
+    """The scheduling contract stated with one list: the next event is
+    the live handle with the lowest ``(when, seq)``.  Futures, tasks,
+    ``sleep`` and ``wait_for`` are the kernel's own, so only the order
+    of events is under test."""
+
+    def __init__(self):
+        super().__init__()
+        self._events = []
+
+    def call_at(self, when, fn, *args):
+        if self._stopped:
+            raise KernelStopped("kernel has been stopped")
+        self._seq += 1
+        handle = TimerHandle(max(when, self._now), self._seq, fn, args)
+        self._events.append(handle)
+        return handle
+
+    def call_later(self, delay, fn, *args):
+        return self.call_at(self._now + max(delay, 0.0), fn, *args)
+
+    def call_soon(self, fn, *args):
+        return self.call_at(self._now, fn, *args)
+
+    def _pop_next(self, until=None):
+        self._events = [h for h in self._events if not h.cancelled]
+        if not self._events:
+            return None
+        head = min(self._events, key=lambda h: (h.when, h.seq))
+        if until is not None and head.when > until:
+            return None
+        self._events.remove(head)
+        return head
+
+    def run_one(self):
+        head = self._pop_next()
+        if head is not None:
+            self._now = head.when
+            head.fn(*head.args)
+
+    def run(self, until=None):
+        while not self._stopped:
+            head = self._pop_next(until)
+            if head is None:
+                break
+            self._now = head.when
+            head.fn(*head.args)
+        if until is not None and self._now < until and not self._stopped:
+            self._now = until
+        return self._now
+
+    def pending_events(self):
+        return sum(1 for h in self._events if not h.cancelled)
 
 
 # ---------------------------------------------------------------------
-# backend-level differential harness
+# heap-level harness
 # ---------------------------------------------------------------------
 
 def _handles(whens):
@@ -47,139 +92,86 @@ def _handles(whens):
             for seq, when in enumerate(whens)]
 
 
-def _drain(backend):
-    out = []
-    while True:
-        h = backend.peek()
-        if h is None:
-            return out
-        assert backend.pop() is h
-        out.append((h.when, h.seq))
-
-
-def _differential_pop_order(whens, cancel_idx=(), interleave=None):
-    """Push the same handles into both backends; assert equal pop order.
+def _pop_order(whens, cancel_idx=(), interleave=None):
+    """Push handles into a TimerHeap; every pop must be the minimum.
 
     ``interleave`` is an optional list of pop-counts: after pushing
-    handle i, if interleave says so, pop that many entries before
-    continuing -- this moves the wheel cursor mid-arming, exercising the
-    due-now buffer path and head demotion.
+    handle i, pop that many entries before continuing.  Even indices in
+    ``cancel_idx`` are cancelled before their push (a shell the heap was
+    never told about), odd ones after it (``note_cancelled``).
     """
-    streams = []
-    for backend_cls in (TimerWheel, TimerHeap):
-        backend = backend_cls()
-        handles = _handles(whens)
-        for h in handles:
-            if h.seq in cancel_idx and h.seq % 2 == 0:
-                h.cancel()  # cancel-before-push
-        popped = []
-        floor = 0.0
-        for i, h in enumerate(handles):
-            # Respect the kernel contract: never arm behind an already
-            # popped timer.
-            if h.when <= floor:
-                h.when = floor + TICK / 7
-            backend.push(h)
-            if h._in_timers is False:
-                h._in_timers = True
-            if interleave and i < len(interleave):
-                for _ in range(interleave[i]):
-                    live = backend.peek()
-                    if live is None:
-                        break
-                    assert backend.pop() is live
-                    popped.append((live.when, live.seq))
-                    floor = live.when
-            if h.seq in cancel_idx and h.seq % 2 == 1:
-                if not h.cancelled:
-                    h.cancel()   # cancel-after-push (lazy reap path)
-                    backend.note_cancelled()
-        popped.extend(_drain(backend))
-        streams.append(popped)
-        # Every cancelled-but-unpopped handle must be reaped exactly once.
-        assert len(backend) == 0
-    assert streams[0] == streams[1]
-    return streams[0]
+    heap = TimerHeap()
+    queued, popped = [], []
+    floor = 0.0
+
+    def pop_one():
+        live = [h for h in queued if not h.cancelled]
+        expect = min(live, key=lambda h: (h.when, h.seq)) if live else None
+        assert heap.peek() is expect
+        if expect is None:
+            return False
+        assert heap.pop() is expect and expect._store is None
+        queued.remove(expect)
+        popped.append((expect.when, expect.seq))
+        return True
+
+    for i, h in enumerate(_handles(whens)):
+        if h.seq in cancel_idx and h.seq % 2 == 0:
+            h.cancel()
+        # Respect the kernel contract: never arm behind a popped timer.
+        h.when = max(h.when, floor + 1e-3)
+        heap.push(h)
+        queued.append(h)
+        for _ in range(interleave[i] if interleave and i < len(interleave)
+                       else 0):
+            if not pop_one():
+                break
+            floor = popped[-1][0]
+        if h.seq in cancel_idx and h.seq % 2 == 1:
+            h.cancel()
+    while pop_one():
+        pass
+    assert heap.entries == [] and heap.shells == 0
+    return popped
 
 
 class TestBackendDifferential:
     def test_dense_same_tick(self):
-        # Hundreds of distinct floats quantizing to a handful of ticks:
-        # sub-tick order must come out exact.
-        whens = [1.0 + i * (TICK / 50) for i in range(400)]
-        order = _differential_pop_order(whens)
+        # Hundreds of distinct floats a few milliseconds apart.
+        whens = [1.0 + i * 1e-4 for i in range(400)]
+        order = _pop_order(whens)
         assert order == sorted(order)
         assert len(order) == 400
 
     def test_equal_whens_pop_in_seq_order(self):
-        whens = [5.0] * 100
-        order = _differential_pop_order(whens)
+        order = _pop_order([5.0] * 100)
         assert [seq for _w, seq in order] == list(range(100))
-
-    def test_cascade_boundaries(self):
-        whens = []
-        for span in LEVEL_SPANS:
-            for nudge in (-TICK, -TICK / 3, 0.0, TICK / 3, TICK):
-                whens.append(span + nudge)
-                whens.append(span * 0.5 + nudge)
-        whens += [TICK, TICK * 2, TICK / 2, 3.0]
-        order = _differential_pop_order(whens)
-        assert order == sorted(order)
-
-    def test_overflow_beyond_level_coverage(self):
-        far = LEVEL_SPANS[-1]
-        whens = [far * 3, 1.0, far + 1.0, 2.0, far * 2 + 0.5, far * 3 + TICK]
-        order = _differential_pop_order(whens)
-        assert order == sorted(order)
-        assert len(order) == len(whens)
 
     def test_interleaved_pops_move_cursor(self):
         rng = SeededRandom(11)
         whens = [rng.uniform(0.01, 600.0) for _ in range(300)]
         interleave = [rng.randint(0, 2) for _ in range(300)]
-        _differential_pop_order(whens, interleave=interleave)
+        _pop_order(whens, interleave=interleave)
 
     def test_mass_cancellation_compaction_parity(self):
-        # >64 cancels with cancelled dominating trips the heap's
-        # compaction; the wheel reaps lazily.  Survivor order must match.
+        # >64 cancels with cancelled dominating trips the compaction;
+        # survivors must still pop in sorted order.
         rng = SeededRandom(7)
         whens = [rng.uniform(0.01, 2000.0) for _ in range(400)]
         cancel_idx = set(range(0, 400, 2)) | set(range(1, 150, 3))
-        order = _differential_pop_order(whens, cancel_idx=cancel_idx)
-        assert order == sorted(order)
-
-    def test_head_demotion_on_earlier_push(self):
-        # peek() pops the head out of the wheel; a later push that beats
-        # it must demote it back into the buffer.
-        wheel = TimerWheel()
-        late = TimerHandle(10.0, 1, (lambda: None), ())
-        wheel.push(late)
-        assert wheel.peek() is late
-        early = TimerHandle(10.0 - TICK * 3, 2, (lambda: None), ())
-        # The cursor has advanced to late's slot, so early's tick is
-        # behind it -- the due-now buffer path.
-        wheel.push(early)
-        assert wheel.peek() is early
-        assert wheel.pop() is early
-        assert wheel.peek() is late
-
-    def test_same_tick_seq_beats_head(self):
-        wheel = TimerWheel()
-        a = TimerHandle(4.0, 5, (lambda: None), ())
-        wheel.push(a)
-        assert wheel.peek() is a
-        b = TimerHandle(4.0, 2, (lambda: None), ())
-        wheel.push(b)
-        assert [wheel.peek() and wheel.pop() for _ in range(2)] == [b, a]
+        order = _pop_order(whens, cancel_idx=cancel_idx)
+        survivors = [(when, seq) for seq, when in enumerate(whens)
+                     if seq not in cancel_idx]
+        assert order == sorted(survivors)
 
 
 # ---------------------------------------------------------------------
-# kernel-level differential harness
+# kernel-level harness
 # ---------------------------------------------------------------------
 
-def _run_program(backend, program, tail_run=True):
+def _run_program(kernel_cls, program, tail_run=True):
     """Interpret an op program on a fresh kernel; return the fire stream."""
-    kernel = Kernel(timer_backend=backend)
+    kernel = kernel_cls()
     fired = []
     handles = []
 
@@ -209,12 +201,12 @@ def _run_program(backend, program, tail_run=True):
 
 
 def assert_program_parity(program, tail_run=True):
-    wheel_fired, wheel_k = _run_program("wheel", program, tail_run)
-    heap_fired, heap_k = _run_program("heap", program, tail_run)
-    assert wheel_fired == heap_fired
-    assert wheel_k.now == heap_k.now
-    assert wheel_k.pending_events() == heap_k.pending_events()
-    return wheel_fired
+    fired, kernel = _run_program(Kernel, program, tail_run)
+    ref_fired, reference = _run_program(ReferenceKernel, program, tail_run)
+    assert fired == ref_fired
+    assert kernel.now == reference.now
+    assert kernel.pending_events() == reference.pending_events()
+    return fired
 
 
 class TestKernelDifferential:
@@ -242,9 +234,8 @@ class TestKernelDifferential:
         assert len(fired) == 500
 
     def test_cancel_heavy_wait_for_churn(self):
-        # The archetype workload for heap compaction: thousands of
-        # armed-then-disarmed timeouts.  wait_for cancels its timeout
-        # handle whenever the inner future wins.
+        # Thousands of armed-then-disarmed timeouts: wait_for cancels its
+        # timeout handle whenever the inner future wins.
         def scenario(kernel):
             async def quick(n):
                 await kernel.sleep(0.001 * (n % 5))
@@ -256,18 +247,17 @@ class TestKernelDifferential:
                     total += await kernel.wait_for(quick(n), timeout=60.0)
                 return total
 
-            return kernel.run_until_complete(main())
+            task = kernel.create_task(main())
+            kernel.run()
+            return task.result(), kernel.now
 
-        wheel_k = Kernel(timer_backend="wheel")
-        heap_k = Kernel(timer_backend="heap")
-        assert scenario(wheel_k) == scenario(heap_k)
-        assert wheel_k.now == heap_k.now
+        assert scenario(Kernel()) == scenario(ReferenceKernel())
 
     def test_rearm_from_callback_storm(self):
         # Callbacks that schedule more work mid-fire, including at the
-        # current instant (due-now buffer + head demotion paths).
-        def run(backend):
-            kernel = Kernel(timer_backend=backend)
+        # current instant (the ready lane against same-time timers).
+        def run(kernel_cls):
+            kernel = kernel_cls()
             fired = []
             rng = SeededRandom(19)
 
@@ -283,7 +273,39 @@ class TestKernelDifferential:
             kernel.run()
             return fired, kernel.now
 
-        assert run("wheel") == run("heap")
+        assert run(Kernel) == run(ReferenceKernel)
+
+    def test_compaction_from_inside_a_callback(self):
+        # A callback cancels 100 armed timers -- past 64 and a majority
+        # of the heap -- so the heap compacts while run() drains it, and
+        # then arms more.  A compaction that rebinds the list instead of
+        # rebuilding it in place strands every timer armed after it.
+        def run(kernel_cls):
+            kernel = kernel_cls()
+            fired, heap_sizes = [], []
+            victims = [kernel.call_later(10.0 + i, fired.append, ("v", i))
+                       for i in range(100)]
+            for i in range(20):
+                kernel.call_later(1.0 + 5 * i, fired.append, ("keep", i))
+
+            def massacre():
+                for h in victims:
+                    h.cancel()
+                heap_sizes.append(len(kernel._timers.entries))
+                kernel.call_later(0.5, fired.append, ("after", kernel.now))
+                kernel.call_soon(fired.append, ("soon", kernel.now))
+
+            kernel.call_later(2.0, massacre)
+            kernel.run(until=30.0)
+            mid = (list(fired), kernel.pending_events())
+            kernel.run()
+            return (mid, fired, kernel.now), heap_sizes
+
+        observed, heap_sizes = run(Kernel)
+        assert observed == run(ReferenceKernel)[0]
+        # Compacted at the 65th cancel: 19 live keeps plus the 35
+        # victims cancelled after it, instead of 119 entries.
+        assert heap_sizes == [19 + 35]
 
     def test_run_until_windows(self):
         program = [("later", d) for d in (0.1, 5.0, 5.0, 64.0, 256.5, 300.0)]
@@ -297,7 +319,7 @@ class TestKernelDifferential:
         assert_program_parity(program)
 
     def test_long_horizon_overflow(self):
-        far = LEVEL_SPANS[-1]
+        far = 4.3e9       # ~136 simulated years
         program = [("later", far * 2), ("later", 1.0), ("later", far + 5.0),
                    ("run_for", 2.0), ("later", far * 3), ("cancel", 2)]
         assert_program_parity(program)
@@ -307,14 +329,10 @@ class TestKernelDifferential:
 # hypothesis: arbitrary arm/cancel/advance programs
 # ---------------------------------------------------------------------
 
-# Delays mix boundary-hugging values (slot edges, level spans) with
-# arbitrary floats, including zero (the ready-lane fast path).
-_boundary = st.sampled_from(
-    [0.0, TICK / 3, TICK, TICK * 2]
-    + [span + nudge for span in LEVEL_SPANS[:3]
-       for nudge in (-TICK, 0.0, TICK)])
+# Delays mix exact repeats (same-instant ties) with arbitrary floats,
+# including zero (the ready-lane fast path).
 _delay = st.one_of(
-    _boundary,
+    st.sampled_from([0.0, 1e-9, 0.25, 1.0, 5.0]),
     st.floats(min_value=0.0, max_value=700.0,
               allow_nan=False, allow_infinity=False))
 
@@ -337,7 +355,7 @@ class TestHypothesisPrograms:
     @settings(max_examples=80, deadline=None)
     @given(
         whens=st.lists(
-            st.floats(min_value=1e-4, max_value=LEVEL_SPANS[-1] * 2,
+            st.floats(min_value=1e-4, max_value=1e9,
                       allow_nan=False, allow_infinity=False),
             min_size=1, max_size=80),
         cancels=st.sets(st.integers(min_value=0, max_value=79)),
@@ -345,15 +363,14 @@ class TestHypothesisPrograms:
                             max_size=80),
     )
     def test_backend_pop_order_identical(self, whens, cancels, interleave):
-        order = _differential_pop_order(
-            whens, cancel_idx=cancels, interleave=interleave)
+        order = _pop_order(whens, cancel_idx=cancels, interleave=interleave)
         assert order == sorted(order)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 20))
     def test_seeded_cancel_compaction_storms(self, seed):
         # Heavy cancellation with seeded shape: enough dead shells to
-        # trip the heap compaction threshold (>64, majority dead).
+        # trip the compaction threshold (>64, majority dead).
         rng = SeededRandom(seed)
         program = []
         for _ in range(150):
@@ -366,26 +383,11 @@ class TestHypothesisPrograms:
 
 
 class TestWheelInternals:
-    """White-box checks on wheel bookkeeping the differential layer
-    cannot see (counters, iteration, reap accounting)."""
-
-    def test_len_and_iter_track_contents(self):
-        wheel = TimerWheel()
-        handles = _handles([1.0, 2.0, LEVEL_SPANS[1] + 1.0,
-                            LEVEL_SPANS[3] * 2])
-        for h in handles:
-            wheel.push(h)
-        assert len(wheel) == 4
-        assert sorted(h.seq for h in wheel) == [0, 1, 2, 3]
-        first = wheel.peek()
-        assert first is handles[0]
-        assert len(wheel) == 4          # peek holds, does not remove
-        wheel.pop()
-        assert len(wheel) == 3
+    """Kernel bookkeeping the differential layer cannot see."""
 
     def test_pending_events_skips_cancelled_shells(self):
-        for backend in ("wheel", "heap"):
-            kernel = Kernel(timer_backend=backend)
+        for kernel_cls in (Kernel, ReferenceKernel):
+            kernel = kernel_cls()
             keep = kernel.call_later(5.0, lambda: None)
             drop = kernel.call_later(6.0, lambda: None)
             drop.cancel()
@@ -394,23 +396,18 @@ class TestWheelInternals:
             assert kernel.pending_events() == 0
 
     def test_call_soon_chain_drains_with_no_timer_ever_armed(self):
-        # The ready lane asks an empty backend for its head on every
-        # iteration; neither backend may invent one or stall the chain.
-        for backend in ("wheel", "heap"):
-            kernel = Kernel(timer_backend=backend)
-            fired = []
+        # The ready lane runs alone while the heap is empty; the run
+        # loop may neither invent a timer nor stall the chain.
+        kernel = Kernel()
+        fired = []
 
-            def step(n):
-                fired.append(n)
-                if n < 50:
-                    kernel.call_soon(step, n + 1)
+        def step(n):
+            fired.append(n)
+            if n < 50:
+                kernel.call_soon(step, n + 1)
 
-            kernel.call_soon(step, 0)
-            assert kernel.run() == 0.0
-            assert fired == list(range(51))
-            assert len(kernel._timers) == 0
-            assert kernel.pending_events() == 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Kernel(timer_backend="calendar")
+        kernel.call_soon(step, 0)
+        assert kernel.run() == 0.0
+        assert fired == list(range(51))
+        assert kernel._timers.entries == []
+        assert kernel.pending_events() == 0
