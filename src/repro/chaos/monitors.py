@@ -45,7 +45,7 @@ from __future__ import annotations
 import copy
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaos.injector import FaultInjector
 from repro.cluster.builder import Cluster
@@ -712,6 +712,9 @@ class EvidenceLedger:
         self.ns_acks: List[dict] = []
         #: request id -> list of {"t", "actor", "method"} executions.
         self.executions: Dict[tuple, List[dict]] = {}
+        #: request ids with two or more executions, the only candidates
+        #: :meth:`double_executions` has to look at on each probe.
+        self._repeated: Set[tuple] = set()
         self.total = 0
 
     def ack_db(self, ip: str, epoch: tuple, seq: int, table: str,
@@ -735,8 +738,10 @@ class EvidenceLedger:
     def record(self, request_id: tuple, actor: str, method: str,
                at: float) -> None:
         self.total += 1
-        self.executions.setdefault(request_id, []).append(
-            {"t": at, "actor": actor, "method": method})
+        execs = self.executions.setdefault(request_id, [])
+        execs.append({"t": at, "actor": actor, "method": method})
+        if len(execs) == 2:
+            self._repeated.add(request_id)
 
     def double_executions(self) -> List[Tuple[tuple, List[dict]]]:
         """Request ids executed 2+ times *by the same server process*.
@@ -748,9 +753,8 @@ class EvidenceLedger:
         bug the reply cache exists to prevent.
         """
         out = []
-        for rid, execs in sorted(self.executions.items()):
-            if len(execs) < 2:
-                continue
+        for rid in sorted(self._repeated):
+            execs = self.executions[rid]
             by_actor: Dict[str, int] = {}
             for e in execs:
                 by_actor[e["actor"]] = by_actor.get(e["actor"], 0) + 1

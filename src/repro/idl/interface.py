@@ -11,7 +11,7 @@ of paper section 3.2.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.idl.errors import (
     DuplicateInterface,
@@ -45,6 +45,15 @@ class MethodDef:
                 f"({', '.join(self.params)}), got {len(args)}")
 
 
+class CallPlan(NamedTuple):
+    """What an IDL compiler fixed in a stub before its first call: the
+    operation, its wire kind and its arity."""
+
+    method: MethodDef
+    kind: str
+    arity: int
+
+
 @dataclass
 class InterfaceDef:
     """A named object type: the unit the IDL compiler consumed."""
@@ -53,6 +62,20 @@ class InterfaceDef:
     methods: Dict[str, MethodDef] = field(default_factory=dict)
     base: Optional["InterfaceDef"] = None
     doc: str = ""
+    #: operation name -> its memoised :class:`CallPlan`, inherited
+    #: operations included; filled by :meth:`plan`.
+    plans: Dict[str, CallPlan] = field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
+
+    def plan(self, name: str) -> CallPlan:
+        """The call plan for operation ``name``, built on first use;
+        raises :class:`NoSuchMethod` like :meth:`method`."""
+        plan = self.plans.get(name)
+        if plan is None:
+            mdef = self.method(name)
+            plan = self.plans[name] = CallPlan(
+                mdef, f"rpc.call.{self.name}.{name}", len(mdef.params))
+        return plan
 
     def method(self, name: str) -> MethodDef:
         """Look up an operation, searching base interfaces."""
@@ -130,6 +153,7 @@ def register_interface(name: str, methods: Dict[str, Tuple],
 
 
 def lookup_interface(name: str) -> InterfaceDef:
-    if name not in interface_registry:
+    iface = interface_registry.get(name)
+    if iface is None:
         raise UnknownInterface(f"no interface registered as {name!r}")
-    return interface_registry[name]
+    return iface

@@ -57,7 +57,8 @@ class Link:
         """
         now = self.kernel._now
         start = max(now, self._busy_until)
-        finish = start + self.serialization_time(nbytes)
+        # serialization_time, inline: one call per datagram per link.
+        finish = start + (8.0 * nbytes) / self._effective_rate_bps
         self._busy_until = finish
         return (finish - now) + self.latency
 

@@ -30,10 +30,10 @@ _msg_counter = [0]
 def reserve_msg_id() -> int:
     """Consume and return the next message id.
 
-    ``Message`` calls this for every envelope built without an explicit
-    ``msg_id``; a sender that fixes a datagram's identity before (or
-    without) building its envelope -- :meth:`Network.broadcast` -- calls
-    it directly and passes the id to the envelope if one is ever needed.
+    ``Message`` does the same, inline, for every envelope built without
+    an explicit ``msg_id``; a sender that fixes a datagram's identity
+    before (or without) building its envelope -- :meth:`Network.broadcast`
+    -- calls this and passes the id to the envelope if one is ever needed.
     """
     _msg_counter[0] += 1
     return _msg_counter[0]
@@ -70,7 +70,11 @@ class Message:
         self.kind = kind
         self.payload = payload
         self.payload_bytes = payload_bytes
-        self.msg_id = reserve_msg_id() if msg_id is None else msg_id
+        if msg_id is None:
+            # reserve_msg_id, inline: one call per envelope.
+            _msg_counter[0] += 1
+            msg_id = _msg_counter[0]
+        self.msg_id = msg_id
         # Absolute (virtual-clock) deadline for the work this datagram
         # asks for; None means "no deadline" (replies, raw datagrams).
         self.deadline = deadline

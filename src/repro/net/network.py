@@ -315,8 +315,15 @@ class Network:
 
     def send(self, msg: Message) -> None:
         """Inject a datagram; delivery (or drop) happens asynchronously."""
-        size = msg.size_bytes
-        self._account(msg.kind, size)
+        # Message.size_bytes and _account, inline: once per datagram.
+        size = HEADER_BYTES + msg.payload_bytes
+        self.messages_sent += 1
+        stats = self._kind_stats.get(msg.kind)
+        if stats is None:
+            self._kind_stats[msg.kind] = [1, size]
+        else:
+            stats[0] += 1
+            stats[1] += size
         src_ip = msg.src[0]
         dst_ip = msg.dst[0]
         interfaces = self._interfaces
@@ -336,7 +343,8 @@ class Network:
         else:
             # Loopback: no wire crossed; charge a scheduling quantum only.
             delay = 1e-5
-        delay += self._fault_delay(src_ip, dst_ip)
+        if self._delay or self._gray or self._reorder:
+            delay += self._fault_delay(src_ip, dst_ip)
         hb = self.kernel.hb_log
         if hb is not None:
             hb.emit("hb", "send", msg=msg.msg_id,

@@ -29,21 +29,22 @@ executed a second time by this incarnation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 
-@dataclass
 class _Entry:
     """One request id's lifecycle: inflight (waiters park) or done."""
 
-    seq: int
-    done: bool = False
-    #: the marshaled reply record (``{"ok": ...}``), once done.
-    reply: Any = None
-    #: duplicate arrivals parked while the first execution runs:
-    #: (incoming message, its call_id) pairs, answered at complete().
-    waiters: List[Tuple[Any, int]] = field(default_factory=list)
+    __slots__ = ("seq", "done", "reply", "waiters")
+
+    def __init__(self, seq: int):
+        self.seq = seq
+        self.done = False
+        #: the marshaled reply record (``{"ok": ...}``), once done.
+        self.reply: Any = None
+        #: duplicate arrivals parked while the first execution runs:
+        #: (incoming message, its call_id) pairs, answered at complete().
+        self.waiters: List[Tuple[Any, int]] = []
 
 
 class ReplyCache:
@@ -80,7 +81,7 @@ class ReplyCache:
         if seq <= self._floor.get(client, 0):
             self.stale_drops += 1
             return "stale", None
-        entry = _Entry(seq=seq)
+        entry = _Entry(seq)
         if entries is None:
             entries = self._clients[client] = {}
         entries[seq] = entry

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-from repro.idl.errors import NoSuchMethod
-from repro.idl.interface import InterfaceDef, MethodDef, lookup_interface
+from repro.idl.errors import IDLError, NoSuchMethod
+from repro.idl.interface import (InterfaceDef, MethodDef, interface_registry,
+                                 lookup_interface)
 from repro.idl.types import estimated_size, resolve_exception
 from repro.net.message import (
     CHECKSUM_BYTES,
@@ -71,14 +72,14 @@ def allocate_port() -> int:
     return _next_port()
 
 
-@dataclass(frozen=True)
-class CallContext:
+class CallContext(NamedTuple):
     """Per-call caller identity handed to every servant method.
 
     Replaces Spring-style per-client capability objects: "each incoming
     call on an object contains the caller's identity and it is up to the
     service to determine if the caller is allowed to invoke the desired
-    operation" (section 9.2).
+    operation" (section 9.2).  Immutable, and a tuple rather than a
+    frozen dataclass: one is built per served call.
     """
 
     caller: str
@@ -100,13 +101,16 @@ class _Export:
     queue: Optional[Queue] = None
 
 
-@dataclass
 class _PendingCall:
-    future: Future
-    msg_id: int
-    method: str
-    timeout_handle: Any
-    deadline: Optional[float] = None
+    __slots__ = ("future", "msg_id", "method", "timeout_handle", "deadline")
+
+    def __init__(self, future: Future, msg_id: int, method: str,
+                 timeout_handle: Any, deadline: Optional[float]):
+        self.future = future
+        self.msg_id = msg_id
+        self.method = method
+        self.timeout_handle = timeout_handle
+        self.deadline = deadline
 
 
 class OCSRuntime:
@@ -126,6 +130,12 @@ class OCSRuntime:
         # service); everything else gets a fresh ephemeral port per
         # incarnation.
         self.port = port if port is not None else _next_port()
+        self._addr = (self.ip, self.port)
+        # This process's identity in the happens-before graph and in
+        # request ids.  Pids are monotonic and never reused within a
+        # run, so ``(client_id, call_seq)`` names one logical request
+        # uniquely for the lifetime of the simulation.
+        self.hb_actor = self.client_id = f"{self.ip}/{process.pid}"
         self.principal = principal or f"{process.name}@{process.host.name}"
         # Optional security hooks installed by repro.auth: credentials are
         # attached to outgoing calls, the verifier checks incoming ones.
@@ -133,7 +143,6 @@ class OCSRuntime:
         self.verifier: Optional[Callable[[Any, str], bool]] = None
         self._exports: Dict[str, _Export] = {}
         self._pending: Dict[int, _PendingCall] = {}
-        self._msgid_to_call: Dict[int, int] = {}
         self._call_counter = 0
         self.calls_sent = 0
         self.calls_served = 0
@@ -161,21 +170,6 @@ class OCSRuntime:
             # reuse across process incarnations.
             hb.emit("hb", "bind", ep=f"{self.ip}:{self.port}",
                     actor=self.hb_actor)
-
-    @property
-    def hb_actor(self) -> str:
-        """This process's identity in the happens-before graph."""
-        return f"{self.ip}/{self.process.pid}"
-
-    @property
-    def client_id(self) -> str:
-        """This process's identity in request ids.
-
-        Pids are monotonic and never reused within a run, so the pair
-        ``(client_id, call_seq)`` names one logical request uniquely for
-        the lifetime of the simulation.
-        """
-        return self.hb_actor
 
     def next_request_id(self) -> Tuple[str, int]:
         """Mint a request id for one *logical* call.
@@ -258,17 +252,20 @@ class OCSRuntime:
         arrives, :class:`DeadlineExceeded` when the budget expires, or
         the servant's own registered exception type.
         """
-        fut = self.kernel.create_future()
+        fut = Future(self.kernel)
         if ref is None:
             fut.set_exception(InvalidObjectReference("nil object reference"))
             return fut
-        try:
-            iface = lookup_interface(ref.type_id)
-            mdef = iface.method(method)
-            mdef.check_args(args)
-        except Exception as err:  # noqa: BLE001 - surface through the future
-            fut.set_exception(err)
-            return fut
+        iface = interface_registry.get(ref.type_id)
+        plan = None if iface is None else iface.plans.get(method)
+        if plan is None or len(args) != plan.arity:
+            # Unplanned or malformed: build the plan, or fail with its error.
+            try:
+                plan = lookup_interface(ref.type_id).plan(method)
+                plan.method.check_args(args)
+            except IDLError as err:
+                fut.set_exception(err)
+                return fut
         now = self.kernel.now
         # ``hard`` distinguishes a deadline the caller explicitly
         # propagated (its expiry is DeadlineExceeded -- rebinding cannot
@@ -307,19 +304,15 @@ class OCSRuntime:
                       + REQUEST_ID_BYTES + CHECKSUM_BYTES)
         if encrypted:
             wire_bytes += ENCRYPTION_OVERHEAD_BYTES
-        msg = Message(
-            src=(self.ip, self.port), dst=(ref.ip, ref.port),
-            kind=f"rpc.call.{ref.type_id}.{method}",
-            payload=payload, payload_bytes=wire_bytes, deadline=deadline)
-        if mdef.oneway:
+        msg = Message(self._addr, (ref.ip, ref.port), plan.kind, payload,
+                      wire_bytes, None, deadline)
+        if plan.method.oneway:
             self.network.send(msg)
             fut.set_result(None)
             return fut
         handle = self.kernel.call_later(timeout, self._on_timeout, call_id)
         self._pending[call_id] = _PendingCall(
-            future=fut, msg_id=msg.msg_id, method=method,
-            timeout_handle=handle, deadline=deadline if hard else None)
-        self._msgid_to_call[msg.msg_id] = call_id
+            fut, msg.msg_id, method, handle, deadline if hard else None)
         self.network.send(msg)
         return fut
 
@@ -375,7 +368,7 @@ class OCSRuntime:
                                   f"bad credentials from {payload['caller']}")
                 return
         try:
-            mdef = export.interface.method(payload["method"])
+            mdef = export.interface.plan(payload["method"]).method
         except NoSuchMethod as err:
             # Remote reach is exactly the IDL: a frame naming anything
             # else is answered here, before any getattr on the servant.
@@ -391,7 +384,10 @@ class OCSRuntime:
             self._reply_error(msg, call_id, "DeadlineExceeded",
                               f"{payload['method']} expired before dispatch")
             return
+        # The one consult of the dedup seam: the key rides with the call
+        # to _run_servant, which aborts or completes its entry.
         key = self._dedup_key(payload, mdef)
+        encrypted = bool(payload.get("encrypted"))
         if key is not None:
             # At-most-once gate: a retried or duplicated request id is
             # answered from the reply cache (or parked on the inflight
@@ -400,8 +396,7 @@ class OCSRuntime:
             # must not burn (or leak) an admission slot.
             action, entry = self.reply_cache.begin(key[0], key[1])
             if action == "replay":
-                self._send_record(msg, call_id, entry.reply,
-                                  bool(payload.get("encrypted")))
+                self._send_record(msg, call_id, entry.reply, encrypted)
                 return
             if action == "inflight":
                 entry.waiters.append((msg, call_id))
@@ -421,37 +416,39 @@ class OCSRuntime:
                 f"queued={self.admission.queued}",
                 retry_after=ADMISSION_RETRY_AFTER)
             return
-        ctx = CallContext(caller=payload["caller"], caller_ip=msg.src[0],
-                          authenticated=self.verifier is not None,
-                          encrypted=bool(payload.get("encrypted")),
-                          deadline=msg.deadline)
+        ctx = CallContext(payload["caller"], msg.src[0],
+                          self.verifier is not None, encrypted, msg.deadline)
         if export.single_threaded:
-            export.queue.put((msg, ctx, export, mdef))
+            export.queue.put((msg, ctx, export, mdef, key))
         else:
-            self._dispatch(msg, ctx, export, mdef)
+            self._dispatch(msg, ctx, export, mdef, key)
 
-    def _dispatch(self, msg: Message, ctx: CallContext,
-                  export: _Export, mdef: MethodDef) -> None:
+    def _dispatch(self, msg: Message, ctx: CallContext, export: _Export,
+                  mdef: MethodDef, key: Optional[Tuple[str, int]]) -> None:
         # One event per call.  The hop takes the seq a Task's first-step
         # call_soon took, so every later event keeps its (when, seq).
-        self.kernel.call_soon(self._start_servant, msg, ctx, export, mdef)
+        self.kernel.call_soon(self._start_servant, msg, ctx, export, mdef,
+                              key)
 
-    def _start_servant(self, msg: Message, ctx: CallContext,
-                       export: _Export, mdef: MethodDef) -> None:
+    def _start_servant(self, msg: Message, ctx: CallContext, export: _Export,
+                       mdef: MethodDef,
+                       key: Optional[Tuple[str, int]]) -> None:
         process = self.process
         if not process.alive:
             return   # killed since delivery: the caller hears silence
-        task = process.start_task(self._run_servant(msg, ctx, export, mdef))
+        task = process.start_task(
+            self._run_servant(msg, ctx, export, mdef, key))
         if task is not None:    # the servant suspended
             task.name = f"{process.name}:serve-{mdef.name}"
 
     async def _single_thread_worker(self, export: _Export) -> None:
         while True:
-            msg, ctx, exp, mdef = await export.queue.get()
-            await self._run_servant(msg, ctx, exp, mdef)
+            msg, ctx, exp, mdef, key = await export.queue.get()
+            await self._run_servant(msg, ctx, exp, mdef, key)
 
     async def _run_servant(self, msg: Message, ctx: CallContext,
-                           export: _Export, mdef: MethodDef) -> None:
+                           export: _Export, mdef: MethodDef,
+                           key: Optional[Tuple[str, int]]) -> None:
         payload = msg.payload
         call_id = payload["call_id"]
         method_name = mdef.name
@@ -473,7 +470,6 @@ class OCSRuntime:
                 # The request never executed: forget its inflight reply-
                 # cache entry so a retry can run, and give any parked
                 # duplicates the same expiry verdict.
-                key = self._dedup_key(payload, mdef)
                 if key is not None:
                     for wmsg, wcall_id in self.reply_cache.abort(*key):
                         self._reply_error(wmsg, wcall_id, "DeadlineExceeded",
@@ -523,10 +519,9 @@ class OCSRuntime:
         # The executed outcome (result *or* marshaled exception) is what
         # this request id did; cache it and answer everyone waiting on it.
         waiters = []
-        key = self._dedup_key(payload, mdef)
         if key is not None:
             waiters = self.reply_cache.complete(key[0], key[1], record)
-        self._send_record(msg, call_id, record, bool(payload.get("encrypted")))
+        self._send_record(msg, call_id, record, ctx.encrypted)
         for wmsg, wcall_id in waiters:
             self._send_record(wmsg, wcall_id, record,
                               bool(wmsg.payload.get("encrypted")))
@@ -557,17 +552,16 @@ class OCSRuntime:
     def _note_effect(self, payload: Dict[str, Any], mdef: MethodDef) -> None:
         """Stamp a non-idempotent execution into the kernel's evidence
         ledger (chaos runs only) -- the at_most_once monitor's evidence."""
-        if mdef.oneway or mdef.idempotent:
+        ledger = self.kernel.ledger
+        if ledger is None or mdef.oneway or mdef.idempotent:
             return
         request_id = payload.get("request_id")
         if request_id is None:
             return
-        ledger = self.kernel.ledger
-        if ledger is not None:
-            ledger.record((request_id[0], request_id[1]),
-                          actor=self.hb_actor,
-                          method=f"{payload['type_id']}.{payload['method']}",
-                          at=self.kernel.now)
+        ledger.record((request_id[0], request_id[1]),
+                      actor=self.hb_actor,
+                      method=f"{payload['type_id']}.{payload['method']}",
+                      at=self.kernel.now)
 
     def _send_record(self, msg: Message, call_id: int, record: Dict[str, Any],
                      encrypted: bool) -> None:
@@ -578,12 +572,10 @@ class OCSRuntime:
             if encrypted:
                 # Returns are protected the same way the call was.
                 reply_bytes += ENCRYPTION_OVERHEAD_BYTES
-            reply = Message(
-                src=(self.ip, self.port), dst=msg.src,
-                kind="rpc.reply",
-                payload={"call_id": call_id, "ok": True, "result": result},
-                payload_bytes=reply_bytes)
-            self.network.send(reply)
+            self.network.send(Message(
+                self._addr, msg.src, "rpc.reply",
+                {"call_id": call_id, "ok": True, "result": result},
+                reply_bytes))
         else:
             self._reply_error(msg, call_id, record["error"], record["detail"])
 
@@ -593,18 +585,15 @@ class OCSRuntime:
                    "error": exc_name, "detail": detail}
         if retry_after is not None:
             payload["retry_after"] = retry_after
-        reply = Message(
-            src=(self.ip, self.port), dst=msg.src, kind="rpc.reply.error",
-            payload=payload,
-            payload_bytes=estimated_size(detail) + CHECKSUM_BYTES)
-        self.network.send(reply)
+        self.network.send(Message(
+            self._addr, msg.src, "rpc.reply.error", payload,
+            estimated_size(detail) + CHECKSUM_BYTES))
 
     def _handle_reply(self, msg: Message) -> None:
         payload = msg.payload
         pending = self._pending.pop(payload["call_id"], None)
         if pending is None:
             return  # reply raced with a timeout
-        self._msgid_to_call.pop(pending.msg_id, None)
         pending.timeout_handle.cancel()
         if pending.future.done():
             return
@@ -634,12 +623,14 @@ class OCSRuntime:
         return RemoteException(f"{exc_name}: {detail}")
 
     def _handle_unreachable(self, msg: Message) -> None:
-        call_id = self._msgid_to_call.pop(msg.payload["msg_id"], None)
+        # Rare (a call to a dead port), so a scan of this runtime's own
+        # calls in flight beats a msg-id index maintained on every call.
+        msg_id = msg.payload["msg_id"]
+        call_id = next((call_id for call_id, pending in self._pending.items()
+                        if pending.msg_id == msg_id), None)
         if call_id is None:
             return
-        pending = self._pending.pop(call_id, None)
-        if pending is None:
-            return
+        pending = self._pending.pop(call_id)
         pending.timeout_handle.cancel()
         if not pending.future.done():
             pending.future.set_exception(InvalidObjectReference(
@@ -649,7 +640,6 @@ class OCSRuntime:
         pending = self._pending.pop(call_id, None)
         if pending is None:
             return
-        self._msgid_to_call.pop(pending.msg_id, None)
         if pending.future.done():
             return
         if (pending.deadline is not None
@@ -671,7 +661,6 @@ class OCSRuntime:
             if not pending.future.done():
                 pending.future.cancel()
         self._pending.clear()
-        self._msgid_to_call.clear()
 
 
 class Stub:

@@ -9,6 +9,7 @@ and the committed E18 hostile-network drill -- green with the guards
 on, red under the dedup/checksum sabotage fixtures.
 """
 
+import contextlib
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,40 @@ class TestRequestIdentity:
 
             kernel.run_until_complete(main())
         assert servant.executions == 2
+
+    @pytest.mark.parametrize("sabotaged", [False, True])
+    def test_dedup_seam_is_consulted_once_per_call(self, sabotaged):
+        """The dispatch path asks ``_dedup_key`` once per incoming call
+        and carries the key to completion, so the sabotage patch of that
+        one consult is the whole of dedup: two concurrent copies of one
+        request park (cache on) or both execute (patched)."""
+        consults = []
+        with disabled_dedup() if sabotaged else contextlib.nullcontext():
+            seam = OCSRuntime._dedup_key
+
+            def counted(self, payload, mdef):
+                consults.append(payload["call_id"])
+                return seam(self, payload, mdef)
+
+            OCSRuntime._dedup_key = counted
+            try:
+                kernel, net, server, servant, ref, client = tally_world()
+                rid = client.next_request_id()
+                futs = [client.invoke(ref, "slow_bump", (1, 0.5),
+                                      request_id=rid) for _ in range(2)]
+                kernel.run(until=2.0)
+            finally:
+                OCSRuntime._dedup_key = seam
+        assert len(consults) == len(set(consults)) == 2
+        cache = server.reply_cache
+        if sabotaged:
+            assert servant.executions == 2
+            assert [f.result() for f in futs] == [1, 2]
+            assert (cache.executions, cache.suppressed) == (0, 0)
+        else:
+            assert servant.executions == 1
+            assert [f.result() for f in futs] == [1, 1]
+            assert (cache.executions, cache.suppressed) == (1, 1)
 
 
 class TestRetryAfterTimeout:

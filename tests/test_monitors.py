@@ -8,6 +8,7 @@ green, and strict xfails for runs still red (ROADMAP item 1), each
 asserting its exact violated-monitor set so that a fix flips it.
 """
 
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,6 +187,42 @@ class TestDurabilityDbRule:
         assert monitor.finish() == []
         seed_database(disk, "t", {"k": "old"})
         assert [v.monitor for v in monitor.finish()] == ["durability"]
+
+
+def full_scan_doubles(ledger):
+    """``EvidenceLedger.double_executions`` as a full scan: every request
+    id sorted and counted on every probe."""
+    out = []
+    for rid, execs in sorted(ledger.executions.items()):
+        if len(execs) < 2:
+            continue
+        by_actor = {}
+        for e in execs:
+            by_actor[e["actor"]] = by_actor.get(e["actor"], 0) + 1
+        if any(n >= 2 for n in by_actor.values()):
+            out.append((rid, execs))
+    return out
+
+
+class TestEvidenceLedgerDoubles:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_full_scan_on_a_random_ledger(self, seed):
+        rng = random.Random(seed)
+        ledger = EvidenceLedger(None)
+        for step in range(600):
+            rid = (rng.choice("abc"), rng.randint(1, 80))
+            ledger.record(rid, actor=rng.choice(("10.0.0.1/3", "10.0.0.2/7",
+                                                 "10.0.0.3/9")),
+                          method="Toy.op", at=step * 0.1)
+            if step % 25 == 0:      # a monitor probe mid-run
+                assert ledger.double_executions() == full_scan_doubles(ledger)
+        doubles = ledger.double_executions()
+        assert doubles == full_scan_doubles(ledger)
+        # The ledger holds both kinds of repeat: same-actor doubles, and
+        # ids run twice but only on different actors (excused).
+        assert doubles
+        assert len(doubles) < sum(len(e) >= 2
+                                  for e in ledger.executions.values())
 
 
 # ---------------------------------------------------------------------------

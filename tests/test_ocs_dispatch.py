@@ -75,17 +75,17 @@ class Toy:
 class TaskPerCallRuntime(OCSRuntime):
     """The oracle: dispatch as it stood before the eager start."""
 
-    def _dispatch(self, msg, ctx, export, mdef):
+    def _dispatch(self, msg, ctx, export, mdef, key):
         self.process.create_task(
-            self._run_servant(msg, ctx, export, mdef),
+            self._run_servant(msg, ctx, export, mdef, key),
             name=f"serve-{mdef.name}").detach()
 
 
 class NoHopRuntime(OCSRuntime):
     """A mutant: the eager start without the ``call_soon`` hop."""
 
-    def _dispatch(self, msg, ctx, export, mdef):
-        self._start_servant(msg, ctx, export, mdef)
+    def _dispatch(self, msg, ctx, export, mdef, key):
+        self._start_servant(msg, ctx, export, mdef, key)
 
 
 # ---------------------------------------------------------------------------
