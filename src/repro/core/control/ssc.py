@@ -22,7 +22,7 @@ from repro.ocs.exceptions import OCSError, ServiceUnavailable
 from repro.ocs.objref import ANY_INCARNATION, ObjectRef
 from repro.ocs.runtime import CallContext, OCSRuntime
 from repro.sim.errors import CancelledError
-from repro.sim.host import Host, Process
+from repro.sim.host import DiskWedged, Host, Process
 
 # The SSC is a per-server singleton restarted by init, so -- like the
 # name service -- it lives at a well-known port and its bootstrap
@@ -257,12 +257,12 @@ class ServerServiceController:
                 # A wedged replica disk must not wedge the whole batch:
                 # the scrape is in-process (already bounded -- only the
                 # batch *sends* below cross the wire, under their own
-                # call deadlines), so the one failure mode is a raise,
+                # call deadlines), so the one failure mode is DiskWedged,
                 # which we convert into a gauges_stale transition and a
                 # report that simply omits this service's repl gauges.
                 try:
                     report.update(repl.replication_gauges())
-                except Exception:  # noqa: BLE001 - DiskWedged et al.
+                except DiskWedged:
                     if name not in self._stale_gauges:
                         self._stale_gauges.add(name)
                         self.env.emit("ssc", "gauges_stale", service=name)

@@ -64,10 +64,11 @@ LogEntry = Tuple[int, Any, tuple]
 GENESIS_EPOCH = None  # epoch "before the first entry" of an empty log
 
 
-def _chain_digest(digest: str, seq: int, op: tuple) -> str:
-    """Fold one applied op into the running change-log digest."""
+def _chain_digest(digest: str, seq: int, op_repr: str) -> str:
+    """Fold one applied op (given as ``repr(op)``, which both chains
+    hash) into the running change-log digest."""
     return hashlib.sha256(
-        f"{digest}|{seq}|{op!r}".encode()).hexdigest()
+        f"{digest}|{seq}|{op_repr}".encode()).hexdigest()
 
 
 #: hex chars kept per entry checksum: 64 bits of integrity, enough to
@@ -76,7 +77,7 @@ def _chain_digest(digest: str, seq: int, op: tuple) -> str:
 _SUM_WIDTH = 16
 
 
-def _entry_sum(prev: str, seq: int, epoch, op: tuple) -> str:
+def _entry_sum(prev: str, seq: int, epoch, op_repr: str) -> str:
     """Per-entry integrity checksum, chained from the previous entry's.
 
     Unlike :func:`_chain_digest` (the cross-replica history oracle, which
@@ -86,7 +87,7 @@ def _entry_sum(prev: str, seq: int, epoch, op: tuple) -> str:
     truncate the rest.
     """
     return hashlib.sha256(
-        f"{prev}|{seq}|{epoch!r}|{op!r}".encode()).hexdigest()[:_SUM_WIDTH]
+        f"{prev}|{seq}|{epoch!r}|{op_repr}".encode()).hexdigest()[:_SUM_WIDTH]
 
 
 def entry_key(disk_key: str, seq) -> str:
@@ -243,8 +244,9 @@ class ChangeLog:
                   and item[0] == seq + 1)
             if ok:
                 e_seq, e_epoch, e_op, e_sum = item
-                ok = (isinstance(e_op, tuple)
-                      and e_sum == _entry_sum(prev_sum, e_seq, e_epoch, e_op))
+                op_repr = repr(e_op)
+                ok = (isinstance(e_op, tuple) and e_sum == _entry_sum(
+                    prev_sum, e_seq, e_epoch, op_repr))
             if not ok:
                 # Entries past the break can never re-anchor to the
                 # chain: the whole contiguous suffix counts as cut.
@@ -256,7 +258,7 @@ class ChangeLog:
             self.entries.append((e_seq, e_epoch, e_op))
             self._sums.append(e_sum)
             seq = e_seq
-            digest = _chain_digest(digest, e_seq, e_op)
+            digest = _chain_digest(digest, e_seq, op_repr)
             prev_sum = e_sum
         self.seq = seq
         self.digest = digest
@@ -304,11 +306,12 @@ class ChangeLog:
 
     def _add(self, seq: int, epoch, op: tuple) -> None:
         prev_sum = self._sums[-1] if self._sums else self.base_sum
-        entry_sum = _entry_sum(prev_sum, seq, epoch, op)
+        op_repr = repr(op)
+        entry_sum = _entry_sum(prev_sum, seq, epoch, op_repr)
         self.entries.append((seq, epoch, op))
         self._sums.append(entry_sum)
         self.seq = seq
-        self.digest = _chain_digest(self.digest, seq, op)
+        self.digest = _chain_digest(self.digest, seq, op_repr)
         # The whole append persists as one small record; the header does
         # not change (recovery re-derives seq/digest from the chain).
         self.disk.write(self._entry_key(seq), (seq, epoch, op, entry_sum))
@@ -324,7 +327,8 @@ class ChangeLog:
         # The base digest/sum advance over the dropped entries so a
         # recovery scan can re-anchor the chains at the new watermark.
         for d_seq, _d_epoch, d_op in self.entries[:cut]:
-            self.base_digest = _chain_digest(self.base_digest, d_seq, d_op)
+            self.base_digest = _chain_digest(self.base_digest, d_seq,
+                                             repr(d_op))
         self.base_sum = self._sums[cut - 1]
         last_dropped = self.entries[cut - 1]
         old_base = self.base_seq

@@ -24,19 +24,9 @@ REQUEST_ID_BYTES = 16
 # receiver can reject a corrupted datagram instead of dispatching it.
 CHECKSUM_BYTES = 4
 
+# The last message id handed out: an id-less ``Message`` takes the next
+# one, and ``Network.broadcast`` advances it past a whole fan-out at once.
 _msg_counter = [0]
-
-
-def reserve_msg_id() -> int:
-    """Consume and return the next message id.
-
-    ``Message`` does the same, inline, for every envelope built without
-    an explicit ``msg_id``; a sender that fixes a datagram's identity
-    before (or without) building its envelope -- :meth:`Network.broadcast`
-    -- calls this and passes the id to the envelope if one is ever needed.
-    """
-    _msg_counter[0] += 1
-    return _msg_counter[0]
 
 
 def reset_msg_counter() -> None:
@@ -71,7 +61,6 @@ class Message:
         self.payload = payload
         self.payload_bytes = payload_bytes
         if msg_id is None:
-            # reserve_msg_id, inline: one call per envelope.
             _msg_counter[0] += 1
             msg_id = _msg_counter[0]
         self.msg_id = msg_id

@@ -27,7 +27,7 @@ from repro.net.address import (
     is_settop_ip,
 )
 from repro.net.link import Link
-from repro.net.message import HEADER_BYTES, Message, reserve_msg_id
+from repro.net.message import HEADER_BYTES, Message, _msg_counter
 from repro.sim.host import Host
 from repro.sim.kernel import Kernel
 
@@ -59,6 +59,9 @@ class Network:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._interfaces: Dict[str, _Interface] = {}
+        # port -> ips with a handler bound on it, kept by bind_port,
+        # unbind_port and detach.  Only ever tested for membership.
+        self._listeners: Dict[int, Set[str]] = {}
         self._partitions: List[Tuple[Set[str], Set[str]]] = []
         self._loss: Dict[str, Tuple[float, Any]] = {}  # ip -> (prob, rng)
         # Chaos fault hooks (repro.chaos is the only sanctioned caller
@@ -142,7 +145,10 @@ class Network:
         host.ip = ip
 
     def detach(self, ip: str) -> None:
-        self._interfaces.pop(ip, None)
+        iface = self._interfaces.pop(ip, None)
+        if iface is not None:
+            for port in iface.ports:
+                self._listeners[port].discard(ip)
 
     def interface(self, ip: str) -> _Interface:
         if ip not in self._interfaces:
@@ -163,11 +169,13 @@ class Network:
         if port in iface.ports:
             raise ValueError(f"port {port} already bound on {ip}")
         iface.ports[port] = handler
+        self._listeners.setdefault(port, set()).add(ip)
 
     def unbind_port(self, ip: str, port: int) -> None:
         iface = self._interfaces.get(ip)
-        if iface is not None:
-            iface.ports.pop(port, None)
+        if iface is not None and port in iface.ports:
+            del iface.ports[port]
+            self._listeners[port].discard(ip)
 
     # -- partitions -------------------------------------------------------
 
@@ -510,7 +518,8 @@ class Network:
         Receivers are scheduled in *runs*: consecutive reached receivers
         whose arrival delay is equal share one kernel event, and an
         envelope is built at arrival only for a receiver that listens
-        (see :meth:`_deliver_broadcast`).
+        (see :meth:`_deliver_broadcast`).  Each reached receiver takes
+        the next message id, so a run carries only its first.
         """
         interfaces = self._interfaces
         src_iface = interfaces.get(src_ip)
@@ -522,7 +531,10 @@ class Network:
         partitions = self._partitions
         delay_faults = self._delay or self._gray or self._reorder
         dup = self._dup
-        run: Optional[List[Tuple[str, int]]] = None
+        # Nothing below builds an id-less envelope, so reached receiver k
+        # has id last_id + k; the counter moves once, at the end.
+        last_id = _msg_counter[0]
+        run: Optional[List[str]] = None
         run_delay = 0.0
         reached = 0
         for dst_ip in dst_ips:
@@ -533,9 +545,8 @@ class Network:
                 # is a dropped datagram (accounted below), not a skip.
                 continue
             reached += 1
-            msg_id = reserve_msg_id()
             if hb is not None:
-                hb.emit("hb", "send", msg=msg_id,
+                hb.emit("hb", "send", msg=last_id + reached,
                         src=f"{src_ip}:0", dst=f"{dst_ip}:{port}")
             receiver_delay = delay + iface.in_link.latency
             if delay_faults:
@@ -545,8 +556,8 @@ class Network:
                 run_delay = receiver_delay
                 kernel.call_later(receiver_delay, self._deliver_broadcast,
                                   src_ip, port, kind, payload, payload_bytes,
-                                  run)
-            run.append((dst_ip, msg_id))
+                                  last_id + reached, run)
+            run.append(dst_ip)
             if dup and dst_ip in dup:
                 # Parity with send(): a receiver behind a duplicating
                 # plant segment hears the broadcast's echo too.  The echo
@@ -556,9 +567,10 @@ class Network:
                 self._maybe_duplicate(
                     Message(src=(src_ip, 0), dst=(dst_ip, port), kind=kind,
                             payload=payload, payload_bytes=payload_bytes,
-                            msg_id=msg_id),
+                            msg_id=last_id + reached),
                     receiver_delay)
                 run = None
+        _msg_counter[0] = last_id + reached
         sent = len(dst_ips)
         if sent:
             # One copy on the wire regardless of population: count a
@@ -568,8 +580,8 @@ class Network:
         return reached
 
     def _deliver_broadcast(self, src_ip: str, port: int, kind: str,
-                           payload: Any, payload_bytes: int,
-                           run: List[Tuple[str, int]]) -> None:
+                           payload: Any, payload_bytes: int, first_id: int,
+                           run: List[str]) -> None:
         """Arrival of one broadcast run: ``_deliver`` per receiver, minus
         the envelope for receivers that never look at one.
 
@@ -581,11 +593,23 @@ class Network:
         every fault rng is drawn as it would have been; a ``Message`` is
         built only where something reads it -- a bound handler, or the
         corrupt fault's roll.  No port-unreachable notice: the source
-        port is 0, which nothing binds.
+        port is 0, which nothing binds.  With no partition, loss or
+        corrupt fault armed, a receiver missing from the live listener
+        index (a handler may rebind later receivers) is dropped unprobed.
         """
+        listening = self._listeners.get(port, ())
+        if not listening and not (
+                self._partitions or self._loss or self._corrupt):
+            # Nobody listens, so no handler runs to change that.
+            self.messages_dropped += len(run)
+            return
         interfaces = self._interfaces
         src = (src_ip, 0)
-        for dst_ip, msg_id in run:
+        for msg_id, dst_ip in enumerate(run, first_id):
+            if dst_ip not in listening and not (
+                    self._partitions or self._loss or self._corrupt):
+                self.messages_dropped += 1
+                continue
             iface = interfaces.get(dst_ip)
             if iface is None or not iface.host.up or (
                     self._partitions

@@ -20,6 +20,7 @@ Key semantics reproduced from the paper:
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.errors import SimError
@@ -70,6 +71,17 @@ class _Tombstone:
 
 
 _TOMBSTONE = _Tombstone()
+
+_ATOMS = frozenset((str, int, float, bool, bytes, type(None)))
+
+
+def _frozen(value: Any) -> bool:
+    """Whether ``copy.deepcopy(value)`` is ``value`` itself: an exact
+    atom, or an exact tuple of frozen items (deepcopy hands such a tuple
+    back uncopied).  Subclasses, ``NamedTuple``s and containers are not
+    frozen."""
+    cls = type(value)
+    return cls in _ATOMS or (cls is tuple and all(map(_frozen, value)))
 
 
 _pid_counter = [0]
@@ -200,7 +212,8 @@ class Disk:
     Values are isolated by value, not by reference: :meth:`write` stores a
     deep copy and :meth:`read` returns one, so a caller mutating an object
     after writing it cannot retroactively "update" the disk (and a reader
-    cannot corrupt the stored copy in place).
+    cannot corrupt the stored copy in place).  A frozen value (see
+    :func:`_frozen`) is passed as is: it is what ``deepcopy`` returns.
 
     The storage *fault model* is entirely opt-in so that default runs stay
     byte-identical to the golden traces:
@@ -223,6 +236,7 @@ class Disk:
     def __init__(self) -> None:
         self._data: Dict[str, Any] = {}     # durable (synced) image
         self._buffer: Dict[str, Any] = {}   # written but not yet synced
+        self._keys: List[str] = []          # sorted keys of both images
         self.write_barrier = False
         self.wedged = False
         self._torn_armed = False
@@ -239,17 +253,20 @@ class Disk:
 
     def read(self, key: str, default: Any = None) -> Any:
         self._check_wedged()
-        if key in self._buffer:
-            value = self._buffer[key]
-            return default if value is _TOMBSTONE else copy.deepcopy(value)
-        if key in self._data:
-            return copy.deepcopy(self._data[key])
-        return default
+        # A buffered tombstone and an absent key both read as ``default``.
+        value = (self._buffer[key] if key in self._buffer
+                 else self._data.get(key, _TOMBSTONE))
+        if value is _TOMBSTONE:
+            return default
+        return value if _frozen(value) else copy.deepcopy(value)
 
     def write(self, key: str, value: Any) -> None:
         self._check_wedged()
         self.writes += 1
-        value = copy.deepcopy(value)
+        if not _frozen(value):
+            value = copy.deepcopy(value)
+        if key not in self._data and key not in self._buffer:
+            insort(self._keys, key)
         if self.write_barrier:
             self._buffer[key] = value
             self._last_buffered = key
@@ -259,10 +276,18 @@ class Disk:
     def delete(self, key: str) -> None:
         self._check_wedged()
         if self.write_barrier:
+            if key not in self._data and key not in self._buffer:
+                insort(self._keys, key)
             self._buffer[key] = _TOMBSTONE
             self._last_buffered = key
-        else:
-            self._data.pop(key, None)
+        elif key in self._data:
+            del self._data[key]
+            if key not in self._buffer:
+                self._unindex(key)
+
+    def _unindex(self, key: str) -> None:
+        """Drop a key that left both images from ``_keys``."""
+        del self._keys[bisect_left(self._keys, key)]
 
     def sync(self) -> None:
         """Flush buffered writes to the durable image (fsync semantics).
@@ -277,21 +302,25 @@ class Disk:
         for key, value in self._buffer.items():
             if value is _TOMBSTONE:
                 self._data.pop(key, None)
+                self._unindex(key)
             else:
                 self._data[key] = value
         self._buffer.clear()
         self._last_buffered = None
 
     def keys(self, prefix: str = "") -> List[str]:
-        """Live keys starting with ``prefix``, sorted."""
+        """Live keys starting with ``prefix``, sorted, in O(log n +
+        matches); a fresh list, as callers delete while they walk it."""
         self._check_wedged()
-        live = {key for key in self._data if key.startswith(prefix)}
-        for key, value in self._buffer.items():
-            if value is _TOMBSTONE:
-                live.discard(key)
-            elif key.startswith(prefix):
-                live.add(key)
-        return sorted(live)
+        keys = self._keys
+        start = end = bisect_left(keys, prefix)
+        while end < len(keys) and keys[end].startswith(prefix):
+            end += 1
+        live = keys[start:end]
+        buffer = self._buffer
+        if buffer:
+            live = [key for key in live if buffer.get(key) is not _TOMBSTONE]
+        return live
 
     def __contains__(self, key: str) -> bool:
         self._check_wedged()
@@ -302,6 +331,7 @@ class Disk:
     def wipe(self) -> None:
         self._data.clear()
         self._buffer.clear()
+        self._keys.clear()
         self._last_buffered = None
 
     # -- fault surface (driven by the chaos layer) -----------------------
@@ -358,6 +388,9 @@ class Disk:
                 lost -= 1
         self._torn_armed = False
         self.lost_writes += lost
+        for key in self._buffer:
+            if key not in self._data:
+                self._unindex(key)
         self._buffer.clear()
         self._last_buffered = None
 

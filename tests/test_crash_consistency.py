@@ -19,7 +19,8 @@ import pytest
 from repro.chaos import FaultSchedule, run_schedule
 from repro.cluster import build_cluster
 from repro.core.params import LOAD_REPORT_INTERVAL, Params
-from repro.core.replication import ChangeLog, atomic_disk_write
+from repro.core.replication import (ChangeLog, ReplicatedStore,
+                                    atomic_disk_write)
 from repro.metrics.disks import total as disk_total
 from repro.metrics.replication import all_converged
 from repro.sim.host import CorruptBlob, Disk, DiskWedged, Host
@@ -379,3 +380,17 @@ class TestGaugesStaleTransition:
                        and ev.event == "gauges_stale"]
         assert len(stale_after) > len(stale)
         cluster.servers[0].disk.wedged = False
+
+    def test_only_a_wedged_disk_is_a_stale_gauge(self, monkeypatch):
+        """Any other failure of the scrape is a bug, and it propagates."""
+        cluster = build_cluster(seed=11)
+
+        def broken(_store):
+            raise RuntimeError("gauge bug")
+
+        monkeypatch.setattr(ReplicatedStore, "replication_gauges", broken)
+        runtime = cluster.servers[0].find_process("ssc").attachments["ocs"]
+        ssc = runtime._exports[""].servant
+        with pytest.raises(RuntimeError, match="gauge bug"):
+            ssc._collect_load_reports()
+        assert not cluster.trace.select("ssc", "gauges_stale")

@@ -10,11 +10,17 @@ counters, fault rng states, ``hb`` and fault trace events, the message
 id stream, even what a handler sees when it sends from inside a
 delivery -- has to come out identical.  The count tests then pin what
 the change is *for*: timers per broadcast and envelopes per listener.
+
+Arrival asks the network's per-port listener index before it probes a
+receiver's interface, so the index must equal the bound ports after any
+attach/bind/unbind/detach sequence, and a handler that rebinds later
+receivers of its own run must still match the oracle.
 """
 
 from typing import Any, List
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.net import Message, Network, server_ip, settop_ip
@@ -327,6 +333,32 @@ class TestRunCounts:
         assert [m.dst[0] for m in got] == ips + [ips[2]]
         assert net.messages_duplicated == 1
 
+    def test_a_run_nobody_listens_to_reads_no_port_table(self, monkeypatch):
+        kernel, net, server, ips, _ = carousel([0.005] * 40)
+        reads = []
+
+        class SpyPorts(dict):
+            def get(self, *args):
+                reads.append(args)
+                return super().get(*args)
+
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                reads.append(key)
+                return super().__contains__(key)
+
+        for ip in ips:
+            net.interface(ip).ports = SpyPorts()
+        built = count_envelopes(monkeypatch)
+        net.broadcast(server.ip, ips, PORT, "boot.params", None)
+        kernel.run()
+        assert built == [] and reads == []
+        assert net.messages_dropped == 40 and net.messages_delivered == 0
+        assert message_module._msg_counter[0] == 40
+
     def test_unreached_receivers_reserve_no_id_and_break_no_run(self):
         kernel, net, server, ips, got = carousel([0.005] * 4,
                                                  listeners=range(4))
@@ -390,6 +422,81 @@ def test_reentrant_handler_sees_the_per_receiver_order():
     assert order[:4] == [(ips[0], "boot.params"), (ips[1], "boot.params"),
                          (ips[2], "boot.params"), "soon"]
     assert (ips[3], "boot.params") not in order
+
+
+def rebinding_trace(network_cls, action):
+    """Receiver 0's handler binds ``PORT`` on receiver 1, then unbinds or
+    detaches receiver 2 -- all later receivers of its own run."""
+    reset_msg_counter()
+    kernel = Kernel()
+    net = network_cls(kernel)
+    server = Host(kernel, "server")
+    net.attach(server, server_ip(0))
+    ips = [settop_ip(0, i) for i in range(4)]
+    for ip in ips:
+        net.attach(Host(kernel, ip, kind="settop"), ip, latency=0.005)
+    seen = []
+
+    def record(msg):
+        seen.append((msg.dst[0], msg.kind, msg.msg_id))
+
+    def rebinding(msg):
+        record(msg)
+        if msg.kind == "boot.params":
+            net.bind_port(ips[1], PORT, record)
+            if action == "unbind":
+                net.unbind_port(ips[2], PORT)
+            else:
+                net.detach(ips[2])
+
+    net.bind_port(ips[0], PORT, rebinding)
+    net.bind_port(ips[2], PORT, record)
+    net.bind_port(ips[3], PORT, record)
+    net.broadcast(server.ip, ips, PORT, "boot.params", None)
+    assert kernel.pending_events() == (1 if network_cls is Network else 4)
+    kernel.run()
+    net.broadcast(server.ip, ips, PORT, "boot.kernel", None)
+    kernel.run()
+    return seen, net.messages_delivered, net.messages_dropped
+
+
+@pytest.mark.parametrize("action", ["unbind", "detach"])
+def test_a_handler_rebinding_later_receivers_of_its_run(action):
+    got = rebinding_trace(Network, action)
+    assert got == rebinding_trace(PerReceiverNetwork, action)
+    ips = [settop_ip(0, i) for i in range(4)]
+    assert [entry[:2] for entry in got[0]] == [
+        (ips[0], "boot.params"), (ips[1], "boot.params"),
+        (ips[3], "boot.params"), (ips[0], "boot.kernel"),
+        (ips[1], "boot.kernel"), (ips[3], "boot.kernel")]
+
+
+ATTACHABLE = [settop_ip(0, i) for i in range(3)]
+PORTS = (PORT, PORT + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(("attach", "bind", "unbind", "detach")),
+    st.sampled_from(ATTACHABLE), st.sampled_from(PORTS)), max_size=30))
+def test_listener_index_is_the_bound_ports(steps):
+    kernel = Kernel()
+    net = Network(kernel)
+    for action, ip, port in steps:
+        attached = ip in net._interfaces
+        if action == "attach" and not attached:
+            net.attach(Host(kernel, ip, kind="settop"), ip)
+        elif action == "bind" and attached:
+            if port not in net.interface(ip).ports:
+                net.bind_port(ip, port, lambda msg: None)
+        elif action == "unbind":
+            net.unbind_port(ip, port)
+        elif action == "detach":
+            net.detach(ip)
+        for p in PORTS:
+            bound = {ip for ip, iface in net._interfaces.items()
+                     if p in iface.ports}
+            assert net._listeners.get(p, set()) == bound
 
 
 # ---------------------------------------------------------------------------
