@@ -48,8 +48,8 @@ def kill_one_service_everywhere(service: str, seed: int):
     result = run_schedule(schedule, seed, settops=2, params=params)
     downtime = max((s["downtime"] for s in result.availability.values()),
                    default=0.0)
-    return {"service": service, "killed": result.procs_killed,
-            "ok": result.ok, "viewer_ops": result.viewer_ops,
+    return {"service": service, "killed": result.counters["procs_killed"],
+            "ok": result.ok, "viewer_ops": result.counters["viewer_ops"],
             "max_downtime": downtime,
             "monitors": result.violated_monitors(),
             "digest": result.digest[:16]}

@@ -27,10 +27,7 @@ from repro.chaos.schedule import FaultSchedule, generate_schedule
 from repro.cluster.builder import Cluster, build_full_cluster, fresh_run_state
 from repro.cluster.scenario import Scenario
 from repro.core.params import Params
-from repro.metrics.delivery import collect_delivery
-from repro.metrics.disks import collect_disks
-from repro.metrics.overload import collect_overload
-from repro.metrics.replication import collect_replication
+from repro.metrics.cluster import cluster_counters
 from repro.sim.rand import SeededRandom
 
 
@@ -46,18 +43,11 @@ class ChaosResult:
     schedule: FaultSchedule
     violations: List[Violation] = field(default_factory=list)
     digest: str = ""
-    trace_lines: int = 0
     availability: Dict[str, dict] = field(default_factory=dict)
-    viewer_ops: int = 0
-    finished_at: float = 0.0
-    faults_injected: int = 0
-    procs_killed: int = 0
-    # The repro.metrics collectors' sections, read at quiesce.
-    overload: Dict[str, dict] = field(default_factory=dict)
-    degraded_ops: int = 0
-    replication: Dict[str, dict] = field(default_factory=dict)
-    disks: Dict[str, dict] = field(default_factory=dict)
-    delivery: Dict[str, dict] = field(default_factory=dict)
+    # repro.metrics.cluster_counters at quiesce, plus the run's own
+    # viewer_ops, degraded_ops, faults_injected, procs_killed and
+    # trace_lines.
+    counters: Dict[str, int] = field(default_factory=dict)
     # Happens-before summary and raw event stream when the run was built
     # with Params.hb_trace (read by `repro analyze-trace`); None otherwise.
     hb: Optional[dict] = None
@@ -140,23 +130,21 @@ def run_schedule(schedule: FaultSchedule, seed: int, n_servers: int = 3,
             "digests": write_order_digests(report),
         }
         hb_events = hb_events_from_trace(cluster.trace.events)
+    counters = cluster_counters(cluster)
+    counters.update(
+        viewer_ops=sum(s.stats.opens + s.stats.orders + s.stats.game_rounds
+                       + s.stats.tunes for s in sessions),
+        degraded_ops=sum(s.stats.degraded for s in sessions),
+        faults_injected=len(injector.injected),
+        procs_killed=len(injector.killed),
+        trace_lines=len(cluster.trace.events))
     return ChaosResult(
         seed=seed,
         schedule=schedule,
         violations=list(bus.violations),
         digest=trace_digest(cluster),
-        trace_lines=len(cluster.trace.events),
         availability=bus.monitor("settop_service").summaries(),
-        viewer_ops=sum(s.stats.opens + s.stats.orders + s.stats.game_rounds
-                       + s.stats.tunes for s in sessions),
-        finished_at=cluster.now,
-        faults_injected=len(injector.injected),
-        procs_killed=len(injector.killed),
-        overload=collect_overload(cluster),
-        degraded_ops=sum(s.stats.degraded for s in sessions),
-        replication=collect_replication(cluster),
-        disks=collect_disks(cluster),
-        delivery=collect_delivery(cluster),
+        counters=counters,
         hb=hb_summary,
         hb_events=hb_events,
     )

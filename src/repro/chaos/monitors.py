@@ -36,8 +36,9 @@ The catalog (DESIGN.md section 9):
   ``ReplicatedStore.sync_before_ack`` out);
 - no non-idempotent request id executes twice on the same server under
   duplication/reordering/retries -- the at-most-once contract the reply
-  cache exists to uphold (PR 9, falsifiable by patching
-  ``OCSRuntime._dedup_key`` to return None).
+  cache exists to uphold -- and no corrupt frame reaches dispatch (PR 9,
+  falsifiable by patching ``OCSRuntime._dedup_key`` to return None or
+  ``OCSRuntime._checksum_fails`` to accept every frame).
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from repro.cluster.builder import Cluster
 from repro.core.params import NS_ELECTION_TIMEOUT, NS_HEARTBEAT, Params
 from repro.db.service import read_row
 from repro.metrics.availability import AvailabilityTimeline
-from repro.metrics.delivery import live_runtimes
-from repro.metrics.replication import live_replicas
+from repro.metrics.cluster import (add_counts, live_replicas, live_runtimes,
+                                   runtime_counters)
 from repro.ocs.objref import ANY_INCARNATION
 from repro.sim.host import CorruptBlob
 
@@ -703,7 +704,9 @@ class EvidenceLedger:
     buffered write when that barrier is patched out).  Servant dispatch
     (``OCSRuntime._note_effect``) calls :meth:`record` for each
     non-idempotent execution *whether or not* the reply cache is on, so
-    a dedup-disabled server's double execution shows up here.
+    a dedup-disabled server's double execution shows up here.  A runtime
+    that exits hands its counters to :meth:`retire`, so the evidence a
+    killed process saw outlives it.
     """
 
     def __init__(self, cluster: Cluster):
@@ -716,6 +719,11 @@ class EvidenceLedger:
         #: :meth:`double_executions` has to look at on each probe.
         self._repeated: Set[tuple] = set()
         self.total = 0
+        #: ``ocs.*``/``replycache.*`` counts of every exited runtime.
+        self.retired: Dict[str, int] = {}
+
+    def retire(self, runtime) -> None:
+        add_counts(self.retired, runtime_counters(runtime))
 
     def ack_db(self, ip: str, epoch: tuple, seq: int, table: str,
                key: str, value, deleted: bool) -> None:
@@ -880,9 +888,14 @@ class AtMostOnceMonitor(Monitor):
     monitor reads the kernel-resident :class:`EvidenceLedger` and flags
     any request id with two executions by the same actor (``ip/pid``).
     Cross-actor re-execution after a rebind is excused -- see
-    :meth:`EvidenceLedger.double_executions`.  Falsifiable both ways: with
-    ``OCSRuntime._dedup_key`` patched to return None (the sabotage
-    fixture) a hostile schedule makes exactly this monitor go red.
+    :meth:`EvidenceLedger.double_executions`.  A corrupt frame that
+    reaches dispatch (``corrupt_dispatched``, counted past the checksum
+    guard, on live runtimes and those the ledger retired) is a violation
+    too: its payload cannot be trusted to be the request it claims.
+    Falsifiable both ways: with ``OCSRuntime._dedup_key`` patched to
+    return None, or ``_checksum_fails`` to accept every frame (the
+    sabotage fixtures), a hostile schedule makes exactly this monitor go
+    red.
     """
 
     name = "at_most_once"
@@ -890,10 +903,21 @@ class AtMostOnceMonitor(Monitor):
     def bind(self, cluster, injector, params, context) -> None:
         super().bind(cluster, injector, params, context)
         self._reported: set = set()
+        self._corrupt_reported = 0
 
     def check(self) -> List[Violation]:
         out: List[Violation] = []
-        for rid, execs in self.cluster.kernel.ledger.double_executions():
+        cluster = self.cluster
+        ledger = cluster.kernel.ledger
+        corrupt = ledger.retired.get("ocs.corrupt_dispatched", 0) + sum(
+            runtime.corrupt_dispatched
+            for runtime in live_runtimes(cluster.servers + cluster.settops))
+        if corrupt > self._corrupt_reported:
+            out.append(self._violation(
+                f"{corrupt - self._corrupt_reported} corrupt frame(s) "
+                f"reached dispatch ({corrupt} this run)"))
+            self._corrupt_reported = corrupt
+        for rid, execs in ledger.double_executions():
             if rid in self._reported:
                 continue
             self._reported.add(rid)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 def _cmd_quickstart(_args) -> int:
@@ -136,10 +136,21 @@ def _cmd_analyze_trace(args) -> int:
     return 1 if report.races else 0
 
 
+def _counter_lines(counters) -> List[str]:
+    """The nonzero counters, one line per name prefix (``gate.vod``,
+    ``ocs``, ...; bare names share the first line)."""
+    groups: Dict[str, List[str]] = {}
+    for name, value in sorted(counters.items()):
+        if value:
+            prefix, _, short = name.rpartition(".")
+            groups.setdefault(prefix, []).append(f"{short}={value}")
+    return [f"{prefix + ': ' if prefix else ''}{' '.join(items)}"
+            for prefix, items in sorted(groups.items())]
+
+
 def _cmd_chaos(args) -> int:
     from repro.chaos import (FaultSchedule, minimize_schedule, run_seed,
                              write_minimal)
-    from repro.metrics.overload import total_sheds
 
     schedule = None
     if args.schedule:
@@ -161,48 +172,12 @@ def _cmd_chaos(args) -> int:
         result = results[0]
         status = "ok" if result.ok else "FAIL"
         print(f"seed {seed}: {status}  faults={len(result.schedule)} "
-              f"viewer_ops={result.viewer_ops} digest={result.digest[:16]}")
-        sheds = total_sheds(result.overload)
-        if sheds or result.degraded_ops:
-            deadlines = result.overload.get("deadlines", {})
-            gates = ", ".join(
-                f"{name}: shed={g['shed']} peak_q={g['peak_queue']}"
-                for name, g in result.overload.get("gates", {}).items()
-                if g["shed"])
-            print(f"  overload: sheds={sheds} "
-                  f"degraded_ops={result.degraded_ops} "
-                  f"deadline_rejects={deadlines.get('rejected', 0)} "
-                  f"expired={deadlines.get('expired_executions', 0)}"
-                  + (f"  [{gates}]" if gates else ""))
+              f"digest={result.digest[:16]}")
         if result.hb is not None:
             print(f"  hb: events={result.hb['events']} "
                   f"writes={result.hb['writes']} races={result.hb['races']}")
-        for kind, repl in sorted(result.replication.items()):
-            verdict = "converged" if repl["converged"] else "DIVERGED"
-            print(f"  repl[{kind}]: {verdict} replicas={len(repl['replicas'])} "
-                  f"catch_ups={repl['catch_ups']} "
-                  f"ops={repl['catch_up_ops']} "
-                  f"snapshot_fetches={repl['snapshot_fetches']}")
-        from repro.metrics.disks import total as disk_total
-        lost = disk_total(result.disks, "lost_writes")
-        torn = disk_total(result.disks, "torn_writes")
-        rot = disk_total(result.disks, "corrupted_keys")
-        if lost or torn or rot:
-            print(f"  disks: lost_writes={lost} torn_writes={torn} "
-                  f"corrupted_keys={rot} "
-                  f"syncs={disk_total(result.disks, 'syncs')}")
-        net = result.delivery.get("net", {})
-        if net.get("duplicated") or net.get("reordered") \
-                or net.get("corrupted"):
-            env = result.delivery.get("envelopes", {})
-            effects = result.delivery.get("effects", {})
-            print(f"  delivery: dup={net.get('duplicated', 0)} "
-                  f"reorder={net.get('reordered', 0)} "
-                  f"corrupt={net.get('corrupted', 0)} "
-                  f"dropped={env.get('corrupt_dropped', 0)} "
-                  f"dispatched={env.get('corrupt_dispatched', 0)} "
-                  f"replays={env.get('replays', 0)} "
-                  f"doubles={effects.get('same_actor_doubles', 0)}")
+        for line in _counter_lines(result.counters):
+            print(f"  {line}")
         if args.double_run:
             if results[1].digest != result.digest:
                 print(f"  DETERMINISM VIOLATION: re-run digest "

@@ -18,7 +18,7 @@ from repro.core.control.registry import ServiceEnv, ServiceRegistry
 from repro.core.control.ssc import install_init
 from repro.core.naming.client import NameClient
 from repro.core.params import Params
-from repro.metrics.replication import live_replicas
+from repro.metrics.cluster import live_replicas
 from repro.net.address import server_ip, settop_ip
 from repro.net.message import reset_msg_counter
 from repro.net.network import Network

@@ -2,9 +2,8 @@
 
 from repro.metrics.latency import LatencyRecorder, percentile, summarize
 from repro.metrics.availability import AvailabilityTimeline
-from repro.metrics.overload import collect_overload, total_sheds
-from repro.metrics.replication import all_converged, collect_replication
+from repro.metrics.cluster import (cluster_counters, live_replicas,
+                                   live_runtimes)
 
-__all__ = ["AvailabilityTimeline", "LatencyRecorder", "all_converged",
-           "collect_overload", "collect_replication", "percentile",
-           "summarize", "total_sheds"]
+__all__ = ["AvailabilityTimeline", "LatencyRecorder", "cluster_counters",
+           "live_replicas", "live_runtimes", "percentile", "summarize"]

@@ -11,7 +11,7 @@ Delivery semantics chosen to match what the paper's clients observe:
 
 Every unicast datagram is one kernel event.  Only a broadcast shares
 events, one per run of receivers with an equal arrival delay (DESIGN.md
-section 16.3).
+section 16.2).
 
 The network also keeps per-message-kind counters, which experiment E3
 (RAS message scaling, paper section 7.2.1) reads directly.

@@ -132,7 +132,7 @@ class ReplyCache:
             self.evictions += 1
 
     def stats(self) -> Dict[str, int]:
-        """Counters for the delivery metrics collector."""
+        """This cache's counters and its current ``cached`` depth."""
         return {"executions": self.executions, "replays": self.replays,
                 "suppressed": self.suppressed,
                 "stale_drops": self.stale_drops,

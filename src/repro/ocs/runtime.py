@@ -654,6 +654,10 @@ class OCSRuntime:
                 f"no reply to {pending.method} within deadline"))
 
     def _on_process_exit(self, _proc: Process) -> None:
+        ledger = self.kernel.ledger
+        if ledger is not None:
+            # Chaos runs keep a dead runtime's evidence counters.
+            ledger.retire(self)
         self.network.unbind_port(self.ip, self.port)
         self._exports.clear()
         for pending in self._pending.values():

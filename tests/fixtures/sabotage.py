@@ -121,9 +121,9 @@ def disabled_checksums():
     """Receivers dispatch corrupt frames instead of dropping them.
 
     With ``OCSRuntime._checksum_fails`` patched to accept every frame,
-    a payload-damaged call reaches the servant; E18's
-    ``corrupt_dispatched == 0`` assertion (and the delivery collector it
-    reads) must go red under this patch.
+    a payload-damaged call reaches the servant; under this patch E18
+    must trip exactly ``at_most_once``, and its
+    ``ocs.corrupt_dispatched`` counter must go nonzero.
     """
     from repro.ocs.runtime import OCSRuntime
     original = OCSRuntime._checksum_fails

@@ -21,7 +21,6 @@ from repro.chaos.monitors import EvidenceLedger
 from repro.core.params import Params
 from repro.core.rebind import RebindingProxy
 from repro.idl import register_interface
-from repro.metrics.delivery import faults_exercised
 from repro.net import Network
 from repro.ocs import CallTimeout, OCSRuntime, RemoteException
 from repro.ocs.replycache import ReplyCache
@@ -383,6 +382,23 @@ class TestRetryAfterTimeout:
         assert server.reply_cache.replays >= 1
 
 
+@contextlib.contextmanager
+def every_runtime():
+    """Collect every OCSRuntime built inside the block, live or dead."""
+    built = []
+    original = OCSRuntime.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    OCSRuntime.__init__ = spy
+    try:
+        yield built
+    finally:
+        OCSRuntime.__init__ = original
+
+
 class TestChecksumGuard:
     def test_corrupt_frames_dropped_before_dispatch(self):
         kernel, net, server, servant, ref, client = tally_world()
@@ -406,6 +422,19 @@ class TestChecksumGuard:
         assert servant.executions == 1
         assert server.corrupt_dispatched > 0
         assert server.corrupt_dropped == 0
+
+    def test_exiting_runtime_hands_its_counters_to_the_ledger(self):
+        kernel, net, server, servant, ref, client = tally_world()
+        kernel.ledger = EvidenceLedger(None)
+        net.set_corrupt(server.ip, 1.0, SeededRandom(5))
+        with pytest.raises(CallTimeout):
+            kernel.run_until_complete(
+                client.invoke(ref, "bump", (1,), timeout=2.0))
+        dropped = server.corrupt_dropped
+        assert dropped > 0 and kernel.ledger.retired == {}
+        server.process.kill()
+        assert kernel.ledger.retired["ocs.corrupt_dropped"] == dropped
+        assert kernel.ledger.retired["ocs.corrupt_dispatched"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +489,14 @@ class TestEffectLedger:
 
 class TestE18HostileNetDrill:
     @pytest.fixture(scope="class")
-    def e18(self):
-        schedule = FaultSchedule.load(E18_SCHEDULE)
-        return run_schedule(schedule, seed=7)
+    def e18_run(self):
+        with every_runtime() as runtimes:
+            result = run_schedule(FaultSchedule.load(E18_SCHEDULE), seed=7)
+        return result, runtimes
+
+    @pytest.fixture(scope="class")
+    def e18(self, e18_run):
+        return e18_run[0]
 
     def test_e18_green(self, e18):
         assert e18.ok, e18.violated_monitors()
@@ -470,25 +504,50 @@ class TestE18HostileNetDrill:
     def test_e18_exercised_all_three_fault_surfaces(self, e18):
         # A hostile-net drill that duplicated, reordered, and corrupted
         # nothing proves nothing.
-        assert faults_exercised(e18.delivery)
+        assert e18.counters["net.duplicated"] > 0
+        assert e18.counters["net.reordered"] > 0
+        assert e18.counters["net.corrupted"] > 0
 
     def test_e18_zero_double_executions(self, e18):
-        assert e18.delivery["effects"]["same_actor_doubles"] == 0
+        assert e18.counters["effects.same_actor_doubles"] == 0
 
-    def test_e18_zero_corrupt_dispatches(self, e18):
-        env = e18.delivery["envelopes"]
-        assert env["corrupt_dispatched"] == 0
-        assert env["corrupt_dropped"] > 0
+    def test_e18_zero_corrupt_dispatches(self, e18_run):
+        e18, runtimes = e18_run
+        assert e18.counters["ocs.corrupt_dispatched"] == 0
+        assert e18.counters["ocs.corrupt_dropped"] > 0
+        # Every runtime of the run, the killed ones included.
+        assert sum(rt.corrupt_dispatched for rt in runtimes) == 0
 
     def test_e18_dedup_actually_fired(self, e18):
         # The duplicates really reached servers and really were
         # collapsed -- replays and suppressions, not silence.
-        env = e18.delivery["envelopes"]
-        assert env["replays"] > 0
-        assert env["executions"] > 0
+        assert e18.counters["replycache.replays"] > 0
+        assert e18.counters["replycache.executions"] > 0
 
     def test_e18_viewers_made_progress(self, e18):
-        assert e18.viewer_ops > 0
+        assert e18.counters["viewer_ops"] > 0
+
+
+class TestChecksumGuardFalsifiable:
+    """With the guard patched out, E18 dispatches corrupt frames, and the
+    evidence outlives the runtimes the drill kills."""
+
+    @pytest.fixture(scope="class")
+    def sabotaged(self):
+        with disabled_checksums(), every_runtime() as runtimes:
+            result = run_schedule(FaultSchedule.load(E18_SCHEDULE), seed=7)
+        return result, runtimes
+
+    def test_checksum_sabotage_trips_exactly_at_most_once(self, sabotaged):
+        assert sabotaged[0].violated_monitors() == ["at_most_once"]
+
+    def test_walker_counts_killed_runtimes(self, sabotaged):
+        result, runtimes = sabotaged
+        total = sum(rt.corrupt_dispatched for rt in runtimes)
+        live = sum(rt.corrupt_dispatched for rt in runtimes
+                   if rt.process.alive)
+        # 387 over all 73 runtimes, 385 of them on the 61 alive at quiesce.
+        assert result.counters["ocs.corrupt_dispatched"] == total > live
 
 
 class TestAtMostOnceFalsifiable:
@@ -502,4 +561,4 @@ class TestAtMostOnceFalsifiable:
         assert sabotaged.violated_monitors() == ["at_most_once"]
 
     def test_sabotage_actually_double_executed(self, sabotaged):
-        assert sabotaged.delivery["effects"]["same_actor_doubles"] > 0
+        assert sabotaged.counters["effects.same_actor_doubles"] > 0

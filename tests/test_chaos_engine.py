@@ -133,18 +133,17 @@ class TestEngineGreenRun:
 
     def test_faults_actually_injected(self, green_runs):
         result = green_runs[0]
-        assert result.faults_injected == len(result.schedule)
+        assert result.counters["faults_injected"] == len(result.schedule)
 
     def test_viewers_kept_watching(self, green_runs):
         result = green_runs[0]
-        assert result.viewer_ops > 0
+        assert result.counters["viewer_ops"] > 0
         assert set(result.availability) != set()
 
     def test_same_seed_same_digest(self, green_runs):
         first, second = green_runs
         assert first.digest == second.digest
-        assert first.trace_lines == second.trace_lines
-        assert first.viewer_ops == second.viewer_ops
+        assert first.counters == second.counters
 
 
 class TestSabotageAndMinimizer:

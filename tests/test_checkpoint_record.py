@@ -21,8 +21,6 @@ from repro.cluster import build_cluster
 from repro.core.naming.replica import LOG_KEY
 from repro.core.params import Params
 from repro.core.replication import ChangeLog, entry_key
-from repro.metrics.disks import total as disk_total
-from repro.metrics.replication import all_converged
 from repro.sim.host import Disk
 
 from tests.helpers import NsWorld
@@ -343,9 +341,10 @@ class TestDrillsRestartFromCheckpoints:
     def test_zero_violations_and_reconverged(self, name):
         result = _compacting_drill(name)
         assert result.ok, result.violated_monitors()
-        assert all_converged(result.replication)
+        assert result.counters["repl.ns.converged"] == 1
+        assert result.counters["repl.db.converged"] == 1
 
     def test_e17_disk_writes_did_not_rise(self):
         result = _compacting_drill("e17_power_failure")
         # 1 214 with the name tree in its own ``ns/state`` record.
-        assert disk_total(result.disks, "writes") <= 1214
+        assert result.counters["disk.writes"] <= 1214

@@ -1,5 +1,7 @@
 """Tests for the CLI surface and cluster builder mechanics."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser
@@ -31,6 +33,27 @@ class TestCLIParser:
         out = capsys.readouterr().out
         assert "Service census" in out
         assert "server-1" in out
+
+    def test_chaos_prints_the_nonzero_counters(self, capsys, tmp_path):
+        from repro.cli import main
+        schedule = (Path(__file__).resolve().parent.parent / "benchmarks"
+                    / "schedules" / "e18_hostile_net.json")
+        assert main(["chaos", "--schedule", str(schedule), "--seeds", "1",
+                     "--settops", "2", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "seed 0: ok" in out
+        lines = {}
+        for line in out.splitlines():
+            prefix, sep, items = line.partition(": ")
+            if sep and line.startswith("  "):
+                lines[prefix.strip()] = dict(item.split("=")
+                                             for item in items.split())
+        net, ocs = lines["net"], lines["ocs"]
+        for name in ("duplicated", "reordered", "corrupted"):
+            assert int(net[name]) > 0
+        assert int(ocs["corrupt_dropped"]) > 0
+        # Only nonzero counters print: no corrupt frame reached dispatch.
+        assert "corrupt_dispatched" not in ocs
 
 
 class TestBuilderMechanics:

@@ -21,8 +21,6 @@ from repro.cluster import build_cluster
 from repro.core.params import LOAD_REPORT_INTERVAL, Params
 from repro.core.replication import (ChangeLog, ReplicatedStore,
                                     atomic_disk_write)
-from repro.metrics.disks import total as disk_total
-from repro.metrics.replication import all_converged
 from repro.sim.host import CorruptBlob, Disk, DiskWedged, Host
 from repro.sim.kernel import Kernel
 
@@ -321,7 +319,7 @@ class TestDurabilityFalsifiable:
         assert sabotaged.violated_monitors() == ["durability"]
 
     def test_sabotage_actually_lost_writes(self, sabotaged):
-        assert disk_total(sabotaged.disks, "lost_writes") > 0
+        assert sabotaged.counters["disk.lost_writes"] > 0
 
     @pytest.fixture(scope="class")
     def e17(self):
@@ -336,13 +334,14 @@ class TestDurabilityFalsifiable:
         assert e17.hb is not None and e17.hb["races"] == 0
 
     def test_e17_replicas_reconverge(self, e17):
-        assert all_converged(e17.replication)
+        assert e17.counters["repl.ns.converged"] == 1
+        assert e17.counters["repl.db.converged"] == 1
 
     def test_e17_exercised_the_fault_model(self, e17):
         # A drill that tears and loses nothing proves nothing.
-        assert disk_total(e17.disks, "lost_writes") > 0
-        assert disk_total(e17.disks, "torn_writes") > 0
-        assert disk_total(e17.disks, "corrupted_keys") > 0
+        assert e17.counters["disk.lost_writes"] > 0
+        assert e17.counters["disk.torn_writes"] > 0
+        assert e17.counters["disk.corrupted_keys"] > 0
 
 
 class TestGaugesStaleTransition:

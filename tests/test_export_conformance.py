@@ -10,7 +10,7 @@ many other public methods (``start``, ``emit``, ...) the servant has.
 import pytest
 
 from repro.idl import register_interface
-from repro.metrics.delivery import live_runtimes
+from repro.metrics import live_runtimes
 from repro.ocs import RemoteException
 from repro.ocs.objref import ObjectRef
 from tests.helpers import booted_cluster
@@ -35,8 +35,7 @@ def full_cluster():
 def test_every_export_implements_its_whole_interface(full_cluster):
     cluster = full_cluster
     missing, seen = [], set()
-    for runtime in live_runtimes(list(cluster.servers)
-                                 + list(cluster.settops)):
+    for runtime in live_runtimes(cluster.servers + cluster.settops):
         for object_id, export in runtime._exports.items():
             seen.add(export.interface.name)
             for op in export.interface.all_methods():

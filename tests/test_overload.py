@@ -21,7 +21,7 @@ from repro.core.backoff import Backoff
 from repro.core.naming.errors import NamingError
 from repro.core.params import Params
 from repro.core.rebind import RebindError, RebindingProxy
-from repro.metrics.overload import collect_overload, total_sheds
+from repro.metrics import cluster_counters
 from repro.ocs.admission import ADMISSION_RETRY_AFTER
 from repro.ocs import CallTimeout, DeadlineExceeded, Overloaded
 from repro.sim import SeededRandom
@@ -409,27 +409,23 @@ def surge_run():
 
     stats = viewer_evening(cluster, kernels, 150.0, seed=7)
     injector.heal_all()
-    overload = collect_overload(cluster)
-    return params, stats, overload
+    return params, stats, cluster_counters(cluster)
 
 
 class TestViewerSurge:
     def test_surge_sheds_instead_of_queueing(self, surge_run):
-        params, _stats, overload = surge_run
-        vod = overload["gates"]["vod"]
-        assert vod["shed"] > 0
-        assert total_sheds(overload) >= vod["shed"]
+        params, _stats, counters = surge_run
+        assert counters["gate.vod.shed"] > 0
 
     def test_queue_depth_stays_bounded(self, surge_run):
-        params, _stats, overload = surge_run
-        vod = overload["gates"]["vod"]
-        assert vod["peak_queue"] <= params.admission_max_queue
-        assert vod["peak_inflight"] <= (params.admission_max_inflight
-                                        + params.admission_max_queue)
+        params, _stats, counters = surge_run
+        assert counters["gate.vod.peak_queue"] <= params.admission_max_queue
+        assert counters["gate.vod.peak_inflight"] <= (
+            params.admission_max_inflight + params.admission_max_queue)
 
     def test_no_expired_work_executed(self, surge_run):
-        _params, _stats, overload = surge_run
-        assert overload["deadlines"]["expired_executions"] == 0
+        _params, _stats, counters = surge_run
+        assert counters["ocs.expired_executions"] == 0
 
     def test_expired_work_monitor_trips_when_guard_patched_out(self):
         # The other direction, cluster-wide: the E14 replay with the
@@ -441,20 +437,19 @@ class TestViewerSurge:
             result = run_schedule(FaultSchedule.load(E14_SCHEDULE),
                                   seed=1, settops=8)
         assert result.violated_monitors() == ["expired_work"]
-        deadlines = result.overload["deadlines"]
-        assert deadlines["expired_executions"] > 0
-        assert deadlines["rejected"] == 0
+        assert result.counters["ocs.expired_executions"] > 0
+        assert result.counters["ocs.deadline_rejects"] == 0
 
     def test_p99_open_latency_within_bound(self, surge_run):
         from repro.metrics import percentile
-        params, stats, _overload = surge_run
+        params, stats, _counters = surge_run
         assert stats.opens > 0, "surge run produced no successful opens"
         p99 = percentile(stats.open_latencies, 99)
         assert p99 < SURGE_P99_BOUND, \
             f"p99 open latency {p99:.2f}s over bound"
 
     def test_viewers_survived_the_surge(self, surge_run):
-        _params, stats, _overload = surge_run
+        _params, stats, _counters = surge_run
         # Sessions kept going: every viewer operation either succeeded
         # or was served by a degraded path, and at least one op ran.
         assert stats.opens + stats.degraded + stats.tunes > 0

@@ -15,11 +15,7 @@ from repro.cluster import build_cluster
 from repro.core.rebind import RebindingProxy
 from repro.core.replication import GENESIS_EPOCH, ChangeLog
 from repro.db.service import DB_REPLICATION_POLL, DatabaseClient
-from repro.metrics.replication import (
-    all_converged,
-    collect_replication,
-    live_replicas,
-)
+from repro.metrics import cluster_counters, live_replicas
 from repro.ocs.exceptions import ServiceUnavailable
 from repro.sim.host import Disk
 from repro.sim.kernel import gather
@@ -248,9 +244,9 @@ class TestDbReplication:
         assert len({svc.log.seq for svc in services.values()}) == 1
         assert len({repr(svc.get("ilv", "k"))
                     for svc in services.values()}) == 1
-        replication = collect_replication(cluster)
-        assert replication["db"]["converged"]
-        assert all_converged(replication)
+        counters = cluster_counters(cluster)
+        assert counters["repl.db.converged"] == 1
+        assert counters["repl.ns.converged"] == 1
 
     def test_restarted_primary_reclaims_stale_binding(self):
         """A killed primary leaves ``svc/db`` naming a dead endpoint.
@@ -346,14 +342,15 @@ class TestReplicaLagFalsifiability:
             result = run_schedule(WEDGED_LOG_SCHEDULE, seed=5, settops=2)
         assert "replica_lag_bounded" in result.violated_monitors()
         assert any(f"{kind} replica" in v.detail for v in result.violations)
-        assert not result.replication[kind]["converged"]
+        assert result.counters[f"repl.{kind}.converged"] == 0
 
     def test_e13_kill_schedule_replays_green(self):
         schedule = FaultSchedule.load("benchmarks/schedules/e13_kills.json")
         result = run_schedule(schedule, seed=3, settops=2,
                               monitors=default_monitors())
         assert result.ok, [v.detail for v in result.violations]
-        assert all_converged(result.replication)
+        assert result.counters["repl.ns.converged"] == 1
+        assert result.counters["repl.db.converged"] == 1
 
     def test_e16_kill_primary_schedule_replays_green(self):
         schedule = FaultSchedule.load(
@@ -361,6 +358,7 @@ class TestReplicaLagFalsifiability:
         result = run_schedule(schedule, seed=0, settops=2,
                               monitors=default_monitors())
         assert result.ok, [v.detail for v in result.violations]
-        assert all_converged(result.replication)
+        assert result.counters["repl.ns.converged"] == 1
+        assert result.counters["repl.db.converged"] == 1
         # The drill's gaps all fit in the retained log: no snapshots.
-        assert result.replication["db"]["snapshot_fetches"] == 0
+        assert result.counters["repl.db.snapshot_fetches"] == 0
