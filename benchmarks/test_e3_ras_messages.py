@@ -31,11 +31,11 @@ def run_workload(mechanism, kernel, clients: int, resources_per_client: int,
     rng = SeededRandom(seed)
     step = 5.0
     t = 0.0
-    kernel._now = 0.0  # each mechanism replays the identical timeline
+    kernel.now = 0.0  # each mechanism replays the identical timeline
     active = []
     counter = [0]
     while t < RUN_SECONDS:
-        kernel._now = t
+        kernel.now = t
         # arrivals: keep ~clients sessions live
         while len(active) < clients:
             client = f"client-{counter[0]}"
@@ -60,7 +60,7 @@ def run_workload(mechanism, kernel, clients: int, resources_per_client: int,
                         mechanism.release(resource)
         mechanism.run(t)
         t += step
-    kernel._now = RUN_SECONDS
+    kernel.now = RUN_SECONDS
     mechanism.run(RUN_SECONDS)
     return mechanism.stats.summary()
 

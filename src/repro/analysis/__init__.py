@@ -1,7 +1,7 @@
 """Static analysis for the reproduction's determinism invariants.
 
 ``repro lint`` front-end: an AST linter with repo-specific rules --
-determinism/layering (D001..D010, :mod:`repro.analysis.rules`),
+determinism/layering (D001..D011, :mod:`repro.analysis.rules`),
 protocol conformance against the registered IDL
 (P001..P005, :mod:`repro.analysis.protocol`), and suppression hygiene
 (W001) -- plus two runtime checkers: a double-run trace diff

@@ -1,4 +1,4 @@
-"""The repo-specific rule set (D001..D010).
+"""The repo-specific rule set (D001..D011).
 
 Every rule guards the one invariant the reproduction rests on: two runs
 with the same seed produce byte-identical traces (see
@@ -423,6 +423,30 @@ class DeadlineRule(Rule):
         return out
 
 
+class ClockWriteRule(Rule):
+    rule_id = "D011"
+    title = "only the kernel moves the clock"
+    rationale = ("`Kernel.now` is a plain attribute that the run loop "
+                 "writes; code outside repro/sim/ that assigns `.now` "
+                 "would move simulated time behind the event queue's "
+                 "back, so an event could fire before one armed earlier "
+                 "for the same instant.  Advance time with kernel.run / "
+                 "kernel.sleep.")
+
+    def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
+        if ctx.in_dir("sim") or \
+                os.path.basename(ctx.relpath).startswith("test_"):
+            return []
+        # Every assignment form (=, +=, annotated, tuple targets, for
+        # and with targets) stores through an Attribute in Store context.
+        return [self.violation(ctx, node,
+                               "assignment to `.now` outside repro/sim/; "
+                               "only the kernel's run loop moves the clock")
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "now"
+                and isinstance(node.ctx, ast.Store)]
+
+
 class StaleSuppressionRule(Rule):
     """W001 -- enforced by the engine, declared here for the catalog.
 
@@ -449,7 +473,8 @@ def default_rules() -> List[Rule]:
     return [RandomModuleRule(), WallClockRule(), UnorderedIterationRule(),
             HashSeedRule(), ExceptionSwallowRule(), LayeringRule(),
             PrintRule(), FutureLeakRule(), RawFaultSurfaceRule(),
-            DeadlineRule()] + protocol_rules() + [StaleSuppressionRule()]
+            DeadlineRule(), ClockWriteRule()] + protocol_rules() + [
+                StaleSuppressionRule()]
 
 
 def rules_by_id() -> Dict[str, Rule]:

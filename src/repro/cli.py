@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="determinism, layering & protocol-conformance linter "
-                     "(D001-D010, P001-P005, W001)")
+                     "(D001-D011, P001-P005, W001)")
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories to lint (default src/repro)")
     lint.add_argument("--stats", action="store_true",

@@ -21,28 +21,46 @@ _REF_SIZE = 64          # ip + port + timestamp + type id + object id
 _STRING_OVERHEAD = 4
 _CONTAINER_OVERHEAD = 4
 
+#: Exact type -> its fixed marshaled size.  Seeded with the atoms;
+#: ``estimated_size`` adds a class the first time it sees one whose
+#: ``wire_size`` hint is an ``int`` class attribute (``ObjectRef``,
+#: ``Ticket``).  A ``wire_size`` property (``Blob``) varies per instance
+#: and is never entered.
+_FIXED_SIZE: Dict[type, int] = {
+    int: _SCALAR_SIZE, float: _SCALAR_SIZE, bool: 1, type(None): 1,
+}
+_fixed_size = _FIXED_SIZE.get
+
 
 def estimated_size(value: Any) -> int:
     """Bytes this value would occupy on the wire, CDR-style."""
-    # Exact built-in types first: no isinstance walk, and a container is
-    # summed in C.  bool, subclasses (IntEnum, namedtuples), sets,
-    # bytearray and wire_size hints take the general chain below.
+    # Exact types first: one table probe for a fixed-size value, and an
+    # exact container walks its items here, calling back only for an
+    # item that is neither fixed-size nor an ASCII str.  Subclasses
+    # (IntEnum, namedtuples, str subclasses), sets, bytearray and
+    # wire_size hints take the isinstance chain below.
     kind = type(value)
+    size = _fixed_size(kind)
+    if size is not None:
+        return size
     if kind is str:
         if value.isascii():
             return _STRING_OVERHEAD + len(value)
         return _STRING_OVERHEAD + len(value.encode("utf-8"))
-    if kind is int or kind is float:
-        return _SCALAR_SIZE
-    if kind is tuple or kind is list:
-        return _CONTAINER_OVERHEAD + sum(map(estimated_size, value))
-    if kind is dict:
-        return (_CONTAINER_OVERHEAD + sum(map(estimated_size, value))
-                + sum(map(estimated_size, value.values())))
     if kind is bytes:
         return _CONTAINER_OVERHEAD + len(value)
-    if value is None:
-        return 1
+    if kind is tuple or kind is list or kind is dict:
+        total = _CONTAINER_OVERHEAD
+        for item in [*value, *value.values()] if kind is dict else value:
+            item_kind = type(item)
+            size = _fixed_size(item_kind)
+            if size is None:
+                if item_kind is str and item.isascii():
+                    size = _STRING_OVERHEAD + len(item)
+                else:
+                    size = estimated_size(item)
+            total += size
+        return total
     if isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):
@@ -58,9 +76,12 @@ def estimated_size(value: Any) -> int:
             estimated_size(k) + estimated_size(v) for k, v in value.items())
     # Object references and small structs: use their own hint if provided.
     hint = getattr(value, "wire_size", None)
-    if hint is not None:
-        return int(hint)
-    return _REF_SIZE
+    if hint is None:
+        return _REF_SIZE
+    fixed = getattr(kind, "wire_size", None)
+    if type(fixed) is int:
+        _FIXED_SIZE[kind] = fixed       # one class attribute: one size
+    return int(hint)
 
 
 _exception_registry: Dict[str, Type[BaseException]] = {}

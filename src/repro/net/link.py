@@ -55,7 +55,7 @@ class Link:
         The delay covers queueing behind earlier messages, serialization at
         the rate left over after CBR reservations, and propagation latency.
         """
-        now = self.kernel._now
+        now = self.kernel.now
         start = max(now, self._busy_until)
         # serialization_time, inline: one call per datagram per link.
         finish = start + (8.0 * nbytes) / self._effective_rate_bps

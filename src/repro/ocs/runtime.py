@@ -425,8 +425,8 @@ class OCSRuntime:
 
     def _dispatch(self, msg: Message, ctx: CallContext, export: _Export,
                   mdef: MethodDef, key: Optional[Tuple[str, int]]) -> None:
-        # One event per call.  The hop takes the seq a Task's first-step
-        # call_soon took, so every later event keeps its (when, seq).
+        # One event per call.  The hop takes the ready-lane place a
+        # Task's first-step call_soon took, so event order is unchanged.
         self.kernel.call_soon(self._start_servant, msg, ctx, export, mdef,
                               key)
 

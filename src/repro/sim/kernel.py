@@ -1,10 +1,11 @@
 """Virtual-time event loop with ``async``/``await`` support.
 
 The kernel is a classic discrete-event scheduler: a timer heap of
-``(time, sequence, callback)`` entries plus a FIFO fast lane for
-callbacks scheduled *at the current timestamp* (``call_soon`` and past
-``call_at`` targets).  Time only advances when a timer fires, so a
-million simulated seconds of idle polling costs only the poll events
+``(time, sequence, handle)`` entries plus a FIFO ready lane of handles
+for callbacks due *at the current timestamp* (``call_soon``, and
+``call_at``/``call_later`` targets that are not in the future).  Time
+only advances when a timer fires, so a million
+simulated seconds of idle polling costs only the poll events
 themselves.  Everything above this file -- the network, OCS, the name
 service, the ITV services -- is written as ordinary ``async`` code
 awaiting :class:`Future` objects created here.
@@ -14,17 +15,30 @@ Future timers live in one :class:`~repro.sim.wheel.TimerHeap` of
 drains its list in place -- it reads the top, drops cancelled shells and
 pops with ``heapq`` -- so an event costs no method call on the store.
 ``tests/test_timer_wheel.py`` checks the kernel's firing order against
-a one-list reference scheduler kept in that file.
+a one-list reference scheduler kept in that file, in which every event
+(ready or not) carries a global ``(when, seq)`` pair.
 
-The fast lane is purely an optimisation: every handle still carries a
-global sequence number and the run loop always executes the lowest
-``(when, seq)`` pair across both containers, so the observable event
-order (and therefore every trace) is identical to the single-container
-scheduler.  ``call_soon`` is the hottest scheduling call (every future
-completion funnels through it), and a deque append/popleft avoids the
-O(log n) sift a heap would charge per callback.
+Why the ready lane needs no sequence number.  The contract is "lowest
+``(when, seq)`` first", with ``seq`` the arming order.  Two facts make
+the lane's FIFO position enough:
 
-Determinism: ties in time are broken by insertion sequence number, and all
+- a timer enters the heap only when it is strictly in the future
+  (``when > now``), so a heap timer due at ``now`` was armed at an
+  earlier instant; and
+- ``now`` only moves when the ready lane is empty (a heap timer is
+  served ahead of the lane only when it is due at ``now``, and
+  ``run(until)`` advances the clock only after the lane drains), so
+  every ready entry was queued at the current instant.
+
+So a heap timer due at ``now`` precedes every ready entry, every ready
+entry precedes every later heap timer, and within the lane FIFO order
+is arming order.  The run loop serves a heap timer before the lane only
+when that timer is due at ``now``.  ``call_soon`` is the hottest
+scheduling call (every future completion funnels through it): it is a
+deque append of a :class:`TimerHandle` that takes no sequence number,
+as is a ``call_at``/``call_later`` that is not in the future.
+
+Determinism: ties in time are broken by arming order, and all
 randomness in the simulation goes through :class:`repro.sim.rand.SeededRandom`,
 so two runs with the same seed produce byte-identical traces.
 """
@@ -34,6 +48,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from heapq import heappop
+from math import inf
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.sim.errors import (
@@ -54,7 +69,7 @@ class Future:
 
     Mirrors the asyncio future API closely enough that simulated services
     read like ordinary async Python, but completion callbacks are scheduled
-    on the *virtual* clock (same timestamp, later sequence number).
+    on the *virtual* clock (same timestamp, behind what is already queued).
     """
 
     __slots__ = ("_kernel", "_state", "_result", "_exception", "_callbacks",
@@ -279,13 +294,18 @@ class Kernel:
     Use :meth:`create_task` to start coroutines, :meth:`run` to execute
     until the event heap drains or ``until`` is reached, and :meth:`sleep`
     / :meth:`wait_for` inside coroutines.
+
+    ``now`` is the current simulated time, in seconds.  It is a plain
+    attribute for speed; only the run loop writes it (lint rule D011
+    forbids assigning ``.now`` outside ``repro/sim/``).
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._timers = TimerHeap()
+        # Handles due at ``now``, in arming order; each has seq 0.
         self._ready: "deque[TimerHandle]" = deque()
-        self._seq = 0
+        self._seq = 0               # arming order of heap timers only
         self._stopped = False
         self._task_count = 0
         # Happens-before instrumentation sink (a TraceLog, usually the
@@ -300,23 +320,17 @@ class Kernel:
         # one attribute check and record nothing.
         self.ledger: Optional[Any] = None
 
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
-
     # -- scheduling ---------------------------------------------------
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> "TimerHandle":
         if self._stopped:
             raise KernelStopped("kernel has been stopped")
-        self._seq += 1
-        if when <= self._now:
-            # Fast lane: already due.  The deque is FIFO and every handle
-            # in it shares when == now, so seq order is preserved.
-            handle = TimerHandle(self._now, self._seq, fn, args)
+        if when <= self.now:
+            # Already due: the ready lane, which orders by position.
+            handle = TimerHandle(self.now, 0, fn, args)
             self._ready.append(handle)
         else:
+            self._seq += 1
             handle = TimerHandle(when, self._seq, fn, args)
             self._timers.push(handle)
         return handle
@@ -328,25 +342,28 @@ class Kernel:
         # frame plus an *args repack per timer.
         if self._stopped:
             raise KernelStopped("kernel has been stopped")
-        when = self._now if delay <= 0.0 else self._now + delay
-        self._seq += 1
-        handle = TimerHandle(when, self._seq, fn, args)
-        if when <= self._now:
-            self._ready.append(handle)
-        else:
+        now = self.now
+        when = now + delay
+        if when > now:
+            self._seq += 1
+            handle = TimerHandle(when, self._seq, fn, args)
             self._timers.push(handle)
+        else:
+            # delay <= 0, or too small to move the clock: already due.
+            handle = TimerHandle(now, 0, fn, args)
+            self._ready.append(handle)
         return handle
 
     def call_soon(self, fn: Callable, *args: Any) -> "TimerHandle":
-        """Schedule ``fn`` at the current timestamp (FIFO fast lane).
+        """Schedule ``fn(*args)`` at the current timestamp (the ready lane).
 
         This is the hottest scheduling path -- every future completion
-        callback lands here -- so it skips the timer heap entirely.
+        callback lands here -- so it is one deque append of a handle that
+        takes no sequence number (the lane orders by position).
         """
         if self._stopped:
             raise KernelStopped("kernel has been stopped")
-        self._seq += 1
-        handle = TimerHandle(self._now, self._seq, fn, args)
+        handle = TimerHandle(self.now, 0, fn, args)
         self._ready.append(handle)
         return handle
 
@@ -376,8 +393,8 @@ class Kernel:
 
     def sleep(self, delay: float) -> Future:
         """Return a future completing ``delay`` simulated seconds from now."""
-        fut = self.create_future()
-        self.call_later(delay, _set_result_if_pending, fut, None)
+        fut = Future(self)
+        self.call_later(delay, _wake_sleeper, fut)
         return fut
 
     def wait_for(self, awaitable, timeout: float) -> Future:
@@ -427,47 +444,45 @@ class Kernel:
         the last event fired earlier (so repeated ``run(until=...)`` calls
         observe a monotone clock).
         """
+        limit = inf if until is None else until
+        if self.now > limit:
+            return self.now     # nothing queued is due by ``until``
         timers = self._timers
         entries = timers.entries    # compaction rebuilds it in place
         ready = self._ready
+        popleft = ready.popleft
         while not self._stopped:
-            # The next event is the lowest (when, seq) across the ready
-            # deque and the heap.  Ready handles all sit at when == now,
-            # which is <= every queued timer, so the only real contest is
-            # a timer at the same timestamp with an earlier seq.  A heap
-            # entry compares as (when, seq): seq is unique, so the
-            # handle in its third field is never compared.
             if entries:
-                top = entries[0]
-                head = top[2]
+                when, _seq, head = entries[0]
                 if head.cancelled:
                     heappop(entries)
                     if timers.shells:
                         timers.shells -= 1
                     continue
-                from_heap = not ready or top < (ready[0].when, ready[0].seq)
-                if not from_heap:
-                    head = ready[0]
-            elif ready:
-                head = ready[0]
-                from_heap = False
-            else:
+                # A heap timer due now was armed at an earlier instant,
+                # so it precedes the whole ready lane (module docstring).
+                if when <= self.now or not ready:
+                    if when > limit:
+                        break
+                    heappop(entries)
+                    head._store = None
+                    self.now = when
+                    head.fn(*head.args)
+                    continue
+            elif not ready:
                 break
-            if head.cancelled:      # only a ready head can be
-                ready.popleft()
-                continue
-            if until is not None and head.when > until:
-                break
-            if from_heap:
-                heappop(entries)
-                head._store = None
-            else:
-                ready.popleft()
-            self._now = head.when
-            head.fn(*head.args)
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
-        return self._now
+            # Nothing in the heap is due now, and nothing armed from here
+            # on can be before the clock moves: drain the lane.
+            head = popleft()
+            if not head.cancelled:
+                head.fn(*head.args)
+            while ready and not self._stopped:
+                head = popleft()
+                if not head.cancelled:
+                    head.fn(*head.args)
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
+        return self.now
 
     def run_until_complete(self, awaitable, limit: float = 1e12) -> Any:
         """Run the loop until ``awaitable`` finishes; return its result."""
@@ -475,7 +490,7 @@ class Kernel:
         while not fut.done():
             if not self._ready and self._timers.peek() is None:
                 raise RuntimeError("event loop ran dry before future completed")
-            if self._now > limit:
+            if self.now > limit:
                 raise SimTimeoutError(f"run_until_complete exceeded t={limit}")
             self.run_one()
         return fut.result()
@@ -486,18 +501,15 @@ class Kernel:
         ready = self._ready
         while True:
             handle = timers.peek()
-            if ready and (handle is None
-                          or (ready[0].when, ready[0].seq)
-                          < (handle.when, handle.seq)):
-                handle = ready.popleft()
+            if ready and (handle is None or handle.when > self.now):
+                head = ready.popleft()
+                if head.cancelled:
+                    continue
+                head.fn(*head.args)
             elif handle is not None:
                 timers.pop()
-            else:
-                return
-            if handle.cancelled:
-                continue
-            self._now = handle.when
-            handle.fn(*handle.args)
+                self.now = handle.when
+                handle.fn(*handle.args)
             return
 
     def stop(self) -> None:
@@ -512,7 +524,8 @@ class TimerHandle:
     """A cancellable scheduled callback.
 
     ``_store`` is the :class:`TimerHeap` holding the handle, or None once
-    it has left the heap (and always for the ready lane).
+    it has left the heap (and always for a handle in the ready lane,
+    whose ``seq`` is 0: the lane orders by position).
     """
 
     __slots__ = ("when", "seq", "fn", "args", "cancelled", "_store")
@@ -537,9 +550,12 @@ class TimerHandle:
             self._store.note_cancelled()
 
 
-def _set_result_if_pending(fut: Future, value: Any) -> None:
+def _wake_sleeper(fut: Future) -> None:
+    """A sleep's timer: mark its future done (unless it was cancelled)."""
     if fut._state == _PENDING:
-        fut.set_result(value)
+        fut._state = _DONE
+        if fut._callbacks:
+            fut._schedule_callbacks()
 
 
 def gather(kernel: Kernel, awaitables: Iterable, return_exceptions: bool = False) -> Future:

@@ -144,6 +144,35 @@ def small_world(n_hosts=2):
     return kernel, net, hosts
 
 
+class EventRecorder:
+    """Wrap ``kernel``'s three scheduling calls on the instance.
+
+    ``armed`` logs the name of every ``call_soon``/``call_at``/
+    ``call_later`` made, and ``fired`` the instant every callback so
+    armed fired at, in firing order.
+    """
+
+    def __init__(self, kernel):
+        self.armed = []
+        self.fired = []
+        for name, fn_at in (("call_soon", 0), ("call_at", 1),
+                            ("call_later", 1)):
+            setattr(kernel, name,
+                    self._recording(kernel, name, getattr(kernel, name), fn_at))
+
+    def _recording(self, kernel, name, schedule, fn_at):
+        def scheduled(*args):
+            fn = args[fn_at]
+
+            def fire(*fn_args):
+                self.fired.append(kernel.now)
+                return fn(*fn_args)
+
+            self.armed.append(name)
+            return schedule(*args[:fn_at], fire, *args[fn_at + 1:])
+        return scheduled
+
+
 def start_echo(kernel, net, host, name="echo-svc"):
     """Export an OverloadEcho servant; returns (runtime, ref)."""
     proc = host.spawn(name)

@@ -22,10 +22,10 @@ class TestDurationTimeout:
         mech = DurationTimeout(kernel, slack=2.0)
         mech.grant("c1", "r1", estimated_duration=10.0)
         mech.client_crashed("c1")
-        kernel._now = 19.0
+        kernel.now = 19.0
         mech.run(19.0)
         assert mech.stats.reclaimed == 0   # estimate*slack not reached
-        kernel._now = 21.0
+        kernel.now = 21.0
         mech.run(21.0)
         assert mech.stats.reclaimed == 1
         # Leaked from death (t=0) to reclamation (t=20... measured at run).
@@ -34,7 +34,7 @@ class TestDurationTimeout:
     def test_revokes_healthy_long_runner(self, kernel):
         mech = DurationTimeout(kernel, slack=2.0)
         mech.grant("c1", "r1", estimated_duration=10.0)
-        kernel._now = 25.0
+        kernel.now = 25.0
         mech.run(25.0)
         assert mech.stats.false_revocations == 1
         assert mech.stats.reclaimed == 0
@@ -42,7 +42,7 @@ class TestDurationTimeout:
     def test_sends_no_messages(self, kernel):
         mech = DurationTimeout(kernel)
         mech.grant("c1", "r1", 5.0)
-        kernel._now = 100.0
+        kernel.now = 100.0
         mech.run(100.0)
         assert mech.stats.messages == 0
 
@@ -51,7 +51,7 @@ class TestShortLease:
     def test_renewals_cost_messages(self, kernel):
         mech = ShortLease(kernel, lease=10.0)
         mech.grant("c1", "r1", 0.0)
-        kernel._now = 100.0
+        kernel.now = 100.0
         mech.run(100.0)
         # grant + 10 renewals x (request + ack)
         assert mech.stats.messages == 1 + 10 * 2
@@ -59,10 +59,10 @@ class TestShortLease:
     def test_crash_reclaims_at_next_lease_boundary(self, kernel):
         mech = ShortLease(kernel, lease=10.0)
         mech.grant("c1", "r1", 0.0)
-        kernel._now = 12.0
+        kernel.now = 12.0
         mech.run(12.0)
         mech.client_crashed("c1")
-        kernel._now = 25.0
+        kernel.now = 25.0
         mech.run(25.0)
         assert mech.stats.reclaimed == 1
         # Died at t=12, lease expired unrenewed at t=20 -> ~8s of leak.
@@ -72,7 +72,7 @@ class TestShortLease:
         mech = ShortLease(kernel, lease=10.0)
         mech.grant("c1", "r1", 0.0)
         mech.release("r1")
-        kernel._now = 100.0
+        kernel.now = 100.0
         mech.run(100.0)
         assert mech.stats.messages == 1   # just the grant
 
@@ -91,7 +91,7 @@ class TestPerServiceTracking:
         mech.grant("c1", "r1", 0.0)
         mech.run(4.0)
         mech.client_crashed("c1")
-        kernel._now = 5.0
+        kernel.now = 5.0
         mech.run(10.0)
         assert mech.stats.reclaimed == 1
 

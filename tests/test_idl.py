@@ -2,11 +2,14 @@
 
 from collections import namedtuple
 from enum import IntEnum
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.auth.tickets import Ticket
+from repro.idl import types as idl_types
 from repro.idl import (
     MethodDef,
     estimated_size,
@@ -22,6 +25,7 @@ from repro.idl.errors import (
     UnknownInterface,
 )
 from repro.ocs.objref import ObjectRef
+from repro.services.data import Blob
 
 register_interface("IdlBase", {"ping": (), "add": ("a", "b")})
 register_interface("IdlDerived", {"extra": ("x",)}, base="IdlBase")
@@ -162,6 +166,11 @@ class _Colour(IntEnum):
 _Pair = namedtuple("_Pair", "left right")
 
 
+class _Span(NamedTuple):
+    start: float
+    label: str
+
+
 class _Label(str):
     pass
 
@@ -186,8 +195,14 @@ _hashable = st.recursive(
     lambda kids: st.one_of(st.tuples(kids, kids), st.builds(_Pair, kids, kids),
                            st.frozensets(kids, max_size=4)),
     max_leaves=8)
+# Wire-hinted values beside ObjectRef: a class-attribute hint (Ticket),
+# a property hint (Blob, one size per instance) and a typing.NamedTuple.
+_hinted = st.sampled_from([
+    Ticket("viewer", 1.0, 2.0, "mac"), Ticket("", 0.0, 0.0, ""),
+    Blob("font", 0), Blob("kernel", 7), Blob("movie", 10 ** 9),
+    _Span(0.5, "x"), _Span(-1.0, "naïve")])
 _value = st.recursive(
-    st.one_of(_hashable_leaf, st.binary().map(bytearray)),
+    st.one_of(_hashable_leaf, _hinted, st.binary().map(bytearray)),
     lambda kids: st.one_of(
         st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
         st.builds(_Pair, kids, kids),
@@ -200,6 +215,9 @@ class TestEstimatedSizeDifferential:
     @settings(max_examples=300, deadline=None)
     @given(value=_value)
     def test_agrees_with_the_isinstance_chain(self, value):
+        # Twice: the first sight of a hinted class may enter it in the
+        # fixed-size table, the second is answered from it.
+        assert estimated_size(value) == _chain_size(value)
         assert estimated_size(value) == _chain_size(value)
 
     @pytest.mark.parametrize("value", [
@@ -208,6 +226,15 @@ class TestEstimatedSizeDifferential:
         ObjectRef(ip="1.2.3.4", port=1, incarnation=(0.0, 1),
                   type_id="IdlBase"),
         _Hinted(), _Unhinted(), {"k": [None, (b"v", 3)]},
+        Ticket("viewer", 1.0, 2.0, "mac"), Blob("font", 1234),
+        _Span(0.5, "x"), [Blob("a", 7), (Blob("b", 9), 1)],
     ])
     def test_each_fall_through_kind(self, value):
         assert estimated_size(value) == _chain_size(value)
+        assert estimated_size(value) == _chain_size(value)
+
+    def test_only_class_attribute_hints_are_learned(self):
+        estimated_size([Ticket("v", 1.0, 2.0, "m"), Blob("b", 5)])
+        assert idl_types._FIXED_SIZE[Ticket] == 96
+        assert Blob not in idl_types._FIXED_SIZE     # a property hint
+        assert estimated_size(Blob("big", 10 ** 6)) == 10 ** 6

@@ -132,6 +132,21 @@ class TestRuleFixtures:
                     "D010") == [("D010", 1)]
 
 
+    def test_d011_clock_write(self):
+        violations = lint_fixture("d011_clock.py")
+        assert hits(violations, "D011") == [("D011", 5), ("D011", 6),
+                                            ("D011", 7), ("D011", 8)]
+
+    def test_d011_exempts_sim_and_tests(self):
+        source = "kernel.now = 3.0\n"
+        for relpath in ("sim/kernel.py", "test_alternatives.py"):
+            assert lint_source(source, relpath, default_rules(),
+                               relpath=relpath) == [], relpath
+        assert hits(lint_source(source, "x.py", default_rules(),
+                                relpath="net/link.py"),
+                    "D011") == [("D011", 1)]
+
+
 class TestSuppressions:
     def test_noqa_fixture(self):
         violations = lint_fixture("noqa_suppressed.py")
@@ -180,7 +195,7 @@ class TestEngine:
 
     def test_rules_by_id_covers_the_full_catalog(self):
         ids = sorted(rules_by_id())
-        assert ids == ([f"D00{i}" for i in range(1, 10)] + ["D010"]
+        assert ids == ([f"D00{i}" for i in range(1, 10)] + ["D010", "D011"]
                        + [f"P00{i}" for i in range(1, 6)] + ["W001"])
 
     def test_stats_lines(self):

@@ -5,8 +5,8 @@ the servant suspends.
 runs the servant's first step inside the dispatch event and builds a Task
 only for a coroutine that suspended there.  That must be invisible: the
 Task-per-call body is kept here, verbatim, as the differential oracle, and
-every observable -- what each caller hears and when, the kernel's sequence
-counter, the message count, the gate and reply-cache counters -- has to
+every observable -- what each caller hears and when, the instant of every
+kernel event fired, the message count, the gate and reply-cache counters -- has to
 come out identical.  The count tests then pin what the change is *for*.
 """
 
@@ -23,7 +23,7 @@ from repro.idl.interface import MethodDef
 from repro.idl.types import register_exception
 from repro.ocs import OCSRuntime
 from repro.sim import kernel as kernel_module
-from tests.helpers import small_gate, small_world
+from tests.helpers import EventRecorder, small_gate, small_world
 
 register_interface("DispatchToy", {
     "plain": ("value",),
@@ -127,6 +127,7 @@ class World:
     def __init__(self, runtime_cls, script):
         fresh_run_state()
         self.kernel, self.net, hosts = small_world(3)
+        self.fired = EventRecorder(self.kernel).fired
         self.proc = hosts[0].spawn("toy")
         self.runtime = runtime_cls(self.proc, self.net)
         self.toy = Toy(self.kernel)
@@ -163,7 +164,7 @@ class World:
         return {
             "heard": self.heard,
             "executed": self.toy.executed,
-            "seq": self.kernel._seq,
+            "fired": self.fired,
             "now": self.kernel.now,
             "sent": self.net.messages_sent,
             "dropped": self.net.messages_dropped,
@@ -211,15 +212,15 @@ def test_eager_dispatch_matches_the_task_per_call_oracle(script):
 
 
 def test_the_oracle_notices_a_missing_hop():
-    """Teeth: without the hop each call takes one seq fewer, which is
-    exactly the drift the differential test exists to catch."""
+    """Teeth: without the hop each call fires one kernel event fewer,
+    which is exactly the drift the differential test exists to catch."""
     script = {"calls": [{"at": 0.0, "client": 0, "op": "plain",
                          "duration": 0.002, "timeout": 3.0, "request": None}],
               "lag": 0.0, "gate": None, "kill_at": None, "kill_on": None}
     oracle = World(TaskPerCallRuntime, script).observed()
     mutant = World(NoHopRuntime, script).observed()
     assert mutant["heard"] == oracle["heard"]
-    assert mutant["seq"] == oracle["seq"] - 1
+    assert len(mutant["fired"]) == len(oracle["fired"]) - 1
 
 
 def test_script_space_reaches_every_path():

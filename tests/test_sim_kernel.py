@@ -12,6 +12,7 @@ from repro.sim import (
     gather,
 )
 from repro.sim.errors import InvalidStateError
+from tests.helpers import EventRecorder
 
 
 @pytest.fixture
@@ -72,7 +73,7 @@ class TestClock:
 
 
 class TestFastLane:
-    """The call_soon deque must interleave with the heap in seq order."""
+    """The ready lane must interleave with the heap in arming order."""
 
     def test_soon_and_past_call_at_share_fifo_order(self, kernel):
         kernel.run(until=3.0)
@@ -357,16 +358,17 @@ class TestAwaitPath:
         cancelled = kernel.create_future()
         cancelled.cancel()
         seen = []
+        events = EventRecorder(kernel)
 
         async def main():
-            seq = kernel._seq
+            armed = len(events.armed)
             seen.append(await done)
             for fut in (failed, cancelled):
                 try:
                     await fut
                 except (KeyError, CancelledError) as err:
                     seen.append(repr(err))
-            seen.append(kernel._seq - seq)
+            seen.append(len(events.armed) - armed)   # no wake-up armed
 
         kernel.run_until_complete(main())
         assert seen == ["ready", "KeyError('k')",
@@ -375,10 +377,10 @@ class TestAwaitPath:
     def test_set_result_without_waiters_schedules_nothing(self, kernel):
         fut = kernel.create_future()
         seen = []
+        events = EventRecorder(kernel)
         kernel.call_soon(seen.append, "queued before")
-        seq = kernel._seq
         fut.set_result(1)
-        assert kernel._seq == seq
+        assert events.armed == ["call_soon"]
         kernel.call_soon(seen.append, "queued after")
         fut.add_done_callback(lambda f: seen.append(("callback", f.result())))
         kernel.run()
@@ -395,10 +397,10 @@ class TestStartTask:
         async def quick():
             seen.append(kernel.now)
 
-        seq = kernel._seq
+        events = EventRecorder(kernel)
         assert kernel.start_task(quick(), "quick") is None
         assert seen == [0.0]
-        assert kernel._seq == seq          # no event, no future, no Task
+        assert events.armed == []          # no event, no future, no Task
         assert kernel.pending_events() == 0
 
     def test_first_step_exception_propagates_to_the_caller(self, kernel):

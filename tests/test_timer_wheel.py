@@ -16,6 +16,13 @@ keeps one list and takes ``min`` over it.  Two layers:
   ``run(until)`` / ``run_one`` steps, including callbacks that re-arm
   timers mid-fire, compaction from inside a callback, and ``wait_for``
   churn.  The recorded ``(now, tag)`` streams must be equal.
+
+The kernel's ready lane holds handles with no ``seq`` of their own
+(``call_soon``, and ``call_at``/``call_later`` that are not in the
+future).  It relies on one invariant: a heap timer due at
+``now`` was armed at an earlier instant, so it precedes every ready
+entry.  ``TestSameInstantOrder`` holds the cases where that invariant
+does the work.
 """
 
 import hypothesis.strategies as st
@@ -42,15 +49,15 @@ class ReferenceKernel(Kernel):
         if self._stopped:
             raise KernelStopped("kernel has been stopped")
         self._seq += 1
-        handle = TimerHandle(max(when, self._now), self._seq, fn, args)
+        handle = TimerHandle(max(when, self.now), self._seq, fn, args)
         self._events.append(handle)
         return handle
 
     def call_later(self, delay, fn, *args):
-        return self.call_at(self._now + max(delay, 0.0), fn, *args)
+        return self.call_at(self.now + max(delay, 0.0), fn, *args)
 
     def call_soon(self, fn, *args):
-        return self.call_at(self._now, fn, *args)
+        return self.call_at(self.now, fn, *args)
 
     def _pop_next(self, until=None):
         self._events = [h for h in self._events if not h.cancelled]
@@ -65,7 +72,7 @@ class ReferenceKernel(Kernel):
     def run_one(self):
         head = self._pop_next()
         if head is not None:
-            self._now = head.when
+            self.now = head.when
             head.fn(*head.args)
 
     def run(self, until=None):
@@ -73,11 +80,11 @@ class ReferenceKernel(Kernel):
             head = self._pop_next(until)
             if head is None:
                 break
-            self._now = head.when
+            self.now = head.when
             head.fn(*head.args)
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
+        return self.now
 
     def pending_events(self):
         return sum(1 for h in self._events if not h.cancelled)
@@ -219,8 +226,10 @@ class TestKernelDifferential:
                 program.append(("soon",))
             elif roll < 0.6:
                 program.append(("later", rng.uniform(0.0, 30.0)))
-            elif roll < 0.8:
+            elif roll < 0.7:
                 program.append(("at", rng.uniform(0.0, 90.0)))
+            elif roll < 0.8:
+                program.append(("at", 0.0))     # already due: ready lane
             elif roll < 0.9:
                 program.append(("cancel", rng.randint(0, 999)))
             else:
@@ -323,6 +332,103 @@ class TestKernelDifferential:
         program = [("later", far * 2), ("later", 1.0), ("later", far + 5.0),
                    ("run_for", 2.0), ("later", far * 3), ("cancel", 2)]
         assert_program_parity(program)
+
+
+class TestSameInstantOrder:
+    """A heap timer due at ``now`` goes before the ready lane.
+
+    Each scenario leaves a timer in the heap at the current instant
+    while ready entries are queued; a kernel that served the lane first
+    would fire them in a different order from ``ReferenceKernel``.
+    """
+
+    @staticmethod
+    def differential(scenario):
+        def run(kernel_cls):
+            kernel = kernel_cls()
+            fired = []
+
+            def tag(name):
+                return lambda: fired.append((round(kernel.now, 9), name))
+
+            scenario(kernel, tag)
+            kernel.run()
+            return fired, kernel.now, kernel.pending_events()
+
+        observed = run(Kernel)
+        assert observed == run(ReferenceKernel)
+        return observed[0]
+
+    @staticmethod
+    def queue_same_instant(kernel, tag, prefix):
+        kernel.call_soon(tag(prefix + "soon"))
+        kernel.call_at(kernel.now, tag(prefix + "at-now"))
+        kernel.call_later(0.0, tag(prefix + "later-0"))
+
+    def test_run_until_lands_on_a_timer_instant_with_ready_queued(self):
+        def scenario(kernel, tag):
+            kernel.call_later(5.0, tag("t5-a"))
+            kernel.call_later(5.0, lambda: self.queue_same_instant(
+                kernel, tag, "t5-b:"))
+            kernel.call_later(5.0, tag("t5-c"))
+            kernel.call_later(7.0, tag("t7"))
+            kernel.run(until=2.0)
+            self.queue_same_instant(kernel, tag, "t2:")
+            kernel.run(until=5.0)           # exactly the timers' instant
+            self.queue_same_instant(kernel, tag, "t5:")
+            kernel.run(until=5.0)
+
+        fired = self.differential(scenario)
+        assert [name for _t, name in fired] == [
+            "t2:soon", "t2:at-now", "t2:later-0", "t5-a", "t5-c",
+            "t5-b:soon", "t5-b:at-now", "t5-b:later-0",
+            "t5:soon", "t5:at-now", "t5:later-0", "t7"]
+
+    def test_run_until_before_now_keeps_a_queued_lane(self):
+        # run_one stops between two timers of one instant: the second is
+        # due at now, in the heap, behind nothing.
+        def scenario(kernel, tag):
+            kernel.call_later(5.0, tag("t5-a"))
+            kernel.call_later(5.0, tag("t5-b"))
+            kernel.run_one()
+            self.queue_same_instant(kernel, tag, "")
+            assert kernel.run(until=4.0) == 5.0
+            assert kernel.pending_events() == 4
+
+        fired = self.differential(scenario)
+        assert [name for _t, name in fired] == [
+            "t5-a", "t5-b", "soon", "at-now", "later-0"]
+
+    def test_run_one_interleaved_with_run(self):
+        def scenario(kernel, tag):
+            for name in ("a", "b", "c"):
+                kernel.call_later(3.0, tag("t3-" + name))
+            kernel.call_later(3.0, lambda: self.queue_same_instant(
+                kernel, tag, "t3-d:"))
+            kernel.call_later(3.0, tag("t3-e"))
+            kernel.run_one()
+            self.queue_same_instant(kernel, tag, "1:")
+            kernel.run_one()
+            kernel.run(until=3.0)
+            kernel.run_one()
+
+        fired = self.differential(scenario)
+        assert [name for _t, name in fired] == [
+            "t3-a", "t3-b", "t3-c", "t3-e", "1:soon", "1:at-now",
+            "1:later-0", "t3-d:soon", "t3-d:at-now", "t3-d:later-0"]
+
+    def test_callback_queues_same_instant_work_before_a_due_timer(self):
+        def scenario(kernel, tag):
+            kernel.call_at(4.0, lambda: self.queue_same_instant(
+                kernel, tag, "first:"))
+            kernel.call_at(4.0, tag("second"))
+            kernel.call_at(4.0, tag("third"))
+
+        fired = self.differential(scenario)
+        assert [name for _t, name in fired] == [
+            "second", "third", "first:soon", "first:at-now",
+            "first:later-0"]
+        assert {when for when, _name in fired} == {4.0}
 
 
 # ---------------------------------------------------------------------
