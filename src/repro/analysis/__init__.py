@@ -4,15 +4,17 @@
 determinism/layering (D001..D011, :mod:`repro.analysis.rules`),
 protocol conformance against the registered IDL
 (P001..P005, :mod:`repro.analysis.protocol`), and suppression hygiene
-(W001) -- plus two runtime checkers: a double-run trace diff
-(:mod:`repro.analysis.determinism`) and a vector-clock happens-before
-race detector over instrumented traces (:mod:`repro.analysis.hb`,
-``repro analyze-trace``).  Together they keep two promises enforceable
-forever: two runs with the same seed produce byte-identical traces, and
-every RPC call site agrees with the interface it is calling.
+(W001) -- plus two runtime checkers: the reference scenario's canonical
+trace (:mod:`repro.analysis.determinism`, run twice and against golden
+digests by the tests) and a vector-clock happens-before race detector
+over instrumented traces (:mod:`repro.analysis.hb`, armed as the
+``hb_race`` monitor by ``repro chaos --hb``).  Together they keep two
+promises enforceable forever: two runs with the same seed produce
+byte-identical traces, and every RPC call site agrees with the interface
+it is calling.
 """
 
-from repro.analysis.determinism import double_run_diff, reference_scenario_trace
+from repro.analysis.determinism import reference_scenario_trace
 from repro.analysis.engine import (
     FileContext,
     LintReport,
@@ -56,7 +58,6 @@ __all__ = [
     "collect_files",
     "default_model",
     "default_rules",
-    "double_run_diff",
     "extract_protocol",
     "hb_events_from_trace",
     "lint_paths",

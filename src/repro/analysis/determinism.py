@@ -4,13 +4,14 @@ The static rules in :mod:`repro.analysis.rules` catch nondeterminism at
 the source level; this module catches what slips through by actually
 exercising the promise in :mod:`repro.sim.kernel`'s docstring.  A
 reference scenario (boot, viewer traffic, an MDS kill, a server crash
-and reboot) is run twice from the same seed and the structured traces
-are diffed line by line.  Any drift is a determinism bug.
+and reboot) renders its structured trace canonically, so two runs from
+the same seed can be compared line by line
+(``tests/test_determinism.py``) and against recorded digests
+(``tests/test_golden_trace.py``).  Any drift is a determinism bug.
 """
 
 from __future__ import annotations
 
-import difflib
 from typing import List
 
 
@@ -47,19 +48,3 @@ def reference_scenario_trace(seed: int, settops: int = 2,
     cluster.kernel.call_later(duration * 0.75, cluster.reboot_server, 1)
     run_viewers(cluster, kernels, duration, seed=seed)
     return [format_trace_line(ev) for ev in cluster.trace.events]
-
-
-def double_run_diff(seed: int, settops: int = 2,
-                    duration: float = 120.0) -> List[str]:
-    """Run the reference scenario twice with one seed; return the diff.
-
-    An empty list means the runs were byte-identical, which is the
-    repo's core invariant.  Non-empty output is a unified diff of the
-    first divergences, ready to print.
-    """
-    first = reference_scenario_trace(seed, settops=settops, duration=duration)
-    second = reference_scenario_trace(seed, settops=settops, duration=duration)
-    if first == second:
-        return []
-    return list(difflib.unified_diff(first, second, fromfile="run-1",
-                                     tofile="run-2", lineterm="", n=1))

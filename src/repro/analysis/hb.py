@@ -32,9 +32,8 @@ shared state saw the same updates in the same order.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 #: stop reporting races on one variable after this many pairs (a true
 #: split-brain touches many rows; the first few pin the bug).
@@ -89,26 +88,11 @@ class HbReport:
     """What one run's happens-before graph says about its shared state."""
 
     events: int = 0
-    actors: int = 0
-    messages: int = 0
     writes: Dict[str, List[HbWrite]] = field(default_factory=dict)
     races: List[HbRace] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.races
-
     def write_count(self) -> int:
         return sum(len(ws) for ws in self.writes.values())
-
-    def format_lines(self) -> List[str]:
-        lines = [f"hb: {self.events} event(s), {self.actors} actor(s), "
-                 f"{self.messages} message edge(s), {self.write_count()} "
-                 f"write(s) to {len(self.writes)} variable(s)"]
-        for race in self.races:
-            lines.append(f"RACE {race.describe()}")
-        lines.append(f"{len(self.races)} race(s)")
-        return lines
 
 
 class HbAnalyzer:
@@ -159,7 +143,6 @@ class HbAnalyzer:
             actor = self._actor_for(event["src"])
             clock = self._tick(actor)
             self._sends[event["msg"]] = self._freeze(clock)
-            self.report.messages += 1
         elif kind == "recv":
             actor = self._actor_for(event["dst"])
             clock = self._tick(actor)
@@ -204,10 +187,6 @@ class HbAnalyzer:
             if len(self.report.races) >= MAX_RACES_TOTAL:
                 return
 
-    def finish(self) -> HbReport:
-        self.report.actors = len(self._clocks)
-        return self.report
-
 
 # ----------------------------------------------------------------------
 # entry points
@@ -230,7 +209,7 @@ def analyze_events(events: Iterable[Mapping[str, Any]]) -> HbReport:
     analyzer = HbAnalyzer()
     for event in events:
         analyzer.feed(event)
-    return analyzer.finish()
+    return analyzer.report
 
 
 def analyze_trace(trace_events: Iterable[Any]) -> HbReport:
@@ -261,26 +240,4 @@ def write_order_digests(report: HbReport) -> Dict[str, str]:
                 chain.append(ver)
         digest = hashlib.sha256("\n".join(chain).encode()).hexdigest()
         out[var] = digest
-    return out
-
-
-# ----------------------------------------------------------------------
-# JSONL persistence (the `repro analyze-trace --trace FILE` format)
-# ----------------------------------------------------------------------
-
-def dump_jsonl(events: Iterable[Mapping[str, Any]], fh: TextIO) -> int:
-    """Write hb event dicts one-per-line; returns the count."""
-    n = 0
-    for event in events:
-        fh.write(json.dumps(event, sort_keys=True) + "\n")
-        n += 1
-    return n
-
-
-def load_jsonl(fh: TextIO) -> List[Dict[str, Any]]:
-    out = []
-    for line in fh:
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
     return out

@@ -48,10 +48,9 @@ class ChaosResult:
     # viewer_ops, degraded_ops, faults_injected, procs_killed and
     # trace_lines.
     counters: Dict[str, int] = field(default_factory=dict)
-    # Happens-before summary and raw event stream when the run was built
-    # with Params.hb_trace (read by `repro analyze-trace`); None otherwise.
+    # Happens-before summary when the run was built with Params.hb_trace
+    # (printed by `repro chaos --hb`); None otherwise.
     hb: Optional[dict] = None
-    hb_events: Optional[list] = None
 
     @property
     def ok(self) -> bool:
@@ -119,17 +118,15 @@ def run_schedule(schedule: FaultSchedule, seed: int, n_servers: int = 3,
     bus.finish()
 
     hb_summary = None
-    hb_events = None
     report = getattr(bus.monitor("hb_race"), "report", None)
     if report is not None:
-        from repro.analysis.hb import hb_events_from_trace, write_order_digests
+        from repro.analysis.hb import write_order_digests
         hb_summary = {
             "races": len(report.races),
             "events": report.events,
             "writes": report.write_count(),
             "digests": write_order_digests(report),
         }
-        hb_events = hb_events_from_trace(cluster.trace.events)
     counters = cluster_counters(cluster)
     counters.update(
         viewer_ops=sum(s.stats.opens + s.stats.orders + s.stats.game_rounds
@@ -146,7 +143,6 @@ def run_schedule(schedule: FaultSchedule, seed: int, n_servers: int = 3,
         availability=bus.monitor("settop_service").summaries(),
         counters=counters,
         hb=hb_summary,
-        hb_events=hb_events,
     )
 
 

@@ -89,10 +89,14 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSchedule":
+        """A schedule, or the minimizer's record by its ``schedule``."""
+        data = data.get("schedule", data)
         version = data.get("version", SCHEDULE_FORMAT_VERSION)
         if version != SCHEDULE_FORMAT_VERSION:
             raise FaultError(f"unsupported schedule version {version}")
-        faults = tuple(Fault.from_dict(f) for f in data.get("faults", []))
+        if not isinstance(data.get("faults"), list):
+            raise FaultError("a schedule needs a 'faults' list")
+        faults = tuple(Fault.from_dict(f) for f in data["faults"])
         return cls(faults=faults, horizon=float(data.get("horizon", 240.0)))
 
     def dumps(self) -> str:

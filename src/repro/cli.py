@@ -11,7 +11,11 @@ writing any code:
     python -m repro inventory             # Figure 2 service census
     python -m repro lint src/repro        # determinism & layering linter
     python -m repro chaos --seeds 10      # fault-injection seed sweep
-    python -m repro --determinism-check   # same-seed double-run trace diff
+
+``repro chaos`` is the one driver for a seeded run: ``--schedule``
+replays a schedule file or a minimized repro, ``--double-run`` requires
+a re-run to reproduce the trace digest, and ``--hb`` arms the
+happens-before race monitor.
 """
 
 from __future__ import annotations
@@ -92,48 +96,6 @@ def _cmd_lint(args) -> int:
         for line in report.stats_lines():
             print(line, file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def _cmd_analyze_trace(args) -> int:
-    """Happens-before race analysis: from a saved JSONL or a fresh run."""
-    from repro.analysis.hb import (analyze_events, dump_jsonl, load_jsonl,
-                                   write_order_digests)
-
-    if args.trace:
-        with open(args.trace) as fh:
-            events = load_jsonl(fh)
-        source = args.trace
-    else:
-        from repro.chaos import FaultSchedule, run_seed
-        from repro.core.params import Params
-        schedule = (FaultSchedule.load(args.schedule) if args.schedule
-                    else None)
-        result = run_seed(args.seed, n_faults=args.faults,
-                          horizon=args.horizon, settops=args.settops,
-                          params=Params(hb_trace=True), schedule=schedule)
-        for violation in result.violations:
-            if violation.monitor != "hb_race":
-                print(f"[{violation.monitor}] t={violation.time:.1f} "
-                      f"{violation.detail}", file=sys.stderr)
-        if result.hb_events is None:
-            print("run produced no hb events (hb_trace wiring broken?)",
-                  file=sys.stderr)
-            return 2
-        events = result.hb_events
-        source = (f"seed {args.seed}, {len(result.schedule)} fault(s), "
-                  f"horizon {result.schedule.horizon:.0f}s")
-
-    report = analyze_events(events)
-    print(f"== hb analysis: {source} ==")
-    for line in report.format_lines():
-        print(f"  {line}")
-    for var, digest in sorted(write_order_digests(report).items()):
-        print(f"  order {var}: {digest[:16]}")
-    if args.dump:
-        with open(args.dump, "w") as fh:
-            dump_jsonl(events, fh)
-        print(f"wrote {len(events)} hb event(s) to {args.dump}")
-    return 1 if report.races else 0
 
 
 def _counter_lines(counters) -> List[str]:
@@ -237,23 +199,6 @@ def _cmd_population(args) -> int:
     return 0
 
 
-def _run_determinism_check(args) -> int:
-    from repro.analysis import double_run_diff
-    diff = double_run_diff(args.seed, settops=args.settops,
-                           duration=args.duration)
-    if not diff:
-        print(f"determinism check passed: seed {args.seed} ran twice, "
-              "traces byte-identical")
-        return 0
-    print(f"DETERMINISM VIOLATION: seed {args.seed} produced diverging "
-          "traces:")
-    for line in diff[:200]:
-        print(line)
-    if len(diff) > 200:
-        print(f"... {len(diff) - 200} more diff line(s)")
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -321,28 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "and arm the hb_race monitor (Params.hb_trace)")
     chaos.set_defaults(fn=_cmd_chaos)
 
-    analyze = sub.add_parser(
-        "analyze-trace",
-        help="vector-clock happens-before race analysis of an hb-"
-             "instrumented run (repro.analysis.hb)")
-    analyze.add_argument("--seed", type=int, default=0,
-                         help="chaos seed to run instrumented (default 0)")
-    analyze.add_argument("--faults", type=int, default=8,
-                         help="faults in the generated schedule (default 8)")
-    analyze.add_argument("--horizon", type=float, default=240.0,
-                         help="seconds of fault injection (default 240)")
-    analyze.add_argument("--settops", type=int, default=4,
-                         help="settops under viewer load (default 4)")
-    analyze.add_argument("--schedule", default="",
-                         help="replay a schedule JSON instead of generating")
-    analyze.add_argument("--trace", default="",
-                         help="analyze a saved hb-event JSONL instead of "
-                              "running a cluster")
-    analyze.add_argument("--dump", default="",
-                         help="write the run's hb events to this JSONL for "
-                              "later --trace analysis")
-    analyze.set_defaults(fn=_cmd_analyze_trace)
-
     population = sub.add_parser(
         "population", help="population-scale settop workload (E15: binding "
                            "cache + NS resolve traffic)")
@@ -364,23 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_determinism_parser() -> argparse.ArgumentParser:
-    """Parser for the ``--determinism-check`` mode (no subcommand)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run the reference scenario twice with one seed and "
-                    "diff the traces (exit 1 on drift)")
-    parser.add_argument("--determinism-check", action="store_true",
-                        required=True, help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="scenario seed (default 0)")
-    parser.add_argument("--settops", type=int, default=2,
-                        help="settops to boot (default 2)")
-    parser.add_argument("--duration", type=float, default=120.0,
-                        help="simulated seconds per run (default 120)")
-    return parser
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     # The examples live next to the package in a source checkout; make
     # them importable when invoked as an installed module too.
@@ -388,11 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     repo_root = pathlib.Path(__file__).resolve().parent.parent.parent
     if (repo_root / "examples").is_dir() and str(repo_root) not in sys.path:
         sys.path.insert(0, str(repo_root))
-    if argv is None:
-        argv = sys.argv[1:]
-    if "--determinism-check" in argv:
-        return _run_determinism_check(
-            build_determinism_parser().parse_args(argv))
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -42,8 +42,8 @@ def fresh_run_state() -> None:
     clusters can coexist in one interpreter (shared test fixtures).  The
     price is that back-to-back runs see different absolute values in
     their traces.  Call this before each run that must be byte-identical
-    to another -- the determinism harness
-    (:mod:`repro.analysis.determinism`) does.  Do NOT call it while
+    to another -- the chaos runner and the reference scenario
+    (:mod:`repro.analysis.determinism`) do.  Do NOT call it while
     another cluster is still in use: its network would start handing out
     already-bound ports.
     """

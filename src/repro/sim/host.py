@@ -92,8 +92,8 @@ def reset_pid_counter() -> None:
 
     Pids are process-global, so back-to-back runs in one interpreter
     would otherwise see different pids in their traces -- breaking the
-    same-seed byte-identical-trace invariant the determinism check
-    (``repro --determinism-check``) enforces.
+    same-seed byte-identical-trace invariant that
+    ``repro chaos --double-run`` and the determinism tests enforce.
     """
     _pid_counter[0] = 0
 

@@ -118,6 +118,12 @@ class TestSchedule:
         # the original is untouched (schedules are values)
         assert schedule.faults[3].at == 110.0
 
+    def test_a_mapping_without_faults_is_rejected(self):
+        with pytest.raises(FaultError):
+            FaultSchedule.from_dict({"horizon": 60.0})
+        with pytest.raises(FaultError):
+            FaultSchedule.from_dict({"seed": 7, "digest": "00"})
+
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "schedule.json"
         SPLIT_BRAIN_SCHEDULE.save(path)
@@ -174,3 +180,24 @@ class TestSabotageAndMinimizer:
         assert payload["minimal_faults"] == len(minimized.schedule)
         replay = FaultSchedule.from_dict(payload["schedule"])
         assert replay == minimized.schedule
+
+    def test_cli_replays_the_minimal_record(self, sabotage, tmp_path,
+                                            capsys):
+        """``repro chaos --schedule`` on the minimizer's own record
+        reproduces its digest and verdict."""
+        from repro.cli import main
+        _, minimized = sabotage
+        path = write_minimal(minimized, tmp_path / "record")
+        payload = json.loads(path.read_text())
+        with broken_quorum():
+            code = main(["chaos", "--schedule", str(path), "--seed-base",
+                         str(payload["seed"]), "--seeds", "1", "--settops",
+                         "2", "--out", str(tmp_path / "again")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"{payload['minimal_faults']} fault(s)" in out
+        assert (f"seed {payload['seed']}: FAIL  "
+                f"faults={payload['minimal_faults']} "
+                f"digest={payload['digest'][:16]}") in out
+        for monitor in payload["violated_monitors"]:
+            assert f"[{monitor}]" in out

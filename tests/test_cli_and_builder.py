@@ -27,6 +27,17 @@ class TestCLIParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [["--determinism-check"],
+                                      ["analyze-trace", "--seed", "11"]])
+    def test_a_seeded_run_has_one_driver(self, argv, capsys):
+        """``repro chaos`` drives every seeded run: no side mode or
+        second subcommand parses."""
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
+
     def test_inventory_runs(self, capsys):
         from repro.cli import main
         assert main(["inventory", "--servers", "2", "--seed", "3"]) == 0
@@ -54,6 +65,18 @@ class TestCLIParser:
         assert int(ocs["corrupt_dropped"]) > 0
         # Only nonzero counters print: no corrupt frame reached dispatch.
         assert "corrupt_dispatched" not in ocs
+
+    def test_chaos_hb_replay_has_no_races(self, capsys, tmp_path):
+        from repro.cli import main
+        schedule = (Path(__file__).resolve().parent.parent / "benchmarks"
+                    / "schedules" / "e13_kills.json")
+        assert main(["chaos", "--hb", "--schedule", str(schedule),
+                     "--seed-base", "11", "--seeds", "1", "--settops", "2",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        hb = [line.split() for line in out.splitlines()
+              if line.startswith("  hb: ")]
+        assert len(hb) == 1 and "races=0" in hb[0], out
 
 
 class TestBuilderMechanics:

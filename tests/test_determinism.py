@@ -6,7 +6,11 @@ failover scenario traces byte-identically when run twice, and detached
 tasks/futures (linter rule D008) behave as declared.
 """
 
-from repro.analysis import double_run_diff, reference_scenario_trace
+import difflib
+
+import pytest
+
+from repro.analysis import reference_scenario_trace
 from repro.sim.kernel import Kernel
 from repro.sim.rand import SeededRandom, stable_seed
 
@@ -52,10 +56,14 @@ class TestSubstreams:
 
 
 class TestDoubleRun:
-    def test_reference_scenario_is_deterministic(self):
-        """The acceptance gate: same-seed double run, empty trace diff."""
-        diff = double_run_diff(seed=7, settops=2, duration=60.0)
-        assert diff == [], "\n".join(diff[:50])
+    @pytest.mark.parametrize("seed,duration", [(0, 60.0), (1, 120.0),
+                                               (7, 60.0)])
+    def test_same_seed_traces_identically(self, seed, duration):
+        """The acceptance gate: same-seed double run, identical traces."""
+        first = reference_scenario_trace(seed, settops=2, duration=duration)
+        second = reference_scenario_trace(seed, settops=2, duration=duration)
+        assert first == second, "\n".join(list(difflib.unified_diff(
+            first, second, "run-1", "run-2", lineterm="", n=1))[:50])
 
     def test_different_seeds_diverge(self):
         """The check has teeth: different seeds must not trace identically."""

@@ -8,18 +8,11 @@ so the master chain never forks) stays green with identical write-order
 digests across a same-seed replay.
 """
 
-import io
+import hashlib
 
 import pytest
 
-from repro.analysis.hb import (
-    HbAnalyzer,
-    analyze_events,
-    analyze_trace,
-    dump_jsonl,
-    load_jsonl,
-    write_order_digests,
-)
+from repro.analysis.hb import analyze_events, analyze_trace, write_order_digests
 from repro.chaos import FaultSchedule, run_seed
 from repro.chaos.faults import Fault
 from repro.cluster import build_cluster
@@ -112,19 +105,16 @@ class TestOracle:
         b = analyze_events([w("a/1", "x", "v1"), w("a/1", "x", "v2")])
         assert write_order_digests(a) == write_order_digests(b)
 
-    def test_jsonl_round_trip(self):
-        events = [
-            {"event": "bind", "ep": "1:1", "actor": "a/1"},
-            w("a/1", "x", "v1"),
-            {"event": "send", "msg": 3, "src": "1:1", "dst": "2:2"},
-        ]
-        buf = io.StringIO()
-        assert dump_jsonl(events, buf) == 3
-        buf.seek(0)
-        loaded = load_jsonl(buf)
-        assert loaded == events
-        assert write_order_digests(analyze_events(loaded)) == \
-            write_order_digests(analyze_events(events))
+    def test_digest_is_the_collapsed_version_chain(self):
+        """Fan-out of one version to three replicas is one chain link; an
+        unversioned write is ``?``."""
+        report = analyze_events([w("a/1", "x", "v1"), w("b/2", "x", "v1"),
+                                 w("c/3", "x", "v1"), w("a/1", "x", "v2"),
+                                 w("a/1", "y", None)])
+        assert write_order_digests(report) == {
+            "x": hashlib.sha256(b"v1\nv2").hexdigest(),
+            "y": hashlib.sha256(b"?").hexdigest(),
+        }
 
 
 class TestInstrumentedCluster:
@@ -168,7 +158,8 @@ class TestInstrumentedCluster:
         cluster.run_async(dual_write())
         report = analyze_trace(cluster.trace.events)
         race_vars = {r.var for r in report.races}
-        assert "db:race_t/k" in race_vars, report.format_lines()
+        assert "db:race_t/k" in race_vars, \
+            [race.describe() for race in report.races]
 
     def test_sequential_writes_stay_ordered(self):
         """The control: the same two writes, each awaited before the
@@ -188,7 +179,7 @@ class TestInstrumentedCluster:
         cluster.run_async(sequential())
         report = analyze_trace(cluster.trace.events)
         assert not any(r.var == "db:seq_t/k" for r in report.races), \
-            report.format_lines()
+            [race.describe() for race in report.races]
 
 
 KILL_SCHEDULE = FaultSchedule(faults=(
@@ -221,10 +212,3 @@ class TestChaosIntegration:
         a, b = hb_runs
         assert a.digest == b.digest
         assert a.hb["digests"] == b.hb["digests"]
-
-    def test_hb_events_exposed_for_dump(self, hb_runs):
-        events = hb_runs[0].hb_events
-        assert events and events[0].get("event")
-        report = analyze_events(events)
-        assert report.ok
-        assert write_order_digests(report) == hb_runs[0].hb["digests"]

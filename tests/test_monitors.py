@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.chaos import FaultSchedule, run_schedule, run_seed
+from repro.chaos import Fault, FaultSchedule, run_schedule, run_seed
 from repro.chaos.monitors import (LEAK_GRACE, CscPrimaryMonitor,
                                   DurabilityMonitor, EvidenceLedger,
                                   FutureLeakMonitor, _Stretch)
@@ -24,6 +24,13 @@ from repro.sim.host import Disk
 
 E18_SCHEDULE = (Path(__file__).resolve().parent.parent
                 / "benchmarks" / "schedules" / "e18_hostile_net.json")
+
+# The minimizer's repro of `repro chaos --seed-base 7 --seeds 1 --faults 5
+# --horizon 150 --settops 2`: a gray-failing server whose SSC is killed.
+GRAY_KILL_SSC_SCHEDULE = FaultSchedule(faults=(
+    Fault(5.0, "gray", {"server": 2, "reply_lag": 1.446}),
+    Fault(5.0, "kill_ssc", {"server": 2}),
+), horizon=150.0)
 
 
 def fake_cluster(servers=()):
@@ -262,6 +269,9 @@ def test_runs_once_falsely_red_on_durability_are_green(run):
                  ["audit_convergence"], id="e18-1"),
     pytest.param(lambda: run_schedule(FaultSchedule.load(E18_SCHEDULE), 13),
                  ["audit_convergence"], id="e18-13"),
+    pytest.param(lambda: run_schedule(GRAY_KILL_SSC_SCHEDULE, 7, settops=2),
+                 ["audit_convergence", "replica_lag_bounded"],
+                 id="gray-kill-ssc-7"),
 ])
 def test_pinned_red_runs(run, pinned):
     _assert_green_unless_pinned(run(), pinned)
