@@ -204,8 +204,10 @@ class Task(Future):
         # finalizer (which warns "never awaited") may run first.
         # weakref.finalize holds the coroutine alive until the task is
         # collected and is guaranteed to run before either finalizer.
+        # Its registry is process-global, so _first_step drops it: kept,
+        # it would pin the coroutine, its frame's kernel and the cluster.
         self._coro_closer = weakref.finalize(self, _close_coro_quietly, coro)
-        kernel.call_soon(self._step)
+        kernel.call_soon(self._first_step)
 
     def cancel(self) -> bool:
         if self.done():
@@ -218,6 +220,15 @@ class Task(Future):
         else:
             self._must_cancel = True
         return True
+
+    def _first_step(self) -> None:
+        # A started coroutine warns about nothing when it dies.
+        self._coro_closer.detach()
+        self._coro_closer = None
+        if self._state != _PENDING:
+            self._coro.close()      # completed before it ever ran
+            return
+        self._step()
 
     def _step(self, send_value: Any = None, exc: Optional[BaseException] = None) -> None:
         if self._state != _PENDING:
@@ -269,8 +280,6 @@ class Task(Future):
 
     def _finish(self, result: Any = None, exception: Optional[BaseException] = None,
                 cancelled: bool = False) -> None:
-        if self._coro_closer is not None:
-            self._coro_closer.detach()
         self._coro.close()
         if cancelled:
             Future.cancel(self)

@@ -7,6 +7,9 @@ tasks/futures (linter rule D008) behave as declared.
 """
 
 import difflib
+import gc
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +97,72 @@ class TestDetach:
         kernel.create_task(never_stepped()).detach()
         del kernel
         gc.collect()
+
+
+E13_SCHEDULE = (Path(__file__).resolve().parent.parent
+                / "benchmarks" / "schedules" / "e13_kills.json")
+
+
+class TestFreedClusters:
+    """A dropped cluster is garbage once unreachable, and collecting it
+    mid-run (its never-finished tasks' ``finally`` blocks run then)
+    must not touch the pid, message-id or port allocators of the live
+    run."""
+
+    def test_dropped_cluster_kernel_is_collected(self):
+        from repro.cluster.builder import build_full_cluster
+
+        cluster = build_full_cluster(n_servers=3)
+        cluster.run_for(30.0)
+        alive = weakref.ref(cluster.kernel)
+        del cluster
+        gc.collect()
+        assert alive() is None
+
+    def test_collecting_dead_clusters_mid_run_keeps_the_digest(
+            self, monkeypatch):
+        """E13 at seed 11, fresh, then again while the clusters of two
+        other seeds are collected inside the run: same trace digest and
+        same final pid/message-id/port allocators."""
+        from repro.chaos import FaultSchedule, engine
+        from repro.net.message import _msg_counter
+        from repro.ocs.runtime import _port_counter
+        from repro.sim.host import _pid_counter
+
+        def run(seed):
+            digest = engine.run_schedule(schedule, seed, settops=2).digest
+            return digest, _pid_counter[0], _msg_counter[0], _port_counter[0]
+
+        schedule = FaultSchedule.load(E13_SCHEDULE)
+        fresh = run(11)
+
+        kernels = []
+        build = engine.build_full_cluster
+
+        def tracked_build(*args, **kwargs):
+            cluster = build(*args, **kwargs)
+            kernels.append(weakref.ref(cluster.kernel))
+            return cluster
+
+        call_later = Kernel.call_later
+        calls = [0]
+
+        def collecting_call_later(self, delay, fn, *args):
+            calls[0] += 1
+            if calls[0] in (1, 500, 5_000, 15_000):
+                gc.collect()
+            return call_later(self, delay, fn, *args)
+
+        monkeypatch.setattr(engine, "build_full_cluster", tracked_build)
+        gc.disable()        # the dead clusters wait for the forced collects
+        try:
+            for seed in (12, 13):
+                run(seed)
+            assert [ref() is not None for ref in kernels] == [True, True]
+            monkeypatch.setattr(Kernel, "call_later", collecting_call_later)
+            again = run(11)
+        finally:
+            gc.enable()
+        assert [ref() for ref in kernels[:2]] == [None, None]
+        assert calls[0] > 15_000
+        assert again == fresh, (fresh, again)

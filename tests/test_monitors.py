@@ -4,7 +4,7 @@ Cluster-free tests drive a monitor against a fake cluster built from
 namespaces: the ``_Stretch`` grace clock, ``csc_primary``,
 ``future_leak`` and the ``durability`` db rule (highest seq per reign).
 The cluster tests pin the verdicts of known runs: runs that must stay
-green, and strict xfails for runs still red (ROADMAP item 1), each
+green, and strict xfails for runs still red (ROADMAP item 2), each
 asserting its exact violated-monitor set so that a fix flips it.
 """
 
@@ -31,6 +31,22 @@ GRAY_KILL_SSC_SCHEDULE = FaultSchedule(faults=(
     Fault(5.0, "gray", {"server": 2, "reply_lag": 1.446}),
     Fault(5.0, "kill_ssc", {"server": 2}),
 ), horizon=150.0)
+
+# The minimizer's repro of seed 25 in `repro chaos --seed-base 20 --seeds
+# 10 --settops 2 --horizon 120`: server 2 is slowed, partitioned off and
+# healed, then its SSC is killed; its db replica stays wedged.
+PARTITION_KILL_SSC_SCHEDULE = FaultSchedule(faults=(
+    Fault(11.960467190187442, "delay", {"extra": 0.692, "target": "server:2"}),
+    Fault(42.56339380491547, "reorder", {"max_skew": 0.178,
+                                         "probability": 0.404,
+                                         "target": "server:2"}),
+    Fault(52.75144624416198, "partition", {"servers_a": [2],
+                                           "servers_b": [0, 1]}),
+    Fault(87.7614399184507, "heal", {}),
+    Fault(88.64674896659854, "loss", {"probability": 0.244,
+                                      "target": "server:0"}),
+    Fault(96.78126635626207, "kill_ssc", {"server": 2}),
+), horizon=120.0)
 
 
 def fake_cluster(servers=()):
@@ -259,7 +275,7 @@ def test_runs_once_falsely_red_on_durability_are_green(run):
     assert result.ok, [(v.monitor, v.detail) for v in result.violations]
 
 
-@pytest.mark.xfail(strict=True, raises=PinnedRed, reason="ROADMAP 1(a)")
+@pytest.mark.xfail(strict=True, raises=PinnedRed, reason="ROADMAP 2")
 @pytest.mark.parametrize("run,pinned", [
     pytest.param(lambda: run_seed(4), ["replica_lag_bounded"], id="seed4"),
     pytest.param(lambda: run_seed(7), ["replica_lag_bounded"], id="seed7"),
@@ -272,6 +288,9 @@ def test_runs_once_falsely_red_on_durability_are_green(run):
     pytest.param(lambda: run_schedule(GRAY_KILL_SSC_SCHEDULE, 7, settops=2),
                  ["audit_convergence", "replica_lag_bounded"],
                  id="gray-kill-ssc-7"),
+    pytest.param(lambda: run_schedule(PARTITION_KILL_SSC_SCHEDULE, 25,
+                                      settops=2),
+                 ["replica_lag_bounded"], id="partition-kill-ssc-25"),
 ])
 def test_pinned_red_runs(run, pinned):
     _assert_green_unless_pinned(run(), pinned)

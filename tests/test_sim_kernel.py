@@ -1,5 +1,9 @@
 """Unit tests for the virtual-time kernel primitives."""
 
+import gc
+import warnings
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -488,6 +492,69 @@ class TestStartTask:
         kernel.run()
         assert str(adopted.exception()) == str(created.exception())
         assert "non-kernel awaitable" in str(adopted.exception())
+
+
+def registry_coroutines(code):
+    """Coroutines of ``code`` held by ``weakref.finalize``'s registry."""
+    return [arg for info in list(weakref.finalize._registry.values())
+            for arg in info.args if getattr(arg, "cr_code", None) is code]
+
+
+class TestTaskFinalizer:
+    """A task's quiet-close finalizer lives only until its first step: a
+    task that never finishes must not pin its kernel through the
+    process-global finalizer registry."""
+
+    def test_dropped_kernel_with_a_running_loop_is_freed(self):
+        kernel = Kernel()
+
+        async def loop():
+            while True:
+                await kernel.sleep(1.0)
+
+        task = kernel.create_task(loop(), "loop")
+        kernel.run(until=5.0)
+        assert not task.done()
+        alive = weakref.ref(kernel)
+        del kernel, task
+        gc.collect()
+        assert alive() is None
+        assert registry_coroutines(loop.__code__) == []
+
+    @pytest.mark.parametrize("end", ["cancel", "set_result"])
+    def test_task_ended_before_its_first_step_closes_quietly(self, kernel,
+                                                              end):
+        ran = []
+
+        async def body():
+            ran.append(True)        # pragma: no cover - must never run
+
+        coro = body()
+        task = kernel.create_task(coro, "early")
+        if end == "cancel":
+            task.cancel()
+        else:
+            task.set_result(None)
+        kernel.run()
+        assert ran == [] and task.done()
+        assert task.cancelled() == (end == "cancel")
+        assert coro.cr_frame is None            # closed, not just dropped
+        assert registry_coroutines(body.__code__) == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del coro, task
+            gc.collect()
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+
+    def test_finished_task_leaves_no_registry_entry(self, kernel):
+        async def short():
+            await kernel.sleep(1.0)
+            return 7
+
+        task = kernel.create_task(short(), "short")
+        kernel.run()
+        assert task.result() == 7
+        assert registry_coroutines(short.__code__) == []
 
 
 class TestSyncPrimitives:
