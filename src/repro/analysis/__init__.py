@@ -2,13 +2,13 @@
 
 ``repro lint`` front-end: an AST linter with repo-specific rules --
 determinism/layering (D001..D011, :mod:`repro.analysis.rules`),
-protocol conformance against the registered IDL
-(P001..P005, :mod:`repro.analysis.protocol`), and suppression hygiene
-(W001) -- plus two runtime checkers: the reference scenario's canonical
-trace (:mod:`repro.analysis.determinism`, run twice and against golden
-digests by the tests) and a vector-clock happens-before race detector
-over instrumented traces (:mod:`repro.analysis.hb`, armed as the
-``hb_race`` monitor by ``repro chaos --hb``).  Together they keep two
+protocol conformance against the interface registry the runtime
+enforces (P001..P005, :mod:`repro.analysis.protocol`), and suppression
+hygiene (W001) -- plus two runtime checkers: the reference scenario's
+canonical trace (:mod:`repro.analysis.determinism`, run twice and
+against golden digests by the tests) and a vector-clock happens-before
+race detector over instrumented traces (:mod:`repro.analysis.hb`, armed
+as the ``hb_race`` monitor by ``repro chaos --hb``).  Together they keep two
 promises enforceable forever: two runs with the same seed produce
 byte-identical traces, and every RPC call site agrees with the interface
 it is calling.
@@ -37,7 +37,6 @@ from repro.analysis.protocol import (
     ProtocolModel,
     SiteCoverage,
     default_model,
-    extract_protocol,
     protocol_rules,
     scan_sites,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "collect_files",
     "default_model",
     "default_rules",
-    "extract_protocol",
     "hb_events_from_trace",
     "lint_paths",
     "lint_source",

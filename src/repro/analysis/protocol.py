@@ -7,10 +7,10 @@ runtime (:func:`repro.idl.register_interface`), so a bad call site only
 surfaces when a test happens to execute it.  This module restores the
 compile-time guarantee statically:
 
-1. :func:`extract_protocol` runs an AST pass over the package source and
-   rebuilds every ``register_interface(...)`` declaration -- interface
-   name, operations, parameter lists, ``oneway`` flags, and the base
-   chain -- into a :class:`ProtocolModel`, without importing anything.
+1. :func:`registry_model` imports every ``repro`` module and takes the
+   interfaces they registered from :data:`repro.idl.interface_registry`
+   -- the same definitions :meth:`OCSRuntime.invoke` enforces -- into a
+   :class:`ProtocolModel`.
 
 2. The P-rules then classify every ``invoke(ref, "method", args)`` and
    ``proxy.call("method", ...)`` site in the tree against the model:
@@ -32,65 +32,35 @@ checked against a signature, but they are still counted, so
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
 import os
+import pkgutil
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.engine import FileContext, Rule, Violation, collect_files
+import repro
+from repro.analysis.engine import FileContext, Rule, Violation
+from repro.idl import InterfaceDef, MethodDef, interface_registry
 
 #: operation-name arguments that mark an OCS call site.
 _INVOKE_ATTR = "invoke"
 _PROXY_ATTR = "call"
 
 
-@dataclass(frozen=True)
-class ProtoMethod:
-    """One operation as declared in source (the static MethodDef)."""
-
-    name: str
-    params: Tuple[str, ...]
-    oneway: bool
-    interface: str
-
-
-@dataclass
-class ProtoInterface:
-    """One ``register_interface`` declaration."""
-
-    name: str
-    methods: Dict[str, ProtoMethod]
-    base: Optional[str]
-    path: str
-    line: int
-
-
 class ProtocolModel:
-    """Every interface the source tree declares, base chains resolved."""
+    """Every interface a ``repro`` module registered, by name."""
 
-    def __init__(self, interfaces: Optional[Dict[str, ProtoInterface]] = None):
-        self.interfaces: Dict[str, ProtoInterface] = interfaces or {}
-        self._candidates: Dict[str, List[ProtoMethod]] = {}
+    def __init__(self, interfaces: Dict[str, InterfaceDef]):
+        self.interfaces = interfaces
+        self._candidates: Dict[str, List[Tuple[str, MethodDef]]] = {}
+        for iface_name in sorted(interfaces):
+            for mdef in interfaces[iface_name].methods.values():
+                self._candidates.setdefault(mdef.name, []).append(
+                    (iface_name, mdef))
 
-    def add(self, iface: ProtoInterface) -> None:
-        self.interfaces[iface.name] = iface
-        self._candidates.clear()
-
-    def resolved_methods(self, name: str) -> Dict[str, ProtoMethod]:
-        """Operations of interface ``name`` including inherited ones."""
-        chain: List[ProtoInterface] = []
-        seen = set()
-        cur: Optional[str] = name
-        while cur is not None and cur in self.interfaces and cur not in seen:
-            seen.add(cur)
-            chain.append(self.interfaces[cur])
-            cur = self.interfaces[cur].base
-        merged: Dict[str, ProtoMethod] = {}
-        for iface in reversed(chain):
-            merged.update(iface.methods)
-        return merged
-
-    def candidates(self, method: str) -> List[ProtoMethod]:
-        """Every declaration of ``method`` across all interfaces.
+    def candidates(self, method: str) -> List[Tuple[str, MethodDef]]:
+        """Every ``(interface, declaration)`` of ``method``.
 
         Call sites rarely pin the interface statically (references flow
         through the name service), so a site checks against the union:
@@ -98,19 +68,45 @@ class ProtocolModel:
         only when *no* declaration accepts the count.  Conservative by
         construction -- zero false positives at the price of letting a
         cross-interface confusion through (the runtime check still
-        catches those).
+        catches those).  Each pair names the interface that declares
+        the operation; bases are in the model too, so inherited
+        operations are covered.
         """
-        if not self._candidates:
-            by_name: Dict[str, List[ProtoMethod]] = {}
-            for iface_name in sorted(self.interfaces):
-                for mdef in self.resolved_methods(iface_name).values():
-                    by_name.setdefault(mdef.name, []).append(mdef)
-            self._candidates = by_name
         return self._candidates.get(method, [])
 
 
+def registry_model() -> ProtocolModel:
+    """A model of the interfaces ``repro`` modules have registered,
+    after importing every one of them (``__main__`` aside).
+
+    Interfaces registered from elsewhere (tests, benchmarks) stay out,
+    so they cannot widen what a call site is judged against.  A module
+    that does not compile is skipped: the lint engine reports it as
+    E000.
+    """
+    # The walk re-imports each package to find its children; the only
+    # failure it can meet there is a SyntaxError already skipped below.
+    for info in pkgutil.walk_packages(repro.__path__, "repro.",
+                                      onerror=lambda _name: None):
+        if info.name.rsplit(".", 1)[-1] == "__main__":
+            continue
+        try:
+            importlib.import_module(info.name)
+        except SyntaxError:
+            continue
+    return ProtocolModel({name: iface for name, iface
+                          in interface_registry.items()
+                          if iface.module.startswith("repro.")})
+
+
+@functools.lru_cache(maxsize=None)
+def default_model() -> ProtocolModel:
+    """:func:`registry_model`, built once per process."""
+    return registry_model()
+
+
 # ----------------------------------------------------------------------
-# extraction
+# call-site scanning
 # ----------------------------------------------------------------------
 
 def _literal_str(node: ast.AST) -> Optional[str]:
@@ -118,113 +114,6 @@ def _literal_str(node: ast.AST) -> Optional[str]:
         return node.value
     return None
 
-
-def _literal_params(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    if isinstance(node, (ast.Tuple, ast.List)):
-        out = []
-        for elt in node.elts:
-            s = _literal_str(elt)
-            if s is None:
-                return None
-            out.append(s)
-        return tuple(out)
-    return None
-
-
-def _parse_methoddef(call: ast.Call, default_name: str,
-                     interface: str) -> Optional[ProtoMethod]:
-    """Parse a ``MethodDef(name, params, oneway=...)`` literal."""
-    name = default_name
-    params: Optional[Tuple[str, ...]] = ()
-    oneway = False
-    if call.args:
-        name = _literal_str(call.args[0]) or default_name
-    if len(call.args) >= 2:
-        params = _literal_params(call.args[1])
-    for kw in call.keywords:
-        if kw.arg == "params":
-            params = _literal_params(kw.value)
-        elif kw.arg == "oneway":
-            if isinstance(kw.value, ast.Constant):
-                oneway = bool(kw.value.value)
-        elif kw.arg == "name":
-            name = _literal_str(kw.value) or name
-    if params is None:
-        return None  # computed params: not statically checkable
-    return ProtoMethod(name=name, params=params, oneway=oneway,
-                       interface=interface)
-
-
-def _extract_from_tree(tree: ast.Module, path: str,
-                       model: ProtocolModel) -> None:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        fname = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if fname != "register_interface" or len(node.args) < 2:
-            continue
-        iface_name = _literal_str(node.args[0])
-        if iface_name is None or not isinstance(node.args[1], ast.Dict):
-            continue
-        base = None
-        for kw in node.keywords:
-            if kw.arg == "base":
-                base = _literal_str(kw.value)
-        methods: Dict[str, ProtoMethod] = {}
-        for key, value in zip(node.args[1].keys, node.args[1].values):
-            mname = _literal_str(key) if key is not None else None
-            if mname is None:
-                continue
-            if isinstance(value, ast.Call):
-                mdef = _parse_methoddef(value, mname, iface_name)
-                if mdef is not None:
-                    methods[mname] = mdef
-            else:
-                params = _literal_params(value)
-                if params is not None:
-                    methods[mname] = ProtoMethod(
-                        name=mname, params=params, oneway=False,
-                        interface=iface_name)
-        model.add(ProtoInterface(name=iface_name, methods=methods,
-                                 base=base, path=path,
-                                 line=node.lineno))
-
-
-def extract_protocol(paths: Sequence[str]) -> ProtocolModel:
-    """Build the protocol model from every ``.py`` file under ``paths``."""
-    model = ProtocolModel()
-    for path in collect_files(paths):
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue  # the lint engine reports E000 for this file
-        _extract_from_tree(tree, path, model)
-    return model
-
-
-_DEFAULT_MODEL: Optional[ProtocolModel] = None
-
-
-def default_model() -> ProtocolModel:
-    """The model extracted from the installed ``repro`` package source.
-
-    Cached: the extraction parses the whole tree once per process, and
-    the declarations only change when the source on disk does.
-    """
-    global _DEFAULT_MODEL
-    if _DEFAULT_MODEL is None:
-        import repro
-        _DEFAULT_MODEL = extract_protocol([os.path.dirname(repro.__file__)])
-    return _DEFAULT_MODEL
-
-
-# ----------------------------------------------------------------------
-# call-site scanning
-# ----------------------------------------------------------------------
 
 @dataclass
 class Site:
@@ -409,12 +298,12 @@ class ArityMismatchRule(_ProtocolRule):
             cands = self.model.candidates(site.method)
             if not cands:
                 continue  # P001's problem
-            if any(len(c.params) == site.arity for c in cands):
+            if any(len(m.params) == site.arity for _, m in cands):
                 continue
-            expect = sorted({len(c.params) for c in cands})
-            decls = ", ".join(sorted({f"{c.interface}.{c.name}"
-                                      f"({', '.join(c.params)})"
-                                      for c in cands}))
+            expect = sorted({len(m.params) for _, m in cands})
+            decls = ", ".join(sorted({f"{iface}.{m.name}"
+                                      f"({', '.join(m.params)})"
+                                      for iface, m in cands}))
             out.append(self.violation(
                 ctx, site.node,
                 f"{site.method!r} called with {site.arity} argument(s) "
@@ -437,7 +326,7 @@ class AwaitOnewayRule(_ProtocolRule):
             if site.method is None or not site.awaited:
                 continue
             cands = self.model.candidates(site.method)
-            if cands and all(c.oneway for c in cands):
+            if cands and all(m.oneway for _, m in cands):
                 out.append(self.violation(
                     ctx, site.node,
                     f"awaiting oneway operation {site.method!r}: the reply "
@@ -462,7 +351,7 @@ class DetachedReplyRule(_ProtocolRule):
             if site.method is None or not site.detached:
                 continue
             cands = self.model.candidates(site.method)
-            if cands and not any(c.oneway for c in cands):
+            if cands and not any(m.oneway for _, m in cands):
                 out.append(self.violation(
                     ctx, site.node,
                     f"reply of two-way operation {site.method!r} is "

@@ -10,6 +10,7 @@ of paper section 3.2.1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -62,6 +63,8 @@ class InterfaceDef:
     methods: Dict[str, MethodDef] = field(default_factory=dict)
     base: Optional["InterfaceDef"] = None
     doc: str = ""
+    #: the module whose ``register_interface`` call declared it.
+    module: str = ""
     #: operation name -> its memoised :class:`CallPlan`, inherited
     #: operations included; filled by :meth:`plan`.
     plans: Dict[str, CallPlan] = field(default_factory=dict, init=False,
@@ -140,7 +143,9 @@ def register_interface(name: str, methods: Dict[str, Tuple],
         else:
             method_defs[mname] = MethodDef(name=mname, params=tuple(spec),
                                            idempotent=mname in idempotent)
-    iface = InterfaceDef(name=name, methods=method_defs, base=base_def, doc=doc)
+    iface = InterfaceDef(name=name, methods=method_defs, base=base_def,
+                         doc=doc, module=sys._getframe(1).f_globals.get(
+                             "__name__", ""))
     existing = interface_registry.get(name)
     if existing is not None:
         if (existing.methods == iface.methods

@@ -4,7 +4,13 @@ The split that matters to availability code is :class:`ServiceUnavailable`
 vs everything else: the paper's client library (section 8.2) rebinds
 through the name service exactly when an invocation fails because the
 implementor is gone -- not when the application itself raised an error.
+
+The errors a runtime raises on a caller's behalf are registered for the
+wire, so the caller materialises the same class; ``Overloaded`` is
+decoded by the runtime itself, since it carries ``retry_after``.
 """
+
+from repro.idl.types import register_exception
 
 
 class OCSError(Exception):
@@ -27,6 +33,7 @@ class CallTimeout(CommFailure):
     """The per-call deadline elapsed with no reply."""
 
 
+@register_exception
 class InvalidObjectReference(ServiceUnavailable):
     """The reference's implementor has died or unexported the object.
 
@@ -36,6 +43,7 @@ class InvalidObjectReference(ServiceUnavailable):
     """
 
 
+@register_exception
 class StaleReference(InvalidObjectReference):
     """The endpoint is alive but the reference's incarnation is old.
 
@@ -76,6 +84,7 @@ class Overloaded(ServiceUnavailable):
         self.retry_after = retry_after
 
 
+@register_exception
 class DeadlineExceeded(OCSError):
     """The invocation's absolute deadline passed before useful work ran.
 
@@ -90,5 +99,6 @@ class RemoteException(OCSError):
     """The servant raised an exception type not registered for the wire."""
 
 
+@register_exception
 class AuthError(OCSError):
     """The call's credentials failed verification (section 3.3)."""

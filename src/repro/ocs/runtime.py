@@ -29,14 +29,12 @@ from repro.net.network import Network
 from repro.ocs.admission import ADMISSION_RETRY_AFTER, AdmissionGate
 from repro.ocs.replycache import ReplyCache
 from repro.ocs.exceptions import (
-    AuthError,
     CallTimeout,
     DeadlineExceeded,
     InvalidObjectReference,
     OCSError,
     Overloaded,
     RemoteException,
-    StaleReference,
 )
 from repro.ocs.objref import ANY_INCARNATION, ObjectRef
 from repro.sim.errors import CancelledError
@@ -607,16 +605,8 @@ class OCSRuntime:
     @staticmethod
     def _materialize(exc_name: str, detail: str,
                      retry_after: Optional[float] = None) -> BaseException:
-        if exc_name == "StaleReference":
-            return StaleReference(detail)
-        if exc_name == "InvalidObjectReference":
-            return InvalidObjectReference(detail)
-        if exc_name == "AuthError":
-            return AuthError(detail)
         if exc_name == "Overloaded":
             return Overloaded(detail, retry_after=retry_after or 0.0)
-        if exc_name == "DeadlineExceeded":
-            return DeadlineExceeded(detail)
         cls = resolve_exception(exc_name)
         if cls is not None:
             return cls(detail)

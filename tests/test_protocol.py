@@ -1,32 +1,37 @@
-"""Protocol conformance checker (P001-P005): model extraction + rules.
+"""Protocol conformance checker (P001-P005): the model + rules.
 
-The checker's model is extracted statically from every
-``register_interface`` call in the tree, then every ``invoke``/proxy
+The checker's model is the interface registry the runtime enforces,
+filled by importing every ``repro`` module; then every ``invoke``/proxy
 call site is judged against the union of candidate declarations -- a
 violation only fires when *no* registered interface could satisfy the
 call, so cross-interface method-name reuse never false-positives.
 """
 
+import inspect
 import os
 
 from repro.analysis import (
     default_model,
     default_rules,
-    extract_protocol,
     lint_paths,
     lint_source,
+    protocol_rules,
 )
+from repro.analysis.protocol import registry_model
+from repro.analysis.rules import RawFaultSurfaceRule
+from repro.idl import register_interface
+from repro.net.network import Network
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO_ROOT, "tests", "lint_fixtures")
 SRC = os.path.join(REPO_ROOT, "src", "repro")
 
 
-def lint_fixture(name):
+def lint_fixture(name, rules=None):
     path = os.path.join(FIXTURES, name)
     with open(path) as fh:
         source = fh.read()
-    return lint_source(source, path, default_rules(), relpath=name)
+    return lint_source(source, path, rules or default_rules(), relpath=name)
 
 
 def hits(violations, rule):
@@ -42,43 +47,54 @@ class TestModelExtraction:
 
     def test_method_params_and_oneway(self):
         model = default_model()
-        db = model.resolved_methods("Database")
+        db = model.interfaces["Database"].all_methods()
         assert tuple(db["forwardWrite"].params) == \
             ("table", "key", "value", "deleted")
         assert not db["forwardWrite"].oneway
         # The db change-log stream is acknowledged; the NS variant of the
         # same method name is oneway -- the checker must hold both.
         assert not db["applyUpdates"].oneway
-        ns = model.resolved_methods("NameReplica")
+        ns = model.interfaces["NameReplica"].all_methods()
         assert ns["applyUpdates"].oneway
-        mgr = model.resolved_methods("SettopManager")
+        mgr = model.interfaces["SettopManager"].all_methods()
         assert mgr["reportShutdown"].oneway
 
     def test_base_chain_resolution(self):
         model = default_model()
-        fsc = model.resolved_methods("FileSystemContext")
+        fsc = model.interfaces["FileSystemContext"].all_methods()
         # Inherited from the naming-context base plus its own additions.
         assert "resolve" in fsc and "bind" in fsc
         assert "createFile" in fsc
 
     def test_candidates_union_across_interfaces(self):
         model = default_model()
-        arities = {len(m.params) for m in model.candidates("open")}
+        arities = {len(m.params) for _, m in model.candidates("open")}
         # MDS.open (4 args) and MMS.open (2 args) both answer to "open".
         assert {2, 4} <= arities
 
-    def test_extract_from_file(self, tmp_path):
-        mod = tmp_path / "iface.py"
-        mod.write_text(
-            "from repro.idl import MethodDef, register_interface\n"
-            "register_interface('Probe', {\n"
-            "    'ping': (),\n"
-            "    'push': MethodDef('push', ('x',), oneway=True),\n"
-            "}, doc='test')\n")
-        model = extract_protocol([str(mod)])
-        probe = model.resolved_methods("Probe")
-        assert tuple(probe["ping"].params) == ()
-        assert probe["push"].oneway
+    def test_interfaces_registered_outside_repro_stay_out(self):
+        # Declared here, the fixture's unknown op must still be unknown:
+        # a model that took every registered interface would go blind.
+        register_interface("ProtocolTestFrobnicator",
+                           {"frobnicate": ("x",)})
+        model = registry_model()
+        assert "ProtocolTestFrobnicator" not in model.interfaces
+        violations = lint_fixture("p001_unknown.py", protocol_rules(model))
+        assert hits(violations, "P001") == [("P001", 5), ("P001", 6)]
+
+
+class TestRawFaultSurface:
+    def test_surface_table_matches_network(self):
+        # D009 recognises a raw fault call by name and positional count;
+        # a renamed or re-signed Network method would slip out of it.
+        for name, allowed in RawFaultSurfaceRule._SURFACE.items():
+            method = getattr(Network, name, None)
+            assert callable(method), name
+            arity = sum(1 for p in inspect.signature(method).parameters
+                        .values() if p.kind in (p.POSITIONAL_ONLY,
+                                                p.POSITIONAL_OR_KEYWORD)) - 1
+            allowed = allowed if isinstance(allowed, tuple) else (allowed,)
+            assert arity in allowed, (name, arity, allowed)
 
 
 class TestProtocolRules:
