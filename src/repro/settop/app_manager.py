@@ -20,10 +20,13 @@ from repro.core.naming.cache import cache_for
 from repro.core.naming.client import NameClient
 from repro.core.params import Params
 from repro.core.rebind import RebindingProxy
+from repro.ocs.exceptions import OCSError
 from repro.ocs.runtime import OCSRuntime
+from repro.services.rds import NoSuchData
 from repro.sim.host import Process
 
 COVER_LATENCY = 0.5   # seconds to put up cover art (section 9.3)
+APP_WATCHDOG_TICK = 2.0   # seconds between crash checks
 
 
 class AppManager:
@@ -46,6 +49,7 @@ class AppManager:
         self.current_channel: Optional[int] = None
         self.current_app = None
         self._app_process: Optional[Process] = None
+        self._wake = None       # what the watchdog parks on; see _poke
         self.last_tune = None   # metrics for the latest channel change
 
     async def run(self) -> None:
@@ -61,9 +65,18 @@ class AppManager:
         application dying must look like a glitch, not a dead set.  The
         binary is still cached at the RDS, so the restart is one
         download away.
+
+        The check runs on a 2 s grid, but the task parks while the
+        application lives; its exit (registered in :meth:`tune`) pokes it.
         """
         while True:
-            await self.kernel.sleep(2.0)
+            due = self.kernel.now + APP_WATCHDOG_TICK
+            while self._app_process is None or self._app_process.alive:
+                self._wake = self.kernel.create_future()
+                await self._wake
+            while due < self.kernel.now:
+                due += APP_WATCHDOG_TICK
+            await self.kernel.sleep_until(due)
             if (self._app_process is not None
                     and not self._app_process.alive
                     and self._app_process.exit_status != "channel change"):
@@ -72,10 +85,16 @@ class AppManager:
                 self.current_app = None
                 self._app_process = None
                 channel = self.current_channel or "navigator"
+                # tune() raises KeyError (its two ``raise KeyError``),
+                # and OCSError or NoSuchData from ``self.rds.call``.
                 try:
                     await self.tune(channel)
-                except Exception:  # noqa: BLE001 - retry next tick
-                    continue
+                except (KeyError, NoSuchData, OCSError):
+                    continue    # retry next tick
+
+    def _poke(self, _proc: Optional[Process] = None) -> None:
+        if self._wake is not None and not self._wake.done():
+            self._wake.set_result(None)
 
     async def tune(self, channel) -> None:
         """Channel-change event from the remote control."""
@@ -115,6 +134,7 @@ class AppManager:
             self._app_process.kill(status="channel change")
         app_proc = self.settop.host.spawn(f"{app_name}-app",
                                           parent=self.process)
+        app_proc.on_exit(self._poke)
         app_cls = APP_CLASSES[app_name]
         self.current_app = app_cls(self, app_proc)
         self._app_process = app_proc

@@ -49,6 +49,7 @@ class VODApp(SettopApp):
         self.interruptions: List[dict] = []
         self.chunks_received = 0
         self._needs_recovery = False
+        self._wake = None       # what the watchdog sleeps on; see _poke
 
     async def start(self) -> None:
         self.mms = self.proxy("svc/mms")
@@ -86,6 +87,7 @@ class VODApp(SettopApp):
         self.title = title
         self.position = start_at
         self.finished = False
+        self._poke()
         try:
             await self._open_and_play(start_at, deadline=budget)
         except (Overloaded, DeadlineExceeded):
@@ -111,6 +113,7 @@ class VODApp(SettopApp):
         self.movie = movie
         self.playing = True
         self._last_chunk = self.kernel.now
+        self._poke()
         self.emit("playing", title=self.title, position=from_position)
 
     async def seek(self, position: float) -> None:
@@ -130,11 +133,13 @@ class VODApp(SettopApp):
             # The movie object died under us; the watchdog path recovers.
             self._needs_recovery = True
             self.playing = False
+        self._poke()
 
     async def pause(self) -> None:
         if self.movie is None:
             return
         self.playing = False
+        self._poke()
         try:
             await self.runtime.invoke(self.movie, "pause", (),
                                       timeout=self.params.call_timeout)
@@ -148,6 +153,7 @@ class VODApp(SettopApp):
             return
         movie, self.movie = self.movie, None
         self.playing = False
+        self._poke()
         try:
             await self.mms.call("close", movie)
         except (ServiceUnavailable, OCSError):
@@ -182,10 +188,31 @@ class VODApp(SettopApp):
             pass
 
     async def _watchdog(self) -> None:
-        """Detect stream stalls and re-open through the MMS (section 3.5.2)."""
-        stall_after = STREAM_CHUNK_SECONDS * STALL_FACTOR
+        """Detect stream stalls and re-open through the MMS (section 3.5.2).
+
+        The check runs on a grid of chunk ticks (advanced by addition, as
+        a ``sleep`` loop would), but the task sleeps to the first tick at
+        which it could act; :meth:`_poke` wakes it to plan again.
+        """
+        step = STREAM_CHUNK_SECONDS
+        stall_after = step * STALL_FACTOR
         while True:
-            await self.kernel.sleep(STREAM_CHUNK_SECONDS)
+            due = self.kernel.now + step    # the grid restarts at a check
+            while True:
+                if self._needs_recovery and not self.playing and not self.finished:
+                    self._wake = self.kernel.sleep_until(due)
+                elif self.playing and self._last_chunk is not None:
+                    tick = due  # chunks arriving meanwhile only delay it
+                    while tick - self._last_chunk < stall_after:
+                        tick += step
+                    self._wake = self.kernel.sleep_until(tick)
+                else:
+                    self._wake = self.kernel.create_future()
+                await self._wake
+                while due < self.kernel.now:
+                    due += step
+                if due == self.kernel.now:
+                    break       # else poked between ticks: plan again
             if self._needs_recovery and not self.playing and not self.finished:
                 # An earlier recovery attempt failed (e.g. the replacement
                 # replica had not failed over yet); keep trying.
@@ -205,6 +232,11 @@ class VODApp(SettopApp):
                 "outage": self.kernel.now - stalled_at + gap,
                 "recovered": self.playing,
             })
+
+    def _poke(self) -> None:
+        """``playing``, ``finished`` or ``_needs_recovery`` changed."""
+        if self._wake is not None and not self._wake.done():
+            self._wake.set_result(None)
 
     async def _recover(self) -> None:
         movie, self.movie = self.movie, None

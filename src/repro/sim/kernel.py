@@ -406,6 +406,12 @@ class Kernel:
         self.call_later(delay, _wake_sleeper, fut)
         return fut
 
+    def sleep_until(self, when: float) -> Future:
+        """Return a future completing at simulated time ``when``."""
+        fut = Future(self)
+        self.call_at(when, _wake_sleeper, fut)
+        return fut
+
     def wait_for(self, awaitable, timeout: float) -> Future:
         """Await ``awaitable`` with a deadline.
 

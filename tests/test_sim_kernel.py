@@ -256,6 +256,47 @@ class TestTask:
         assert task.cancelled()
         assert state["cleaned"]
 
+    def test_sleep_until_fires_at_exactly_when(self, kernel):
+        when = 0.1 + 0.2        # not a float a sleep() delay would reach
+
+        async def main():
+            await kernel.sleep(0.1)
+            await kernel.sleep_until(when)
+            return kernel.now
+
+        assert kernel.run_until_complete(main()) == when
+
+    def test_sleep_until_the_past_resolves_in_the_ready_lane(self, kernel):
+        kernel.run(until=10.0)
+        rec = EventRecorder(kernel)
+        seen = []
+        kernel.call_soon(lambda: seen.append(("before", fut.done())))
+        fut = kernel.sleep_until(5.0)
+        kernel.call_soon(lambda: seen.append(("after", fut.done())))
+        assert kernel._timers.entries == [] and not fut.done()
+        kernel.run()
+        # FIFO in the lane: woken after what was armed before it and
+        # before what was armed after it, all at the current instant.
+        assert seen == [("before", False), ("after", True)]
+        assert rec.armed == ["call_soon", "call_at", "call_soon"]
+        assert rec.fired == [10.0, 10.0, 10.0] and kernel.now == 10.0
+
+    def test_sleep_until_cancels_cleanly_under_task_cancel(self, kernel):
+        state = {"cleaned": False}
+
+        async def main():
+            try:
+                await kernel.sleep_until(100.0)
+            except CancelledError:
+                state["cleaned"] = True
+                raise
+
+        task = kernel.create_task(main())
+        kernel.call_later(1.0, task.cancel)
+        kernel.run()        # the timer still fires at 100, on a dead future
+        assert task.cancelled() and state["cleaned"]
+        assert kernel.now == 100.0 and kernel.pending_events() == 0
+
     def test_task_awaiting_task(self, kernel):
         async def inner():
             await kernel.sleep(1.0)
