@@ -232,16 +232,6 @@ class LintReport:
                      f"{self.files_checked} file(s) checked")
         return lines
 
-    def github_lines(self) -> List[str]:
-        """GitHub Actions workflow commands: one ``::error`` per hit.
-
-        The runner turns these into PR line annotations; the matching
-        problem-matcher (``.github/repro-lint-problem-matcher.json``)
-        covers the plain-text format for tools that capture stdout.
-        """
-        return [f"::error file={v.path},line={v.line},col={v.col},"
-                f"title={v.rule}::{v.message}" for v in self.violations]
-
     def to_json(self) -> str:
         doc: Dict[str, object] = {
             "ok": self.ok,

@@ -81,11 +81,6 @@ def _cmd_lint(args) -> int:
     report = lint_paths(args.paths)
     if args.format == "json":
         print(report.to_json())
-    elif args.format == "github":
-        # GitHub Actions workflow commands (::error file=...), matched by
-        # .github/repro-lint-problem-matcher.json for plain-text logs.
-        for line in report.github_lines():
-            print(line)
     elif args.stats:
         for line in report.stats_lines():
             print(line)
@@ -234,10 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--stats", action="store_true",
                       help="summarize violations by rule and by file "
                            "(plus protocol call-site coverage)")
-    lint.add_argument("--format", choices=["text", "json", "github"],
-                      default="text",
-                      help="output format: human text, a JSON report, or "
-                           "GitHub Actions ::error annotations")
+    lint.add_argument("--format", choices=["text", "json"], default="text",
+                      help="output format: human text or a JSON report")
     lint.set_defaults(fn=_cmd_lint)
 
     chaos = sub.add_parser(

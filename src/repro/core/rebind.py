@@ -206,15 +206,3 @@ class RebindingProxy:
         # Jittered backoff spreads the re-resolve herd (section 8.2);
         # same jitter recipe as every other retry loop (core/backoff.py).
         return jittered(self._rng, backoff, 0.5)
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-
-        async def call(*args: Any, timeout: Optional[float] = None,
-                       deadline: Optional[float] = None):
-            return await self.call(name, *args, timeout=timeout,
-                                   deadline=deadline)
-
-        call.__name__ = name
-        return call

@@ -1,5 +1,5 @@
 """Database service: "access to persistent data via exported IDL interfaces"."""
 
-from repro.db.service import DatabaseService, DatabaseClient
+from repro.db.service import DatabaseService
 
-__all__ = ["DatabaseClient", "DatabaseService"]
+__all__ = ["DatabaseService"]

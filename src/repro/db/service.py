@@ -22,7 +22,7 @@ the writer immediately reads its own write from this replica.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.core.naming.errors import NamingError
 from repro.core.replication import (
@@ -120,7 +120,7 @@ class DatabaseService(Service):
             self.emit("restore_corrupt", what="changelog",
                       truncated=self.log.recovered_truncated,
                       seq=self.log.seq)
-        self.ref = self.runtime.export(_DatabaseServant(self), "Database")
+        self.ref = self.runtime.export(self, "Database")
         # Built before the first await: observers and pushes reach the
         # store as soon as it exists, and both ask ``is_primary``.
         self.binder = PrimaryBackupBinder(self, "svc/db", self.ref,
@@ -167,24 +167,57 @@ class DatabaseService(Service):
             self.repl.resync_from_snapshot()
         return _MISSING
 
-    def _rows(self, table: str) -> Dict[str, Any]:
-        return {key: value for key, raw
-                in table_rows(self.host.disk, table).items()
-                if (value := self._checked(table, key, raw)) is not _MISSING}
-
-    def get(self, table: str, key: str) -> Any:
-        value = self._checked(
-            table, key, read_row(self.host.disk, table, key, _MISSING))
-        if value is _MISSING:
-            raise NoSuchKey(f"{table}/{key}")
-        return value
-
     def apply_write(self, table: str, key: str, value: Any,
                     deleted: bool) -> None:
         if deleted:
             self.host.disk.delete(_disk_key(table, key))
         else:
             self.host.disk.write(_disk_key(table, key), value)
+
+    # -- the Database interface (in-process readers pass ctx=None) -------
+
+    def get(self, ctx: Optional[CallContext], table: str, key: str) -> Any:
+        value = self._checked(
+            table, key, read_row(self.host.disk, table, key, _MISSING))
+        if value is _MISSING:
+            raise NoSuchKey(f"{table}/{key}")
+        return value
+
+    async def put(self, ctx: CallContext, table: str, key: str,
+                  value: Any) -> int:
+        return await self.write(table, key, value, deleted=False,
+                                deadline=ctx.deadline)
+
+    async def delete(self, ctx: CallContext, table: str, key: str) -> int:
+        return await self.write(table, key, None, deleted=True,
+                                deadline=ctx.deadline)
+
+    def scan(self, ctx: Optional[CallContext], table: str) -> Dict[str, Any]:
+        return {key: value for key, raw
+                in table_rows(self.host.disk, table).items()
+                if (value := self._checked(table, key, raw)) is not _MISSING}
+
+    def tables(self, ctx: Optional[CallContext]) -> List[str]:
+        return sorted({k[len(_DISK_PREFIX):].partition("/")[0]
+                       for k in self.host.disk.keys(_DISK_PREFIX)})
+
+    def applyUpdates(self, ctx: CallContext, from_seq: int, entries) -> None:
+        if entries:
+            # The primary got this far, whether or not we can apply it.
+            self.repl.primary_seq = max(self.repl.primary_seq,
+                                        entries[-1][0])
+        self.repl.on_apply_updates(from_seq, entries)
+
+    def fetchUpdates(self, ctx: CallContext, from_seq: int,
+                     from_epoch) -> tuple:
+        return self.repl.serve_updates(from_seq, from_epoch)
+
+    async def forwardWrite(self, ctx: CallContext, table: str, key: str,
+                           value: Any, deleted: bool) -> int:
+        if not self.is_primary:
+            raise NotPrimary(f"{self.host.ip} is not the db primary")
+        return await self._primary_write(table, key, value, deleted,
+                                         deadline=ctx.deadline)
 
     # -- write path ------------------------------------------------------
 
@@ -321,12 +354,8 @@ class DatabaseService(Service):
 
     # -- state transfer (snapshot fallback only) --------------------------
 
-    def _tables(self) -> List[str]:
-        return sorted({k[len(_DISK_PREFIX):].partition("/")[0]
-                       for k in self.host.disk.keys(_DISK_PREFIX)})
-
     def snapshot_state(self) -> dict:
-        return {"tables": {t: self._rows(t) for t in self._tables()}}
+        return {"tables": {t: self.scan(None, t) for t in self.tables(None)}}
 
     def install_snapshot(self, body: dict) -> None:
         # Write-new-then-prune: lay the snapshot rows down first, drop
@@ -364,68 +393,3 @@ class DatabaseService(Service):
         # primary; the epoch check on the next catch-up detects the fork
         # and resyncs.
         self.repl.schedule_catch_up()
-
-
-class _DatabaseServant:
-    def __init__(self, svc: DatabaseService):
-        self._svc = svc
-
-    async def get(self, ctx: CallContext, table: str, key: str):
-        return self._svc.get(table, key)
-
-    async def put(self, ctx: CallContext, table: str, key: str, value: Any):
-        return await self._svc.write(table, key, value, deleted=False,
-                                     deadline=ctx.deadline)
-
-    async def delete(self, ctx: CallContext, table: str, key: str):
-        return await self._svc.write(table, key, None, deleted=True,
-                                     deadline=ctx.deadline)
-
-    async def scan(self, ctx: CallContext, table: str):
-        return self._svc._rows(table)
-
-    async def tables(self, ctx: CallContext):
-        return self._svc._tables()
-
-    async def applyUpdates(self, ctx: CallContext, from_seq: int, entries):
-        repl = self._svc.repl
-        if entries:
-            # The primary got this far, whether or not we can apply it.
-            repl.primary_seq = max(repl.primary_seq, entries[-1][0])
-        repl.on_apply_updates(from_seq, entries)
-
-    async def fetchUpdates(self, ctx: CallContext, from_seq: int,
-                           from_epoch):
-        return self._svc.repl.serve_updates(from_seq, from_epoch)
-
-    async def forwardWrite(self, ctx: CallContext, table: str, key: str,
-                           value: Any, deleted: bool):
-        if not self._svc.is_primary:
-            raise NotPrimary(f"{self._svc.host.ip} is not the db primary")
-        return await self._svc._primary_write(table, key, value, deleted,
-                                              deadline=ctx.deadline)
-
-
-class DatabaseClient:
-    """Typed client helper over the primary db binding."""
-
-    def __init__(self, proxy):
-        self._proxy = proxy  # a RebindingProxy for "svc/db"
-
-    async def get(self, table: str, key: str) -> Any:
-        return await self._proxy.call("get", table, key)
-
-    async def get_or(self, table: str, key: str, default: Any = None) -> Any:
-        try:
-            return await self._proxy.call("get", table, key)
-        except NoSuchKey:
-            return default
-
-    async def put(self, table: str, key: str, value: Any) -> None:
-        await self._proxy.call("put", table, key, value)
-
-    async def delete(self, table: str, key: str) -> None:
-        await self._proxy.call("delete", table, key)
-
-    async def scan(self, table: str) -> Dict[str, Any]:
-        return await self._proxy.call("scan", table)

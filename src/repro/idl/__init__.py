@@ -3,10 +3,13 @@
 The deployed system specified every client/server interface in CORBA IDL
 and generated C++ stubs.  The Python equivalent here keeps the same
 developer workflow (section 9.1): declare an interface, implement a
-servant against it, export the object, and call through a generated stub
--- with the same runtime type identification that object references carry
-(``type_id``) and the same subtype relation that lets a
-``FileSystemContext`` be used wherever a ``NamingContext`` is expected.
+servant against it, export the object, and call it -- with the same
+runtime type identification that object references carry (``type_id``)
+and the same subtype relation that lets a ``FileSystemContext`` be used
+wherever a ``NamingContext`` is expected.  There is no generated stub: a
+call is ``runtime.invoke(ref, "op", args)`` or ``proxy.call("op", ...)``,
+checked against the declaration at run time (``InterfaceDef.plan``) and
+statically by lint rules P001-P005 (``repro.analysis.protocol``).
 """
 
 from repro.idl.errors import IDLError, NoSuchMethod, SignatureError, UnknownInterface

@@ -2,10 +2,10 @@
 
 An :class:`InterfaceDef` declares a named object type with typed
 operations and an optional base interface (single inheritance, like IDL).
-Definitions register globally by type id so an :class:`~repro.ocs.objref.ObjectRef`
-arriving over the wire can be turned back into a typed stub -- the
-"object type identifier, used to determine the object's type at runtime"
-of paper section 3.2.1.
+Definitions register globally by type id so a call on an
+:class:`~repro.ocs.objref.ObjectRef` arriving over the wire is checked
+against its type -- the "object type identifier, used to determine the
+object's type at runtime" of paper section 3.2.1.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 This is the base of the paper's Object Communication System (section 3.2):
 object references that uniquely identify an object and die with their
-implementing process, client stubs that turn method calls into remote
-invocations, and server-side dispatch with per-call caller identity.
+implementing process, ``OCSRuntime.invoke`` that turns a named operation
+into a remote invocation checked against the IDL, and server-side
+dispatch with per-call caller identity.
 """
 
 # The transport names the application layer (services/, settop/) is
@@ -30,7 +31,7 @@ from repro.ocs.exceptions import (
     StaleReference,
 )
 from repro.ocs.objref import ObjectRef
-from repro.ocs.runtime import CallContext, OCSRuntime, Stub
+from repro.ocs.runtime import CallContext, OCSRuntime
 
 __all__ = [
     "AdmissionGate",
@@ -50,6 +51,5 @@ __all__ = [
     "ReservationError",
     "ServiceUnavailable",
     "StaleReference",
-    "Stub",
     "neighborhood_of",
 ]

@@ -1,7 +1,8 @@
 """The per-process OCS runtime: export, dispatch, and remote invocation.
 
 One :class:`OCSRuntime` exists per simulated process (the paper's "OCS
-runtime" that IDL-generated stubs call into).  It owns a network port,
+runtime" that IDL-generated stubs call into; here every call is
+``invoke(ref, "op", args)``).  It owns a network port,
 the table of exported objects, and the table of in-flight outgoing calls.
 When the process dies the port is unbound, so peers invoking stale
 references get a fast ``port_unreachable`` and raise
@@ -198,9 +199,7 @@ class OCSRuntime:
         ``def`` or ``async def`` alike.  A separate servant class is for
         per-object state only: the dynamically created objects (MDS
         movies, naming contexts, files, selectors), which pass an
-        explicit ``object_id`` -- and ``_DatabaseServant``, because
-        ``DatabaseService.get``/``write`` are also in-process entry
-        points under those same names.
+        explicit ``object_id``.
         ``single_threaded`` serializes calls through a queue, modelling
         the paper's single-threaded services that could not answer pings
         while busy (section 7.2).
@@ -227,10 +226,6 @@ class OCSRuntime:
         return object_id in self._exports
 
     # -- client side -----------------------------------------------------
-
-    def stub(self, ref: ObjectRef) -> "Stub":
-        """Build a typed client stub for ``ref``."""
-        return Stub(self, ref)
 
     def invoke(self, ref: Optional[ObjectRef], method: str, args: tuple = (),
                timeout: float = DEFAULT_CALL_TIMEOUT,
@@ -655,36 +650,3 @@ class OCSRuntime:
             if not pending.future.done():
                 pending.future.cancel()
         self._pending.clear()
-
-
-class Stub:
-    """IDL-compiler-style client stub: attribute access yields operations.
-
-    ``await stub.open("T2")`` performs a remote invocation on the stub's
-    object reference with full signature checking.
-    """
-
-    def __init__(self, runtime: OCSRuntime, ref: ObjectRef):
-        self._runtime = runtime
-        self._ref = ref
-        self._iface = lookup_interface(ref.type_id)
-
-    @property
-    def ref(self) -> ObjectRef:
-        return self._ref
-
-    def __getattr__(self, name: str):
-        # Raises NoSuchMethod for operations outside the interface,
-        # matching IDL-compiled stubs failing at compile time.
-        self._iface.method(name)
-
-        def call(*args: Any, timeout: float = DEFAULT_CALL_TIMEOUT,
-                 deadline: Optional[float] = None) -> Future:
-            return self._runtime.invoke(self._ref, name, args, timeout=timeout,
-                                        deadline=deadline)
-
-        call.__name__ = name
-        return call
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Stub {self._ref!r}>"

@@ -315,7 +315,7 @@ class TestDiskFaultKeysNameRealRecords:
         def present(params):
             cluster = build_cluster(n_servers=3, seed=5, params=params)
             cluster.run_for(2.0)
-            cluster.run_async(_db_client(cluster).put("fk", "k", 1))
+            cluster.run_async(_db_client(cluster).call("put", "fk", "k", 1))
             return {key for key in DISK_FAULT_KEYS
                     if any(key in host.disk for host in cluster.servers)}
 

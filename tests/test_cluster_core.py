@@ -190,11 +190,11 @@ class TestRebinding:
         proxy = RebindingProxy(client.runtime, client.names,
                                f"svc/ping/{cluster.servers[0].ip}",
                                cluster.params)
-        assert cluster.run_async(proxy.ping()) == "pong"
+        assert cluster.run_async(proxy.call("ping")) == "pong"
         # Kill the service; the SSC restarts it; the proxy rebinds.
         cluster.kill_service(0, "ping")
         cluster.run_for(0.1)
-        result = cluster.run_async(proxy.ping())
+        result = cluster.run_async(proxy.call("ping"))
         assert result == "pong"
         assert proxy.rebinds >= 1
 
@@ -205,7 +205,7 @@ class TestRebinding:
                                cluster.params, give_up_after=10.0)
         from repro.core.rebind import RebindError
         with pytest.raises(RebindError):
-            cluster.run_async(proxy.ping())
+            cluster.run_async(proxy.call("ping"))
 
 
 class TestCrashLoopBackoff:

@@ -105,13 +105,13 @@ class TestCostIsTheRow:
     def test_delete_is_a_disk_delete_not_a_rewrite(self, cluster):
         primary, _backups = _primary_and_backups(cluster)
         db = _db_client(cluster, name="deleter")
-        cluster.run_async(db.put("del", "keep", 1))
-        cluster.run_async(db.put("del", "gone", 2))
+        cluster.run_async(db.call("put", "del", "keep", 1))
+        cluster.run_async(db.call("put", "del", "gone", 2))
         before = primary.host.disk.writes
-        cluster.run_async(db.delete("del", "gone"))
+        cluster.run_async(db.call("delete", "del", "gone"))
         # One changelog entry and nothing else: the row went by delete().
         assert primary.host.disk.writes == before + 1
-        assert cluster.run_async(db.scan("del")) == {"keep": 1}
+        assert cluster.run_async(db.call("scan", "del")) == {"keep": 1}
 
 
 class TestFaultsCostARow:
@@ -122,7 +122,7 @@ class TestFaultsCostARow:
         disk = primary.host.disk
         disk.write_barrier = True
         db = _db_client(cluster, name="w")
-        cluster.run_async(db.put("wb", "acked", "safe"))
+        cluster.run_async(db.call("put", "wb", "acked", "safe"))
         primary.apply_write("wb", "unsynced", "doomed", False)
         assert read_row(disk, "wb", "unsynced") == "doomed"
         primary.host.crash()
@@ -132,14 +132,14 @@ class TestFaultsCostARow:
     def test_rotted_row_on_primary_is_reported_and_dropped(self, cluster):
         primary, _backups = _primary_and_backups(cluster)
         db = _db_client(cluster, name="rot-primary")
-        cluster.run_async(db.put("rot", "bad", {"v": 1}))
-        cluster.run_async(db.put("rot", "good", {"v": 2}))
+        cluster.run_async(db.call("put", "rot", "bad", {"v": 1}))
+        cluster.run_async(db.call("put", "rot", "good", {"v": 2}))
         assert primary.host.disk.corrupt(_disk_key("rot", "bad"))
         with pytest.raises(NoSuchKey):          # not garbage
-            primary.get("rot", "bad")
+            primary.get(None, "rot", "bad")
         assert "row:rot/bad" in _corrupt_reports(cluster)
         # A bad sector costs the row, not its table.
-        assert cluster.run_async(db.scan("rot")) == {"good": {"v": 2}}
+        assert cluster.run_async(db.call("scan", "rot")) == {"good": {"v": 2}}
         assert primary.is_primary and not primary.repl._force_snapshot
 
     def test_torn_row_on_backup_resyncs_from_snapshot(self):
@@ -148,8 +148,8 @@ class TestFaultsCostARow:
         primary, backups = _primary_and_backups(cluster)
         victim = backups[0]
         db = _db_client(cluster, name="tear")
-        cluster.run_async(db.put("tear", "row", "v1"))
-        cluster.run_async(db.put("tear", "other", "v2"))
+        cluster.run_async(db.call("put", "tear", "row", "v1"))
+        cluster.run_async(db.call("put", "tear", "other", "v2"))
         cluster.run_for(2.0)
         # The tear: a buffered rewrite of the row is in flight when the
         # backup's host loses power.
@@ -164,13 +164,13 @@ class TestFaultsCostARow:
         revived = _db_services(cluster)[victim.host.ip]
         assert not revived.is_primary
         # The scan both detects the tear and serves the surviving row.
-        assert revived._rows("tear") == {"other": "v2"}
+        assert revived.scan(None, "tear") == {"other": "v2"}
         with pytest.raises(NoSuchKey):
-            revived.get("tear", "row")
+            revived.get(None, "tear", "row")
         assert "row:tear/row" in _corrupt_reports(cluster)
         cluster.run_for(DB_REPLICATION_POLL + 5.0)
         assert revived.repl.snapshot_fetches == 1
-        assert revived.get("tear", "row") == "v1"
+        assert revived.get(None, "tear", "row") == "v1"
         assert revived.log.digest == primary.log.digest
         assert (table_rows(revived.host.disk, "tear")
                 == table_rows(primary.host.disk, "tear"))
@@ -184,7 +184,7 @@ class TestSnapshotPerRow:
         db = _db_client(cluster, name="snap")
         for table, key, value in [("a", "1", "x"), ("a", "p/q", [1, 2]),
                                   ("ab", "1", {"n": 1})]:
-            cluster.run_async(db.put(table, key, value))
+            cluster.run_async(db.call("put", table, key, value))
         cluster.run_for(2.0)
         backup = backups[0]
         backup.apply_write("stale", "row", "left over", False)
@@ -205,7 +205,7 @@ class TestSnapshotPerRow:
         assert body["tables"]["a"] == {"1": "x", "p/q": [1, 2]}
         backup.repl.adopt_snapshot(body, epoch, digest)
         assert backup.repl.snapshot_body() == body
-        assert "stale" not in backup._tables()
+        assert "stale" not in backup.tables(None)
         assert read_row(backup.host.disk, "a", "stale", None) is None
 
     def test_crash_between_write_and_prune_is_a_replayable_superset(
@@ -249,9 +249,9 @@ class TestAliasingThroughRows:
     def test_mutating_what_read_returned_does_not_reach_the_disk(self, cluster):
         primary, _backups = _primary_and_backups(cluster)
         primary.apply_write("alias", "k", {"seen": [1]}, False)
-        primary.get("alias", "k")["seen"].append(2)
+        primary.get(None, "alias", "k")["seen"].append(2)
         table_rows(primary.host.disk, "alias")["k"]["seen"].append(3)
-        assert primary.get("alias", "k") == {"seen": [1]}
+        assert primary.get(None, "alias", "k") == {"seen": [1]}
 
 
 class TestLayoutNeverCollides:
@@ -260,14 +260,14 @@ class TestLayoutNeverCollides:
         rows = {("order", "s/1"): 1, ("order", "s"): 2, ("order", "a/b/c"): 3,
                 ("orders", "1"): 4, ("orders", "s/1"): 5, ("ord", "er/s"): 6}
         for (table, key), value in rows.items():
-            cluster.run_async(db.put(table, key, value))
-        assert cluster.run_async(db.scan("order")) == {
+            cluster.run_async(db.call("put", table, key, value))
+        assert cluster.run_async(db.call("scan", "order")) == {
             "s/1": 1, "s": 2, "a/b/c": 3}
-        assert cluster.run_async(db.scan("orders")) == {"1": 4, "s/1": 5}
-        assert cluster.run_async(db.scan("ord")) == {"er/s": 6}
-        cluster.run_async(db.delete("order", "s"))
-        assert cluster.run_async(db.get("order", "s/1")) == 1
-        tables = cluster.run_async(db._proxy.call("tables"))
+        assert cluster.run_async(db.call("scan", "orders")) == {"1": 4, "s/1": 5}
+        assert cluster.run_async(db.call("scan", "ord")) == {"er/s": 6}
+        cluster.run_async(db.call("delete", "order", "s"))
+        assert cluster.run_async(db.call("get", "order", "s/1")) == 1
+        tables = cluster.run_async(db.call("tables"))
         assert {"ord", "order", "orders"} <= set(tables)
         assert tables == sorted(tables)
 
@@ -277,7 +277,7 @@ class TestLayoutNeverCollides:
         with pytest.raises(ValueError):
             cluster.run_async(primary.write("a/b", "k", 1, False))
         with pytest.raises(ValueError):
-            primary.get("a/b", "k")
+            primary.get(None, "a/b", "k")
         with pytest.raises(ValueError):
             seed_database(Disk(), "a/b", {"k": 1})
         assert primary.log.seq == seq           # nothing was logged
@@ -297,6 +297,13 @@ _OPS = st.one_of(
     st.tuples(st.just("restart")))
 
 
+async def _get_or(db, table, key, default):
+    try:
+        return await db.call("get", table, key)
+    except NoSuchKey:
+        return default
+
+
 @pytest.fixture(scope="module")
 def lone_db():
     cluster = build_cluster(n_servers=1, seed=137)
@@ -310,27 +317,28 @@ class TestDifferentialAgainstDict:
     def test_random_programs_match_a_plain_dict(self, lone_db, program):
         cluster, db = lone_db
         model = {}
-        for table in cluster.run_async(db._proxy.call("tables")):
-            for key in cluster.run_async(db.scan(table)):
-                cluster.run_async(db.delete(table, key))
+        for table in cluster.run_async(db.call("tables")):
+            for key in cluster.run_async(db.call("scan", table)):
+                cluster.run_async(db.call("delete", table, key))
         for op in program:
             if op[0] == "put":
-                cluster.run_async(db.put(op[1], op[2], op[3]))
+                cluster.run_async(db.call("put", op[1], op[2], op[3]))
                 model.setdefault(op[1], {})[op[2]] = op[3]
             elif op[0] == "delete":
-                cluster.run_async(db.delete(op[1], op[2]))
+                cluster.run_async(db.call("delete", op[1], op[2]))
                 model.get(op[1], {}).pop(op[2], None)
             elif op[0] == "get":
                 missing = object()
-                got = cluster.run_async(db.get_or(op[1], op[2], missing))
+                got = cluster.run_async(_get_or(db, op[1], op[2], missing))
                 assert got == model.get(op[1], {}).get(op[2], missing)
             elif op[0] == "scan":
-                assert cluster.run_async(db.scan(op[1])) == model.get(op[1], {})
+                assert (cluster.run_async(db.call("scan", op[1]))
+                        == model.get(op[1], {}))
             else:
                 assert cluster.kill_service(0, "db")
                 while cluster.db_primary_ip() is None:
                     cluster.run_for(1.0)    # the SSC restarts it from disk
         live = {table: rows for table, rows in model.items() if rows}
-        assert cluster.run_async(db._proxy.call("tables")) == sorted(live)
+        assert cluster.run_async(db.call("tables")) == sorted(live)
         for table, rows in live.items():
-            assert cluster.run_async(db.scan(table)) == rows
+            assert cluster.run_async(db.call("scan", table)) == rows

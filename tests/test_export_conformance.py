@@ -50,6 +50,21 @@ def test_every_export_implements_its_whole_interface(full_cluster):
             "NamingContext", "FileSystemContext", "Database"} <= seen
 
 
+def test_every_service_is_its_own_servant(full_cluster):
+    services = [proc.attachments["service"]
+                for host in full_cluster.servers for proc in host.processes
+                if "service" in proc.attachments]
+    # The one other null-id export is the file service's root directory:
+    # a per-directory FileSystemContext servant, like every other
+    # directory it serves.
+    null_exports = [(svc, svc.runtime._exports[""]) for svc in services]
+    adaptors = [svc.service_name for svc, export in null_exports
+                if export.servant is not svc
+                and export.interface.name != "FileSystemContext"]
+    assert adaptors == []
+    assert "db" in {service.service_name for service in services}
+
+
 def test_forged_frame_reaches_nothing_outside_the_idl(full_cluster):
     cluster = full_cluster
     server = cluster.servers[0]

@@ -209,13 +209,6 @@ class TestEngine:
         stats = "\n".join(report.stats_lines())
         assert "call-site coverage" in stats
 
-    def test_github_format(self):
-        report = lint_paths([os.path.join(FIXTURES, "d007_print.py")])
-        lines = report.github_lines()
-        assert len(lines) == 1
-        assert lines[0].startswith("::error file=")
-        assert "title=D007::" in lines[0]
-
     def test_json_format(self):
         import json
         report = lint_paths([os.path.join(FIXTURES, "d007_print.py")])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.idl import register_exception, register_interface
-from repro.idl.errors import NoSuchMethod, SignatureError
+from repro.idl.errors import SignatureError
 from repro.net import Network, server_ip
 from repro.ocs import (
     CallTimeout,
@@ -100,25 +100,6 @@ class TestInvocation:
 
         kernel.run_until_complete(main())
         assert servant.calls[0][0] == "vod-app@server-1"
-
-    def test_stub_call(self, world):
-        kernel, net, hosts = world
-        _, _, _, ref = start_echo(kernel, net, hosts[0])
-        _, cli = client_runtime(net, hosts[1])
-        stub = cli.stub(ref)
-
-        async def main():
-            return await stub.add(2, 3)
-
-        assert kernel.run_until_complete(main()) == 5
-
-    def test_stub_unknown_method_raises_immediately(self, world):
-        kernel, net, hosts = world
-        _, _, _, ref = start_echo(kernel, net, hosts[0])
-        _, cli = client_runtime(net, hosts[1])
-        stub = cli.stub(ref)
-        with pytest.raises(NoSuchMethod):
-            stub.frobnicate
 
     def test_wrong_arity_rejected(self, world):
         kernel, net, hosts = world

@@ -1,4 +1,4 @@
-"""Additional OCS coverage: oneway semantics, wire accounting, stubs."""
+"""Additional OCS coverage: oneway semantics and wire accounting."""
 
 import pytest
 
@@ -106,23 +106,3 @@ class TestWireAccounting:
 
         kernel.run_until_complete(main())
         assert cli.calls_sent == 3
-
-
-class TestStubs:
-    def test_stub_custom_timeout(self, world):
-        kernel, net, _servant, ref, cli = world
-        net.host_at(ref.ip).crash()
-        stub = cli.stub(ref)
-
-        async def main():
-            from repro.ocs import CallTimeout
-            try:
-                await stub.echo("x", timeout=1.0)
-            except CallTimeout:
-                return kernel.now
-
-        assert kernel.run_until_complete(main()) == pytest.approx(1.0)
-
-    def test_stub_exposes_ref(self, world):
-        _kernel, _net, _servant, ref, cli = world
-        assert cli.stub(ref).ref == ref

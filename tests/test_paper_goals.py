@@ -84,11 +84,11 @@ class TestSection8AvailabilityMechanisms:
         client = cluster.client_on(cluster.servers[0], name="m2")
         proxy = RebindingProxy(client.runtime, client.names, "svc/mms",
                                cluster.params)
-        assert cluster.run_async(proxy.openCount()) == 0
+        assert cluster.run_async(proxy.call("openCount")) == 0
         cluster.kill_service(0, "mms")
         cluster.kill_service(1, "mms")
         cluster.run_for(2.0)
-        assert cluster.run_async(proxy.openCount()) == 0
+        assert cluster.run_async(proxy.call("openCount")) == 0
         assert proxy.rebinds >= 1
 
     def test_mechanism3_failure_notification(self):

@@ -7,6 +7,7 @@ violation only fires when *no* registered interface could satisfy the
 call, so cross-interface method-name reuse never false-positives.
 """
 
+import ast
 import inspect
 import os
 
@@ -17,7 +18,8 @@ from repro.analysis import (
     lint_source,
     protocol_rules,
 )
-from repro.analysis.protocol import registry_model
+from repro.analysis.engine import annotate_parents
+from repro.analysis.protocol import registry_model, scan_sites
 from repro.analysis.rules import RawFaultSurfaceRule
 from repro.idl import register_interface
 from repro.net.network import Network
@@ -154,6 +156,17 @@ class TestFalsifiability:
         assert hits(violations, "P004") == [("P004", 18)]
 
 
+def _method_holding(node):
+    """``Class.method`` (or ``function``) whose body holds ``node``."""
+    scopes = []
+    while node is not None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scopes.insert(0, node.name)
+        node = getattr(node, "parent", None)
+    return ".".join(scopes[:2])
+
+
 class TestCoverage:
     def test_full_tree_classifies_every_call_site(self):
         report = lint_paths([SRC])
@@ -163,6 +176,25 @@ class TestCoverage:
         assert cov.classified == cov.total
         stats = "\n".join(cov.stats_lines())
         assert "100.0%" in stats
+
+    def test_dynamic_sites_are_the_named_forwarders(self):
+        # A computed operation name escapes P001-P005, so the tree keeps
+        # exactly these forwarders and no attribute-call sugar.
+        owners = set()
+        for dirpath, _dirs, files in os.walk(SRC):
+            for fname in files:
+                if not fname.endswith(".py"):
+                    continue
+                with open(os.path.join(dirpath, fname)) as fh:
+                    tree = ast.parse(fh.read())
+                annotate_parents(tree)
+                for site in scan_sites(tree):
+                    if site.method is None:
+                        owners.add(_method_holding(site.node))
+        assert owners == {"NameClient._invoke", "RebindingProxy.call",
+                          "MediaManagementService._cached_fetch",
+                          "ServerServiceController._call_callback",
+                          "FaultInjector._surge_driver"}
 
     def test_src_has_no_protocol_violations(self):
         report = lint_paths([SRC])

@@ -46,11 +46,11 @@ class TestRebindingProxy:
         proxy = RebindingProxy(client.runtime, client.names, target,
                                cluster.params)
         assert proxy.ref is None
-        cluster.run_async(proxy.ping())
+        cluster.run_async(proxy.call("ping"))
         assert proxy.ref is not None
         assert proxy.resolve_calls == 1
         for _ in range(5):
-            cluster.run_async(proxy.ping())
+            cluster.run_async(proxy.call("ping"))
         # Section 3.4.2: the reference is cached after the first resolve.
         assert proxy.resolve_calls == 1
 
@@ -62,10 +62,10 @@ class TestRebindingProxy:
         client = cluster.client_on(cluster.servers[1], name="c")
         proxy = RebindingProxy(client.runtime, client.names, target,
                                cluster.params)
-        cluster.run_async(proxy.ping())
+        cluster.run_async(proxy.call("ping"))
         proxy.invalidate()
         assert proxy.ref is None
-        cluster.run_async(proxy.ping())
+        cluster.run_async(proxy.call("ping"))
         assert proxy.resolve_calls == 2
 
     def test_waits_out_unbound_name(self):
@@ -77,7 +77,7 @@ class TestRebindingProxy:
         proxy = RebindingProxy(client.runtime, client.names, target,
                                cluster.params, give_up_after=60.0)
         start_service(cluster, 0, "ping")
-        result = cluster.run_async(proxy.ping())
+        result = cluster.run_async(proxy.call("ping"))
         assert result == "pong"
 
     def test_give_up_raises_rebind_error(self):
@@ -86,7 +86,7 @@ class TestRebindingProxy:
         proxy = RebindingProxy(client.runtime, client.names, "svc/never",
                                cluster.params, give_up_after=5.0)
         with pytest.raises(RebindError):
-            cluster.run_async(proxy.ping())
+            cluster.run_async(proxy.call("ping"))
         # Give-up is prompt: roughly the configured budget, not unbounded.
         assert cluster.now <= 20.0
 
@@ -180,7 +180,7 @@ class TestLossyPlant:
         cluster.net.set_loss(settop.ip, 0.2, SeededRandom(9))
         completed = 0
         for _ in range(20):
-            assert cluster.run_async(proxy.ping()) == "pong"
+            assert cluster.run_async(proxy.call("ping")) == "pong"
             completed += 1
         assert completed == 20
         assert cluster.net.messages_lost > 0

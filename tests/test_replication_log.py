@@ -14,7 +14,7 @@ from repro.chaos import FaultSchedule, default_monitors, run_schedule
 from repro.cluster import build_cluster
 from repro.core.rebind import RebindingProxy
 from repro.core.replication import GENESIS_EPOCH, ChangeLog
-from repro.db.service import DB_REPLICATION_POLL, DatabaseClient
+from repro.db.service import DB_REPLICATION_POLL
 from repro.metrics import cluster_counters, live_replicas
 from repro.ocs.exceptions import ServiceUnavailable
 from repro.sim.host import Disk
@@ -170,9 +170,8 @@ class TestNsIncrementalCatchUp:
 
 def _db_client(cluster, server_index=0, name="db-client"):
     client = cluster.client_on(cluster.servers[server_index], name=name)
-    proxy = RebindingProxy(client.runtime, client.names, "svc/db",
-                           cluster.params)
-    return DatabaseClient(proxy)
+    return RebindingProxy(client.runtime, client.names, "svc/db",
+                          cluster.params)
 
 
 def _db_services(cluster):
@@ -194,9 +193,9 @@ class TestDbReplication:
         backup = next(s for ip, s in services.items() if ip != primary_ip)
         seq = cluster.run_async(backup.write("wt", "k", "direct", False))
         # Read-your-write locally: the ack waited for the stream-back.
-        assert backup.get("wt", "k") == "direct"
+        assert backup.get(None, "wt", "k") == "direct"
         assert backup.log.seq >= seq
-        assert services[primary_ip].get("wt", "k") == "direct"
+        assert services[primary_ip].get(None, "wt", "k") == "direct"
 
     def test_replication_skip_is_observable(self, monkeypatch):
         """ISSUE 7 satellite 1: a ``list_repl`` failure used to drop the
@@ -219,7 +218,7 @@ class TestDbReplication:
         cluster.run_for(DB_REPLICATION_POLL + 5.0)
         for svc in _db_services(cluster).values():
             assert svc.log.seq >= seq
-            assert svc.get("obs", "k") == 1
+            assert svc.get(None, "obs", "k") == 1
 
     def test_interleaved_puts_converge_to_one_write_order(self):
         """ISSUE 7 satellite 2: pushes now carry (seq, epoch), so two
@@ -233,7 +232,7 @@ class TestDbReplication:
 
         async def storm(db, values):
             for v in values:
-                await db.put("ilv", "k", v)
+                await db.call("put", "ilv", "k", v)
 
         cluster.run_async(gather(cluster.kernel, [
             storm(a, [1, 3, 5, 7, 9]), storm(b, [2, 4, 6, 8, 10])]))
@@ -242,7 +241,7 @@ class TestDbReplication:
         digests = {svc.log.digest for svc in services.values()}
         assert len(digests) == 1, "replicas applied different write orders"
         assert len({svc.log.seq for svc in services.values()}) == 1
-        assert len({repr(svc.get("ilv", "k"))
+        assert len({repr(svc.get(None, "ilv", "k"))
                     for svc in services.values()}) == 1
         counters = cluster_counters(cluster)
         assert counters["repl.db.converged"] == 1
@@ -276,8 +275,9 @@ class TestDbReplication:
                     if e.fields["path"] == "svc/db"]
         # And writes flow again immediately.
         db = _db_client(cluster, server_index=(index + 1) % 3)
-        cluster.run_async(db.put("reclaim", "k", "fast"))
-        assert _db_services(cluster)[primary_ip].get("reclaim", "k") == "fast"
+        cluster.run_async(db.call("put", "reclaim", "k", "fast"))
+        primary = _db_services(cluster)[primary_ip]
+        assert primary.get(None, "reclaim", "k") == "fast"
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ async def _bind_names(cluster, server, tag, count):
 async def _put_rows(cluster, server, tag, count):
     db = _db_client(cluster, server, name=f"db-{tag}")
     for i in range(count):
-        await db.put("ob", f"{tag}{i}", i)
+        await db.call("put", "ob", f"{tag}{i}", i)
 
 
 class TestOnlineBootstrap:

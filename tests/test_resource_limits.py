@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import build_full_cluster
 from repro.core.params import Params
 from repro.core.rebind import RebindingProxy
-from repro.db.service import DatabaseClient
+from repro.db.service import NoSuchKey
 from repro.services.connection_manager import ResourceLimitExceeded
 
 
@@ -73,9 +73,9 @@ class TestResourceAccounting:
         cluster.run_for(30.0)
         cluster.run_async(client.runtime.invoke(cmgr, "deallocate", (conn,)))
         cluster.run_for(2.0)
-        db = DatabaseClient(RebindingProxy(client.runtime, client.names,
-                                           "svc/db", cluster.params))
-        usage = cluster.run_async(db.get("usage", settop.ip))
+        db = RebindingProxy(client.runtime, client.names, "svc/db",
+                            cluster.params)
+        usage = cluster.run_async(db.call("get", "usage", settop.ip))
         assert usage["connections"] == 1
         assert usage["connection_seconds"] == pytest.approx(30.0, abs=1.0)
         assert usage["megabit_seconds"] == pytest.approx(60.0, rel=0.05)
@@ -92,9 +92,9 @@ class TestResourceAccounting:
             cluster.run_async(client.runtime.invoke(cmgr, "deallocate",
                                                     (conn,)))
             cluster.run_for(1.0)
-        db = DatabaseClient(RebindingProxy(client.runtime, client.names,
-                                           "svc/db", cluster.params))
-        usage = cluster.run_async(db.get("usage", settop.ip))
+        db = RebindingProxy(client.runtime, client.names, "svc/db",
+                            cluster.params)
+        usage = cluster.run_async(db.call("get", "usage", settop.ip))
         assert usage["connections"] == 3
 
     def test_accounting_can_be_disabled(self):
@@ -109,6 +109,7 @@ class TestResourceAccounting:
         cluster.run_for(5.0)
         cluster.run_async(client.runtime.invoke(cmgr, "deallocate", (conn,)))
         cluster.run_for(2.0)
-        db = DatabaseClient(RebindingProxy(client.runtime, client.names,
-                                           "svc/db", cluster.params))
-        assert cluster.run_async(db.get_or("usage", settop.ip)) is None
+        db = RebindingProxy(client.runtime, client.names, "svc/db",
+                            cluster.params)
+        with pytest.raises(NoSuchKey):
+            cluster.run_async(db.call("get", "usage", settop.ip))
