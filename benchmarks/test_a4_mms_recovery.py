@@ -20,7 +20,7 @@ from repro.cluster.media import seed_default_content
 from repro.core.control.tools import OperatorConsole
 from repro.core.naming.client import NameClient
 from repro.core.params import Params
-from repro.ocs.runtime import OCSRuntime, allocate_port
+from repro.ocs.runtime import OCSRuntime
 
 from common import once, report
 
@@ -39,8 +39,8 @@ def run_recovery(n_sessions: int, seed: int):
 
         async def open_one(runtime=runtime, names=names, i=i):
             mms = await names.resolve("svc/mms")
-            await runtime.invoke(mms, "open",
-                                 (titles[i % len(titles)], allocate_port()),
+            port = runtime.network.allocate_port()
+            await runtime.invoke(mms, "open", (titles[i % len(titles)], port),
                                  timeout=15.0)
 
         cluster.kernel.create_task(open_one())

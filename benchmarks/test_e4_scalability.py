@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import build_full_cluster
 from repro.cluster.media import seed_default_content
 from repro.core.params import Params
-from repro.ocs.runtime import OCSRuntime, allocate_port
+from repro.ocs.runtime import OCSRuntime
 from repro.core.naming.client import NameClient
 
 from common import once, report
@@ -57,7 +57,8 @@ def stream_capacity(n_servers: int, seed: int = 3000) -> dict:
         for k in range(2):
             title = titles[(index + k) % len(titles)]
             try:
-                await runtime.invoke(mms, "open", (title, allocate_port()),
+                port = runtime.network.allocate_port()
+                await runtime.invoke(mms, "open", (title, port),
                                      timeout=10.0)
                 opened += 1
             except Exception:  # noqa: BLE001 - capacity exhausted

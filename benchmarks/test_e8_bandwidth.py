@@ -19,7 +19,7 @@ from repro.cluster.media import seed_default_content
 from repro.core.naming.client import NameClient
 from repro.core.params import Params
 from repro.net.message import Message
-from repro.ocs.runtime import OCSRuntime, allocate_port
+from repro.ocs.runtime import OCSRuntime
 
 from common import once, report
 
@@ -73,7 +73,8 @@ def run_community(seed=8002):
         try:
             mms = await names.resolve("svc/mms")
             movie = await runtime.invoke(
-                mms, "open", (titles[index % len(titles)], allocate_port()),
+                mms, "open", (titles[index % len(titles)],
+                              runtime.network.allocate_port()),
                 timeout=15.0)
             await runtime.invoke(movie, "play", (), timeout=5.0)
             opened[0] += 1
@@ -146,7 +147,8 @@ def test_e8_full_orlando_scale(benchmark):
                 # harsher than any real arrival process.
                 movie = await runtime.invoke(
                     mms, "open", (titles[index % len(titles)],
-                                  allocate_port()), timeout=60.0)
+                                  runtime.network.allocate_port()),
+                    timeout=60.0)
                 await runtime.invoke(movie, "play", (), timeout=10.0)
                 opened[0] += 1
                 latencies.append(cluster.kernel.now - t0)

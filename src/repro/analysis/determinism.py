@@ -31,12 +31,9 @@ def reference_scenario_trace(seed: int, settops: int = 2,
     reboot) -- so a nondeterministic iteration or stray wall-clock read
     almost anywhere shows up as trace drift.
     """
-    from repro.cluster.builder import build_full_cluster, fresh_run_state
+    from repro.cluster.builder import build_full_cluster
     from repro.workloads.sessions import run_viewers
 
-    # Byte-identity needs the process-global allocators (pids, message
-    # ids, ports) restarted, or the second run's traces shift.
-    fresh_run_state()
     cluster = build_full_cluster(n_servers=3, seed=seed)
     cluster.settle()
     kernels = [cluster.add_settop_kernel(1 + (i % len(cluster.neighborhoods)))

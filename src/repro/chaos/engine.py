@@ -7,10 +7,11 @@ sessions running, replays a fault schedule through the
 heals everything at the horizon, quiesces past the paper's worst-case
 fail-over bound, and runs the final checks.
 
-Everything is driven from substreams of one seed, and the run starts
-from :func:`~repro.cluster.builder.fresh_run_state`, so the returned
-trace digest is a replayable fingerprint: the same seed and schedule
-produce the same digest, byte for byte -- which is what lets the
+Everything is driven from substreams of one seed, and the run's pids,
+ports and message ids come from its own kernel and network, so the
+returned trace digest is a replayable fingerprint: the same seed and
+schedule produce the same digest, byte for byte, whatever else the
+interpreter ran before or runs beside it -- which is what lets the
 minimizer trust a re-run and lets CI double-run a schedule to prove it.
 """
 
@@ -24,7 +25,7 @@ from repro.analysis.determinism import format_trace_line
 from repro.chaos.injector import FaultInjector
 from repro.chaos.monitors import MonitorBus, Violation
 from repro.chaos.schedule import FaultSchedule, generate_schedule
-from repro.cluster.builder import Cluster, build_full_cluster, fresh_run_state
+from repro.cluster.builder import Cluster, build_full_cluster
 from repro.cluster.scenario import Scenario
 from repro.core.params import Params
 from repro.metrics.cluster import cluster_counters
@@ -72,15 +73,13 @@ def run_schedule(schedule: FaultSchedule, seed: int, n_servers: int = 3,
     """Replay ``schedule`` against a fresh seeded cluster; judge it.
 
     Deterministic end to end: calling this twice with the same arguments
-    yields identical :attr:`ChaosResult.digest` values.  (It restarts the
-    process-global allocators, so do not call it while another cluster
-    is live in the same interpreter.)  A ``monitors`` list replacing the
-    default catalog must keep ``settop_service`` and ``hb_race``: the
-    result reads them.
+    yields identical :attr:`ChaosResult.digest` values, also while
+    another cluster is live in the same interpreter.  A ``monitors``
+    list replacing the default catalog must keep ``settop_service`` and
+    ``hb_race``: the result reads them.
     """
     from repro.workloads.sessions import ViewerSession
 
-    fresh_run_state()
     params = params or Params()
     cluster = build_full_cluster(n_servers=n_servers, seed=seed, params=params)
     rng = SeededRandom(seed)

@@ -20,10 +20,9 @@ from repro.core.naming.client import NameClient
 from repro.core.params import Params
 from repro.metrics.cluster import live_replicas
 from repro.net.address import server_ip, settop_ip
-from repro.net.message import reset_msg_counter
 from repro.net.network import Network
-from repro.ocs.runtime import OCSRuntime, reset_port_counter
-from repro.sim.host import Host, Process, reset_pid_counter
+from repro.ocs.runtime import OCSRuntime
+from repro.sim.host import Host, Process
 from repro.sim.kernel import Kernel
 from repro.sim.rand import SeededRandom
 from repro.sim.trace import TraceLog
@@ -36,20 +35,10 @@ BASE_SERVICES = ["ns", "ras", "settopmgr", "db", "auth"]
 
 
 def fresh_run_state() -> None:
-    """Restart the process-global allocators (pids, message ids, ports).
-
-    Pid/port/message-id sequences are process-global so that several
-    clusters can coexist in one interpreter (shared test fixtures).  The
-    price is that back-to-back runs see different absolute values in
-    their traces.  Call this before each run that must be byte-identical
-    to another -- the chaos runner and the reference scenario
-    (:mod:`repro.analysis.determinism`) do.  Do NOT call it while
-    another cluster is still in use: its network would start handing out
-    already-bound ports.
-    """
-    reset_pid_counter()
-    reset_msg_counter()
-    reset_port_counter()
+    """Does nothing: a run's pids, ports and message ids come from its own
+    ``Kernel`` and ``Network``.  Kept only because
+    ``benchmarks/e2e/workloads.py`` calls it; ROADMAP item 1 deletes it
+    with the ``TimerWheel`` alias."""
 
 
 class Cluster:

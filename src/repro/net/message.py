@@ -24,16 +24,6 @@ REQUEST_ID_BYTES = 16
 # receiver can reject a corrupted datagram instead of dispatching it.
 CHECKSUM_BYTES = 4
 
-# The last message id handed out: an id-less ``Message`` takes the next
-# one, and ``Network.broadcast`` advances it past a whole fan-out at once.
-_msg_counter = [0]
-
-
-def reset_msg_counter() -> None:
-    """Restart message ids; call when a fresh simulation run begins (see
-    repro.sim.host.reset_pid_counter for why)."""
-    _msg_counter[0] = 0
-
 
 class Message:
     """One datagram: source/destination endpoints plus an opaque payload.
@@ -60,9 +50,7 @@ class Message:
         self.kind = kind
         self.payload = payload
         self.payload_bytes = payload_bytes
-        if msg_id is None:
-            _msg_counter[0] += 1
-            msg_id = _msg_counter[0]
+        # None until a network sends it: the run's Network numbers it.
         self.msg_id = msg_id
         # Absolute (virtual-clock) deadline for the work this datagram
         # asks for; None means "no deadline" (replies, raw datagrams).

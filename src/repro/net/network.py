@@ -27,7 +27,7 @@ from repro.net.address import (
     is_settop_ip,
 )
 from repro.net.link import Link
-from repro.net.message import HEADER_BYTES, Message, _msg_counter
+from repro.net.message import HEADER_BYTES, Message
 from repro.sim.host import Host
 from repro.sim.kernel import Kernel
 
@@ -58,6 +58,10 @@ class Network:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
+        # The run's last message id and ephemeral port: a run owns its
+        # identities, so the same seed sends the same ids and ports.
+        self.last_msg_id = 0
+        self.last_port = 9999
         self._interfaces: Dict[str, _Interface] = {}
         # port -> ips with a handler bound on it, kept by bind_port,
         # unbind_port and detach.  Only ever tested for membership.
@@ -163,6 +167,12 @@ class Network:
         return self.interface(ip).in_link
 
     # -- ports -----------------------------------------------------------
+
+    def allocate_port(self) -> int:
+        """A fresh ephemeral port: an OCS runtime's, or a raw one such as
+        the data port a settop application receives movie chunks on."""
+        self.last_port += 1
+        return self.last_port
 
     def bind_port(self, ip: str, port: int, handler: Callable[[Message], None]) -> None:
         iface = self.interface(ip)
@@ -322,7 +332,11 @@ class Network:
     # -- delivery ---------------------------------------------------------
 
     def send(self, msg: Message) -> None:
-        """Inject a datagram; delivery (or drop) happens asynchronously."""
+        """Inject a datagram; delivery (or drop) happens asynchronously.
+        An id-less ``msg`` takes the run's next message id."""
+        if msg.msg_id is None:
+            self.last_msg_id += 1
+            msg.msg_id = self.last_msg_id
         # Message.size_bytes and _account, inline: once per datagram.
         size = HEADER_BYTES + msg.payload_bytes
         self.messages_sent += 1
@@ -450,9 +464,11 @@ class Network:
         handler = iface.ports.get(src_port)
         if handler is None:
             return
+        self.last_msg_id += 1
         notice = Message(
             src=original.dst, dst=original.src, kind="port_unreachable",
-            payload={"msg_id": original.msg_id}, payload_bytes=0)
+            payload={"msg_id": original.msg_id}, payload_bytes=0,
+            msg_id=self.last_msg_id)
         self.kernel.call_later(FDDI_LATENCY, self._deliver_notice, notice,
                                handler)
 
@@ -475,7 +491,11 @@ class Network:
         Manager already carved out its bandwidth -- so delivery takes only
         propagation latency.  Returns False (dropping the message) when
         the circuit does not exist, matching ATM cells on a torn-down VC.
+        An id-less ``msg`` is numbered as in :meth:`send`.
         """
+        if msg.msg_id is None:
+            self.last_msg_id += 1
+            msg.msg_id = self.last_msg_id
         self._account(msg.kind, msg.size_bytes)
         src_ip, dst_ip = msg.src[0], msg.dst[0]
         src_iface = self._interfaces.get(src_ip)
@@ -531,9 +551,9 @@ class Network:
         partitions = self._partitions
         delay_faults = self._delay or self._gray or self._reorder
         dup = self._dup
-        # Nothing below builds an id-less envelope, so reached receiver k
-        # has id last_id + k; the counter moves once, at the end.
-        last_id = _msg_counter[0]
+        # Nothing below numbers a datagram, so reached receiver k has id
+        # last_id + k; the counter moves once, at the end.
+        last_id = self.last_msg_id
         run: Optional[List[str]] = None
         run_delay = 0.0
         reached = 0
@@ -570,7 +590,7 @@ class Network:
                             msg_id=last_id + reached),
                     receiver_delay)
                 run = None
-        _msg_counter[0] = last_id + reached
+        self.last_msg_id = last_id + reached
         sent = len(dst_ips)
         if sent:
             # One copy on the wire regardless of population: count a

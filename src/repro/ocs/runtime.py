@@ -51,25 +51,6 @@ DEFAULT_CALL_TIMEOUT = 3.0
 # padding + cipher framing per message.
 ENCRYPTION_OVERHEAD_BYTES = 48
 
-_port_counter = [9999]
-
-
-def _next_port() -> int:
-    _port_counter[0] += 1
-    return _port_counter[0]
-
-
-def reset_port_counter() -> None:
-    """Restart port allocation; call when a fresh simulation run begins
-    (see repro.sim.host.reset_pid_counter for why)."""
-    _port_counter[0] = 9999
-
-
-def allocate_port() -> int:
-    """Allocate a fresh port for raw (non-OCS) traffic, e.g. the data
-    port a settop application receives movie chunks on."""
-    return _next_port()
-
 
 class CallContext(NamedTuple):
     """Per-call caller identity handed to every servant method.
@@ -101,12 +82,13 @@ class _Export:
 
 
 class _PendingCall:
-    __slots__ = ("future", "msg_id", "method", "timeout_handle", "deadline")
+    __slots__ = ("future", "msg", "method", "timeout_handle", "deadline")
 
-    def __init__(self, future: Future, msg_id: int, method: str,
+    def __init__(self, future: Future, msg: Message, method: str,
                  timeout_handle: Any, deadline: Optional[float]):
         self.future = future
-        self.msg_id = msg_id
+        # The call datagram, numbered by Network.send after this exists.
+        self.msg = msg
         self.method = method
         self.timeout_handle = timeout_handle
         self.deadline = deadline
@@ -114,8 +96,6 @@ class _PendingCall:
 
 class OCSRuntime:
     """Object adapter + transport endpoint for one process."""
-
-    reply_cache_capacity: int = 512
 
     def __init__(self, process: Process, network: Network,
                  principal: Optional[str] = None, port: Optional[int] = None):
@@ -128,13 +108,13 @@ class OCSRuntime:
         # Well-known ports are used by bootstrap services (the name
         # service); everything else gets a fresh ephemeral port per
         # incarnation.
-        self.port = port if port is not None else _next_port()
+        self.port = port if port is not None else network.allocate_port()
         self._addr = (self.ip, self.port)
         # This process's identity in the happens-before graph and in
         # request ids.  Pids are monotonic and never reused within a
         # run, so ``(client_id, call_seq)`` names one logical request
         # uniquely for the lifetime of the simulation.
-        self.hb_actor = self.client_id = f"{self.ip}/{process.pid}"
+        self.client_id = f"{self.ip}/{process.pid}"
         self.principal = principal or f"{process.name}@{process.host.name}"
         # Optional security hooks installed by repro.auth: credentials are
         # attached to outgoing calls, the verifier checks incoming ones.
@@ -156,7 +136,7 @@ class OCSRuntime:
         # At-most-once machinery (PR 9): the reply cache dedups retried
         # request ids in front of non-idempotent dispatch, and the
         # checksum guard drops corrupt frames before they reach it.
-        self.reply_cache = ReplyCache(self.reply_cache_capacity)
+        self.reply_cache = ReplyCache()
         self.corrupt_dropped = 0
         self.corrupt_dispatched = 0
         network.bind_port(self.ip, self.port, self._on_message)
@@ -168,7 +148,7 @@ class OCSRuntime:
             # answers on this endpoint; later binds win, matching port
             # reuse across process incarnations.
             hb.emit("hb", "bind", ep=f"{self.ip}:{self.port}",
-                    actor=self.hb_actor)
+                    actor=self.client_id)
 
     def next_request_id(self) -> Tuple[str, int]:
         """Mint a request id for one *logical* call.
@@ -185,7 +165,7 @@ class OCSRuntime:
         detector (no-op unless the run carries an hb sink)."""
         hb = self.kernel.hb_log
         if hb is not None:
-            hb.emit("hb", "write", actor=self.hb_actor, var=var, ver=ver)
+            hb.emit("hb", "write", actor=self.client_id, var=var, ver=ver)
 
     # -- server side ---------------------------------------------------
 
@@ -305,7 +285,7 @@ class OCSRuntime:
             return fut
         handle = self.kernel.call_later(timeout, self._on_timeout, call_id)
         self._pending[call_id] = _PendingCall(
-            fut, msg.msg_id, method, handle, deadline if hard else None)
+            fut, msg, method, handle, deadline if hard else None)
         self.network.send(msg)
         return fut
 
@@ -552,7 +532,7 @@ class OCSRuntime:
         if request_id is None:
             return
         ledger.record((request_id[0], request_id[1]),
-                      actor=self.hb_actor,
+                      actor=self.client_id,
                       method=f"{payload['type_id']}.{payload['method']}",
                       at=self.kernel.now)
 
@@ -612,7 +592,7 @@ class OCSRuntime:
         # calls in flight beats a msg-id index maintained on every call.
         msg_id = msg.payload["msg_id"]
         call_id = next((call_id for call_id, pending in self._pending.items()
-                        if pending.msg_id == msg_id), None)
+                        if pending.msg.msg_id == msg_id), None)
         if call_id is None:
             return
         pending = self._pending.pop(call_id)

@@ -58,10 +58,9 @@ class BootBroadcastService(Service):
     def boot_params(self, neighborhood: int) -> dict:
         return {
             "neighborhood": neighborhood,
-            # The name service replica this settop should bootstrap from:
-            # its neighbourhood's server, with the other replicas as
+            # The name service replicas this settop bootstraps from: its
+            # neighbourhood's server first, with the other replicas as
             # fall-backs should that server fail.
-            "ns_ip": self.host.ip,
             "ns_ips": [self.host.ip] + [
                 ip for ip in self.env.cluster.get("server_ips", [])
                 if ip != self.host.ip],

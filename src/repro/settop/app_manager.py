@@ -40,7 +40,7 @@ class AppManager:
         self.params: Params = settop_kernel.params
         self.runtime = OCSRuntime(process, settop_kernel.network,
                                   principal=f"appmgr@{settop_kernel.host.ip}")
-        self.names = NameClient(self.runtime, boot_params.get("ns_ips", boot_params["ns_ip"]), self.params,
+        self.names = NameClient(self.runtime, boot_params["ns_ips"], self.params,
                                 cache=cache_for(settop_kernel.host, self.params))
         self.rds = RebindingProxy(self.runtime, self.names, "svc/rds",
                                   self.params)

@@ -26,7 +26,7 @@ class SettopApp:
         # Apps come and go with every channel change, but the host's
         # binding cache persists: a fresh app's first resolve of a name
         # any earlier component resolved is answered locally (PR 5).
-        self.names = NameClient(self.runtime, am.boot_params.get("ns_ips", am.boot_params["ns_ip"]),
+        self.names = NameClient(self.runtime, am.boot_params["ns_ips"],
                                 self.params, cache=cache_for(self.host, self.params))
         #: set once start() completes; the AM awaits it before handing
         #: the app to the viewer (remote-control events queue until then)

@@ -25,7 +25,6 @@ from repro.ocs.exceptions import (
     ServiceUnavailable,
 )
 from repro.ocs.objref import ObjectRef
-from repro.ocs.runtime import allocate_port
 from repro.services.mms import MovieUnavailable
 from repro.settop.apps.base import SettopApp
 
@@ -45,7 +44,7 @@ class VODApp(SettopApp):
         self.playing = False
         self.finished = False
         self._last_chunk: Optional[float] = None
-        self.data_port = allocate_port()
+        self.data_port = self.runtime.network.allocate_port()
         self.interruptions: List[dict] = []
         self.chunks_received = 0
         self._needs_recovery = False

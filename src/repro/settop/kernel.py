@@ -111,7 +111,7 @@ class SettopKernel:
             return
         self.boot_params = dict(msg.payload)
         self.state = "waiting_kernel"
-        self._emit("got_boot_params", ns_ip=self.boot_params["ns_ip"])
+        self._emit("got_boot_params", ns_ip=self.boot_params["ns_ips"][0])
 
     def _on_kernel(self, msg: Message) -> None:
         if self.state != "waiting_kernel":
@@ -140,9 +140,8 @@ class SettopKernel:
         """A NameClient sharing the settop's binding cache (PR 5)."""
         from repro.core.naming.cache import cache_for
         from repro.core.naming.client import NameClient
-        return NameClient(runtime,
-                          self.boot_params.get("ns_ips", self.boot_params["ns_ip"]),
-                          self.params, cache=cache_for(self.host, self.params))
+        return NameClient(runtime, self.boot_params["ns_ips"], self.params,
+                          cache=cache_for(self.host, self.params))
 
     async def _report_boot(self, runtime: OCSRuntime) -> None:
         names = self._names(runtime)

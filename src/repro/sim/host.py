@@ -84,20 +84,6 @@ def _frozen(value: Any) -> bool:
     return cls in _ATOMS or (cls is tuple and all(map(_frozen, value)))
 
 
-_pid_counter = [0]
-
-
-def reset_pid_counter() -> None:
-    """Restart pid allocation; call when a fresh simulation run begins.
-
-    Pids are process-global, so back-to-back runs in one interpreter
-    would otherwise see different pids in their traces -- breaking the
-    same-seed byte-identical-trace invariant that
-    ``repro chaos --double-run`` and the determinism tests enforce.
-    """
-    _pid_counter[0] = 0
-
-
 class Process:
     """A crashable unit of execution on a :class:`Host`.
 
@@ -107,8 +93,9 @@ class Process:
     """
 
     def __init__(self, host: "Host", name: str, parent: Optional["Process"] = None):
-        _pid_counter[0] += 1
-        self.pid = _pid_counter[0]
+        kernel = host.kernel
+        kernel.last_pid += 1
+        self.pid = kernel.last_pid
         self.host = host
         self.name = name
         self.parent = parent
@@ -121,7 +108,7 @@ class Process:
         self.cancelled_tasks: List[Task] = []
         # Incarnation: (boot time, pid) -- unique even when two processes
         # start at the same simulated instant.
-        self.incarnation = (host.kernel.now, self.pid)
+        self.incarnation = (kernel.now, self.pid)
         self._tasks: List[Task] = []
         self._prune_at = 16
         self._exit_watchers: List[Callable[["Process"], None]] = []

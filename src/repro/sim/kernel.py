@@ -317,6 +317,8 @@ class Kernel:
         self._seq = 0               # arming order of heap timers only
         self._stopped = False
         self._task_count = 0
+        # The run's last pid (``Process`` takes the next one).
+        self.last_pid = 0
         # Happens-before instrumentation sink (a TraceLog, usually the
         # cluster's own).  None (the default) keeps every emission site a
         # single attribute check, so runs that do not ask for HB events

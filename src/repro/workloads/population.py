@@ -197,10 +197,9 @@ def run_population(settops: int = 2000, duration: float = 240.0,
     The cluster is built with ``binding_cache`` matching ``cached`` so
     the control row really is cache-free end to end.
     """
-    from repro.cluster.builder import build_full_cluster, fresh_run_state
+    from repro.cluster.builder import build_full_cluster
     from repro.core.params import Params
 
-    fresh_run_state()
     params = (params or Params()).with_overrides(binding_cache=cached)
     cluster = build_full_cluster(n_servers=n_servers,
                                  neighborhoods_per_server=neighborhoods_per_server,

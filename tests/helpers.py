@@ -223,19 +223,15 @@ class StubNames:
 
 
 def booted_cluster(n_servers=3, seed=42, params=None, settops=1,
-                   neighborhoods=None, boot_timeout=300.0, fresh=False):
+                   neighborhoods=None, boot_timeout=300.0):
     """A full cluster with ``settops`` booted settop kernels.
 
     ``neighborhoods`` lists the neighborhood of each kernel; by default
-    kernels round-robin over the cluster's neighborhoods.  ``fresh``
-    resets the global pid/port/msg counters first (needed by
-    module-scoped fixtures that must not see earlier tests' state).
+    kernels round-robin over the cluster's neighborhoods.
     Returns ``(cluster, kernels)``.
     """
-    from repro.cluster.builder import build_full_cluster, fresh_run_state
+    from repro.cluster.builder import build_full_cluster
 
-    if fresh:
-        fresh_run_state()
     cluster = build_full_cluster(n_servers=n_servers, seed=seed,
                                  params=params)
     if neighborhoods is None:

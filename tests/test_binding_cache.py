@@ -136,8 +136,7 @@ def _cached_vod_clients(cluster, settop_host, n=3):
 
 @pytest.fixture()
 def vod_cluster():
-    from repro.cluster.builder import build_full_cluster, fresh_run_state
-    fresh_run_state()
+    from repro.cluster.builder import build_full_cluster
     cluster = build_full_cluster(n_servers=2, seed=55)
     settop = cluster.add_settop(cluster.neighborhoods[0])
     return cluster, settop

@@ -8,12 +8,18 @@ tasks/futures (linter rule D008) behave as declared.
 
 import difflib
 import gc
+import hashlib
 import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import reference_scenario_trace
+from repro.analysis.determinism import format_trace_line
+from repro.cluster.builder import build_full_cluster
+from repro.net import Message, Network, server_ip
+from repro.ocs import OCSRuntime
+from repro.sim.host import Host
 from repro.sim.kernel import Kernel
 from repro.sim.rand import SeededRandom, stable_seed
 
@@ -75,6 +81,59 @@ class TestDoubleRun:
         assert a != b
 
 
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestRunIsolation:
+    """A run's pids, ports and message ids come from its own kernel and
+    network, so no reset call stands between two runs of one seed, and
+    what else the interpreter built or ran cannot move a digest."""
+
+    def test_same_seed_digest_whatever_else_the_interpreter_holds(self):
+        def scenario():
+            return _digest(reference_scenario_trace(3, settops=2,
+                                                    duration=60.0))
+
+        first = scenario()
+        other = build_full_cluster(n_servers=2, seed=8)
+        other.run_for(30.0)
+        del other
+        after_another_ran = scenario()
+        live = build_full_cluster(n_servers=2, seed=8)
+        live.run_for(10.0)
+        beside_a_live_one = scenario()
+        live.run_for(10.0)      # still usable: the scenario took none of it
+        assert first == after_another_ran == beside_a_live_one
+
+    def test_same_seed_clusters_built_side_by_side_trace_identically(self):
+        a = build_full_cluster(n_servers=3, seed=3)
+        b = build_full_cluster(n_servers=3, seed=3)
+        for cluster in (a, b, a, b):
+            cluster.run_for(30.0)
+        assert ([format_trace_line(ev) for ev in a.trace.events]
+                == [format_trace_line(ev) for ev in b.trace.events])
+
+    def test_fresh_networks_hand_out_the_same_first_port_and_id(self):
+        def first_port_and_id():
+            kernel = Kernel()
+            net = Network(kernel)
+            host = Host(kernel, "server-0")
+            net.attach(host, server_ip(0))
+            runtime = OCSRuntime(host.spawn("p"), net)
+            msg = Message(src=(host.ip, runtime.port), dst=(host.ip, 1),
+                          kind="x")
+            net.send(msg)
+            return runtime.port, msg.msg_id
+
+        assert first_port_and_id() == first_port_and_id() == (10000, 1)
+
+    def test_each_kernel_starts_pids_at_one(self):
+        a, b = Host(Kernel(), "a"), Host(Kernel(), "b")
+        assert [a.spawn("p").pid, b.spawn("p").pid, a.spawn("q").pid] \
+            == [1, 1, 2]
+
+
 class TestDetach:
     def test_detach_returns_self_and_marks(self):
         kernel = Kernel()
@@ -106,8 +165,7 @@ E13_SCHEDULE = (Path(__file__).resolve().parent.parent
 class TestFreedClusters:
     """A dropped cluster is garbage once unreachable, and collecting it
     mid-run (its never-finished tasks' ``finally`` blocks run then)
-    must not touch the pid, message-id or port allocators of the live
-    run."""
+    must not touch the live run."""
 
     def test_dropped_cluster_kernel_is_collected(self):
         from repro.cluster.builder import build_full_cluster
@@ -122,16 +180,12 @@ class TestFreedClusters:
     def test_collecting_dead_clusters_mid_run_keeps_the_digest(
             self, monkeypatch):
         """E13 at seed 11, fresh, then again while the clusters of two
-        other seeds are collected inside the run: same trace digest and
-        same final pid/message-id/port allocators."""
+        other seeds are collected inside the run: same trace digest,
+        which embeds the run's pids and ports."""
         from repro.chaos import FaultSchedule, engine
-        from repro.net.message import _msg_counter
-        from repro.ocs.runtime import _port_counter
-        from repro.sim.host import _pid_counter
 
         def run(seed):
-            digest = engine.run_schedule(schedule, seed, settops=2).digest
-            return digest, _pid_counter[0], _msg_counter[0], _port_counter[0]
+            return engine.run_schedule(schedule, seed, settops=2).digest
 
         schedule = FaultSchedule.load(E13_SCHEDULE)
         fresh = run(11)

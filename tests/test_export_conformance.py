@@ -27,8 +27,7 @@ register_interface("ForgedVOD", {
 
 @pytest.fixture(scope="module")
 def full_cluster():
-    cluster, _kernels = booted_cluster(n_servers=2, seed=21, settops=1,
-                                       fresh=True)
+    cluster, _kernels = booted_cluster(n_servers=2, seed=21, settops=1)
     return cluster
 
 

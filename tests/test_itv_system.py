@@ -43,7 +43,7 @@ class TestBootAndDownload:
     def test_settop_boots_from_broadcast(self, itv):
         cluster, stk = itv
         assert stk.state == "booted"
-        assert stk.boot_params["ns_ip"] == cluster.server_for_neighborhood(1).ip
+        assert stk.boot_params["ns_ips"][0] == cluster.server_for_neighborhood(1).ip
 
     def test_navigator_loaded_first(self, itv):
         """Figure 3 + section 3.4.2: the AM's first download is the navigator."""
@@ -133,12 +133,12 @@ class TestMoviePlayback:
         proc = stk.host.spawn("second-app")
         runtime = OCSRuntime(proc, cluster.net)
         from repro.core.naming.client import NameClient
-        names = NameClient(runtime, stk.boot_params["ns_ip"], cluster.params)
+        names = NameClient(runtime, stk.boot_params["ns_ips"], cluster.params)
 
         async def open_more(title):
             mms = await names.resolve("svc/mms")
-            from repro.ocs.runtime import allocate_port
-            return await runtime.invoke(mms, "open", (title, allocate_port()),
+            port = runtime.network.allocate_port()
+            return await runtime.invoke(mms, "open", (title, port),
                                         timeout=5.0)
 
         cluster.run_async(open_more("Casablanca"))

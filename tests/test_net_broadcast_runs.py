@@ -24,8 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.net import Message, Network, server_ip, settop_ip
-from repro.net import message as message_module
-from repro.net.message import HEADER_BYTES, reset_msg_counter
+from repro.net.message import HEADER_BYTES
 from repro.sim import Host, Kernel, SeededRandom
 from repro.sim.trace import TraceLog
 
@@ -50,8 +49,10 @@ class PerReceiverNetwork(Network):
                 self._account(kind, 0)
                 self.messages_dropped += 1
                 continue
+            self.last_msg_id += 1
             msg = Message(src=(src_ip, 0), dst=(dst_ip, port), kind=kind,
-                          payload=payload, payload_bytes=payload_bytes)
+                          payload=payload, payload_bytes=payload_bytes,
+                          msg_id=self.last_msg_id)
             # One copy on the wire regardless of population: count the
             # message but charge no per-receiver bytes.
             self._account(kind, 0)
@@ -114,7 +115,6 @@ class World:
     """One network under test plus everything observable about it."""
 
     def __init__(self, network_cls, scenario):
-        reset_msg_counter()
         self.kernel = Kernel()
         self.log = TraceLog(self.kernel)
         self.kernel.hb_log = self.log
@@ -202,7 +202,7 @@ class World:
                            for family, rng in self.rngs.items()},
             "events": [(e.time, e.category, e.event, e.fields)
                        for e in self.log.events],
-            "next_msg_id": message_module._msg_counter[0],
+            "next_msg_id": net.last_msg_id,
             "now": self.kernel.now,
         }
 
@@ -266,7 +266,6 @@ def test_differential_harness_exercises_every_path():
 def carousel(latencies, listeners=()):
     """A server plus one up settop per latency; returns the pieces and
     the list handler calls are appended to."""
-    reset_msg_counter()
     kernel = Kernel()
     net = Network(kernel)
     server = Host(kernel, "server")
@@ -306,7 +305,7 @@ class TestRunCounts:
         assert kernel._seq - seq == 1 and kernel.pending_events() == 1
         assert built == []                    # nothing built at send time
         kernel.run()
-        assert message_module._msg_counter[0] == 40   # an id per receiver
+        assert net.last_msg_id == 40   # an id per receiver
         assert len(built) == len(got) == 3            # an envelope per listener
         assert [m.msg_id for m in got] == [4, 18, 32]
         assert net.messages_sent == 40
@@ -357,7 +356,7 @@ class TestRunCounts:
         kernel.run()
         assert built == [] and reads == []
         assert net.messages_dropped == 40 and net.messages_delivered == 0
-        assert message_module._msg_counter[0] == 40
+        assert net.last_msg_id == 40
 
     def test_unreached_receivers_reserve_no_id_and_break_no_run(self):
         kernel, net, server, ips, got = carousel([0.005] * 4,
@@ -379,7 +378,6 @@ class TestRunCounts:
 def reentrant_trace(network_cls):
     """Receiver 0's handler broadcasts, sends and call_soons from inside
     its delivery; returns everything that happened, in order."""
-    reset_msg_counter()
     kernel = Kernel()
     net = network_cls(kernel)
     server = Host(kernel, "server")
@@ -427,7 +425,6 @@ def test_reentrant_handler_sees_the_per_receiver_order():
 def rebinding_trace(network_cls, action):
     """Receiver 0's handler binds ``PORT`` on receiver 1, then unbinds or
     detaches receiver 2 -- all later receivers of its own run."""
-    reset_msg_counter()
     kernel = Kernel()
     net = network_cls(kernel)
     server = Host(kernel, "server")

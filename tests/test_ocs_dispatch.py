@@ -17,7 +17,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cluster.builder import fresh_run_state
 from repro.idl import register_interface
 from repro.idl.interface import MethodDef
 from repro.idl.types import register_exception
@@ -125,7 +124,6 @@ class World:
     """One serving runtime under a script, and everything observable."""
 
     def __init__(self, runtime_cls, script):
-        fresh_run_state()
         self.kernel, self.net, hosts = small_world(3)
         self.fired = EventRecorder(self.kernel).fired
         self.proc = hosts[0].spawn("toy")

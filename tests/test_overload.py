@@ -393,7 +393,7 @@ def surge_run():
     params = Params().with_overrides(admission_max_inflight=4,
                                      admission_max_queue=8)
     cluster, kernels = booted_cluster(n_servers=2, seed=41, params=params,
-                                      settops=5, fresh=True)
+                                      settops=5)
 
     injector = FaultInjector(cluster, SeededRandom(41).stream("inj"))
     plan = [

@@ -10,7 +10,7 @@ broadcasting the kernel image.
 
 import pytest
 
-from repro.cluster.builder import build_full_cluster, fresh_run_state
+from repro.cluster.builder import build_full_cluster
 from repro.core.replication import NotPrimary
 from repro.services.boot import KERNEL_CYCLE
 
@@ -22,7 +22,6 @@ def _replicas(cluster, name):
 
 @pytest.mark.parametrize("name", ["csc", "mms", "kbs"])
 def test_operator_unbind_demotes_through_the_binder(name, monkeypatch):
-    fresh_run_state()
     cluster = build_full_cluster(n_servers=2, seed=57)
     cluster.add_settop(cluster.neighborhoods[0])   # someone to broadcast to
     kernel_casts = []

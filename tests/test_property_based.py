@@ -217,11 +217,7 @@ class TestBindingCacheProperties:
     must raise StaleReference (never silently hit the wrong incarnation,
     never error against the live one)."""
 
-    # derandomize: each example spawns hosts/processes, advancing the
-    # process-global pid/port allocators.  A randomized example count
-    # would leave those counters at a different value every run, and
-    # every cluster test that follows would see shifted absolute
-    # pids/ports -- the whole suite must stay run-to-run deterministic.
+    # derandomize: every run of the suite replays the same examples.
     @given(st.lists(st.sampled_from(["use", "restart", "invalidate"]),
                     min_size=1, max_size=12))
     @settings(max_examples=25, deadline=None, derandomize=True,

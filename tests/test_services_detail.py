@@ -210,7 +210,7 @@ class TestBootServices:
         client = cluster.client_on(cluster.servers[0], name="boot1")
         boot = resolve(cluster, client, "svc/boot")
         info = cluster.run_async(client.runtime.invoke(boot, "bootInfo", (1,)))
-        assert info["ns_ip"] == cluster.server_for_neighborhood(1).ip
+        assert info["ns_ips"][0] == cluster.server_for_neighborhood(1).ip
         assert 5 in info["channels"]
         assert len(info["ns_ips"]) == 3
 

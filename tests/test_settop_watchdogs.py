@@ -242,8 +242,7 @@ def _run(scenario, overrides, polling, monkeypatch):
             patch.setitem(APP_CLASSES, "vod", _PollingVODApp)
             patch.setattr(app_manager_module, "AppManager", _PollingAppManager)
         params = Params().with_overrides(**overrides)
-        cluster, (stk,) = booted_cluster(n_servers=2, seed=5, params=params,
-                                         fresh=True)
+        cluster, (stk,) = booted_cluster(n_servers=2, seed=5, params=params)
         am = stk.app_manager
         cluster.run_async(am.tune(VOD_CHANNEL))
         vod = am.current_app
@@ -285,7 +284,7 @@ def _bare_settop():
 def _bare_vod(cls):
     kernel, settop = _bare_settop()
     am = SimpleNamespace(params=settop.params, settop=settop,
-                         boot_params={"ns_ip": server_ip(0)})
+                         boot_params={"ns_ips": [server_ip(0)]})
     app = cls(am, settop.host.spawn("vod-app"))
     return kernel, app
 
@@ -326,7 +325,7 @@ def test_playing_vod_app_arms_one_timer_per_stall_window():
 def test_app_manager_watchdog_arms_nothing_while_its_app_lives():
     kernel, settop = _bare_settop()
     am = AppManager(settop, settop.host.spawn("appmgr"),
-                    {"ns_ip": server_ip(0)})
+                    {"ns_ips": [server_ip(0)]})
     tunes = []
 
     async def tune(channel):
