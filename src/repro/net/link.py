@@ -10,14 +10,15 @@ Each host attaches to the network through a pair of :class:`Link` objects
 - *propagation latency*: a fixed per-link delay;
 - *CBR reservations* (paper sections 3.3, 3.4.4): the Connection Manager
   reserves constant-bit-rate capacity for movie streams; reservations
-  subtract from the capacity available for admission control but movie
-  payloads themselves are delivered as coarse chunks by the MDS, so the
-  event count stays proportional to seconds of play, not frames.
+  subtract from the capacity available for admission control.  Movie
+  payloads travel as coarse chunks, sent as one segment datagram while
+  the path is quiet (``Network.send_stream``), so the event count grows
+  with segments, not with seconds of play or frames.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 from repro.sim.kernel import Kernel
 
@@ -39,6 +40,8 @@ class Link:
         self.name = name
         self._busy_until = 0.0
         self._reservations: Dict[str, float] = {}
+        # Called with each released key (the network cuts its segments).
+        self.on_release: Optional[Callable[[str], None]] = None
         # Cached: occupy() reads it per datagram, reservations change per
         # movie.  Recomputed wherever _reservations changes (rate_bps is
         # fixed at construction).
@@ -99,14 +102,16 @@ class Link:
         if self._reservations.pop(key, None) is None:
             return False
         self._effective_rate_bps = self._compute_effective_rate()
+        if self.on_release is not None:
+            self.on_release(key)
         return True
 
     def has_reservation(self, key: str) -> bool:
         return key in self._reservations
 
     def clear_reservations(self) -> None:
-        self._reservations.clear()
-        self._effective_rate_bps = self._compute_effective_rate()
+        for key in list(self._reservations):
+            self.release(key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} {self.rate_bps:.0f}bps "

@@ -11,7 +11,9 @@ Delivery semantics chosen to match what the paper's clients observe:
 
 Every unicast datagram is one kernel event.  Only a broadcast shares
 events, one per run of receivers with an equal arrival delay (DESIGN.md
-section 16.2).
+section 16.2), and a CBR stream sends the rest of a movie as one
+:class:`Segment` datagram whose later chunks arrive on the clock, not as
+events, until something on its path can change (section 16.4).
 
 The network also keeps per-message-kind counters, which experiment E3
 (RAS message scaling, paper section 7.2.1) reads directly.
@@ -40,6 +42,53 @@ SETTOP_LATENCY = 0.005
 
 class PortUnreachable(Exception):
     """Local send to a port nobody is bound to (used internally)."""
+
+
+class Segment:
+    """The rest of a CBR stream from one send instant, as one datagram.
+
+    Chunk ``i`` leaves at ``s_i`` with ``span_i = min(chunk, duration -
+    p_i)`` seconds from position ``p_i`` while ``p_i < duration``, and
+    arrives at ``s_i + delay``; ``s_{i+1} = s_i + span_i`` and ``p_{i+1} =
+    p_i + span_i`` are a per-chunk sender's own float additions.  Only
+    chunk 0 is kept.  ``count`` chunks are sent; the arrival of the first
+    ``lazy`` rides on the datagram's (chunk 0's), the last at
+    ``last_arrival``; ``end``/``end_pos`` are the first unsent chunk's
+    ``s_i``/``p_i``.  :meth:`Network.cut_stream` lowers them, then calls
+    the ``watchers``.  DESIGN.md section 16.4.
+    """
+
+    def __init__(self, src: Tuple[str, int], dst: Tuple[str, int], kind: str,
+                 key: str, title: str, bitrate: float, duration: float,
+                 chunk: float, start: float, pos: float):
+        self.src, self.dst, self.kind, self.key = src, dst, kind, key
+        self.title, self.bitrate, self.duration = title, bitrate, duration
+        self.chunk, self.start, self.pos = chunk, start, pos
+        span = min(chunk, duration - pos)   # one chunk until send_stream
+        self.delay, self.count, self.lazy, self.last_arrival = 0.0, 1, 1, start
+        self.end, self.end_pos = start + span, pos + span
+        self.watchers: List[Callable[[], None]] = []
+
+    def chunks(self):
+        """``(i, s_i, p_i, span_i)`` for every chunk to end of stream."""
+        s, p, i = self.start, self.pos, 0
+        while p < self.duration:
+            span = min(self.chunk, self.duration - p)
+            yield i, s, p, span
+            s, p, i = s + span, p + span, i + 1
+
+    def message(self, pos: float, span: float) -> Message:
+        """The datagram a per-chunk sender sends for one chunk."""
+        return Message(self.src, self.dst, self.kind,
+                       {"title": self.title, "position": pos, "span": span,
+                        "eof": False}, int(self.bitrate * span / 8))
+
+    def sent_by(self, when: float) -> float:
+        """The stream position after the chunks sent by ``when``."""
+        for i, s, p, _span in self.chunks():
+            if i == self.count or s > when:
+                return p
+        return self.end_pos
 
 
 class _Interface:
@@ -92,6 +141,8 @@ class Network:
         self.messages_corrupted: int = 0
         # kind -> [count, bytes]: one dict probe per send instead of four.
         self._kind_stats: Dict[str, List[int]] = {}
+        # reservation key -> the Segments sent on it that a cut can change.
+        self._streams: Dict[str, List[Segment]] = {}
 
     @property
     def sent_by_kind(self) -> Dict[str, int]:
@@ -145,10 +196,12 @@ class Network:
             in_link=Link(self.kernel, down, latency=lat, name=f"{ip}:in"),
             out_link=Link(self.kernel, up, latency=lat, name=f"{ip}:out"),
         )
+        iface.in_link.on_release = self._cut_streams
         self._interfaces[ip] = iface
         host.ip = ip
 
     def detach(self, ip: str) -> None:
+        self._cut_streams()
         iface = self._interfaces.pop(ip, None)
         if iface is not None:
             for port in iface.ports:
@@ -191,6 +244,7 @@ class Network:
 
     def partition(self, side_a: Set[str], side_b: Set[str]) -> None:
         """Block traffic between the two address sets (both directions)."""
+        self._cut_streams()
         self._partitions.append((set(side_a), set(side_b)))
 
     def heal_partitions(self) -> None:
@@ -213,10 +267,7 @@ class Network:
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError("loss probability must be in [0, 1]")
-        if probability == 0.0:
-            self._loss.pop(ip, None)
-        else:
-            self._loss[ip] = (probability, rng)
+        self._set_fault(self._loss, ip, probability, (probability, rng))
 
     # -- chaos fault hooks (delay / duplication / gray failure) ----------
 
@@ -229,10 +280,7 @@ class Network:
         """
         if extra_seconds < 0:
             raise ValueError("extra delay must be >= 0")
-        if extra_seconds == 0:
-            self._delay.pop(ip, None)
-        else:
-            self._delay[ip] = extra_seconds
+        self._set_fault(self._delay, ip, extra_seconds, extra_seconds)
 
     def set_duplicate(self, ip: str, probability: float, rng) -> None:
         """Duplicate datagrams delivered to ``ip`` with the given probability.
@@ -242,10 +290,7 @@ class Network:
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError("duplication probability must be in [0, 1]")
-        if probability == 0.0:
-            self._dup.pop(ip, None)
-        else:
-            self._dup[ip] = (probability, rng)
+        self._set_fault(self._dup, ip, probability, (probability, rng))
 
     def set_gray(self, ip: str, reply_lag: float) -> None:
         """Gray failure: the host at ``ip`` accepts calls but replies slowly.
@@ -257,10 +302,7 @@ class Network:
         """
         if reply_lag < 0:
             raise ValueError("reply lag must be >= 0")
-        if reply_lag == 0:
-            self._gray.pop(ip, None)
-        else:
-            self._gray[ip] = reply_lag
+        self._set_fault(self._gray, ip, reply_lag, reply_lag)
 
     def set_reorder(self, ip: str, probability: float, max_skew: float,
                     rng) -> None:
@@ -276,10 +318,8 @@ class Network:
             raise ValueError("reorder probability must be in [0, 1]")
         if max_skew <= 0.0:
             raise ValueError("reorder max_skew must be > 0")
-        if probability == 0.0:
-            self._reorder.pop(ip, None)
-        else:
-            self._reorder[ip] = (probability, max_skew, rng)
+        self._set_fault(self._reorder, ip, probability,
+                        (probability, max_skew, rng))
 
     def set_corrupt(self, ip: str, probability: float, rng) -> None:
         """Flip bits in datagrams delivered to ``ip`` with the given
@@ -293,10 +333,17 @@ class Network:
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError("corruption probability must be in [0, 1]")
-        if probability == 0.0:
-            self._corrupt.pop(ip, None)
+        self._set_fault(self._corrupt, ip, probability, (probability, rng))
+
+    def _set_fault(self, faults: Dict[str, Any], ip: str, level: float,
+                   entry: Any) -> None:
+        """Arm ``entry`` at ``ip``, or disarm at a zero ``level``; either
+        way the live segments' path can change, so cut them."""
+        self._cut_streams()
+        if level == 0:
+            faults.pop(ip, None)
         else:
-            self._corrupt[ip] = (probability, rng)
+            faults[ip] = entry
 
     def clear_faults(self) -> None:
         """Remove every injected loss/delay/duplication/gray/reorder/
@@ -516,6 +563,78 @@ class Network:
             # Parity with send(): reserved circuits echo like datagrams.
             self._maybe_duplicate(msg, delay)
         return True
+
+    def send_stream(self, seg: Segment) -> Segment:
+        """Send ``seg`` from chunk 0: to end of stream as one datagram
+        while nothing on its path can change -- no partition, no fault,
+        no hb log, both ends attached and up, the circuit reserved -- and
+        else chunk 0 alone through :meth:`send_reserved`.  Whatever ends
+        that calls :meth:`cut_stream`.  The datagram counts once in
+        ``messages_sent``, its bytes as if each chunk had gone alone.
+        """
+        src_iface = self._interfaces.get(seg.src[0])
+        dst_iface = self._interfaces.get(seg.dst[0])
+        msg = seg.message(seg.pos, min(seg.chunk, seg.duration - seg.pos))
+        if (self.kernel.hb_log is not None or self._partitions or self._loss
+                or self._delay or self._dup or self._gray or self._reorder
+                or self._corrupt or src_iface is None or not src_iface.host.up
+                or dst_iface is None or not dst_iface.host.up
+                or not dst_iface.in_link.has_reservation(seg.key)):
+            self.send_reserved(msg, seg.key)
+            return seg
+        seg.delay = delay = dst_iface.in_link.latency   # no fault delay
+        nbytes = 0
+        for i, s, p, span in seg.chunks():
+            nbytes += HEADER_BYTES + int(seg.bitrate * span / 8)
+        seg.count = seg.lazy = i + 1
+        seg.end, seg.end_pos, seg.last_arrival = s + span, p + span, s + delay
+        msg.payload["segment"] = seg
+        self.last_msg_id += 1
+        msg.msg_id = self.last_msg_id
+        self._account(seg.kind, nbytes)
+        self._streams.setdefault(seg.key, []).append(seg)
+        self.kernel.call_later(delay, self._deliver, msg)
+        return seg
+
+    def cut_stream(self, seg: Segment) -> None:
+        """End a live ``seg`` now, at T: chunks with ``s_i <= T`` stay
+        sent, and those of them still in flight (past chunk 0, whose
+        arrival is the datagram's) become datagrams of their own, so
+        :meth:`_deliver` judges each at its arrival.  The unsent chunks'
+        bytes are refunded; the sender resumes at ``seg.end``."""
+        live = self._streams.get(seg.key)
+        if live is None or seg not in live:
+            return
+        live.remove(seg)
+        if not live:
+            del self._streams[seg.key]
+        now = self.kernel.now
+        if now >= seg.end and now >= seg.last_arrival:
+            return      # every chunk sent and arrived: nothing changes
+        sent, refund = seg.count, 0
+        seg.lazy, seg.last_arrival = 1, seg.start + seg.delay
+        for i, s, p, span in seg.chunks():
+            if s > now:
+                if i < sent:
+                    sent, seg.count, seg.end, seg.end_pos = i, i, s, p
+                refund += HEADER_BYTES + int(seg.bitrate * span / 8)
+            elif i and s + seg.delay <= now:
+                seg.lazy, seg.last_arrival = i + 1, s + seg.delay
+            elif i:
+                msg = seg.message(p, span)
+                self.last_msg_id += 1
+                msg.msg_id = self.last_msg_id
+                self.kernel.call_at(s + seg.delay, self._deliver, msg)
+        self._kind_stats[seg.kind][1] -= refund
+        for watcher in seg.watchers:
+            watcher()
+
+    def _cut_streams(self, key: Optional[str] = None) -> None:
+        """Something on the live segments' path (only ``key``'s circuit,
+        for a released reservation) can change: cut them."""
+        for seg in (list(self._streams.get(key, ())) if key is not None else
+                    [seg for segs in self._streams.values() for seg in segs]):
+            self.cut_stream(seg)
 
     def broadcast(self, src_ip: str, dst_ips: List[str], port: int,
                   kind: str, payload: Any, payload_bytes: int = 0) -> int:

@@ -16,7 +16,7 @@ dispatch with per-call caller identity.
 from repro.net.address import neighborhood_of
 from repro.net.link import ReservationError
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.net.network import Network, Segment
 from repro.ocs.admission import AdmissionGate
 from repro.ocs.exceptions import (
     AuthError,
@@ -49,6 +49,7 @@ __all__ = [
     "Overloaded",
     "RemoteException",
     "ReservationError",
+    "Segment",
     "ServiceUnavailable",
     "StaleReference",
     "neighborhood_of",

@@ -7,11 +7,14 @@ objects dynamically (section 9.2): every ``open`` mints a movie object
 that lives until closed or until its process dies, when the MMS's audit
 machinery reclaims it.
 
-Streaming: the movie object emits one chunk per
-``STREAM_CHUNK_SECONDS`` over the ATM circuit the Connection
-Manager reserved (``Network.send_reserved``); the settop application
-detects delivery failure as a chunk gap (section 3.5.2: "the application
-detects the failure when it stops receiving data").
+Streaming: the movie object streams chunks of ``STREAM_CHUNK_SECONDS``
+over the ATM circuit the Connection Manager reserved.  Each send instant
+sends one ``Network.send_stream`` segment: the rest of the movie while
+nothing on the path can change, else one chunk; a segment the network or
+a transport operation cuts ends early, and the next starts on the same
+chunk grid.  The settop application detects delivery failure as a chunk
+gap (section 3.5.2: "the application detects the failure when it stops
+receiving data").
 
 "The Media Delivery Service likewise waits for clients to call in to
 restart the movie they were viewing at the time of failure" (section
@@ -24,7 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.core.params import STREAM_CHUNK_SECONDS
 from repro.idl import register_exception, register_interface
-from repro.ocs import Message
+from repro.ocs import Message, Segment
 from repro.ocs.objref import ObjectRef
 from repro.ocs.runtime import CallContext
 from repro.services.base import Service
@@ -136,7 +139,7 @@ class MediaDeliveryService(Service):
 
 
 class MovieServant:
-    """One open movie: position tracking + the chunk pump (per-object
+    """One open movie: position tracking + the segment pump (per-object
     state, so a servant of its own beside the self-exporting MDS)."""
 
     def __init__(self, mds: MediaDeliveryService, object_id: str, title: str,
@@ -151,8 +154,16 @@ class MovieServant:
         self.data_port = data_port
         self.ref: Optional[ObjectRef] = None
         self.state = "open"        # open | playing | paused | done
-        self.pos = 0.0
+        self._pos = 0.0            # where the next segment starts
+        self._segment: Optional[Segment] = None
         self._pump = None
+        self._wake = None          # the pump's sleep
+
+    @property
+    def pos(self) -> float:
+        """The position after every chunk sent so far."""
+        seg = self._segment
+        return self._pos if seg is None else seg.sent_by(self.mds.kernel.now)
 
     # -- IDL operations --------------------------------------------------
 
@@ -160,7 +171,8 @@ class MovieServant:
         self._start_pump()
 
     async def playFrom(self, ctx: CallContext, position: float):
-        self.pos = max(0.0, min(float(position), self.duration))
+        self._end_segment()
+        self._pos = max(0.0, min(float(position), self.duration))
         self._start_pump()
 
     async def pause(self, ctx: CallContext):
@@ -195,26 +207,41 @@ class MovieServant:
         self.state = "done"
         self._stop_pump()
 
+    def _end_segment(self) -> None:
+        """Cut the segment now (a no-op once its chunks are sent and
+        arrived); the next starts at its first unsent chunk."""
+        seg, self._segment = self._segment, None
+        if seg is not None:
+            self.mds.env.network.cut_stream(seg)
+            self._pos = seg.end_pos
+
+    def _wake_pump(self) -> None:
+        if not self._wake.done():   # a cut moved the segment's end
+            self._wake.set_result(None)
+
     async def _pump_loop(self) -> None:
         kernel = self.mds.kernel
-        while self.state == "playing" and self.pos < self.duration:
-            span = min(STREAM_CHUNK_SECONDS, self.duration - self.pos)
-            msg = Message(
-                src=(self.mds.host.ip, self.mds.runtime.port),
-                dst=(self.settop_ip, self.data_port),
-                kind="mds.stream",
-                payload={"title": self.title, "position": self.pos,
-                         "span": span, "eof": False},
-                payload_bytes=int(self.bitrate * span / 8))
-            self.mds.env.network.send_reserved(msg, self.conn_id)
-            self.pos += span
-            await kernel.sleep(span)
+        try:
+            while self.state == "playing" and self._pos < self.duration:
+                seg = self._segment = self.mds.env.network.send_stream(
+                    Segment((self.mds.host.ip, self.mds.runtime.port),
+                            (self.settop_ip, self.data_port), "mds.stream",
+                            self.conn_id, self.title, self.bitrate,
+                            self.duration, STREAM_CHUNK_SECONDS, kernel.now,
+                            self._pos))
+                seg.watchers.append(self._wake_pump)
+                while kernel.now < seg.end:     # a cut moves the end
+                    self._wake = kernel.sleep_until(seg.end)
+                    await self._wake
+                self._end_segment()     # unless playFrom ended it
+        finally:
+            self._end_segment()     # paused, closed or killed
         if self.state == "playing":
             self.state = "done"
             msg = Message(
                 src=(self.mds.host.ip, self.mds.runtime.port),
                 dst=(self.settop_ip, self.data_port), kind="mds.stream",
-                payload={"title": self.title, "position": self.pos,
+                payload={"title": self.title, "position": self._pos,
                          "span": 0.0, "eof": True},
                 payload_bytes=64)
             self.mds.env.network.send_reserved(msg, self.conn_id)

@@ -137,8 +137,6 @@ class MediaManagementService(Service):
         cmgr = await self._resolve_cmgr(settop_ip)
         # Step 4a: candidate MDS replicas by movie location and load.
         candidates = await self._mds_candidates(title)
-        if not candidates:
-            raise MovieUnavailable(f"no live MDS replica carries {title!r}")
         movie = None
         member = None
         conn_id = None
@@ -298,8 +296,10 @@ class MediaManagementService(Service):
             self._fetching.pop(key, None)
 
     async def _mds_candidates(self, title: str) -> List[Tuple[str, ObjectRef]]:
-        """Live replicas carrying the title, least-loaded first."""
+        """Live replicas carrying the title, least-loaded first; raises
+        MovieUnavailable, saying "full" if full or shedding carriers exist."""
         candidates = []
+        full = False
         for member, ref in await self._mds_members():
             if member in self._dead_mds:
                 continue
@@ -314,6 +314,7 @@ class MediaManagementService(Service):
             except Overloaded:
                 # Shedding replicas stay in the pool (alive, just full);
                 # they simply are not candidates for this open.
+                full = True
                 continue
             except (ServiceUnavailable, OCSError):
                 self._declare_mds_dead(member)
@@ -321,8 +322,13 @@ class MediaManagementService(Service):
                 self._load.pop(member, None)
                 continue
             if load["open_streams"] >= load["capacity"]:
+                full = True
                 continue
             candidates.append((load["open_streams"], member, ref))
+        if not candidates:
+            raise MovieUnavailable(
+                f"every MDS replica carrying {title!r} is full" if full
+                else f"no live MDS replica carries {title!r}")
         candidates.sort(key=lambda c: (c[0], c[1]))
         return [(member, ref) for _load, member, ref in candidates]
 

@@ -49,6 +49,7 @@ class AppManager:
         self.current_channel: Optional[int] = None
         self.current_app = None
         self._app_process: Optional[Process] = None
+        self._restart_pending = False   # a crash restart not yet tuned
         self._wake = None       # what the watchdog parks on; see _poke
         self.last_tune = None   # metrics for the latest channel change
 
@@ -68,10 +69,13 @@ class AppManager:
 
         The check runs on a 2 s grid, but the task parks while the
         application lives; its exit (registered in :meth:`tune`) pokes it.
+        A restart whose tune fails stays pending and is retried on every
+        tick until one succeeds or the viewer tunes.
         """
         while True:
             due = self.kernel.now + APP_WATCHDOG_TICK
-            while self._app_process is None or self._app_process.alive:
+            while not self._restart_pending and (
+                    self._app_process is None or self._app_process.alive):
                 self._wake = self.kernel.create_future()
                 await self._wake
             while due < self.kernel.now:
@@ -84,21 +88,25 @@ class AppManager:
                 self._emit("app_crashed", app=crashed)
                 self.current_app = None
                 self._app_process = None
-                channel = self.current_channel or "navigator"
+                self._restart_pending = True
+            if self._restart_pending:
+                self._restart_pending = False
                 # tune() raises KeyError (its two ``raise KeyError``),
                 # and OCSError or NoSuchData from ``self.rds.call``.
                 try:
-                    await self.tune(channel)
+                    await self.tune(self.current_channel or "navigator")
                 except (KeyError, NoSuchData, OCSError):
-                    continue    # retry next tick
+                    self._restart_pending = True    # retry next tick
 
     def _poke(self, _proc: Optional[Process] = None) -> None:
         if self._wake is not None and not self._wake.done():
             self._wake.set_result(None)
 
     async def tune(self, channel) -> None:
-        """Channel-change event from the remote control."""
+        """Channel-change event from the remote control; it replaces any
+        pending crash restart."""
         from repro.settop.apps import APP_CLASSES
+        self._restart_pending = False
         app_name = self.channels.get(channel, channel)
         venue = None
         if isinstance(app_name, str) and app_name.startswith("venue:"):
@@ -127,9 +135,12 @@ class AppManager:
         if self._app_process is not None and self._app_process.alive:
             # Give the outgoing application its chance to release movies
             # and other resources (section 3.4.5) before it dies.
+            # Best-effort: the proxy calls in VODApp.stop and
+            # GameApp.leave raise OCSError (RebindError, DeadlineExceeded,
+            # RemoteException); a cancelled tune propagates.
             try:
                 await self.current_app.shutdown()
-            except Exception:  # noqa: BLE001 - cleanup is best-effort
+            except OCSError:
                 pass
             self._app_process.kill(status="channel change")
         app_proc = self.settop.host.spawn(f"{app_name}-app",

@@ -7,6 +7,7 @@ simply rejoins with the locally held score.
 
 from __future__ import annotations
 
+from repro.ocs.exceptions import OCSError
 from repro.services.game import NotInGame
 from repro.settop.apps.base import SettopApp
 
@@ -52,7 +53,9 @@ class GameApp(SettopApp):
         await self.game.call("leave", self.game_id, self.player)
 
     async def shutdown(self) -> None:
+        # Best-effort on channel change: leave()'s ``self.game.call``
+        # raises OCSError (RebindError, DeadlineExceeded, RemoteException).
         try:
             await self.leave()
-        except Exception:  # noqa: BLE001 - best-effort on channel change
+        except OCSError:
             pass

@@ -31,8 +31,24 @@ from repro.settop.apps.base import SettopApp
 STALL_FACTOR = 3.0      # chunks missed before declaring the stream dead
 
 
+def _synced(slot: str) -> property:
+    """A VODApp attribute that segment chunks move as they arrive: every
+    read or write first applies those arrived by now (VODApp._sync)."""
+    def get(app):
+        app._sync()
+        return getattr(app, slot)
+
+    def put(app, value) -> None:
+        app._sync()
+        setattr(app, slot, value)
+    return property(get, put)
+
+
 class VODApp(SettopApp):
     name = "vod"
+    position = _synced("_position")
+    chunks_received = _synced("_chunks")
+    _last_chunk = _synced("_arrived_at")
 
     def __init__(self, am, process):
         super().__init__(am, process)
@@ -40,13 +56,15 @@ class VODApp(SettopApp):
         self.vod = None
         self.movie: Optional[ObjectRef] = None
         self.title: Optional[str] = None
-        self.position = 0.0
+        # [segment, next chunk, its send instant, its position]
+        self._streams: List[list] = []
+        self._position = 0.0
         self.playing = False
         self.finished = False
-        self._last_chunk: Optional[float] = None
+        self._arrived_at: Optional[float] = None     # _last_chunk
         self.data_port = self.runtime.network.allocate_port()
         self.interruptions: List[dict] = []
-        self.chunks_received = 0
+        self._chunks = 0
         self._needs_recovery = False
         self._wake = None       # what the watchdog sleeps on; see _poke
 
@@ -83,6 +101,7 @@ class VODApp(SettopApp):
                                                deadline=budget)
             except (ServiceUnavailable, OCSError):
                 start_at = self.position if self.title == title else 0.0
+        self._sync()    # chunks that arrived so far judged by the old title
         self.title = title
         self.position = start_at
         self.finished = False
@@ -167,6 +186,13 @@ class VODApp(SettopApp):
 
     def _on_chunk(self, msg: Message) -> None:
         payload = msg.payload
+        segment = payload.get("segment")
+        if segment is not None and segment.lazy > 1:
+            # Later chunks arrive on the clock (_sync); a cut pokes.
+            self._streams.append([segment, 1,
+                                  segment.start + payload["span"],
+                                  segment.pos + payload["span"]])
+            segment.watchers.append(self._poke)
         if payload.get("title") != self.title:
             return
         self._last_chunk = self.kernel.now
@@ -178,6 +204,32 @@ class VODApp(SettopApp):
             self.process.create_task(self._finish(), name="vod-finish").detach()
             return
         self.position = payload["position"] + payload["span"]
+
+    def _sync(self) -> None:
+        """Apply every registered segment chunk that has arrived by now,
+        in arrival order, as :meth:`_on_chunk` would have.  A segment
+        runs until another's next chunk is due (with one, the common
+        case, that is one walk); the title cannot change between calls
+        (play() syncs first), so one check covers a walk's chunks."""
+        now = self.kernel.now
+        streams = self._streams
+        while streams:
+            entry = min(streams, key=lambda e: e[2] + e[0].delay)
+            seg, i, s, p = entry
+            upto = min([now] + [e[2] + e[0].delay for e in streams
+                                if e is not entry])
+            n = 0
+            while i < seg.lazy and s + seg.delay <= upto:
+                arrived, span = s + seg.delay, min(seg.chunk, seg.duration - p)
+                s, p, i, n = s + span, p + span, i + 1, n + 1
+            if i >= seg.lazy:
+                streams.remove(entry)
+            elif not n:
+                return
+            entry[1:] = i, s, p
+            if n and seg.title == self.title:
+                self._arrived_at, self._position = arrived, p
+                self._chunks += n
 
     async def _finish(self) -> None:
         await self.stop()
@@ -201,8 +253,12 @@ class VODApp(SettopApp):
                 if self._needs_recovery and not self.playing and not self.finished:
                     self._wake = self.kernel.sleep_until(due)
                 elif self.playing and self._last_chunk is not None:
-                    tick = due  # chunks arriving meanwhile only delay it
-                    while tick - self._last_chunk < stall_after:
+                    # Arrivals only delay it; segments promise theirs
+                    # (a cut, breaking that, pokes).
+                    tick, last = due, max([self._last_chunk] + [
+                        entry[0].last_arrival for entry in self._streams
+                        if entry[0].title == self.title])
+                    while tick - last < stall_after:
                         tick += step
                     self._wake = self.kernel.sleep_until(tick)
                 else:

@@ -9,6 +9,7 @@ from repro.services.connection_manager import (
     NoSuchConnection,
 )
 from repro.services.mds import DiskStreamsExhausted, NoSuchTitle
+from repro.services.mms import MovieUnavailable
 from repro.services.rds import NoSuchData
 from repro.services.settop_manager import SETTOP_DEAD_AFTER
 from repro.settop.kernel import SETTOP_HEARTBEAT
@@ -164,6 +165,27 @@ class TestMDS:
         with pytest.raises(DiskStreamsExhausted):
             cluster.run_async(client.runtime.invoke(
                 mds, "open", (titles[0], settops[2].ip, "c9", 9999)))
+
+    def test_full_is_not_missing(self):
+        """With every carrier of a title at its stream budget the MMS
+        says the replicas are full; a title nobody carries is missing."""
+        from repro.core.params import Params
+        from tests.helpers import booted_cluster
+        cluster, kernels = booted_cluster(
+            n_servers=2, seed=5, params=Params(mds_disk_streams=1),
+            settops=3)
+        vods = []
+        for stk in kernels:
+            cluster.run_async(stk.app_manager.tune(5))
+            vods.append(stk.app_manager.current_app)
+        for vod in vods[:2]:
+            assert cluster.run_async(vod.play("T2")) == "playing"
+        with pytest.raises(MovieUnavailable,
+                           match="every MDS replica carrying 'T2' is full"):
+            cluster.run_async(vods[2].play("T2"))
+        with pytest.raises(MovieUnavailable,
+                           match="no live MDS replica carries 'Nowhere'"):
+            cluster.run_async(vods[2].play("Nowhere"))
 
     def test_movie_object_lifecycle(self, cluster):
         client = cluster.client_on(cluster.servers[0], name="mds4")

@@ -22,8 +22,9 @@ from repro.core.params import STREAM_CHUNK_SECONDS, Params
 from repro.net import Network, server_ip, settop_ip
 from repro.ocs.exceptions import InvalidObjectReference
 from repro.settop import app_manager as app_manager_module
-from repro.settop.app_manager import AppManager
+from repro.settop.app_manager import APP_WATCHDOG_TICK, AppManager
 from repro.settop.apps import APP_CLASSES
+from repro.settop.apps.game import GameApp
 from repro.settop.apps.vod import STALL_FACTOR, VODApp
 from repro.sim import Host, Kernel
 from tests.helpers import EventRecorder, booted_cluster
@@ -59,7 +60,8 @@ class _PollingVODApp(VODApp):
 
 
 class _PollingAppManager(AppManager):
-    """The crash watchdog as it was: wake every 2 s."""
+    """The crash watchdog as a poll loop: wake every 2 s, and retry a
+    failed restart on each wake until a tune succeeds."""
 
     async def _app_watchdog(self) -> None:
         while True:
@@ -71,11 +73,13 @@ class _PollingAppManager(AppManager):
                 self._emit("app_crashed", app=crashed)
                 self.current_app = None
                 self._app_process = None
-                channel = self.current_channel or "navigator"
+                self._restart_pending = True
+            if self._restart_pending:
+                self._restart_pending = False
                 try:
-                    await self.tune(channel)
+                    await self.tune(self.current_channel or "navigator")
                 except Exception:  # noqa: BLE001 - the reference loop
-                    continue
+                    self._restart_pending = True
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +211,24 @@ def _crash_while_rds_down(cluster, am):
 
 
 def _crash_with_the_binary_gone(cluster, am):
-    """The restart's download fails (openData raises NoSuchData): the
-    check that follows finds no application process and never acts
-    again."""
+    """The restart's download fails (openData raises NoSuchData) until
+    the binary returns: the restart stays pending, is retried on every
+    tick, and the first tick after the binary is back brings the
+    application back."""
+    binaries = [host.disk.read("rdsdata/apps/vod") for host in cluster.servers]
     for host in cluster.servers:
         host.disk.delete("rdsdata/apps/vod")
     am.current_app.process.kill(status="segfault")
-    cluster.run_for(30.0)
+    cluster.run_for(10.0)
     assert am.current_app is None
+    restored_at = cluster.now
+    for host, binary in zip(cluster.servers, binaries):
+        host.disk.write("rdsdata/apps/vod", binary)
+    cluster.run_for(20.0)
+    assert am.current_app is not None and am.current_app.name == "vod"
+    tuned = cluster.trace.select("am", "tuned")[-1]
+    started = tuned.time - am.last_tune["total_time"]
+    assert restored_at < started <= restored_at + APP_WATCHDOG_TICK
     assert len(cluster.trace.select("am", "app_crashed")) == 1
 
 
@@ -351,3 +365,52 @@ def test_app_manager_watchdog_arms_nothing_while_its_app_lives():
     # application lives, so nothing more.
     assert _timers(rec) == ["call_at"]
     assert tunes[1:] == [(702.0, VOD_CHANNEL)]
+
+
+# ---------------------------------------------------------------------------
+# a cancelled channel change is not swallowed by the outgoing app's cleanup
+# ---------------------------------------------------------------------------
+
+
+class _BlockedApp:
+    """An outgoing application whose shutdown never finishes."""
+
+    name = "navigator"
+
+    def __init__(self, kernel):
+        self.never = kernel.create_future()
+
+    async def shutdown(self):
+        await self.never
+
+
+@pytest.mark.parametrize("outgoing", ["app", "game"])
+def test_a_cancelled_tune_propagates_out_of_shutdown(outgoing):
+    kernel, settop = _bare_settop()
+    am = AppManager(settop, settop.host.spawn("appmgr"),
+                    {"ns_ips": [server_ip(0)], "neighborhood": 1})
+    blob = SimpleNamespace(size=1)
+
+    async def open_data(*_args, **_kwargs):
+        return blob
+
+    am.rds = SimpleNamespace(call=open_data)
+    am._app_process = settop.host.spawn("old-app", parent=am.process)
+    if outgoing == "game":
+        app = GameApp(am, am._app_process)
+        never = kernel.create_future()
+
+        async def call(*_args, **_kwargs):
+            await never
+
+        app.game = SimpleNamespace(call=call)   # leave() blocks
+    else:
+        app = _BlockedApp(kernel)
+    am.current_app = app
+    task = am.process.create_task(am.tune("vod"), name="tune")
+    kernel.run(until=1.0)
+    assert not task.done()
+    task.cancel()
+    kernel.run(until=2.0)
+    assert task.cancelled()
+    assert am.current_app is app and am._app_process.alive
