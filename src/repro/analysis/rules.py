@@ -237,8 +237,8 @@ class ExceptionSwallowRule(Rule):
     rule_id = "D005"
     title = "no blanket except that can swallow cancellation"
     rationale = ("`except:` / `except BaseException` absorbs "
-                 "CancelledError and KernelStopped, wedging kernel "
-                 "teardown; catch Exception, or re-raise.")
+                 "CancelledError, so a cancelled task never unwinds and "
+                 "kernel teardown wedges; catch Exception, or re-raise.")
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
         out = []
@@ -253,7 +253,7 @@ class ExceptionSwallowRule(Rule):
                 else "`except BaseException`"
             out.append(self.violation(
                 ctx, node,
-                f"{what} can swallow CancelledError/KernelStopped; catch "
+                f"{what} can swallow CancelledError; catch "
                 "Exception or re-raise"))
         return out
 

@@ -37,8 +37,8 @@ BASE_SERVICES = ["ns", "ras", "settopmgr", "db", "auth"]
 def fresh_run_state() -> None:
     """Does nothing: a run's pids, ports and message ids come from its own
     ``Kernel`` and ``Network``.  Kept only because
-    ``benchmarks/e2e/workloads.py`` calls it; ROADMAP item 1 deletes it
-    with the ``TimerWheel`` alias."""
+    ``benchmarks/e2e/workloads.py`` calls it; it goes with the
+    ``TimerWheel`` alias once the benchmark stops naming both."""
 
 
 class Cluster:

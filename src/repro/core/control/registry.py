@@ -64,6 +64,3 @@ class ServiceRegistry:
 
     def names(self) -> list:
         return sorted(self._factories)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories

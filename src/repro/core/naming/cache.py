@@ -6,9 +6,8 @@ detect this on the next attempt to use the object reference" (section
 clients may cache name-service bindings indefinitely without any
 coherence protocol -- coherence is by exception, not by invalidation
 messages.  That property is the system's scaling mechanism: resolution
-traffic stays proportional to *failures*, not to *calls*, so a
-population of settops stops resolving once per call (ROADMAP's "heavy
-traffic from millions of users").
+traffic stays proportional to *failures*, not to *calls*, so however
+large the settop population grows, it does not resolve once per call.
 
 One :class:`BindingCache` exists per simulated host and is shared by
 every :class:`~repro.core.naming.client.NameClient` on that host that
@@ -150,30 +149,12 @@ class BindingCache:
         self._hb_write(name, "<invalidated>")
         return True
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     # -- introspection --------------------------------------------------
 
     def entries(self) -> List[Tuple[str, CacheEntry]]:
         """Snapshot of (name, entry), sorted for deterministic probes."""
         return [(name, self._entries[name])
                 for name in sorted(self._entries)]
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "coalesced": self.coalesced,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
 
 def cache_for(host, params) -> Optional[BindingCache]:

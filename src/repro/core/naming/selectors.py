@@ -36,8 +36,6 @@ class SelectorState:
         self.rr_counters: Dict[str, int] = {}
         self.loads: Dict[str, Dict[str, float]] = {}
         self.rng = rng or SeededRandom(0)
-        # Load threshold at which the load-aware policy skips a member.
-        self.shed_level: float = SHED_LOAD
 
     def report_load(self, path: str, member: str, load: float) -> None:
         self.loads.setdefault(path, {})[member] = load
@@ -120,36 +118,6 @@ def select_least_loaded(bindings: List[Binding], caller_ip: str, path: str,
     return min(members, key=lambda b: (loads.get(b[0], 0.0), b[0]))[0]
 
 
-# Load at or above this level means the member is shedding (its
-# admission gate's inflight capacity is full); the load-aware policy
-# treats it as unavailable.  Overridable per replica via
-# ``SelectorState.shed_level``.
-SHED_LOAD = 1.0
-
-
-def select_load_aware(bindings: List[Binding], caller_ip: str, path: str,
-                      state: SelectorState) -> str:
-    """Shed-aware rotation (PR 4; section 5.1's load-balancing knob).
-
-    Members whose last reported load is at or above the shed level are
-    skipped while any healthy member exists -- an overloaded replica
-    stops receiving *new* bindings without being declared dead.  The
-    healthy pool rotates round-robin so a recovered member (load report
-    drops below the level, or its report ages out via ``report_load``)
-    resumes service automatically.  If every member is shedding, fall
-    back to plain rotation: a saturated answer still beats none, and the
-    server-side gate is the final authority.
-    """
-    members = _require_members(bindings)
-    loads = state.loads.get(path, {})
-    shed_level = state.shed_level
-    healthy = [b for b in members if loads.get(b[0], 0.0) < shed_level]
-    pool = healthy or members
-    count = state.rr_counters.get(path, 0)
-    state.rr_counters[path] = count + 1
-    return pool[count % len(pool)][0]
-
-
 BUILTIN_SELECTORS: Dict[str, Callable[..., str]] = {
     "first": select_first,
     "roundrobin": select_round_robin,
@@ -157,7 +125,6 @@ BUILTIN_SELECTORS: Dict[str, Callable[..., str]] = {
     "neighborhood": select_neighborhood,
     "sameserver": select_same_server,
     "leastloaded": select_least_loaded,
-    "loadaware": select_load_aware,
 }
 
 

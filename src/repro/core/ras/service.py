@@ -37,7 +37,6 @@ register_interface("RAS", {
     # accepts a list of service and settop objects and returns the status
     # of each."
     "checkStatus": ("entities",),
-    "watchedCounts": (),
     # PR 4/5: the SSC pushes every local admission-gated service's
     # load/queue gauges here, coalesced into one batch per server per
     # LOAD_REPORT_INTERVAL, so operators (and the chaos monitors) can
@@ -47,8 +46,7 @@ register_interface("RAS", {
     "loadGauges": (),
     # Status probes and absolute gauge upserts, all safe to re-run.
 }, doc="Resource Audit Service (section 7.2)",
-   idempotent=("checkStatus", "watchedCounts", "reportLoadBatch",
-               "loadGauges"))
+   idempotent=("checkStatus", "reportLoadBatch", "loadGauges"))
 
 Entity = Union[str, ObjectRef]   # settop IP string, or a service object ref
 
@@ -76,7 +74,6 @@ class ResourceAuditService(Service):
         self._load_gauges: Dict[str, dict] = {}
         # Metrics for experiments E3/E9.
         self.peer_polls_sent = 0
-        self.checkstatus_served = 0
 
     async def start(self) -> None:
         self.ref = self.runtime.export(self, "RAS")
@@ -107,7 +104,6 @@ class ResourceAuditService(Service):
 
     def checkStatus(self, ctx: CallContext,
                     entities: List[Entity]) -> List[str]:
-        self.checkstatus_served += 1
         return [self._status_of(entity) for entity in entities]
 
     def _status_of(self, entity: Entity) -> str:
@@ -230,13 +226,3 @@ class ResourceAuditService(Service):
 
     def loadGauges(self, ctx: CallContext) -> dict:
         return {name: dict(g) for name, g in sorted(self._load_gauges.items())}
-
-    def watchedCounts(self, ctx: CallContext) -> dict:
-        return {
-            "local": len(self._local_live),
-            "remote": len(self._remote_status),
-            "settops": len(self._settop_status),
-            "gauged_services": len(self._load_gauges),
-            "peer_polls_sent": self.peer_polls_sent,
-            "checkstatus_served": self.checkstatus_served,
-        }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 
 def percentile(samples: Sequence[float], p: float,
@@ -16,8 +16,7 @@ def percentile(samples: Sequence[float], p: float,
     instead of 23 for p90 of 25 samples.)
 
     ``presorted=True`` skips the sort when the caller already holds an
-    ordered list (see :func:`summarize` and
-    :meth:`LatencyRecorder.summary`).
+    ordered list (see :func:`summarize`).
     """
     if not samples:
         raise ValueError("no samples")
@@ -31,15 +30,10 @@ def percentile(samples: Sequence[float], p: float,
 
 
 def summarize(samples: Sequence[float]) -> Dict[str, float]:
+    """Summary statistics, from one sort of ``samples``."""
     if not samples:
         return {"count": 0}
     ordered = sorted(samples)
-    return _summarize_sorted(ordered)
-
-
-def _summarize_sorted(ordered: Sequence[float]) -> Dict[str, float]:
-    """Summary statistics from an already-sorted sample list (one sort
-    total, instead of one per percentile plus min/max scans)."""
     n = len(ordered)
     return {
         "count": n,
@@ -50,96 +44,3 @@ def _summarize_sorted(ordered: Sequence[float]) -> Dict[str, float]:
         "p99": percentile(ordered, 99, presorted=True),
         "max": ordered[-1],
     }
-
-
-class LatencyRecorder:
-    """Start/stop timers keyed by operation name, on the virtual clock."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self._samples: Dict[str, List[float]] = {}
-        self._open: Dict[tuple, float] = {}
-        # op -> sorted copy of _samples[op]; valid while lengths agree
-        # (samples are append-only), so repeated summary() calls between
-        # recordings reuse one sort.
-        self._sorted: Dict[str, List[float]] = {}
-        self._auto_token = 0
-
-    def start(self, op: str, token=None) -> None:
-        self._open[(op, token)] = self.kernel.now
-
-    def stop(self, op: str, token=None) -> float:
-        started = self._open.pop((op, token), None)
-        if started is None:
-            raise KeyError(f"no open timer for {op!r}/{token!r}")
-        elapsed = self.kernel.now - started
-        self.record(op, elapsed)
-        return elapsed
-
-    def discard(self, op: str, token=None) -> bool:
-        """Abandon an open timer without recording a sample.
-
-        The escape hatch for operations that die mid-flight (process
-        crash, cancelled task): without it every abandoned ``start``
-        leaks an ``_open`` entry forever.  Returns whether a timer was
-        actually open.
-        """
-        return self._open.pop((op, token), None) is not None
-
-    def time(self, op: str, token=None) -> "_LatencyTimer":
-        """Context manager: record on clean exit, discard on exception.
-
-        ``async with`` is not needed -- simulated time only advances at
-        await points inside the body, and the recorder reads the virtual
-        clock on entry/exit.
-        """
-        if token is None:
-            self._auto_token += 1
-            token = ("_auto", self._auto_token)
-        return _LatencyTimer(self, op, token)
-
-    def open_timers(self) -> int:
-        """Number of started-but-unfinished timers (leak diagnostics)."""
-        return len(self._open)
-
-    def record(self, op: str, value: float) -> None:
-        self._samples.setdefault(op, []).append(value)
-
-    def samples(self, op: str) -> List[float]:
-        return list(self._samples.get(op, []))
-
-    def summary(self, op: str) -> Dict[str, float]:
-        samples = self._samples.get(op)
-        if not samples:
-            return {"count": 0}
-        ordered = self._sorted.get(op)
-        if ordered is None or len(ordered) != len(samples):
-            ordered = sorted(samples)
-            self._sorted[op] = ordered
-        return _summarize_sorted(ordered)
-
-    def operations(self) -> List[str]:
-        return sorted(self._samples)
-
-
-class _LatencyTimer:
-    """Context manager returned by :meth:`LatencyRecorder.time`."""
-
-    __slots__ = ("recorder", "op", "token", "elapsed")
-
-    def __init__(self, recorder: LatencyRecorder, op: str, token):
-        self.recorder = recorder
-        self.op = op
-        self.token = token
-        self.elapsed: Optional[float] = None
-
-    def __enter__(self) -> "_LatencyTimer":
-        self.recorder.start(self.op, self.token)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self.elapsed = self.recorder.stop(self.op, self.token)
-        else:
-            self.recorder.discard(self.op, self.token)
-        return False

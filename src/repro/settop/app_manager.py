@@ -163,9 +163,6 @@ class AppManager:
         self._emit("tuned", app=app_name,
                    download_time=round(self.last_tune["download_time"], 3))
 
-    def app_crashed(self) -> bool:
-        return self._app_process is not None and not self._app_process.alive
-
     def _emit(self, event: str, **fields) -> None:
         if self.settop.trace is not None:
             self.settop.trace.emit("am", event, settop=self.settop.host.ip,

@@ -19,8 +19,4 @@ class InvalidStateError(SimError):
 
 
 class SimTimeoutError(SimError):
-    """A ``wait_for`` deadline elapsed before the awaitable completed."""
-
-
-class KernelStopped(SimError):
-    """The kernel was asked to do work after :meth:`Kernel.stop`."""
+    """A simulated deadline elapsed before the awaited work completed."""

@@ -194,7 +194,7 @@ class Disk:
 
     The database service keeps its tables here; the MDS keeps movie files
     here.  A *host* crash does not lose the disk (the paper's servers kept
-    their movies across reboots); only explicit :meth:`wipe` does.
+    their movies across reboots).
 
     Values are isolated by value, not by reference: :meth:`write` stores a
     deep copy and :meth:`read` returns one, so a caller mutating an object
@@ -314,12 +314,6 @@ class Disk:
         if key in self._buffer:
             return self._buffer[key] is not _TOMBSTONE
         return key in self._data
-
-    def wipe(self) -> None:
-        self._data.clear()
-        self._buffer.clear()
-        self._keys.clear()
-        self._last_buffered = None
 
     # -- fault surface (driven by the chaos layer) -----------------------
 

@@ -54,7 +54,6 @@ from typing import Any, Callable, Iterable, List, Optional
 from repro.sim.errors import (
     CancelledError,
     InvalidStateError,
-    KernelStopped,
     SimTimeoutError,
 )
 from repro.sim.wheel import TimerHeap
@@ -302,7 +301,7 @@ class Kernel:
 
     Use :meth:`create_task` to start coroutines, :meth:`run` to execute
     until the event heap drains or ``until`` is reached, and :meth:`sleep`
-    / :meth:`wait_for` inside coroutines.
+    / :meth:`sleep_until` inside coroutines.
 
     ``now`` is the current simulated time, in seconds.  It is a plain
     attribute for speed; only the run loop writes it (lint rule D011
@@ -315,7 +314,6 @@ class Kernel:
         # Handles due at ``now``, in arming order; each has seq 0.
         self._ready: "deque[TimerHandle]" = deque()
         self._seq = 0               # arming order of heap timers only
-        self._stopped = False
         self._task_count = 0
         # The run's last pid (``Process`` takes the next one).
         self.last_pid = 0
@@ -334,8 +332,6 @@ class Kernel:
     # -- scheduling ---------------------------------------------------
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> "TimerHandle":
-        if self._stopped:
-            raise KernelStopped("kernel has been stopped")
         if when <= self.now:
             # Already due: the ready lane, which orders by position.
             handle = TimerHandle(self.now, 0, fn, args)
@@ -351,8 +347,6 @@ class Kernel:
         # Body duplicated from call_at: every network delivery and every
         # sleep() comes through here, and delegating would cost an extra
         # frame plus an *args repack per timer.
-        if self._stopped:
-            raise KernelStopped("kernel has been stopped")
         now = self.now
         when = now + delay
         if when > now:
@@ -372,8 +366,6 @@ class Kernel:
         callback lands here -- so it is one deque append of a handle that
         takes no sequence number (the lane orders by position).
         """
-        if self._stopped:
-            raise KernelStopped("kernel has been stopped")
         handle = TimerHandle(self.now, 0, fn, args)
         self._ready.append(handle)
         return handle
@@ -414,38 +406,6 @@ class Kernel:
         self.call_at(when, _wake_sleeper, fut)
         return fut
 
-    def wait_for(self, awaitable, timeout: float) -> Future:
-        """Await ``awaitable`` with a deadline.
-
-        Completes with the awaitable's result, or fails with
-        :class:`SimTimeoutError` (cancelling the awaitable) when the
-        deadline passes first.
-        """
-        inner = self.ensure_future(awaitable)
-        outer = self.create_future()
-
-        def on_timeout() -> None:
-            if outer.done():
-                return
-            inner.cancel()
-            outer.set_exception(SimTimeoutError(f"timed out after {timeout}s"))
-
-        handle = self.call_later(timeout, on_timeout)
-
-        def on_done(fut: Future) -> None:
-            handle.cancel()
-            if outer.done():
-                return
-            if fut.cancelled():
-                outer.cancel()
-            elif fut.exception() is not None:
-                outer.set_exception(fut.exception())
-            else:
-                outer.set_result(fut.result())
-
-        inner.add_done_callback(on_done)
-        return outer
-
     def ensure_future(self, awaitable) -> Future:
         if isinstance(awaitable, Future):
             return awaitable
@@ -468,7 +428,7 @@ class Kernel:
         entries = timers.entries    # compaction rebuilds it in place
         ready = self._ready
         popleft = ready.popleft
-        while not self._stopped:
+        while True:
             if entries:
                 when, _seq, head = entries[0]
                 if head.cancelled:
@@ -493,11 +453,11 @@ class Kernel:
             head = popleft()
             if not head.cancelled:
                 head.fn(*head.args)
-            while ready and not self._stopped:
+            while ready:
                 head = popleft()
                 if not head.cancelled:
                     head.fn(*head.args)
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until:
             self.now = until
         return self.now
 
@@ -528,9 +488,6 @@ class Kernel:
                 self.now = handle.when
                 handle.fn(*handle.args)
             return
-
-    def stop(self) -> None:
-        self._stopped = True
 
     def pending_events(self) -> int:
         return (sum(1 for _w, _s, h in self._timers.entries if not h.cancelled)
@@ -624,9 +581,6 @@ class Event:
         self._set = False
         self._waiters: List[Future] = []
 
-    def is_set(self) -> bool:
-        return self._set
-
     def set(self) -> None:
         if self._set:
             return
@@ -635,9 +589,6 @@ class Event:
         for fut in waiters:
             if not fut.done():
                 fut.set_result(True)
-
-    def clear(self) -> None:
-        self._set = False
 
     async def wait(self) -> bool:
         if self._set:
@@ -681,10 +632,6 @@ class Semaphore:
         self._value = value
         self._waiters: List[Future] = []
 
-    @property
-    def value(self) -> int:
-        return self._value
-
     async def acquire(self) -> None:
         if self._value > 0 and not self._waiters:
             self._value -= 1
@@ -692,12 +639,6 @@ class Semaphore:
         fut = self._kernel.create_future()
         self._waiters.append(fut)
         await fut
-
-    def try_acquire(self) -> bool:
-        if self._value > 0 and not self._waiters:
-            self._value -= 1
-            return True
-        return False
 
     def release(self) -> None:
         while self._waiters:

@@ -8,8 +8,8 @@ run loop reads and pops ``entries`` itself; ``peek``/``pop`` serve the
 single-step paths (``run_one``, ``run_until_complete``).
 
 Cancellation is lazy: a cancelled handle stays queued as a shell until
-it surfaces at the top.  When shells outnumber live entries (``wait_for``
-churn arms and disarms thousands of timeouts) ``note_cancelled``
+it surfaces at the top.  When shells outnumber live entries (reply
+timeouts armed and disarmed by the thousand) ``note_cancelled``
 compacts the heap *in place* -- the run loop holds the list -- and
 ``heapify`` keeps the ``(when, seq)`` pop order exactly.
 """
@@ -66,4 +66,4 @@ class TimerHeap:
 
 
 class TimerWheel(TimerHeap):
-    """Name ``benchmarks/e2e/layers.py`` still imports; ROADMAP 1(v) deletes it."""
+    """Kept only for ``benchmarks/e2e/layers.py``, which still imports it."""

@@ -6,7 +6,7 @@ value (an exact atom, or an exact tuple of frozen items) through
 uncopied.  Both must be invisible.  The linear disk they replaced is
 kept here, verbatim, as the differential oracle: hypothesis drives both
 through writes, deletes, the write barrier, syncs, torn writes, crashes,
-bit rot, wipes and wedges, and after every step ``keys``, ``read``,
+bit rot and wedges, and after every step ``keys``, ``read``,
 ``in`` and ``counters`` must agree.  The copy-rule tests then pin what
 the frozen rule may and may not pass through, and a mutant index that
 keeps a synced tombstone shows the differential can fail.
@@ -101,11 +101,6 @@ class LinearDisk:
             return self._buffer[key] is not _TOMBSTONE
         return key in self._data
 
-    def wipe(self) -> None:
-        self._data.clear()
-        self._buffer.clear()
-        self._last_buffered = None
-
     def arm_torn_write(self) -> None:
         self.write_barrier = True
         self._torn_armed = True
@@ -173,7 +168,6 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("arm_torn_write")),
     st.tuples(st.just("crash")),
     st.tuples(st.just("corrupt"), st.sampled_from(KEYS)),
-    st.tuples(st.just("wipe")),
     st.tuples(st.just("wedge")),
     st.tuples(st.just("heal")),
 ), max_size=40)
@@ -230,18 +224,19 @@ def test_index_and_copy_rule_are_indistinguishable_from_the_linear_disk(
 
 def test_differential_harness_exercises_every_path():
     """Tombstones synced and lost, a torn key landing, bit rot of a
-    buffered key, a wipe and a wedge all in one program."""
+    buffered key, a wedge and every key deleted, all in one program."""
     program = [
         ("write", "t/1", 1), ("write", "t/10", (1, "x")), ("barrier", True),
         ("write", "t/2", [2]), ("delete", "t/1"), ("delete", "absent"),
         ("sync",), ("write", "a", {"k": 1}), ("delete", "t/10"),
         ("arm_torn_write",), ("write", "ab", 3), ("crash",),
         ("write", "b", 4), ("corrupt", "b"), ("wedge",), ("write", "z", 5),
-        ("heal",), ("wipe",), ("write", "abc", 6), ("delete", "abc"),
+        ("heal",), ("delete", "ab"), ("delete", "b"), ("delete", "t/10"),
+        ("delete", "t/2"), ("sync",), ("write", "abc", 6), ("delete", "abc"),
         ("crash",),
     ]
     disk = check_same(program)
-    assert disk.counters() == {"writes": 7, "syncs": 1, "lost_writes": 3,
+    assert disk.counters() == {"writes": 7, "syncs": 2, "lost_writes": 3,
                                "torn_writes": 1, "corrupted_keys": 1,
                                "unsynced": 0}
     assert disk.keys("") == [] and disk._keys == []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.metrics.availability import AvailabilityTimeline
 from repro.metrics.counters import MessageCensus
-from repro.metrics.latency import LatencyRecorder, percentile, summarize
+from repro.metrics.latency import percentile, summarize
 from repro.net import Message, Network, server_ip
 from repro.sim import Host, Kernel
 from repro.sim.rand import SeededRandom
@@ -61,77 +61,6 @@ class TestPercentiles:
         assert s["p50"] == percentile(data, 50)
         assert s["p90"] == percentile(data, 90)
         assert s["p99"] == percentile(data, 99)
-
-
-class TestLatencyRecorder:
-    def test_start_stop(self, kernel):
-        rec = LatencyRecorder(kernel)
-        rec.start("op")
-        kernel.run(until=2.5)
-        assert rec.stop("op") == 2.5
-        assert rec.summary("op")["count"] == 1
-
-    def test_tokens_distinguish_concurrent(self, kernel):
-        rec = LatencyRecorder(kernel)
-        rec.start("op", token="a")
-        kernel.run(until=1.0)
-        rec.start("op", token="b")
-        kernel.run(until=3.0)
-        assert rec.stop("op", token="a") == 3.0
-        assert rec.stop("op", token="b") == 2.0
-
-    def test_stop_unknown_raises(self, kernel):
-        with pytest.raises(KeyError):
-            LatencyRecorder(kernel).stop("ghost")
-
-    def test_discard_abandons_open_timer(self, kernel):
-        """Regression: a mid-flight death leaked the _open entry forever."""
-        rec = LatencyRecorder(kernel)
-        rec.start("op", token="dying")
-        assert rec.open_timers() == 1
-        assert rec.discard("op", token="dying")
-        assert rec.open_timers() == 0
-        assert rec.summary("op") == {"count": 0}
-        with pytest.raises(KeyError):
-            rec.stop("op", token="dying")
-
-    def test_discard_unknown_is_false(self, kernel):
-        assert not LatencyRecorder(kernel).discard("ghost")
-
-    def test_time_context_manager_records_on_success(self, kernel):
-        rec = LatencyRecorder(kernel)
-        with rec.time("op") as timer:
-            kernel.run(until=1.5)
-        assert timer.elapsed == 1.5
-        assert rec.summary("op")["count"] == 1
-        assert rec.open_timers() == 0
-
-    def test_time_context_manager_discards_on_exception(self, kernel):
-        rec = LatencyRecorder(kernel)
-        with pytest.raises(RuntimeError):
-            with rec.time("op"):
-                kernel.run(until=1.0)
-                raise RuntimeError("operation died mid-flight")
-        assert rec.summary("op") == {"count": 0}
-        assert rec.open_timers() == 0
-
-    def test_time_nests_without_token_collisions(self, kernel):
-        rec = LatencyRecorder(kernel)
-        with rec.time("op"):
-            kernel.run(until=1.0)
-            with rec.time("op"):
-                kernel.run(until=2.0)
-        assert rec.summary("op")["count"] == 2
-        assert sorted(rec.samples("op")) == [1.0, 2.0]
-
-    def test_summary_sorted_cache_tracks_new_samples(self, kernel):
-        rec = LatencyRecorder(kernel)
-        for v in (3.0, 1.0, 2.0):
-            rec.record("op", v)
-        assert rec.summary("op")["min"] == 1.0
-        rec.record("op", 0.5)  # must invalidate the cached sort
-        s = rec.summary("op")
-        assert s["min"] == 0.5 and s["count"] == 4
 
 
 class TestAvailabilityTimeline:

@@ -4,8 +4,10 @@ Cluster-free tests drive a monitor against a fake cluster built from
 namespaces: the ``_Stretch`` grace clock, ``csc_primary``,
 ``future_leak`` and the ``durability`` db rule (highest seq per reign).
 The cluster tests pin the verdicts of known runs: runs that must stay
-green, and strict xfails for runs still red (ROADMAP item 2), each
-asserting its exact violated-monitor set so that a fix flips it.
+green, and strict xfails for runs still red (the pinned reds), each
+asserting its exact violated-monitor set so that a fix flips it.  Two
+more strict xfails pin causes inside those reds' audit chain: each
+wraps one method to record its calls and changes no behaviour.
 """
 
 import random
@@ -18,12 +20,15 @@ from repro.chaos import Fault, FaultSchedule, run_schedule, run_seed
 from repro.chaos.monitors import (LEAK_GRACE, CscPrimaryMonitor,
                                   DurabilityMonitor, EvidenceLedger,
                                   FutureLeakMonitor, _Stretch)
+from repro.core.control.ssc import ServerServiceController
+from repro.core.naming.replica import NameReplicaProcess
 from repro.core.params import Params
 from repro.db.service import seed_database
 from repro.sim.host import Disk
 
-E18_SCHEDULE = (Path(__file__).resolve().parent.parent
-                / "benchmarks" / "schedules" / "e18_hostile_net.json")
+SCHEDULES = Path(__file__).resolve().parent.parent / "benchmarks" / "schedules"
+E13_SCHEDULE = SCHEDULES / "e13_kills.json"
+E18_SCHEDULE = SCHEDULES / "e18_hostile_net.json"
 
 # The minimizer's repro of `repro chaos --seed-base 7 --seeds 1 --faults 5
 # --horizon 150 --settops 2`: a gray-failing server whose SSC is killed.
@@ -275,7 +280,8 @@ def test_runs_once_falsely_red_on_durability_are_green(run):
     assert result.ok, [(v.monitor, v.detail) for v in result.violations]
 
 
-@pytest.mark.xfail(strict=True, raises=PinnedRed, reason="ROADMAP 2")
+@pytest.mark.xfail(strict=True, raises=PinnedRed,
+                   reason="pinned red: its cause is not fixed yet")
 @pytest.mark.parametrize("run,pinned", [
     pytest.param(lambda: run_seed(4), ["replica_lag_bounded"], id="seed4"),
     pytest.param(lambda: run_seed(7), ["replica_lag_bounded"], id="seed7"),
@@ -291,6 +297,67 @@ def test_runs_once_falsely_red_on_durability_are_green(run):
     pytest.param(lambda: run_schedule(PARTITION_KILL_SSC_SCHEDULE, 25,
                                       settops=2),
                  ["replica_lag_bounded"], id="partition-kill-ssc-25"),
+    # kill_service(mds) then kill_ssc(server=1): a bookmark acked at seq
+    # 223 (seed 5) or 220 (seed 15) reads back the next value.
+    pytest.param(lambda: run_schedule(FaultSchedule.load(E13_SCHEDULE), 5,
+                                      settops=16),
+                 ["durability", "replica_lag_bounded"], id="e13-5-16settops"),
+    pytest.param(lambda: run_schedule(FaultSchedule.load(E13_SCHEDULE), 15,
+                                      settops=16),
+                 ["durability", "replica_lag_bounded"],
+                 id="e13-15-16settops"),
 ])
 def test_pinned_red_runs(run, pinned):
     _assert_green_unless_pinned(run(), pinned)
+
+
+class CauseSeen(Exception):
+    """The wrapped method was called in the way the test forbids."""
+
+
+@pytest.mark.xfail(strict=True, raises=CauseSeen,
+                   reason="an NS replica that stops being master during the "
+                          "audit's checkStatus await still applies its "
+                          "unbinds")
+def test_no_ns_write_by_a_replica_that_is_not_master(monkeypatch):
+    # E18 seed 5 passes every monitor, yet at 146.18 s 192.26.65.3,
+    # demoted while its audit awaited checkStatus, appends the unbinds
+    # of svc/vod/3 and svc/vod/6 to its log.  E18 seeds 2 and 18 and
+    # run_seed(21) do the same.
+    writes = []
+    master_apply = NameReplicaProcess._master_apply
+
+    def recording(self, op):
+        if self.role != "master":
+            writes.append((self.kernel.now, self.ip, self.role, op))
+        return master_apply(self, op)
+
+    monkeypatch.setattr(NameReplicaProcess, "_master_apply", recording)
+    run_schedule(FaultSchedule.load(E18_SCHEDULE), 5)
+    if writes:
+        raise CauseSeen(writes)
+
+
+@pytest.mark.xfail(strict=True, raises=CauseSeen,
+                   reason="the SSC unsubscribes a live RAS when one "
+                          "callback notice times out")
+def test_the_ssc_never_unsubscribes_a_live_ras(monkeypatch):
+    # E18 seed 1: the objectsFailed notice for VOD :10043 times out at
+    # 114.04 s and the SSC on 192.26.65.3 drops that host's live RAS,
+    # which then answers "alive" for the dead object until the run ends
+    # (the e18-1 pinned red).
+    drops = []
+    call_callback = ServerServiceController._call_callback
+
+    async def recording(self, cb, method, objects):
+        subscribed = cb in self._callbacks
+        await call_callback(self, cb, method, objects)
+        host = self.process.host
+        if (subscribed and cb not in self._callbacks
+                and any(p.pid == cb.incarnation[1] for p in host.processes)):
+            drops.append((host.kernel.now, host.ip, method, objects))
+
+    monkeypatch.setattr(ServerServiceController, "_call_callback", recording)
+    run_schedule(FaultSchedule.load(E18_SCHEDULE), 1)
+    if drops:
+        raise CauseSeen(drops)

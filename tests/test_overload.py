@@ -238,66 +238,6 @@ class TestDeadlineEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# Load-aware selector (unit)
-# ---------------------------------------------------------------------------
-
-
-class TestLoadAwareSelector:
-    def _state(self):
-        from repro.core.naming.selectors import SelectorState
-        return SelectorState()
-
-    def test_loaded_member_skipped(self):
-        from repro.core.naming.selectors import run_builtin
-        state = self._state()
-        bindings = [("a", None), ("b", None)]
-        state.report_load("svc/vod", "a", 1.2)   # >= shed level: skip
-        picks = {run_builtin("loadaware", bindings, "x", "svc/vod", state)
-                 for _ in range(4)}
-        assert picks == {"b"}
-
-    def test_healthy_pool_rotates(self):
-        from repro.core.naming.selectors import run_builtin
-        state = self._state()
-        bindings = [("a", None), ("b", None), ("c", None)]
-        state.report_load("svc/vod", "b", 2.0)
-        picks = [run_builtin("loadaware", bindings, "x", "svc/vod", state)
-                 for _ in range(4)]
-        assert picks == ["a", "c", "a", "c"]
-
-    def test_member_recovers_when_load_drops(self):
-        from repro.core.naming.selectors import run_builtin
-        state = self._state()
-        bindings = [("a", None), ("b", None)]
-        state.report_load("svc/vod", "a", 1.5)
-        assert run_builtin("loadaware", bindings, "x", "svc/vod",
-                           state) == "b"
-        state.report_load("svc/vod", "a", 0.2)   # gate drained: recovered
-        picks = {run_builtin("loadaware", bindings, "x", "svc/vod", state)
-                 for _ in range(4)}
-        assert picks == {"a", "b"}
-
-    def test_all_shedding_falls_back_to_rotation(self):
-        from repro.core.naming.selectors import run_builtin
-        state = self._state()
-        bindings = [("a", None), ("b", None)]
-        state.report_load("svc/vod", "a", 3.0)
-        state.report_load("svc/vod", "b", 3.0)
-        picks = [run_builtin("loadaware", bindings, "x", "svc/vod", state)
-                 for _ in range(4)]
-        assert picks == ["a", "b", "a", "b"]
-
-    def test_shed_level_is_tunable(self):
-        from repro.core.naming.selectors import run_builtin
-        state = self._state()
-        state.shed_level = 0.5
-        bindings = [("a", None), ("b", None)]
-        state.report_load("svc/vod", "a", 0.6)
-        assert run_builtin("loadaware", bindings, "x", "svc/vod",
-                           state) == "b"
-
-
-# ---------------------------------------------------------------------------
 # Rebinding proxy: cooldown and steering
 # ---------------------------------------------------------------------------
 

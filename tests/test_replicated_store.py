@@ -293,7 +293,7 @@ class TestServeAndPull:
 
 # ``restart`` comes first: the run is derandomised, any change to this
 # strategy re-rolls it, and this arrangement's roll does not land on the
-# ROADMAP 1(e) hole pinned below.
+# fork hole pinned below.
 _steps = st.one_of(
     st.tuples(st.just("restart"), st.integers(0, 2)),
     st.tuples(st.just("write"), st.integers(0, 3), st.integers(0, 99)),
@@ -360,7 +360,7 @@ def _converges_after(steps):
 
 class TestConvergesUnderDisorder:
     # Derandomised (hypothesis seeds from a hash of the test's source):
-    # a random search finds the ROADMAP 1(e) hole pinned below in about
+    # a random search finds the fork hole pinned below in about
     # 1 run of 20, and tier-1 must not flip that coin.
     @given(st.lists(_steps, max_size=60))
     @settings(max_examples=120, deadline=None, derandomize=True,
@@ -372,7 +372,8 @@ class TestConvergesUnderDisorder:
         after one pull each every replica is equal."""
         _converges_after(steps)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP 1e")
+    @pytest.mark.xfail(strict=True, reason="the fork hole: a push onto a "
+                       "deposed primary's unreplicated entry goes unseen")
     def test_push_onto_a_deposed_primarys_unreplicated_entry(self):
         """The deposed primary appends the new reign's seq 2 on top of
         its own unreplicated seq 1 (the push of the new seq 1 was lost);

@@ -27,7 +27,7 @@ class TestBuiltinCatalog:
     def test_expected_policies_registered(self):
         assert set(BUILTIN_SELECTORS) == {
             "first", "roundrobin", "random", "neighborhood", "sameserver",
-            "leastloaded", "loadaware"}
+            "leastloaded"}
 
     def test_unknown_policy_rejected(self, state):
         with pytest.raises(SelectorFailed):

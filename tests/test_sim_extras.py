@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.ras.client import RAS_CLIENT_POLL
 from repro.services.settop_manager import SETTOP_DEAD_AFTER
-from repro.sim import CancelledError, Kernel, SimTimeoutError, gather
-from repro.sim.errors import KernelStopped
+from repro.sim import CancelledError, Kernel, gather
 from repro.sim.trace import TraceLog
 
 
@@ -47,19 +46,6 @@ class TestTraceLog:
 
 
 class TestKernelEdges:
-    def test_stop_halts_run(self, kernel):
-        seen = []
-        kernel.call_later(1.0, seen.append, "a")
-        kernel.call_later(2.0, kernel.stop)
-        kernel.call_later(3.0, seen.append, "b")
-        kernel.run()
-        assert seen == ["a"]
-
-    def test_schedule_after_stop_raises(self, kernel):
-        kernel.stop()
-        with pytest.raises(KernelStopped):
-            kernel.call_later(1.0, lambda: None)
-
     def test_pending_events_counts_uncancelled(self, kernel):
         h1 = kernel.call_later(1.0, lambda: None)
         kernel.call_later(2.0, lambda: None)
@@ -88,35 +74,11 @@ class TestKernelEdges:
             kernel.run_until_complete(fut)
         assert kernel.now == 0.0
 
-    def test_wait_for_wraps_coroutines(self, kernel):
-        async def slow():
-            await kernel.sleep(10.0)
-            return "late"
-
-        async def main():
-            try:
-                return await kernel.wait_for(slow(), timeout=1.0)
-            except SimTimeoutError:
-                return "timeout"
-
-        assert kernel.run_until_complete(main()) == "timeout"
-
     def test_gather_empty(self, kernel):
         async def main():
             return await gather(kernel, [])
 
         assert kernel.run_until_complete(main()) == []
-
-    def test_nested_wait_for(self, kernel):
-        async def inner():
-            await kernel.sleep(0.5)
-            return "ok"
-
-        async def outer():
-            return await kernel.wait_for(
-                kernel.wait_for(inner(), timeout=2.0), timeout=3.0)
-
-        assert kernel.run_until_complete(outer()) == "ok"
 
     def test_task_cancelling_itself_via_future(self, kernel):
         async def main():

@@ -12,7 +12,6 @@ from repro.sim import (
     Kernel,
     Queue,
     Semaphore,
-    SimTimeoutError,
     gather,
 )
 from repro.sim.errors import InvalidStateError
@@ -314,21 +313,6 @@ class TestTask:
         task = kernel.create_task(main())
         kernel.run()
         assert not task.cancel()
-
-    def test_wait_for_times_out(self, kernel):
-        async def main():
-            await kernel.wait_for(kernel.sleep(100.0), timeout=5.0)
-
-        with pytest.raises(SimTimeoutError):
-            kernel.run_until_complete(main())
-        assert kernel.now == 5.0
-
-    def test_wait_for_completes_in_time(self, kernel):
-        async def main():
-            return await kernel.wait_for(kernel.sleep(1.0), timeout=5.0)
-
-        kernel.run_until_complete(main())
-        assert kernel.now == 1.0
 
     def test_gather_collects_results(self, kernel):
         async def delayed(v, d):
@@ -659,10 +643,3 @@ class TestSyncPrimitives:
             kernel.create_task(worker())
         kernel.run()
         assert active["max"] == 2
-
-    def test_semaphore_try_acquire(self, kernel):
-        sem = Semaphore(kernel, 1)
-        assert sem.try_acquire()
-        assert not sem.try_acquire()
-        sem.release()
-        assert sem.try_acquire()

@@ -14,8 +14,9 @@ keeps one list and takes ``min`` over it.  Two layers:
 - Kernel-level: ``Kernel`` and ``ReferenceKernel`` run the same program
   of ``call_soon`` / ``call_at`` / ``call_later`` / ``cancel`` /
   ``run(until)`` / ``run_one`` steps, including callbacks that re-arm
-  timers mid-fire, compaction from inside a callback, and ``wait_for``
-  churn.  The recorded ``(now, tag)`` streams must be equal.
+  timers mid-fire, compaction from inside a callback, and churn of
+  armed-then-cancelled timeouts.  The recorded ``(now, tag)`` streams
+  must be equal.
 
 The kernel's ready lane holds handles with no ``seq`` of their own
 (``call_soon``, and ``call_at``/``call_later`` that are not in the
@@ -29,7 +30,6 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.sim import Kernel
-from repro.sim.errors import KernelStopped
 from repro.sim.kernel import TimerHandle
 from repro.sim.rand import SeededRandom
 from repro.sim.wheel import TimerHeap
@@ -38,7 +38,7 @@ from repro.sim.wheel import TimerHeap
 class ReferenceKernel(Kernel):
     """The scheduling contract stated with one list: the next event is
     the live handle with the lowest ``(when, seq)``.  Futures, tasks,
-    ``sleep`` and ``wait_for`` are the kernel's own, so only the order
+    ``sleep`` and ``sleep_until`` are the kernel's own, so only the order
     of events is under test."""
 
     def __init__(self):
@@ -46,8 +46,6 @@ class ReferenceKernel(Kernel):
         self._events = []
 
     def call_at(self, when, fn, *args):
-        if self._stopped:
-            raise KernelStopped("kernel has been stopped")
         self._seq += 1
         handle = TimerHandle(max(when, self.now), self._seq, fn, args)
         self._events.append(handle)
@@ -76,13 +74,13 @@ class ReferenceKernel(Kernel):
             head.fn(*head.args)
 
     def run(self, until=None):
-        while not self._stopped:
+        while True:
             head = self._pop_next(until)
             if head is None:
                 break
             self.now = head.when
             head.fn(*head.args)
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until:
             self.now = until
         return self.now
 
@@ -243,9 +241,12 @@ class TestKernelDifferential:
         assert len(fired) == 500
 
     def test_cancel_heavy_wait_for_churn(self):
-        # Thousands of armed-then-disarmed timeouts: wait_for cancels its
-        # timeout handle whenever the inner future wins.
+        # Thousands of armed-then-disarmed timeouts: each call arms a
+        # reply timeout and cancels it when the reply wins, as the OCS
+        # client does.
         def scenario(kernel):
+            expired = []
+
             async def quick(n):
                 await kernel.sleep(0.001 * (n % 5))
                 return n
@@ -253,11 +254,14 @@ class TestKernelDifferential:
             async def main():
                 total = 0
                 for n in range(300):
-                    total += await kernel.wait_for(quick(n), timeout=60.0)
+                    timeout = kernel.call_later(60.0, expired.append, n)
+                    total += await kernel.create_task(quick(n))
+                    timeout.cancel()
                 return total
 
             task = kernel.create_task(main())
             kernel.run()
+            assert expired == []
             return task.result(), kernel.now
 
         assert scenario(Kernel()) == scenario(ReferenceKernel())
