@@ -1,23 +1,20 @@
-"""Protocol conformance checking (rules P001..P005).
+"""Protocol conformance checking (rules P004, P005).
 
-The paper's IDL compiler made a whole class of bugs impossible: a stub
-call that names a missing operation or passes the wrong argument count
-simply does not compile.  Our reproduction declares interfaces at
-runtime (:func:`repro.idl.register_interface`), so a bad call site only
-surfaces when a test happens to execute it.  This module restores the
-compile-time guarantee statically:
+The runtime already enforces the IDL at every call, the way an ORB
+does: :meth:`OCSRuntime.invoke` resolves the operation through its
+interface's call plan and checks the argument count, so a call that
+names a missing operation or passes the wrong count fails the first
+time any test runs it.  What a call site can get wrong that no call
+fails on is what these rules check, statically:
 
 1. :func:`registry_model` imports every ``repro`` module and takes the
    interfaces they registered from :data:`repro.idl.interface_registry`
-   -- the same definitions :meth:`OCSRuntime.invoke` enforces -- into a
+   -- the same definitions the runtime enforces -- into a
    :class:`ProtocolModel`.
 
 2. The P-rules then classify every ``invoke(ref, "method", args)`` and
    ``proxy.call("method", ...)`` site in the tree against the model:
 
-   - P001: the operation name is not declared by any interface;
-   - P002: the literal argument tuple matches no declared arity;
-   - P003: the call awaits a reply from a ``oneway`` operation;
    - P004: a two-way call's future is ``.detach()``-ed, silently
      dropping the reply (and any marshalled exception);
    - P005: a function that holds a ``deadline`` budget issues a call
@@ -64,13 +61,13 @@ class ProtocolModel:
 
         Call sites rarely pin the interface statically (references flow
         through the name service), so a site checks against the union:
-        unknown only when *no* interface declares the name, arity-bad
-        only when *no* declaration accepts the count.  Conservative by
-        construction -- zero false positives at the price of letting a
-        cross-interface confusion through (the runtime check still
-        catches those).  Each pair names the interface that declares
-        the operation; bases are in the model too, so inherited
-        operations are covered.
+        a detached reply is flagged only when *no* declaration of the
+        name is oneway (the db's ``applyUpdates`` is two-way, the NS
+        one oneway).  Conservative by construction -- zero false
+        positives at the price of letting a cross-interface confusion
+        through.  Each pair names the interface that declares the
+        operation; bases are in the model too, so inherited operations
+        are covered.
         """
         return self._candidates.get(method, [])
 
@@ -122,8 +119,6 @@ class Site:
     node: ast.Call
     style: str                 # "invoke" | "proxy"
     method: Optional[str]      # literal operation name, None = dynamic
-    arity: Optional[int]       # positional argument count, None = unknown
-    awaited: bool = False
     detached: bool = False
     has_deadline: bool = False
     has_kwargs: bool = False
@@ -136,16 +131,8 @@ def _classify_call(node: ast.Call) -> Optional[Site]:
     if attr == _INVOKE_ATTR:
         if len(node.args) < 2:
             return None  # not the invoke(ref, method, args) shape
-        method = _literal_str(node.args[1])
-        arity: Optional[int] = 0
-        if len(node.args) >= 3:
-            args_node = node.args[2]
-            if isinstance(args_node, (ast.Tuple, ast.List)) and not any(
-                    isinstance(e, ast.Starred) for e in args_node.elts):
-                arity = len(args_node.elts)
-            else:
-                arity = None
-        site = Site(node=node, style="invoke", method=method, arity=arity)
+        site = Site(node=node, style="invoke",
+                    method=_literal_str(node.args[1]))
     elif attr == _PROXY_ATTR:
         if not node.args:
             return None
@@ -155,19 +142,13 @@ def _classify_call(node: ast.Call) -> Optional[Site]:
             # An arbitrary `.call(x)` that does not look like the proxy
             # forwarder (`self.call(name, *args, ...)`) is not a site.
             return None
-        rest = node.args[1:]
-        if any(isinstance(a, ast.Starred) for a in rest):
-            arity = None
-        else:
-            arity = len(rest)
-        site = Site(node=node, style="proxy", method=method, arity=arity)
+        site = Site(node=node, style="proxy", method=method)
     else:
         return None
     kw = {k.arg for k in site.node.keywords}
     site.has_deadline = "deadline" in kw
     site.has_kwargs = None in kw
     parent = getattr(node, "parent", None)
-    site.awaited = isinstance(parent, ast.Await)
     if isinstance(parent, ast.Attribute) and parent.attr == "detach" \
             and isinstance(getattr(parent, "parent", None), ast.Call):
         site.detached = True
@@ -249,91 +230,6 @@ class _ProtocolRule(Rule):
     def _exempt(self, ctx: FileContext) -> bool:
         return os.path.basename(ctx.relpath).startswith("test_")
 
-    def sites(self, tree: ast.Module) -> List[Site]:
-        return scan_sites(tree)
-
-
-class UnknownOperationRule(_ProtocolRule):
-    rule_id = "P001"
-    title = "call sites must name a declared operation"
-    rationale = ("An operation name no interface declares fails only at "
-                 "runtime (NoSuchMethod through the future); the IDL "
-                 "compiler the paper relied on rejected it at build time.")
-
-    def __init__(self, model: Optional[ProtocolModel] = None,
-                 coverage: Optional[SiteCoverage] = None):
-        super().__init__(model)
-        self.coverage = coverage
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
-        out = []
-        exempt = self._exempt(ctx)
-        for site in self.sites(tree):
-            if self.coverage is not None and not exempt:
-                self.coverage.note(site)
-            if exempt or site.method is None:
-                continue
-            if not self.model.candidates(site.method):
-                out.append(self.violation(
-                    ctx, site.node,
-                    f"operation {site.method!r} is not declared by any "
-                    "registered interface"))
-        return out
-
-
-class ArityMismatchRule(_ProtocolRule):
-    rule_id = "P002"
-    title = "argument counts must match a declared signature"
-    rationale = ("MethodDef.check_args raises SignatureError at call "
-                 "time; checking the literal argument tuple statically "
-                 "moves the failure to lint time, like IDL stubs did.")
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
-        if self._exempt(ctx):
-            return []
-        out = []
-        for site in self.sites(tree):
-            if site.method is None or site.arity is None:
-                continue
-            cands = self.model.candidates(site.method)
-            if not cands:
-                continue  # P001's problem
-            if any(len(m.params) == site.arity for _, m in cands):
-                continue
-            expect = sorted({len(m.params) for _, m in cands})
-            decls = ", ".join(sorted({f"{iface}.{m.name}"
-                                      f"({', '.join(m.params)})"
-                                      for iface, m in cands}))
-            out.append(self.violation(
-                ctx, site.node,
-                f"{site.method!r} called with {site.arity} argument(s) "
-                f"but declared with {'/'.join(map(str, expect))}: {decls}"))
-        return out
-
-
-class AwaitOnewayRule(_ProtocolRule):
-    rule_id = "P003"
-    title = "oneway operations have no reply to await"
-    rationale = ("A oneway invocation's future resolves immediately -- "
-                 "awaiting it suggests the caller expects delivery "
-                 "confirmation that the protocol never sends.")
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
-        if self._exempt(ctx):
-            return []
-        out = []
-        for site in self.sites(tree):
-            if site.method is None or not site.awaited:
-                continue
-            cands = self.model.candidates(site.method)
-            if cands and all(m.oneway for _, m in cands):
-                out.append(self.violation(
-                    ctx, site.node,
-                    f"awaiting oneway operation {site.method!r}: the reply "
-                    "future resolves immediately and confirms nothing; "
-                    "send and move on (or make the operation two-way)"))
-        return out
-
 
 class DetachedReplyRule(_ProtocolRule):
     rule_id = "P004"
@@ -343,11 +239,18 @@ class DetachedReplyRule(_ProtocolRule):
                  "Await the future, or declare the operation oneway so "
                  "the protocol itself says no reply is coming.")
 
+    def __init__(self, model: Optional[ProtocolModel] = None,
+                 coverage: Optional[SiteCoverage] = None):
+        super().__init__(model)
+        self.coverage = coverage
+
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
         if self._exempt(ctx):
             return []
         out = []
-        for site in self.sites(tree):
+        for site in scan_sites(tree):
+            if self.coverage is not None:
+                self.coverage.note(site)
             if site.method is None or not site.detached:
                 continue
             cands = self.model.candidates(site.method)
@@ -430,7 +333,5 @@ class DeadlinePropagationRule(_ProtocolRule):
 
 def protocol_rules(model: Optional[ProtocolModel] = None) -> List[Rule]:
     """The P-rule set, sharing one model and one coverage census."""
-    coverage = SiteCoverage()
-    return [UnknownOperationRule(model, coverage), ArityMismatchRule(model),
-            AwaitOnewayRule(model), DetachedReplyRule(model),
+    return [DetachedReplyRule(model, SiteCoverage()),
             DeadlinePropagationRule(model)]

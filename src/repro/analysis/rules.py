@@ -1,4 +1,4 @@
-"""The repo-specific rule set (D001..D011).
+"""The repo-specific rule set (D001..D007, D009..D011).
 
 Every rule guards the one invariant the reproduction rests on: two runs
 with the same seed produce byte-identical traces (see
@@ -24,12 +24,6 @@ ORDER_INSENSITIVE_CALLS = {
 #: Methods on sets that yield sets (so set-typedness propagates).
 _SET_METHODS = {"difference", "union", "intersection", "symmetric_difference",
                 "copy"}
-
-#: Calls that create a kernel Future/Task whose result must not be
-#: silently discarded (rule D008).  Not ``start_task``: fire-and-forget
-#: by contract, it returns None unless the coroutine suspended.
-FUTURE_CREATORS = {"create_task", "create_future", "ensure_future",
-                   "spawn_task", "invoke", "gather"}
 
 
 class RandomModuleRule(Rule):
@@ -319,34 +313,6 @@ class PrintRule(Rule):
         return out
 
 
-class FutureLeakRule(Rule):
-    rule_id = "D008"
-    title = "futures must be awaited, kept, or detached"
-    rationale = ("A discarded Future/Task hides failures and leaks "
-                 "never-stepped coroutines at teardown; await it, keep a "
-                 "handle, or mark it fire-and-forget with .detach().")
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
-        out = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Expr):
-                continue
-            call = node.value
-            if not isinstance(call, ast.Call):
-                continue
-            name = None
-            if isinstance(call.func, ast.Attribute):
-                name = call.func.attr
-            elif isinstance(call.func, ast.Name):
-                name = call.func.id
-            if name in FUTURE_CREATORS:
-                out.append(self.violation(
-                    ctx, node,
-                    f"result of `{name}(...)` is discarded; await it, "
-                    "keep the handle, or chain .detach()"))
-        return out
-
-
 class RawFaultSurfaceRule(Rule):
     rule_id = "D009"
     title = "fault injection goes through repro.chaos"
@@ -472,7 +438,7 @@ def default_rules() -> List[Rule]:
     from repro.analysis.protocol import protocol_rules
     return [RandomModuleRule(), WallClockRule(), UnorderedIterationRule(),
             HashSeedRule(), ExceptionSwallowRule(), LayeringRule(),
-            PrintRule(), FutureLeakRule(), RawFaultSurfaceRule(),
+            PrintRule(), RawFaultSurfaceRule(),
             DeadlineRule(), ClockWriteRule()] + protocol_rules() + [
                 StaleSuppressionRule()]
 

@@ -71,7 +71,7 @@ def _cmd_inventory(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import lint_paths
+    from repro.analysis.engine import lint_paths
     import os
     missing = [p for p in args.paths if not os.path.exists(p)]
     if missing:
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="determinism, layering & protocol-conformance linter "
-                     "(D001-D011, P001-P005, W001)")
+                     "(D001-D007, D009-D011, P004, P005, W001)")
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories to lint (default src/repro)")
     lint.add_argument("--stats", action="store_true",

@@ -74,6 +74,28 @@ class Node:
                 if n != SELECTOR_NAME]
 
 
+# The two tree walks are module functions: a recursive closure holds
+# itself through its own cell, a reference cycle per call.
+
+def _leaf_bindings(prefix: List[str],
+                   node: Node) -> Iterator[Tuple[str, ObjectRef]]:
+    if node.kind == "leaf":
+        if node.ref is not None:
+            yield join_name(prefix), node.ref
+        return
+    if node.kind == "replicated" and node.selector[0] == "object":
+        yield join_name(prefix + [SELECTOR_NAME]), node.selector[1]
+    for name, child in sorted(node.bindings.items()):
+        yield from _leaf_bindings(prefix + [name], child)
+
+
+def _context_paths(prefix: List[str], node: Node, out: List[str]) -> None:
+    if node.is_context():
+        out.append(join_name(prefix))
+        for name, child in node.bindings.items():
+            _context_paths(prefix + [name], child, out)
+
+
 class NameStore:
     """One replica's copy of the name space (its cursor is the change
     log's: :mod:`repro.core.naming.replica`)."""
@@ -114,17 +136,7 @@ class NameStore:
         This is the set the master's audit submits to the RAS (section
         4.7): every object in the name space is checked for liveness.
         """
-        def walk(prefix: List[str], node: Node) -> Iterator[Tuple[str, ObjectRef]]:
-            if node.kind == "leaf":
-                if node.ref is not None:
-                    yield join_name(prefix), node.ref
-                return
-            if node.kind == "replicated" and node.selector[0] == "object":
-                yield join_name(prefix + [SELECTOR_NAME]), node.selector[1]
-            for name, child in sorted(node.bindings.items()):
-                yield from walk(prefix + [name], child)
-
-        yield from walk([], self.root)
+        yield from _leaf_bindings([], self.root)
 
     # -- updates -----------------------------------------------------------
 
@@ -233,12 +245,5 @@ class NameStore:
     def context_paths(self) -> List[str]:
         """All context/replicated paths (for exporting context objects)."""
         out: List[str] = []
-
-        def walk(prefix: List[str], node: Node) -> None:
-            if node.is_context():
-                out.append(join_name(prefix))
-                for name, child in node.bindings.items():
-                    walk(prefix + [name], child)
-
-        walk([], self.root)
+        _context_paths([], self.root, out)
         return sorted(out)

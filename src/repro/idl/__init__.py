@@ -8,8 +8,9 @@ runtime type identification that object references carry (``type_id``)
 and the same subtype relation that lets a ``FileSystemContext`` be used
 wherever a ``NamingContext`` is expected.  There is no generated stub: a
 call is ``runtime.invoke(ref, "op", args)`` or ``proxy.call("op", ...)``,
-checked against the declaration at run time (``InterfaceDef.plan``) and
-statically by lint rules P001-P005 (``repro.analysis.protocol``).
+checked against the declaration at run time (``InterfaceDef.plan``,
+``MethodDef.check_args``); lint rules P004 and P005
+(``repro.analysis.protocol``) check what no call fails on.
 """
 
 from repro.idl.errors import IDLError, NoSuchMethod, SignatureError, UnknownInterface

@@ -135,13 +135,12 @@ class Future:
         return True
 
     def detach(self) -> "Future":
-        """Declare this future fire-and-forget (linter rule D008).
+        """Declare this future fire-and-forget.
 
         The creator promises nothing will await the result: background
         loops that live until their process dies, best-effort
-        notifications, and the like.  Detaching is an explicit statement
-        of intent, so a discarded future is always a reviewable event.
-        Returns ``self`` so creation sites read
+        notifications, and the like.  Lint rule P004 flags a detached
+        two-way reply.  Returns ``self`` so creation sites read
         ``kernel.create_task(coro).detach()``.
         """
         self._detached = True
@@ -165,9 +164,17 @@ class Future:
     def __await__(self):
         if self._state == _PENDING:
             yield self
-        if self._state == _DONE and self._exception is None:
-            return self._result
-        return self.result()
+        if self._state == _DONE:
+            if self._exception is None:
+                return self._result
+            # The error's traceback holds this frame: drop the frame's
+            # reference to the future, which holds the error, so the
+            # two make no cycle.
+            try:
+                raise self._exception
+            finally:
+                self = None
+        return self.result()    # cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Future {self._state} at t={self._kernel.now:.3f}>"
@@ -250,6 +257,10 @@ class Task(Future):
         except BaseException as err:  # repro: noqa D005 - the task stepper is the propagation boundary; failures land in the future
             self._finish(exception=err)
             return
+        finally:
+            # A thrown cancellation's traceback holds this frame; drop
+            # the frame's reference to it so the two make no cycle.
+            exc = None
         self._park(yielded)
 
     def _park(self, yielded: Any) -> None:
@@ -272,9 +283,10 @@ class Task(Future):
             return
         if fut._state == _CANCELLED:
             self._step(exc=CancelledError(f"task {self.name!r} cancelled"))
-        elif fut._exception is not None:
-            self._step(exc=fut._exception)
         else:
+            # A failed future raises its own error from ``__await__``:
+            # thrown in here, the error's traceback would hold the
+            # awaiting frame and with it the future, a reference cycle.
             self._step(send_value=fut._result)
 
     def _finish(self, result: Any = None, exception: Optional[BaseException] = None,

@@ -3,7 +3,7 @@
 Covers the three legs of the invariant: seeded substreams are stable
 across interpreter runs and independent of each other, the reference
 failover scenario traces byte-identically when run twice, and detached
-tasks/futures (linter rule D008) behave as declared.
+tasks/futures behave as declared.
 """
 
 import difflib
@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import reference_scenario_trace
-from repro.analysis.determinism import format_trace_line
+from repro.analysis.determinism import (format_trace_line,
+                                        reference_scenario_trace)
 from repro.cluster.builder import build_full_cluster
 from repro.net import Message, Network, server_ip
 from repro.ocs import OCSRuntime

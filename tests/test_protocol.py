@@ -1,4 +1,4 @@
-"""Protocol conformance checker (P001-P005): the model + rules.
+"""Protocol conformance checker (P004, P005): the model + rules.
 
 The checker's model is the interface registry the runtime enforces,
 filled by importing every ``repro`` module; then every ``invoke``/proxy
@@ -11,17 +11,11 @@ import ast
 import inspect
 import os
 
-from repro.analysis import (
-    default_model,
-    default_rules,
-    lint_paths,
-    lint_source,
-    protocol_rules,
-)
-from repro.analysis.engine import annotate_parents
-from repro.analysis.protocol import registry_model, scan_sites
-from repro.analysis.rules import RawFaultSurfaceRule
-from repro.idl import register_interface
+from repro.analysis.engine import annotate_parents, lint_paths, lint_source
+from repro.analysis.protocol import (default_model, protocol_rules,
+                                     registry_model, scan_sites)
+from repro.analysis.rules import RawFaultSurfaceRule, default_rules
+from repro.idl import MethodDef, register_interface
 from repro.net.network import Network
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,19 +64,22 @@ class TestModelExtraction:
 
     def test_candidates_union_across_interfaces(self):
         model = default_model()
-        arities = {len(m.params) for _, m in model.candidates("open")}
-        # MDS.open (4 args) and MMS.open (2 args) both answer to "open".
-        assert {2, 4} <= arities
+        oneway = {iface: m.oneway
+                  for iface, m in model.candidates("applyUpdates")}
+        # Both replication streams answer to "applyUpdates"; a detached
+        # one is judged against the union, so it is never flagged.
+        assert oneway == {"Database": False, "NameReplica": True}
 
     def test_interfaces_registered_outside_repro_stay_out(self):
-        # Declared here, the fixture's unknown op must still be unknown:
-        # a model that took every registered interface would go blind.
-        register_interface("ProtocolTestFrobnicator",
-                           {"frobnicate": ("x",)})
+        # Declared oneway here, the fixture's detached "put" must still
+        # be flagged: a model that took every registered interface would
+        # go blind.
+        register_interface("ProtocolTestFrobnicator", {
+            "put": MethodDef("put", ("table", "key", "value"), oneway=True)})
         model = registry_model()
         assert "ProtocolTestFrobnicator" not in model.interfaces
-        violations = lint_fixture("p001_unknown.py", protocol_rules(model))
-        assert hits(violations, "P001") == [("P001", 5), ("P001", 6)]
+        violations = lint_fixture("p004_detach.py", protocol_rules(model))
+        assert hits(violations, "P004") == [("P004", 5)]
 
 
 class TestRawFaultSurface:
@@ -100,23 +97,6 @@ class TestRawFaultSurface:
 
 
 class TestProtocolRules:
-    def test_p001_unknown_operation(self):
-        violations = lint_fixture("p001_unknown.py")
-        assert hits(violations, "P001") == [("P001", 5), ("P001", 6)]
-
-    def test_p002_arity_mismatch(self):
-        violations = lint_fixture("p002_arity.py")
-        assert hits(violations, "P002") == [("P002", 5), ("P002", 6)]
-
-    def test_p002_message_names_declarations(self):
-        violations = lint_fixture("p002_arity.py")
-        first = [v for v in violations if v.rule == "P002"][0]
-        assert "guess" in first.message and "3" in first.message
-
-    def test_p003_await_oneway(self):
-        violations = lint_fixture("p003_await_oneway.py")
-        assert hits(violations, "P003") == [("P003", 5)]
-
     def test_p004_detached_two_way(self):
         violations = lint_fixture("p004_detach.py")
         assert hits(violations, "P004") == [("P004", 5)]
@@ -128,9 +108,13 @@ class TestProtocolRules:
         assert hits(violations, "P005") == [("P005", 5), ("P005", 16)]
 
     def test_rules_exempt_test_files(self):
-        source = "async def f(r, ref):\n    await r.invoke(ref, 'nope', ())\n"
+        source = ("def f(r, ref, deadline):\n"
+                  "    r.invoke(ref, 'put', (), timeout=1.0).detach()\n")
         assert lint_source(source, "test_x.py", default_rules(),
                            relpath="test_x.py") == []
+        assert [v.rule for v in lint_source(source, "x.py", default_rules(),
+                                            relpath="db/x.py")] == \
+            ["P004", "P005"]
 
 
 class TestScopeEdgeCases:
@@ -151,9 +135,8 @@ class TestFalsifiability:
 
     def test_sabotage_module_is_flagged(self):
         violations = lint_fixture("sabotage_protocol.py")
-        assert hits(violations, "P002") == [("P002", 14)]
-        assert hits(violations, "P001") == [("P001", 16)]
-        assert hits(violations, "P004") == [("P004", 18)]
+        assert hits(violations, "P005") == [("P005", 13)]
+        assert hits(violations, "P004") == [("P004", 15)]
 
 
 def _method_holding(node):
@@ -178,7 +161,7 @@ class TestCoverage:
         assert "100.0%" in stats
 
     def test_dynamic_sites_are_the_named_forwarders(self):
-        # A computed operation name escapes P001-P005, so the tree keeps
+        # A computed operation name escapes P004, so the tree keeps
         # exactly these forwarders and no attribute-call sugar.
         owners = set()
         for dirpath, _dirs, files in os.walk(SRC):

@@ -403,6 +403,38 @@ class TestAwaitPath:
         assert seen == ["ready", "KeyError('k')",
                         "CancelledError('future was cancelled')", 0]
 
+    def test_a_failed_await_leaves_no_reference_cycle(self, kernel):
+        # Every remote error (NoSuchKey, CallTimeout, ...) reaches its
+        # caller through a failed future.  Neither the error nor the
+        # future may be left for the cycle collector.
+        def fail_later(exc):
+            fut = kernel.create_future()
+            kernel.call_later(1.0, fut.set_exception, exc)
+            return fut
+
+        async def main():
+            try:
+                await fail_later(KeyError("k"))
+            except KeyError:
+                return "handled"
+
+        gc.collect()
+        task = kernel.create_task(main(), "main")
+        kernel.run()
+        assert task.result() == "handled"
+        assert gc.collect() == 0
+
+    def test_a_cancelled_await_leaves_no_reference_cycle(self, kernel):
+        async def main():
+            await kernel.create_future()
+
+        gc.collect()
+        task = kernel.create_task(main(), "main")
+        kernel.call_later(1.0, task.cancel)
+        kernel.run()
+        assert task.cancelled()
+        assert gc.collect() == 0
+
     def test_set_result_without_waiters_schedules_nothing(self, kernel):
         fut = kernel.create_future()
         seen = []
