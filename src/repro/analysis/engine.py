@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import os
 import re
 import tokenize
@@ -214,13 +213,10 @@ def _stale_suppressions(ctx: FileContext, found: Sequence[Violation],
 
 @dataclass
 class LintReport:
-    """Violations plus the file census, with text renderers for the CLI."""
+    """Violations plus the file count, with a text renderer for the CLI."""
 
     violations: List[Violation]
     files_checked: int
-    #: call-site census from the protocol checker (None when the rule
-    #: set carried no P-rules); see repro.analysis.protocol.SiteCoverage.
-    protocol: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -230,41 +226,6 @@ class LintReport:
         lines = [v.format() for v in self.violations]
         lines.append(f"{len(self.violations)} violation(s) in "
                      f"{self.files_checked} file(s) checked")
-        return lines
-
-    def to_json(self) -> str:
-        doc: Dict[str, object] = {
-            "ok": self.ok,
-            "files_checked": self.files_checked,
-            "violations": [{"rule": v.rule, "path": v.path, "line": v.line,
-                            "col": v.col, "message": v.message}
-                           for v in self.violations],
-        }
-        if self.protocol is not None:
-            doc["protocol_coverage"] = self.protocol.to_dict()
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    def stats_lines(self) -> List[str]:
-        """Violations grouped by rule and by file (``--stats`` output)."""
-        by_rule: Dict[str, int] = {}
-        by_file: Dict[str, int] = {}
-        for v in self.violations:
-            by_rule[v.rule] = by_rule.get(v.rule, 0) + 1
-            by_file[v.path] = by_file.get(v.path, 0) + 1
-        lines = ["== violations by rule =="]
-        for rule in sorted(by_rule):
-            lines.append(f"  {rule}: {by_rule[rule]}")
-        if not by_rule:
-            lines.append("  (none)")
-        lines.append("== violations by file ==")
-        for path in sorted(by_file):
-            lines.append(f"  {path}: {by_file[path]}")
-        if not by_file:
-            lines.append("  (none)")
-        if self.protocol is not None:
-            lines.extend(self.protocol.stats_lines())
-        lines.append(f"total: {len(self.violations)} violation(s) in "
-                     f"{self.files_checked} file(s)")
         return lines
 
 
@@ -280,10 +241,4 @@ def lint_paths(paths: Sequence[str],
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
         violations.extend(lint_source(source, path, rules))
-    coverage = None
-    for rule in rules:
-        coverage = getattr(rule, "coverage", None)
-        if coverage is not None:
-            break
-    return LintReport(violations=violations, files_checked=len(files),
-                      protocol=coverage)
+    return LintReport(violations=violations, files_checked=len(files))

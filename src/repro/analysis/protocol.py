@@ -22,8 +22,7 @@ fails on is what these rules check, statically:
 
 Sites whose operation name is not a string literal (the rebinding
 proxy's own forwarder, the fault injector) are *dynamic*: they cannot be
-checked against a signature, but they are still counted, so
-``repro lint --stats`` can prove the census covers 100% of call sites.
+checked against a signature, and fall back to the runtime check.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import functools
 import importlib
 import os
 import pkgutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import repro
@@ -166,51 +165,6 @@ def scan_sites(tree: ast.Module) -> List[Site]:
     return out
 
 
-@dataclass
-class SiteCoverage:
-    """The census ``repro lint --stats`` reports: every site classified.
-
-    ``checked`` sites carry a literal operation name and were validated
-    against the model; ``dynamic`` sites forward a computed name (the
-    rebinding proxy, the fault injector) and fall back to the runtime
-    check.  checked + dynamic == total is the 100%-coverage invariant.
-    """
-
-    total: int = 0
-    checked: int = 0
-    dynamic: int = 0
-    by_style: Dict[str, int] = field(default_factory=dict)
-
-    def note(self, site: Site) -> None:
-        self.total += 1
-        self.by_style[site.style] = self.by_style.get(site.style, 0) + 1
-        if site.method is None:
-            self.dynamic += 1
-        else:
-            self.checked += 1
-
-    @property
-    def classified(self) -> int:
-        return self.checked + self.dynamic
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"total_sites": self.total, "checked": self.checked,
-                "dynamic": self.dynamic,
-                "by_style": dict(sorted(self.by_style.items())),
-                "coverage": 1.0 if self.total == 0
-                else self.classified / self.total}
-
-    def stats_lines(self) -> List[str]:
-        pct = 100.0 if self.total == 0 else 100.0 * self.classified / self.total
-        styles = ", ".join(f"{k}={v}" for k, v in
-                           sorted(self.by_style.items()))
-        return ["== protocol call-site coverage ==",
-                f"  {self.classified}/{self.total} sites classified "
-                f"({pct:.1f}%): {self.checked} checked against the model, "
-                f"{self.dynamic} dynamic",
-                f"  by style: {styles or '(none)'}"]
-
-
 # ----------------------------------------------------------------------
 # the rules
 # ----------------------------------------------------------------------
@@ -239,18 +193,11 @@ class DetachedReplyRule(_ProtocolRule):
                  "Await the future, or declare the operation oneway so "
                  "the protocol itself says no reply is coming.")
 
-    def __init__(self, model: Optional[ProtocolModel] = None,
-                 coverage: Optional[SiteCoverage] = None):
-        super().__init__(model)
-        self.coverage = coverage
-
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterable[Violation]:
         if self._exempt(ctx):
             return []
         out = []
         for site in scan_sites(tree):
-            if self.coverage is not None:
-                self.coverage.note(site)
             if site.method is None or not site.detached:
                 continue
             cands = self.model.candidates(site.method)
@@ -332,6 +279,6 @@ class DeadlinePropagationRule(_ProtocolRule):
 
 
 def protocol_rules(model: Optional[ProtocolModel] = None) -> List[Rule]:
-    """The P-rule set, sharing one model and one coverage census."""
-    return [DetachedReplyRule(model, SiteCoverage()),
+    """The P-rule set, sharing one model."""
+    return [DetachedReplyRule(model),
             DeadlinePropagationRule(model)]

@@ -42,14 +42,14 @@ FAULT_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "corrupt": (("target", "probability"), ()),
     "gray": (("server", "reply_lag"), ()),
     "clear_link_faults": ((), ()),
-    # -- overload faults (PR 4) ------------------------------------------
+    # -- overload faults -------------------------------------------------
     # load_surge: burst clients hammer ``service`` with ``calls`` short-
     # deadline invocations spread over ``duration`` seconds (flash crowd).
     "load_surge": (("service", "calls"), ("duration", "settop")),
     # slow_consumer: the named service's servants acquire ``lag`` seconds
     # of dequeue delay, so queues build and deadlines expire in-queue.
     "slow_consumer": (("server", "service", "lag"), ()),
-    # -- storage faults (PR 8) -------------------------------------------
+    # -- storage faults --------------------------------------------------
     # disk_lose_unsynced: switch the server's disk to write-barrier mode,
     # so writes not followed by sync() evaporate at the next crash.
     "disk_lose_unsynced": (("server",), ()),

@@ -189,7 +189,7 @@ class FaultInjector:
     def _do_clear_link_faults(self, fault: Fault) -> None:
         self.cluster.net.clear_faults()
 
-    # -- overload faults (PR 4) -------------------------------------------
+    # -- overload faults --------------------------------------------------
 
     def _do_load_surge(self, fault: Fault) -> None:
         """Flash crowd: burst clients on settop hosts hammer one service.
@@ -266,7 +266,7 @@ class FaultInjector:
         if lag > 0:
             self._lagged_runtimes.append(runtime)
 
-    # -- storage faults (PR 8) --------------------------------------------
+    # -- storage faults ---------------------------------------------------
 
     def _do_disk_lose_unsynced(self, fault: Fault) -> None:
         """Writes stop being durable unless sync()ed (volatile write cache)."""

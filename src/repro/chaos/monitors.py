@@ -7,7 +7,7 @@ calling into the cluster -- a probe must not perturb the run).  The
 run and once more after the quiesce, and every violation lands in the
 trace so a failing run's digest pins the failure.
 
-The catalog (DESIGN.md section 9):
+The catalog (DESIGN.md section 13.3):
 
 - at most one CSC believes it is primary (section 6.2);
 - the name service keeps majority agreement: never two masters for
@@ -17,27 +17,27 @@ The catalog (DESIGN.md section 9):
   (section 4.7, ``Params.chaos_audit_bound``);
 - a per-host binding cache never keeps *serving* a dead binding past
   that same bound: coherence is by exception, so a hit on a dead entry
-  must raise-and-invalidate, not mask the failure (PR 5);
+  must raise-and-invalidate, not mask the failure;
 - every settop is either served or its outage is accounted in an
   :class:`AvailabilityTimeline`, and service returns once faults heal
   (section 9.5);
 - a killed process leaks no Future: everything it owned is cancelled
   (section 3.2.1's incarnation rule, enforced at the task layer);
 - no server executes work whose deadline has already expired -- the
-  deadline envelope must be honored on both sides of the queue (PR 4);
+  deadline envelope must be honored on both sides of the queue;
 - admission-gated services keep their queues bounded under any surge:
-  the gate's limits are never exceeded, only shed around (PR 4);
+  the gate's limits are never exceeded, only shed around;
 - every NS/db replica's change-log cursor stays within
   ``REPLICA_LAG_BOUND`` of its primary while live and connected,
-  and matches it exactly after the quiesce (PR 7);
+  and matches it exactly after the quiesce;
 - every write a client saw acknowledged is readable after any
   crash-and-recovery -- the durability contract the sync-before-ack
-  barrier exists to uphold (PR 8, falsifiable by patching
+  barrier exists to uphold (falsifiable by patching
   ``ReplicatedStore.sync_before_ack`` out);
 - no non-idempotent request id executes twice on the same server under
   duplication/reordering/retries -- the at-most-once contract the reply
-  cache exists to uphold -- and no corrupt frame reaches dispatch (PR 9,
-  falsifiable by patching ``OCSRuntime._dedup_key`` to return None or
+  cache exists to uphold -- and no corrupt frame reaches dispatch
+  (falsifiable by patching ``OCSRuntime._dedup_key`` to return None or
   ``OCSRuntime._checksum_fails`` to accept every frame).
 """
 
@@ -318,7 +318,7 @@ class AuditConvergenceMonitor(Monitor):
 
 
 class CacheCoherenceMonitor(Monitor):
-    """A binding cache must not keep *serving* a dead binding (PR 5).
+    """A binding cache must not keep *serving* a dead binding.
 
     Coherence is by exception: a cache may lazily *hold* a dead entry
     forever (nobody is using it, so nobody learns it died), but if
@@ -482,11 +482,12 @@ class FutureLeakMonitor(Monitor):
         return out
 
     def _sweep_pending(self) -> List[Violation]:
-        """PR 4 extension: a shed or dropped call must still resolve the
-        caller's Future.  Any pending client call whose *explicit*
-        deadline passed more than ``LEAK_GRACE`` ago means the reply was
-        lost *and* the local deadline timer never fired -- a leak the
-        shed/expiry paths could introduce."""
+        """A shed or dropped call must still resolve the caller's Future.
+
+        Any pending client call whose *explicit* deadline passed more
+        than ``LEAK_GRACE`` ago means the reply was lost *and* the local
+        deadline timer never fired -- a leak the shed/expiry paths could
+        introduce."""
         now = self.cluster.now
         out: List[Violation] = []
         for runtime in live_runtimes(self.cluster.servers):
@@ -502,7 +503,7 @@ class FutureLeakMonitor(Monitor):
 
 
 class ExpiredWorkMonitor(Monitor):
-    """No server executes work whose deadline already expired (PR 4).
+    """No server executes work whose deadline already expired.
 
     Deadline propagation has two enforcement points -- before enqueue
     and after dequeue -- and the runtime counts any expired call that
@@ -534,7 +535,7 @@ class ExpiredWorkMonitor(Monitor):
 
 
 class QueueBoundMonitor(Monitor):
-    """Admission-gated queues stay within their configured bounds (PR 4).
+    """Admission-gated queues stay within their configured bounds.
 
     The gate's whole contract is that overload becomes *sheds* (bounded
     work, fast ``Overloaded`` replies) rather than unbounded queues; a
@@ -614,7 +615,7 @@ def _gated_runtimes(cluster: Cluster):
 
 
 class ReplicaLagMonitor(Monitor):
-    """Every replica's change-log cursor keeps up with its primary (PR 7).
+    """Every replica's change-log cursor keeps up with its primary.
 
     Probes every NS and db replica's ``ReplicatedStore`` (the ``repl``
     process attachment) from the outside.  Incremental log shipping
@@ -783,7 +784,7 @@ class EvidenceLedger:
 
 
 class DurabilityMonitor(Monitor):
-    """Every acked write is readable after any crash-and-recovery (PR 8).
+    """Every acked write is readable after any crash-and-recovery.
 
     The replication design is primary/backup, not consensus, so the
     contract has a boundary: an ack is *binding* when the host that
@@ -880,7 +881,7 @@ class DurabilityMonitor(Monitor):
 
 
 class AtMostOnceMonitor(Monitor):
-    """No non-idempotent request id executes twice on one server (PR 9).
+    """No non-idempotent request id executes twice on one server.
 
     Under duplication, reordering, and retry-after-timeout the network
     hands a server the same call envelope more than once; the reply

@@ -25,11 +25,11 @@ KILLABLE_SERVICES = ["mds", "rds", "mms", "cmgr", "vod", "shopping", "game",
                      "csc", "ns"]
 
 #: services a generated load_surge / slow_consumer may target: the
-#: admission-gated ones with a known cheap probe operation (PR 4).
+#: admission-gated ones with a known cheap probe operation.
 SURGEABLE_SERVICES = ["vod", "shopping", "mms", "mds"]
 
 #: durable keys a generated disk_corrupt may bit-rot: the replication
-#: state the PR 8 recovery paths must survive losing (PR 8).  The first
+#: state the storage recovery paths must survive losing.  The first
 #: entry key of either change log -- garbling it invalidates the whole
 #: on-disk chain, the worst case the truncate-to-valid-prefix recovery
 #: must absorb -- and the NS log's header, its checkpoint of the name
@@ -186,7 +186,7 @@ def generate_schedule(rng: SeededRandom, n_faults: int = 8,
             faults.append(Fault(at, "duplicate", {
                 "target": _pick_target(rng, n_servers, n_settops),
                 "probability": round(rng.uniform(0.1, 0.5), 3)}))
-        # -- hostile-delivery faults (PR 9) -----------------------------
+        # -- hostile-delivery faults ------------------------------------
         elif roll < 0.805:
             faults.append(Fault(at, "reorder", {
                 "target": _pick_target(rng, n_servers, n_settops),
@@ -201,7 +201,7 @@ def generate_schedule(rng: SeededRandom, n_faults: int = 8,
                 "server": rng.randint(0, n_servers - 1),
                 "reply_lag": round(rng.uniform(0.3, 1.5), 3)}))
         elif roll < 0.88:
-            # Flash crowd against an overload-aware service (PR 4).
+            # Flash crowd against an overload-aware service.
             faults.append(Fault(at, "load_surge", {
                 "service": rng.choice(SURGEABLE_SERVICES),
                 "calls": rng.randint(50, 300),
@@ -211,7 +211,7 @@ def generate_schedule(rng: SeededRandom, n_faults: int = 8,
                 "server": rng.randint(0, n_servers - 1),
                 "service": rng.choice(SURGEABLE_SERVICES),
                 "lag": round(rng.uniform(0.2, 2.0), 3)}))
-        # -- storage faults (PR 8) --------------------------------------
+        # -- storage faults ---------------------------------------------
         elif roll < 0.93:
             faults.append(Fault(at, "disk_lose_unsynced",
                                 {"server": rng.randint(0, n_servers - 1)}))

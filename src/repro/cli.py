@@ -79,17 +79,8 @@ def _cmd_lint(args) -> int:
               file=sys.stderr)
         return 2
     report = lint_paths(args.paths)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.stats:
-        for line in report.stats_lines():
-            print(line)
-    else:
-        for line in report.format_lines():
-            print(line)
-    if args.stats and args.format != "text":
-        for line in report.stats_lines():
-            print(line, file=sys.stderr)
+    for line in report.format_lines():
+        print(line)
     return 0 if report.ok else 1
 
 
@@ -226,11 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "(D001-D007, D009-D011, P004, P005, W001)")
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       help="files or directories to lint (default src/repro)")
-    lint.add_argument("--stats", action="store_true",
-                      help="summarize violations by rule and by file "
-                           "(plus protocol call-site coverage)")
-    lint.add_argument("--format", choices=["text", "json"], default="text",
-                      help="output format: human text or a JSON report")
     lint.set_defaults(fn=_cmd_lint)
 
     chaos = sub.add_parser(

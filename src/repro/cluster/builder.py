@@ -72,9 +72,8 @@ class Cluster:
         for i in range(n_servers):
             host = Host(self.kernel, f"server-{i}")
             self.net.attach(host, server_ip(i))
-            # Like hb_trace above: every disk keeps its PR-7 behavior
-            # (writes durable immediately) unless the run opts into the
-            # crash-consistency fault model.
+            # Like hb_trace above: every disk writes durably at once
+            # unless the run opts into the crash-consistency fault model.
             host.disk.write_barrier = self.params.disk_write_barrier
             self.servers.append(host)
         self.server_ips = [h.ip for h in self.servers]
@@ -217,7 +216,7 @@ class Cluster:
 
     def add_population(self, count: int) -> List[Host]:
         """Attach ``count`` bare settop hosts, round-robin across every
-        neighborhood (PR 5).
+        neighborhood.
 
         Population-scale workloads (:mod:`repro.workloads.population`)
         attach their own lightweight client stack to each host instead
@@ -320,7 +319,7 @@ class Cluster:
     def db_primary_ip(self) -> Optional[str]:
         """Which live db replica currently holds the primary binding.
 
-        Write-through replication (PR 7) routes every write here; tests
+        Write-through replication routes every write here; tests
         and fault schedules use this to aim kill-primary-mid-write
         drills at the right host.
         """

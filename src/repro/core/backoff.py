@@ -37,8 +37,7 @@ class Backoff:
                  max_elapsed: Optional[float] = None):
         # Total-sleep budget: once the sum of returned delays reaches
         # this, next_delay() returns 0.0 and ``exhausted`` turns true.
-        # A retry loop with a deadline must not sleep past it (PR 4
-        # bugfix: loops used to overshoot their own budget).
+        # A retry loop with a deadline must not sleep past it.
         self.max_elapsed = max_elapsed
         self._rng = rng
         self.attempts = 0

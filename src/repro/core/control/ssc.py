@@ -222,7 +222,7 @@ class ServerServiceController:
         return {"host": self.env.host.name,
                 "services": self.running_services()}
 
-    # -- aggregated load reporting (PR 5) ----------------------------------
+    # -- aggregated load reporting -----------------------------------------
 
     def _collect_load_reports(self):
         """Scrape managed services' gate gauges and replica bindings.
@@ -236,7 +236,7 @@ class ServerServiceController:
 
         Replicated services (NS, db) attach a ``ReplicatedStore`` whose
         ``replication_gauges`` -- the change-log cursor and lag behind
-        the primary (PR 7) -- ride the same batch, so a wedged replica
+        the primary -- ride the same batch, so a wedged replica
         shows up in the RAS load feed with no extra wire traffic.
         """
         reports: Dict[str, dict] = {}

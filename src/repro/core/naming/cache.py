@@ -1,4 +1,4 @@
-"""Per-host binding cache with singleflight resolves (PR 5).
+"""Per-host binding cache with singleflight resolves.
 
 The paper's object model validates references *lazily*: "the client will
 detect this on the next attempt to use the object reference" (section

@@ -34,7 +34,7 @@ class NameClient:
     the availability the per-server replication exists to provide
     (section 4.6).  A settop's list comes from its boot parameters.
 
-    ``cache`` plugs in the host's shared :class:`BindingCache` (PR 5):
+    ``cache`` plugs in the host's shared :class:`BindingCache`:
     ``resolve()`` then answers repeats from the cache and coalesces
     concurrent misses into one name-service call.  Coherence is by
     exception -- callers report bad bindings via :meth:`invalidate`

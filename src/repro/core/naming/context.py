@@ -78,7 +78,7 @@ class ContextServant:
     # -- local-only (not replicated) ------------------------------------------
 
     async def reportLoadBatch(self, ctx: CallContext, entries):
-        # PR 5: the SSC's coalesced per-server report.  Selector state
+        # The SSC's coalesced per-server report.  Selector state
         # is per-replica and advisory, so this is deliberately not a
         # replicated mutation.
         for name, member, load in entries:

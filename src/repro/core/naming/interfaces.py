@@ -33,7 +33,7 @@ NAMING_CONTEXT = register_interface(
         # bindings in a replicated context."
         "listRepl": ("name",),
         "setSelector": ("name", "spec"),
-        # PR 5: one coalesced selector-load batch per server per
+        # One coalesced selector-load batch per server per
         # interval; ``entries`` is a list of (path, member, load).
         "reportLoadBatch": ("entries",),
     },
@@ -68,7 +68,7 @@ NAME_REPLICA = register_interface(
     "NameReplica",
     {
         "forwardUpdate": ("op",),
-        # PR 7: the master streams numbered change-log batches; each
+        # The master streams numbered change-log batches; each
         # entry is (seq, epoch, op) and ``from_seq`` is the seq just
         # before the batch so a receiver detects gaps immediately.
         "applyUpdates": MethodDef("applyUpdates", ("from_seq", "entries"),

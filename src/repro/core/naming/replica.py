@@ -44,7 +44,7 @@ from repro.ocs.objref import ANY_INCARNATION, ObjectRef
 from repro.ocs.runtime import CallContext, OCSRuntime
 from repro.sim.host import DiskWedged, Host, Process
 from repro.sim.kernel import Semaphore, gather
-from repro.sim.rand import SeededRandom, stable_seed
+from repro.sim.rand import SeededRandom
 from repro.sim.trace import TraceLog
 
 ROOT_OID = ""
@@ -68,7 +68,7 @@ class NameReplicaProcess:
     """One name-service replica: the ``ns`` process on a server."""
 
     def __init__(self, process: Process, runtime: OCSRuntime, params: Params,
-                 replica_ips: List[str], rng: Optional[SeededRandom] = None,
+                 replica_ips: List[str], rng: SeededRandom,
                  trace: Optional[TraceLog] = None):
         self.process = process
         self.runtime = runtime
@@ -78,7 +78,7 @@ class NameReplicaProcess:
         self.replica_ips = sorted(replica_ips)
         if self.ip not in self.replica_ips:
             raise ValueError(f"{self.ip} not in the replica set {replica_ips}")
-        self.rng = rng or SeededRandom(stable_seed("ns", self.ip))
+        self.rng = rng
         self.trace = trace
         self.store = NameStore()
         self.repl = ReplicatedStore(self, runtime, params, "ns", LOG_KEY,
@@ -397,7 +397,7 @@ class NameReplicaProcess:
         """Online bootstrap: the log's checkpoint, then its retained tail.
 
         The change log reopens self-consistent whatever the disk did to
-        it (PR 8 storage fault model): the tree it checkpointed and the
+        it (storage fault model): the tree it checkpointed and the
         entries that still chain from there.  What it lost is repaired
         from a peer via the normal catch-up -- never a crash, never
         silent divergence.
@@ -687,8 +687,7 @@ class NameReplicaProcess:
 
 
 def start_name_replica(host: Host, network: Network, params: Params,
-                       replica_ips: List[str],
-                       rng: Optional[SeededRandom] = None,
+                       replica_ips: List[str], rng: SeededRandom,
                        trace: Optional[TraceLog] = None,
                        parent: Optional[Process] = None) -> NameReplicaProcess:
     """Spawn the ``ns`` process on ``host`` and return its replica object."""

@@ -30,7 +30,7 @@ NS_PORT = 5000                     # well-known bootstrap port
 # -- resource audit -----------------------------------------------------
 RAS_CALL_TIMEOUT = 2.0             # peer poll RPC deadline
 
-# -- overload control (PR 4, paper section 5.1) -------------------------
+# -- overload control (paper section 5.1) -------------------------------
 LOAD_REPORT_INTERVAL = 5.0         # gate gauges -> RAS + Selectors
 # A viewer-facing call gives up (and the app degrades) after this
 # long: the section 3 responsiveness discipline -- a TV viewer will
@@ -58,17 +58,17 @@ class Params:
     # Total rebind budget when the caller does not pass an explicit
     # ``give_up_after``: every cooldown/backoff sleep inside
     # RebindingProxy.call() is clamped to this budget even with
-    # ``deadline=None`` (PR 5 regression fix).
+    # ``deadline=None``.
     rebind_give_up_after: float = 60.0
 
-    # -- population scale (PR 5, paper sections 5.1 / 9.6) -----------------
+    # -- population scale (paper sections 5.1 / 9.6) -----------------------
     # Per-host binding cache: resolve once, reuse the ref until a use
     # raises StaleReference/InvalidObjectReference or the replica sheds.
     # Off = every resolve() is a name-service round trip (the E15
     # uncached control row).
     binding_cache: bool = True
 
-    # -- overload control (PR 4, paper section 5.1) -----------------------
+    # -- overload control (paper section 5.1) -----------------------------
     # Per-service admission gate: at most admission_max_inflight servant
     # executions with admission_max_queue calls waiting; beyond that the
     # call is shed with Overloaded(retry_after=ADMISSION_RETRY_AFTER).
@@ -85,14 +85,14 @@ class Params:
     # must not see them.
     hb_trace: bool = False
 
-    # -- replication change log (PR 7, devpi-style log shipping) -----------
+    # -- replication change log (devpi-style log shipping) -----------------
     # Entries kept in the on-disk ChangeLog after compaction.  A replica
     # whose cursor falls more than this many updates behind the primary
     # must take the snapshot+tail fallback instead of the O(gap)
     # incremental catch-up.
     changelog_retain: int = 512
 
-    # -- storage fault model (PR 8, repro.sim.host.Disk) -------------------
+    # -- storage fault model (repro.sim.host.Disk) -------------------------
     # Arm the write barrier on every host disk at build time: writes
     # buffer until sync() and a host crash drops the unsynced buffer
     # (power-failure semantics).  Off by default: the barrier itself

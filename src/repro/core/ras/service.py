@@ -37,7 +37,7 @@ register_interface("RAS", {
     # accepts a list of service and settop objects and returns the status
     # of each."
     "checkStatus": ("entities",),
-    # PR 4/5: the SSC pushes every local admission-gated service's
+    # The SSC pushes every local admission-gated service's
     # load/queue gauges here, coalesced into one batch per server per
     # LOAD_REPORT_INTERVAL, so operators (and the chaos monitors) can
     # read saturation off the audit service the paper already routes
@@ -69,7 +69,7 @@ class ResourceAuditService(Service):
         # Source 1: settops, fed by Settop Manager polls.
         self._settop_status: Dict[str, str] = {}
         self._settopmgr_refs: Dict[int, Optional[ObjectRef]] = {}
-        # PR 4: load/queue gauges pushed by local admission-gated
+        # Load/queue gauges pushed by local admission-gated
         # services, keyed by service name.
         self._load_gauges: Dict[str, dict] = {}
         # Metrics for experiments E3/E9.
@@ -213,10 +213,10 @@ class ResourceAuditService(Service):
         except ServiceUnavailable:
             self._settopmgr_refs[nbhd] = None
 
-    # -- PR 4: load gauges ----------------------------------------------
+    # -- load gauges ----------------------------------------------------
 
     def reportLoadBatch(self, ctx: CallContext, reports: dict) -> None:
-        """The local SSC pushed one coalesced gauge batch (PR 5)."""
+        """The local SSC pushed one coalesced gauge batch."""
         for service in sorted(reports):
             gauges = reports[service]
             self._load_gauges[service] = dict(gauges)

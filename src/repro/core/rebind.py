@@ -10,7 +10,7 @@ performance difficulties arise, we can modify the library routine to
 back off when repeating requests for a new service object" -- enabled by
 setting ``Params.rebind_backoff`` (experiment E6 measures both modes).
 
-PR 4 adds overload awareness.  Calls may carry an absolute ``deadline``
+Overload awareness: calls may carry an absolute ``deadline``
 that bounds the whole rebind loop (every retry sleep and per-attempt
 timeout is clamped to the remaining budget), and a replica that sheds
 with :class:`Overloaded` is put on a seeded, jittered client-side
@@ -62,9 +62,9 @@ class RebindingProxy:
         self._rng = rng or SeededRandom(0)
         # ``None`` means "use the params budget".  Either way the value
         # feeds the loop budget in call(), so every cooldown/backoff
-        # sleep is clamped to it even when ``deadline`` is None (the
-        # PR 5 regression fix: a params-supplied give_up_after used to
-        # be advisory text in the final error only).
+        # sleep is clamped to it even when ``deadline`` is None, so a
+        # params-supplied give_up_after bounds the loop, not just the
+        # final error's text.
         if give_up_after is None:
             give_up_after = self._params.rebind_give_up_after
         self._give_up_after = give_up_after
@@ -95,10 +95,10 @@ class RebindingProxy:
 
         Without the report the host's BindingCache would hand the same
         dead/shedding ref straight back on the next resolve and the
-        rebind loop could never make progress (coherence by exception,
-        PR 5).  The ref match inside invalidate() keeps a late failure
-        report from evicting a binding another component already
-        refreshed.
+        rebind loop could never make progress (coherence by
+        exception).  The ref match inside invalidate() keeps a late
+        failure report from evicting a binding another component
+        already refreshed.
         """
         if ref is None or self._ref is not ref:
             return
@@ -197,7 +197,7 @@ class RebindingProxy:
             f"{self._name} unavailable for {self._give_up_after}s: {last_error}")
 
     def _clamped(self, delay: float, budget: float) -> float:
-        """Never sleep past the loop's own budget (PR 4 backoff bugfix)."""
+        """Never sleep past the loop's own budget."""
         return max(0.0, min(delay, budget - self._runtime.kernel.now))
 
     def _retry_delay(self, backoff: float) -> float:

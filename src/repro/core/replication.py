@@ -12,14 +12,14 @@ as the primary is alive.  If the primary fails, its binding will be
 removed from the name service [by the audit].  Subsequently one of the
 backup replicas' bind requests will succeed."
 
-PR 7 adds the :class:`ChangeLog`: a monotonically numbered, disk-
+The :class:`ChangeLog` is a monotonically numbered, disk-
 persisted update log (devpi-style log shipping), and
 :class:`ReplicatedStore`, the one follower protocol over it that the
 name service replicas and the db service share.  The primary appends
 every update and streams ``applyUpdates(from_seq, entries)`` batches; a
 behind replica catches up incrementally from the log in O(gap) ops,
 falling back to a full snapshot only when the log has been truncated
-past its cursor or the histories have forked (DESIGN.md section 13).
+past its cursor or the histories have forked (DESIGN.md section 9).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class NotPrimary(Exception):
 # class *name*; registering the OCS ServiceUnavailable subclass of the
 # same name means the caller materialises a retryable unavailability and
 # rebinds at another replica instead of surfacing a storage internals
-# error (PR 8 storage fault model).
+# error (storage fault model).
 register_exception(RetryableDiskWedged)
 
 # (seq, epoch, op): epoch identifies the reign that appended the entry --
@@ -161,7 +161,7 @@ class ChangeLog:
     after: a crash in between strands orphan keys below the new
     watermark, which never shadow live entries and which reopen sweeps.
 
-    Against the PR 8 storage fault model the log defends itself: every
+    Against the storage fault model the log defends itself: every
     persisted entry carries a chained checksum (``_entry_sum``); reopen
     keeps the longest valid prefix of the chain and deletes every other
     entry key (``recovered_truncated`` counts the cut suffix); a garbage
@@ -427,7 +427,7 @@ def _wire_epoch(epoch):
 
 
 class ReplicatedStore:
-    """The one log-shipping follower protocol (DESIGN.md section 13.2).
+    """The one log-shipping follower protocol (DESIGN.md section 9.3).
 
     Owns a replica's :class:`ChangeLog` and what the name service and
     the db both do over it: ingest a pushed ``(from_seq, entries)``
@@ -596,7 +596,7 @@ class ReplicatedStore:
                 self.log.epoch_at(self.log.seq), self.log.digest)
 
     def replication_gauges(self) -> dict:
-        """Lag gauges scraped into the SSC load-report batch (PR 7)."""
+        """Lag gauges scraped into the SSC load-report batch."""
         if self.log.disk.wedged:
             # The cursor may be ahead of anything the wedged disk made
             # durable: refuse to vouch (the SSC marks the gauges stale).

@@ -5,7 +5,7 @@ host reboots.  One replica runs per configured server; the primary (by
 bind race on ``svc/db``) serializes writes through a monotonically
 numbered, disk-persisted :class:`~repro.core.replication.ChangeLog` and
 streams ``applyUpdates(from_seq, entries)`` batches to the other
-replicas (PR 7, devpi-style log shipping).  A behind replica -- missed
+replicas (devpi-style log shipping).  A behind replica -- missed
 push, restart, or post-failover -- pulls the missing tail from the
 primary's log in O(gap) ops, falling back to a full snapshot only when
 the log was truncated past its cursor or the histories forked.  This is

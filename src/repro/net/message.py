@@ -9,18 +9,18 @@ from typing import Any, Optional, Tuple
 # message carries the signature cost.
 HEADER_BYTES = 256
 
-# Absolute-deadline envelope field (PR 4 overload work): one float64 on
+# Absolute-deadline envelope field (overload control): one float64 on
 # the wire.  Charged explicitly so deadline propagation shows up in the
 # byte accounting rather than hiding in HEADER_BYTES.
 DEADLINE_BYTES = 8
 
-# At-most-once request identity (PR 9): every two-way call envelope
+# At-most-once request identity: every two-way call envelope
 # carries a ``(client_id, call_seq)`` pair so a retry is recognizable as
 # the same logical request.  Charged as a fixed-width field (an 8-byte
 # client hash plus an 8-byte sequence number) like DEADLINE_BYTES.
 REQUEST_ID_BYTES = 16
 
-# Payload checksum (PR 9): one CRC32 over the marshaled frame, so a
+# Payload checksum: one CRC32 over the marshaled frame, so a
 # receiver can reject a corrupted datagram instead of dispatching it.
 CHECKSUM_BYTES = 4
 

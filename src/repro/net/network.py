@@ -11,9 +11,9 @@ Delivery semantics chosen to match what the paper's clients observe:
 
 Every unicast datagram is one kernel event.  Only a broadcast shares
 events, one per run of receivers with an equal arrival delay (DESIGN.md
-section 16.2), and a CBR stream sends the rest of a movie as one
+section 6.3), and a CBR stream sends the rest of a movie as one
 :class:`Segment` datagram whose later chunks arrive on the clock, not as
-events, until something on its path can change (section 16.4).
+events, until something on its path can change (DESIGN.md section 6.4).
 
 The network also keeps per-message-kind counters, which experiment E3
 (RAS message scaling, paper section 7.2.1) reads directly.
@@ -55,7 +55,7 @@ class Segment:
     ``lazy`` rides on the datagram's (chunk 0's), the last at
     ``last_arrival``; ``end``/``end_pos`` are the first unsent chunk's
     ``s_i``/``p_i``.  :meth:`Network.cut_stream` lowers them, then calls
-    the ``watchers``.  DESIGN.md section 16.4.
+    the ``watchers``.  DESIGN.md section 6.4.
     """
 
     def __init__(self, src: Tuple[str, int], dst: Tuple[str, int], kind: str,

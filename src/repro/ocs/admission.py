@@ -100,7 +100,7 @@ class AdmissionGate:
 def coalesce_gauges(gauges_by_service: dict) -> dict:
     """Roll per-service gate gauges up into one server-level snapshot.
 
-    Used by the SSC's aggregated load report (PR 5): the wire carries
+    Used by the SSC's aggregated load report: the wire carries
     one batch per server per interval, and this rollup rides along so
     operators and monitors get a single server-health number without
     re-deriving it.  Keys mirror :meth:`AdmissionGate.gauges`.
@@ -116,7 +116,7 @@ def coalesce_gauges(gauges_by_service: dict) -> dict:
         rollup["shedding"] = rollup["shedding"] or bool(g.get("shedding"))
         rollup["shed_count"] += g.get("shed_count", 0)
         rollup["services"] += 1
-        # Replicated services report their change-log lag (PR 7); the
+        # Replicated services report their change-log lag; the
         # server-level number is the worst replica on this host.
         rollup["repl_lag"] = max(rollup["repl_lag"], g.get("repl_lag", 0))
     return rollup

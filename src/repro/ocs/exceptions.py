@@ -57,7 +57,7 @@ class StaleReference(InvalidObjectReference):
 
 
 class DiskWedged(ServiceUnavailable):
-    """The servant's host disk is wedged (PR 8 storage fault model).
+    """The servant's host disk is wedged (storage fault model).
 
     Shares its name with ``repro.sim.host.DiskWedged`` on purpose: when a
     servant's storage I/O raises the sim-level error, the wire form is
@@ -71,7 +71,7 @@ class DiskWedged(ServiceUnavailable):
 
 
 class Overloaded(ServiceUnavailable):
-    """The servant's admission gate shed this call (PR 4, paper section 5.1).
+    """The servant's admission gate shed this call (paper section 5.1).
 
     The replica is alive but saturated: its inflight + queued work is at
     capacity.  ``retry_after`` is the server's hint for how long a client

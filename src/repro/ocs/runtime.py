@@ -125,7 +125,7 @@ class OCSRuntime:
         self._call_counter = 0
         self.calls_sent = 0
         self.calls_served = 0
-        # Overload controls (PR 4).  ``admission`` is installed by
+        # Overload controls.  ``admission`` is installed by
         # services that opt into load shedding; ``servant_lag`` is a
         # chaos knob (slow_consumer fault) that delays every servant
         # between dequeue and execution so queues genuinely build.
@@ -133,7 +133,7 @@ class OCSRuntime:
         self.servant_lag: float = 0.0
         self.deadline_rejects = 0
         self.expired_executions = 0
-        # At-most-once machinery (PR 9): the reply cache dedups retried
+        # At-most-once machinery: the reply cache dedups retried
         # request ids in front of non-idempotent dispatch, and the
         # checksum guard drops corrupt frames before they reach it.
         self.reply_cache = ReplyCache()

@@ -33,7 +33,7 @@ class Service:
     #: how often a service re-verifies its own name bindings
     BINDING_WATCHDOG_INTERVAL = 15.0
 
-    #: Opt into admission control (PR 4).  True for request-serving
+    #: Opt into admission control.  True for request-serving
     #: application services (VOD, MDS, MMS, shopping, game, DB); left
     #: False for infrastructure the boot path storms by design (RAS,
     #: RDS, boot service, CSC) where shedding would break start-up.
@@ -72,11 +72,11 @@ class Service:
     async def run(self) -> None:
         """Process main: start, then serve until killed.
 
-        Overload reporting (PR 4) no longer spawns a per-service loop
-        here: the SSC scrapes every managed service's admission gauges
-        and replica bindings in-process and sends *one* coalesced
-        ``reportLoadBatch`` per server per ``LOAD_REPORT_INTERVAL``
-        (PR 5) -- O(servers) report messages instead of O(services).
+        Overload reporting spawns no per-service loop here: the SSC
+        scrapes every managed service's admission gauges and replica
+        bindings in-process and sends *one* coalesced
+        ``reportLoadBatch`` per server per ``LOAD_REPORT_INTERVAL`` --
+        O(servers) report messages instead of O(services).
         """
         await self.start()
         await self.kernel.create_future()  # park; tasks do the serving

@@ -28,7 +28,7 @@ register_interface("VOD", {
     "reportPosition": ("title", "position"),
     "clearBookmark": ("title",),
     "listBookmarks": (),
-    # PR 4: catalog answer with a degraded low-bitrate fallback when the
+    # catalog answer with a degraded low-bitrate fallback when the
     # MDS pool is shedding or the caller's deadline is nearly spent.
     "catalog": (),
     # reportPosition/clearBookmark are absolute-value writes (set the

@@ -25,7 +25,7 @@ class SettopApp:
                                   principal=f"{self.name}@{self.host.ip}")
         # Apps come and go with every channel change, but the host's
         # binding cache persists: a fresh app's first resolve of a name
-        # any earlier component resolved is answered locally (PR 5).
+        # any earlier component resolved is answered locally.
         self.names = NameClient(self.runtime, am.boot_params["ns_ips"],
                                 self.params, cache=cache_for(self.host, self.params))
         #: set once start() completes; the AM awaits it before handing

@@ -4,7 +4,7 @@ of interest" (section 3.4.2).
 Presents the channel line-up (venues, section 3.4.3) and asks the AM to
 tune; its "UI" is the list of channels it can describe to the viewer.
 
-PR 4: the navigator's shopping-backed menu degrades gracefully.  When
+The navigator's shopping-backed menu degrades gracefully.  When
 the shopping service (or the database behind it) is shedding load, the
 viewer sees the last good menu from cache -- possibly stale, but on
 screen -- instead of an error.

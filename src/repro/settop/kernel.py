@@ -137,7 +137,7 @@ class SettopKernel:
         am_proc.create_task(self.app_manager.run(), name="appmgr-main").detach()
 
     def _names(self, runtime: OCSRuntime):
-        """A NameClient sharing the settop's binding cache (PR 5)."""
+        """A NameClient sharing the settop's binding cache."""
         from repro.core.naming.cache import cache_for
         from repro.core.naming.client import NameClient
         return NameClient(runtime, self.boot_params["ns_ips"], self.params,

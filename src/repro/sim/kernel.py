@@ -72,7 +72,7 @@ class Future:
     """
 
     __slots__ = ("_kernel", "_state", "_result", "_exception", "_callbacks",
-                 "_detached", "__weakref__")
+                 "__weakref__")
 
     def __init__(self, kernel: "Kernel"):
         self._kernel = kernel
@@ -80,7 +80,6 @@ class Future:
         self._result: Any = None
         self._exception: Optional[BaseException] = None
         self._callbacks: List[Callable[["Future"], None]] = []
-        self._detached = False
 
     @property
     def kernel(self) -> "Kernel":
@@ -143,12 +142,7 @@ class Future:
         two-way reply.  Returns ``self`` so creation sites read
         ``kernel.create_task(coro).detach()``.
         """
-        self._detached = True
         return self
-
-    @property
-    def detached(self) -> bool:
-        return self._detached
 
     def add_done_callback(self, fn: Callable[["Future"], None]) -> None:
         if self._state == _PENDING:

@@ -1,4 +1,4 @@
-"""Population-scale settop workload (PR 5, experiment E15).
+"""Population-scale settop workload (experiment E15).
 
 Drives *thousands* of lightweight settop sessions through the real
 OCS/NS/VOD path to measure what the paper only claims (sections 5.1,

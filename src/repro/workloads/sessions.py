@@ -27,7 +27,7 @@ class SessionStats:
     game_rounds: int = 0
     watch_seconds: float = 0.0
     interruptions: int = 0
-    # PR 4: operations answered by a degraded path (low-bitrate catalog,
+    # operations answered by a degraded path (low-bitrate catalog,
     # cached menu) instead of failing -- the overload success metric.
     degraded: int = 0
 

@@ -135,11 +135,10 @@ class TestRunIsolation:
 
 
 class TestDetach:
-    def test_detach_returns_self_and_marks(self):
+    def test_detach_returns_self(self):
         kernel = Kernel()
         fut = kernel.create_future()
         assert fut.detach() is fut
-        assert fut.detached
 
     def test_unstarted_task_coroutine_closed_quietly(self):
         """Tasks scheduled right before teardown must not leak coroutines.

@@ -42,7 +42,7 @@ from repro.analysis.determinism import reference_scenario_trace
 # lines (seed 3) / +4 (seed 7); wire sizes of the replication messages
 # and the ``repl_lag`` field in SSC load reports shift the timestamps.
 # Backups also now probe the current binding on every AlreadyBound bind
-# retry (stale-binding reclaim, DESIGN.md section 13.4) -- one extra
+# retry (stale-binding reclaim, DESIGN.md section 9.1) -- one extra
 # resolve per backup per retry cycle moves timestamps without changing
 # any event count.  Deliberate protocol change, not drift.
 #

@@ -187,25 +187,6 @@ class TestEngine:
         assert ids == ([f"D00{i}" for i in (1, 2, 3, 4, 5, 6, 7, 9)]
                        + ["D010", "D011", "P004", "P005", "W001"])
 
-    def test_stats_lines(self):
-        report = lint_paths([os.path.join(FIXTURES, "d007_print.py")])
-        stats = "\n".join(report.stats_lines())
-        assert "D007: 1" in stats
-        assert "d007_print.py: 1" in stats
-
-    def test_stats_include_protocol_coverage(self):
-        report = lint_paths([os.path.join(FIXTURES, "d010_deadline.py")])
-        stats = "\n".join(report.stats_lines())
-        assert "call-site coverage" in stats
-
-    def test_json_format(self):
-        import json
-        report = lint_paths([os.path.join(FIXTURES, "d007_print.py")])
-        data = json.loads(report.to_json())
-        assert data["ok"] is False
-        assert data["violations"][0]["rule"] == "D007"
-        assert data["protocol_coverage"]["total_sites"] >= 0
-
 
 #: Each rule's mutation of real program code that nothing else notices:
 #: with it in place, tier-1 (this file and test_protocol.py aside), the

@@ -305,7 +305,6 @@ def test_suspending_calls_build_one_task_each():
         assert len(proc._tasks) == N
         assert {t.name for t in proc._tasks} == {"toy:serve-suspends",
                                                  "toy:serve-awaitable"}
-        assert all(t.detached for t in proc._tasks)
         kernel.run(until=1.0)
     assert tasks.built == N
     assert all(f.done() and f.exception() is None for f in futs)

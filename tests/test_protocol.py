@@ -151,15 +151,6 @@ def _method_holding(node):
 
 
 class TestCoverage:
-    def test_full_tree_classifies_every_call_site(self):
-        report = lint_paths([SRC])
-        cov = report.protocol
-        assert cov is not None
-        assert cov.total >= 90          # the tree's real RPC surface
-        assert cov.classified == cov.total
-        stats = "\n".join(cov.stats_lines())
-        assert "100.0%" in stats
-
     def test_dynamic_sites_are_the_named_forwarders(self):
         # A computed operation name escapes P004, so the tree keeps
         # exactly these forwarders and no attribute-call sugar.

@@ -136,7 +136,7 @@ class TestProcessLifecycle:
         assert proc.start_task(quick()) is None
         assert proc._tasks == []
         pending = [proc.start_task(forever()) for _ in range(3)]
-        assert all(t.detached and t.name == "svc" for t in pending)
+        assert all(t.name == "svc" for t in pending)
         # The adopted tasks go through create_task's amortised prune ...
         for _ in range(40):
             proc.start_task(brief())
