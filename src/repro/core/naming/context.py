@@ -1,10 +1,12 @@
 """Naming context servants: the objects clients actually invoke.
 
-Each name-service replica exports one :class:`ContextServant` per context
-in the tree ("the name service ... creates one object for every context",
-section 9.2).  Servants are thin: they make the client's relative name
-absolute and delegate to the replica, which owns traversal, selector
-invocation, and update forwarding.
+Every context in the tree is one object ("the name service ... creates
+one object for every context", section 9.2).  A replica exports only its
+root's :class:`ContextServant`; any other context's servant is built per
+call from the tree (``NameReplicaProcess._activate``).  Servants are
+thin: they make the client's relative name absolute and delegate to the
+replica, which owns traversal, selector invocation, and update
+forwarding.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ every ``Params.ns_audit_poll`` seconds (section 9.7).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import repro.core.naming.interfaces  # noqa: F401 - registers IDL types
 from repro.core.naming.context import ContextServant
@@ -100,9 +100,10 @@ class NameReplicaProcess:
         self.audit_removals = 0
         self._restore_from_disk()
         # -- exports -------------------------------------------------------
-        self._context_servants: Dict[str, ContextServant] = {}
         self.runtime.export(self, "NameReplica", object_id=REPLICA_OID)
-        self._sync_context_exports()
+        self.runtime.export(ContextServant(self, ""), "NamingContext",
+                            object_id=ROOT_OID)
+        self.runtime.activator = self._activate
         self.process.create_task(self._watchdog(), name="ns-watchdog").detach()
 
     # ------------------------------------------------------------------
@@ -348,7 +349,6 @@ class NameReplicaProcess:
         seq = self.changelog.append(op, self.epoch)
         self.repl.sync_before_ack()
         self.updates_applied += 1
-        self._sync_context_exports()
         self.emit("update", seq=seq, op=op[0], path=op[1])
         # The master is the decision point for this name-space mutation;
         # replica ingests are fan-out copies of the same decision and do
@@ -372,22 +372,24 @@ class NameReplicaProcess:
             ledger.ack_ns(self.ip, self.epoch, seq, op)
         return seq
 
-    def _sync_context_exports(self) -> None:
-        """Keep one exported context object per tree context (section 9.2)."""
-        wanted = set(self.store.context_paths())
-        current = set(self._context_servants)
-        for path in sorted(wanted - current):
-            servant = ContextServant(self, path)
-            self._context_servants[path] = servant
-            self.runtime.export(servant, self._kind_of(path),
-                                object_id=_context_oid(path))
-        for path in sorted(current - wanted):
-            del self._context_servants[path]
-            self.runtime.unexport(_context_oid(path))
-
-    def _kind_of(self, path: str) -> str:
-        node = self.store.get_node(path)
-        return "ReplicatedContext" if node.kind == "replicated" else "NamingContext"
+    def _activate(self, object_id: str):
+        """The servant of ``ctx:<path>``, built per call from the tree:
+        contexts "are persistent so that they can be activated on
+        demand" (section 9.2)."""
+        if not object_id.startswith("ctx:"):
+            return None
+        path = object_id[4:]
+        try:
+            node = self.store.get_node(path)
+        except NamingError:
+            return None
+        # Only a context's one spelling names it: not ``ctx:`` for the
+        # root, nor a path with a leading or trailing slash.
+        if (not node.is_context()
+                or _context_oid(join_name(split_name(path))) != object_id):
+            return None
+        type_id = "ReplicatedContext" if node.kind == "replicated" else "NamingContext"
+        return ContextServant(self, path), type_id
 
     # ------------------------------------------------------------------
     # state transfer and restart: what ReplicatedStore asks of its owner
@@ -429,7 +431,6 @@ class NameReplicaProcess:
     def apply_op(self, seq: int, op: tuple) -> None:
         self.store.apply(op)
         self.updates_applied += 1
-        self._sync_context_exports()
 
     def caught_up(self, from_seq: int, applied: int) -> bool:
         # Zero-op pulls are reported too: a new reign's fork check that
@@ -443,7 +444,6 @@ class NameReplicaProcess:
 
     def install_snapshot(self, body: dict) -> None:
         self.store.load_snapshot(body)
-        self._sync_context_exports()
 
     # ------------------------------------------------------------------
     # election (Echo-style majority voting)

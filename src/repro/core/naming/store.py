@@ -74,8 +74,8 @@ class Node:
                 if n != SELECTOR_NAME]
 
 
-# The two tree walks are module functions: a recursive closure holds
-# itself through its own cell, a reference cycle per call.
+# The tree walk is a module function: a recursive closure holds itself
+# through its own cell, a reference cycle per call.
 
 def _leaf_bindings(prefix: List[str],
                    node: Node) -> Iterator[Tuple[str, ObjectRef]]:
@@ -87,13 +87,6 @@ def _leaf_bindings(prefix: List[str],
         yield join_name(prefix + [SELECTOR_NAME]), node.selector[1]
     for name, child in sorted(node.bindings.items()):
         yield from _leaf_bindings(prefix + [name], child)
-
-
-def _context_paths(prefix: List[str], node: Node, out: List[str]) -> None:
-    if node.is_context():
-        out.append(join_name(prefix))
-        for name, child in node.bindings.items():
-            _context_paths(prefix + [name], child, out)
 
 
 class NameStore:
@@ -241,9 +234,3 @@ class NameStore:
             return node
 
         self.root = decode(snap["root"])
-
-    def context_paths(self) -> List[str]:
-        """All context/replicated paths (for exporting context objects)."""
-        out: List[str] = []
-        _context_paths([], self.root, out)
-        return sorted(out)

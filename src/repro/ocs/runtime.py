@@ -121,6 +121,10 @@ class OCSRuntime:
         self.credentials: Any = None
         self.verifier: Optional[Callable[[Any, str], bool]] = None
         self._exports: Dict[str, _Export] = {}
+        # Activation on demand (section 9.2): the owner of per-object
+        # ids it does not export maps such an id to ``(servant, type_id)``,
+        # or to None when no object stands behind it.
+        self.activator: Optional[Callable[[str], Optional[Tuple[Any, str]]]] = None
         self._pending: Dict[int, _PendingCall] = {}
         self._call_counter = 0
         self.calls_sent = 0
@@ -178,8 +182,9 @@ class OCSRuntime:
         a method of the same name taking the :class:`CallContext` first,
         ``def`` or ``async def`` alike.  A separate servant class is for
         per-object state only: the dynamically created objects (MDS
-        movies, naming contexts, files, selectors), which pass an
-        explicit ``object_id``.
+        movies, selectors), which pass an explicit ``object_id``.
+        Naming contexts and files are not exported one by one: their
+        service builds the servant per call through :attr:`activator`.
         ``single_threaded`` serializes calls through a queue, modelling
         the paper's single-threaded services that could not answer pings
         while busy (section 7.2).
@@ -201,9 +206,6 @@ class OCSRuntime:
 
     def unexport(self, object_id: str = "") -> None:
         self._exports.pop(object_id, None)
-
-    def is_exported(self, object_id: str = "") -> bool:
-        return object_id in self._exports
 
     # -- client side -----------------------------------------------------
 
@@ -320,6 +322,10 @@ class OCSRuntime:
         call_id = payload["call_id"]
         object_id = payload["object_id"]
         export = self._exports.get(object_id)
+        if export is None and self.activator is not None:
+            found = self.activator(object_id)
+            if found is not None:
+                export = _Export(found[0], lookup_interface(found[1]))
         incarnation_ok = (payload["incarnation"] == self.process.incarnation
                           or payload["incarnation"] == ANY_INCARNATION)
         if export is None or not incarnation_ok:

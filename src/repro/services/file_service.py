@@ -51,7 +51,9 @@ class FileService(Service):
     service_name = "fileservice"
 
     async def start(self) -> None:
-        self.root_ref = self._export_context("")
+        self.root_ref = self.runtime.export(_FSContextServant(self, ""),
+                                            "FileSystemContext")
+        self.runtime.activator = self._activate
         await self.register_objects([self.root_ref])
         # Figure 8: file service contexts bound per server under "files".
         await self.bind_as_replica("files", self.host.ip, self.root_ref,
@@ -82,39 +84,39 @@ class FileService(Service):
             raise AlreadyBound(path)
         self.host.disk.write(self._disk_key(path),
                              {"size": size, "mtime": self.kernel.now})
-        return self._export_file(path)
+        return self._file_ref(path)
 
     def remove_file(self, path: str) -> None:
         if self.file_meta(path) is None:
             raise NameNotFound(path)
         self.host.disk.delete(self._disk_key(path))
-        self.runtime.unexport(f"file:{path}")
 
     def make_dir(self, path: str) -> None:
         # Directories are implied by children; a marker makes empties real.
         self.host.disk.write(self._disk_key(path) + "/.", {"dir": True})
 
-    # -- object export -----------------------------------------------------------
+    # -- objects, activated on demand from the disk ------------------------
 
-    def _export_context(self, path: str) -> ObjectRef:
-        object_id = "" if path == "" else f"dir:{path}"
-        if not self.runtime.is_exported(object_id):
-            self.runtime.export(_FSContextServant(self, path),
-                                "FileSystemContext", object_id=object_id)
-        from repro.ocs.objref import ObjectRef as _Ref
-        return _Ref(ip=self.host.ip, port=self.runtime.port,
-                    incarnation=self.process.incarnation,
-                    type_id="FileSystemContext", object_id=object_id)
+    def _activate(self, object_id: str):
+        kind, _, path = object_id.partition(":")
+        if kind == "dir" and path and self.is_dir(path):
+            return _FSContextServant(self, path), "FileSystemContext"
+        # A directory's "." marker is on the disk but is no file.
+        if (kind == "file" and not path.endswith("/.")
+                and self.file_meta(path) is not None):
+            return _FileServant(self, path), "File"
+        return None
 
-    def _export_file(self, path: str) -> ObjectRef:
-        object_id = f"file:{path}"
-        if not self.runtime.is_exported(object_id):
-            self.runtime.export(_FileServant(self, path), "File",
-                                object_id=object_id)
-        from repro.ocs.objref import ObjectRef as _Ref
-        return _Ref(ip=self.host.ip, port=self.runtime.port,
-                    incarnation=self.process.incarnation,
-                    type_id="File", object_id=object_id)
+    def _context_ref(self, path: str) -> ObjectRef:
+        return ObjectRef(ip=self.host.ip, port=self.runtime.port,
+                         incarnation=self.process.incarnation,
+                         type_id="FileSystemContext",
+                         object_id=f"dir:{path}" if path else "")
+
+    def _file_ref(self, path: str) -> ObjectRef:
+        return ObjectRef(ip=self.host.ip, port=self.runtime.port,
+                         incarnation=self.process.incarnation,
+                         type_id="File", object_id=f"file:{path}")
 
 
 class _FSContextServant:
@@ -131,12 +133,12 @@ class _FSContextServant:
     def _resolve_local(self, name: str) -> ObjectRef:
         path = self._abs(name)
         if path == self._path:
-            return self._svc._export_context(self._path)
+            return self._svc._context_ref(self._path)
         meta = self._svc.file_meta(path)
         if meta is not None:
-            return self._svc._export_file(path)
+            return self._svc._file_ref(path)
         if self._svc.is_dir(path):
-            return self._svc._export_context(path)
+            return self._svc._context_ref(path)
         raise NameNotFound(path)
 
     # -- NamingContext operations ---------------------------------------
@@ -170,10 +172,10 @@ class _FSContextServant:
         for child in self._svc.list_dir(path):
             child_path = join_name(split_name(path) + [child])
             if self._svc.file_meta(child_path) is not None:
-                out.append((child, "leaf", self._svc._export_file(child_path)))
+                out.append((child, "leaf", self._svc._file_ref(child_path)))
             else:
                 out.append((child, "context",
-                            self._svc._export_context(child_path)))
+                            self._svc._context_ref(child_path)))
         return out
 
     async def listRepl(self, ctx: CallContext, name: str):

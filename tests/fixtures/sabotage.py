@@ -183,3 +183,56 @@ def wedged_replica_log(kind="db"):
         yield
     finally:
         FaultInjector.inject, ReplicatedStore.ingest = inject, ingest
+
+
+@contextmanager
+def unbounded_admission_queue():
+    """``AdmissionGate.try_admit`` forgets ``max_queue``.
+
+    The gate then sheds only while inflight work is full, so under a
+    slow consumer (E14) admitted calls pile up in the queue past its
+    bound -- the unbounded queue the gate exists to turn into sheds.
+    The ``queue_bound`` monitor must notice.
+    """
+    from repro.ocs.admission import AdmissionGate
+    original = AdmissionGate.try_admit
+
+    def try_admit(self):
+        if self.inflight >= self.max_inflight:
+            self.shed_count += 1
+            return False
+        self.queued += 1
+        self.admitted += 1
+        self.peak_queue = max(self.peak_queue, self.queued)
+        return True
+
+    AdmissionGate.try_admit = try_admit
+    try:
+        yield
+    finally:
+        AdmissionGate.try_admit = original
+
+
+@contextmanager
+def stop_keeps_movie():
+    """``VODApp.stop`` closes the movie at the MMS but the app keeps
+    holding its reference, so the screen stays on a movie that will
+    never play again.  The chaos quiesce stops every open movie, so each
+    viewing settop ends the run stalled; the ``settop_service`` monitor
+    must notice.  (A stall-recovery sabotage cannot trip that monitor:
+    the quiesce's stop closes every stall before the monitor's final
+    probe.)
+    """
+    from repro.settop.apps.vod import VODApp
+    original = VODApp.stop
+
+    async def stop(self):
+        movie = self.movie
+        await original(self)
+        self.movie = movie
+
+    VODApp.stop = stop
+    try:
+        yield
+    finally:
+        VODApp.stop = original

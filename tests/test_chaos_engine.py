@@ -25,7 +25,8 @@ from repro.chaos import (
 )
 from repro.chaos.faults import parse_target
 from repro.sim.rand import SeededRandom
-from tests.fixtures.sabotage import SPLIT_BRAIN_SCHEDULE, broken_quorum
+from tests.fixtures.sabotage import (SPLIT_BRAIN_SCHEDULE, broken_quorum,
+                                     stop_keeps_movie)
 from tests.helpers import green_chaos_runs
 
 
@@ -156,6 +157,15 @@ class TestSabotageAndMinimizer:
     def test_monitors_catch_split_brain(self, sabotage):
         failing, _ = sabotage
         assert "ns_agreement" in failing.violated_monitors()
+
+    def test_settop_service_trips_when_stop_keeps_the_movie(self):
+        # E13 stays green, and trips exactly settop_service once the
+        # VOD app's stop leaves it holding the closed movie.
+        schedule = FaultSchedule.load("benchmarks/schedules/e13_kills.json")
+        assert run_schedule(schedule, seed=3, settops=2).ok
+        with stop_keeps_movie():
+            result = run_schedule(schedule, seed=3, settops=2)
+        assert result.violated_monitors() == ["settop_service"]
 
     def test_minimizer_shrinks_to_essential_faults(self, sabotage):
         failing, minimized = sabotage

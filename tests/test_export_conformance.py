@@ -9,10 +9,13 @@ many other public methods (``start``, ``emit``, ...) the servant has.
 
 import pytest
 
-from repro.idl import register_interface
+from repro.core.naming.replica import NameReplicaProcess
+from repro.core.naming.store import join_name
+from repro.idl import lookup_interface, register_interface
 from repro.metrics import live_runtimes
 from repro.ocs import RemoteException
 from repro.ocs.objref import ObjectRef
+from repro.services.file_service import FS_DISK_PREFIX
 from tests.helpers import booted_cluster
 
 # What a forger claims the VOD object is: the claimed type passes the
@@ -31,22 +34,57 @@ def full_cluster():
     return cluster
 
 
+def _activatable_ids(owner):
+    """Every id ``owner``'s activator answers: each context of a name
+    replica's tree, each directory and file of a file service's disk."""
+    if isinstance(owner, NameReplicaProcess):
+        stack = [([], owner.store.root)]
+        while stack:
+            prefix, node = stack.pop()
+            if node.is_context():
+                yield f"ctx:{join_name(prefix)}"
+                stack.extend((prefix + [name], child)
+                             for name, child in node.bindings.items())
+        return
+    for key in owner.host.disk.keys(FS_DISK_PREFIX):
+        path = key[len(FS_DISK_PREFIX):]
+        yield f"file:{path}"
+        yield f"dir:{path.rpartition('/')[0]}"
+
+
+def _live_objects(runtime):
+    """``(object_id, servant, interface)`` for the exports and for every
+    object the runtime's owner activates on demand."""
+    for object_id, export in runtime._exports.items():
+        yield object_id, export.servant, export.interface
+    if runtime.activator is not None:
+        for object_id in _activatable_ids(runtime.activator.__self__):
+            found = runtime.activator(object_id)
+            if found is not None:
+                yield object_id, found[0], lookup_interface(found[1])
+
+
 def test_every_export_implements_its_whole_interface(full_cluster):
     cluster = full_cluster
     missing, seen = [], set()
     for runtime in live_runtimes(cluster.servers + cluster.settops):
-        for object_id, export in runtime._exports.items():
-            seen.add(export.interface.name)
-            for op in export.interface.all_methods():
-                if not callable(getattr(export.servant, op, None)):
+        for object_id, servant, interface in _live_objects(runtime):
+            seen.add((type(servant).__name__, interface.name))
+            for op in interface.all_methods():
+                if not callable(getattr(servant, op, None)):
                     missing.append((runtime.process.name, object_id,
-                                    export.interface.name, op))
+                                    interface.name, op))
     assert missing == []
     # The walk really covered the cluster: self-exporting services, the
-    # RAS's second export, per-object servants and an inheriting one.
+    # RAS's second export, per-object servants (exported or activated
+    # on demand) and inheriting ones.
     assert {"VOD", "MMS", "MDS", "RAS", "ObjectStatusCallback",
             "ServiceController", "ClusterController", "NameReplica",
-            "NamingContext", "FileSystemContext", "Database"} <= seen
+            "Database"} <= {interface for _cls, interface in seen}
+    assert {("ContextServant", "NamingContext"),
+            ("ContextServant", "ReplicatedContext"),
+            ("_FSContextServant", "FileSystemContext"),
+            ("_FileServant", "File")} <= seen
 
 
 def test_every_service_is_its_own_servant(full_cluster):

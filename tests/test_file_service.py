@@ -103,6 +103,32 @@ class TestFileOperations:
             cluster.run_async(client.runtime.invoke(ctx, "bind", ("x", ctx)))
 
 
+class TestUpdateDelegation:
+    """Updates through the name service that cross into ``files/<server>``
+    are handed to the file service's context, not applied to the tree."""
+
+    def test_bind_new_context_makes_a_directory(self, cluster, client):
+        path = f"{my_files(cluster)}/viadns"
+        cluster.run_async(client.names.bind_new_context(path))
+        ref = cluster.run_async(client.names.resolve(path))
+        assert ref.type_id == "FileSystemContext"
+
+    def test_unbind_removes_a_file(self, cluster, client):
+        ctx = cluster.run_async(client.names.resolve(my_files(cluster)))
+        cluster.run_async(client.runtime.invoke(ctx, "createFile",
+                                                ("tmp/viadns.txt", 10)))
+        path = f"{my_files(cluster)}/tmp/viadns.txt"
+        cluster.run_async(client.names.unbind(path))
+        with pytest.raises(NameNotFound):
+            cluster.run_async(client.names.resolve(path))
+
+    def test_bind_raises_the_file_services_refusal(self, cluster, client):
+        ctx = cluster.run_async(client.names.resolve(my_files(cluster)))
+        with pytest.raises(NotAContext, match="only binds files"):
+            cluster.run_async(
+                client.names.bind(f"{my_files(cluster)}/x", ctx))
+
+
 class TestPersistence:
     def test_files_survive_service_restart(self):
         cluster = build_full_cluster(n_servers=2, seed=82)

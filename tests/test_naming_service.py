@@ -5,7 +5,7 @@ import pytest
 from repro.core.naming import AlreadyBound, NameClient, NameNotFound
 from repro.core.naming.errors import SelectorFailed
 from repro.net import settop_ip
-from repro.ocs import OCSRuntime, ObjectRef
+from repro.ocs import InvalidObjectReference, OCSRuntime, ObjectRef
 from repro.sim import Host
 
 from tests.helpers import NsWorld
@@ -140,6 +140,32 @@ class TestBindResolve:
         ctx_ref = world.run_async(client.resolve("svc"))
         got = world.run_async(runtime.invoke(ctx_ref, "resolve", ("rds",)))
         assert got == target
+
+    def test_new_context_is_invocable_at_once(self, ns_world):
+        """A context an update creates answers through its reference as
+        soon as the update returns: it is activated per call (section
+        9.2), never exported ahead of time."""
+        world = ns_world
+        _, runtime, client = world.client(world.hosts[1])
+        world.run_async(client.bind_new_context("fresh"))
+        replica = world.replicas[world.hosts[1].ip]
+        ref = replica.context_ref("fresh")
+        world.run_async(runtime.invoke(ref, "bind", ("x", ref)))
+        assert world.run_async(runtime.invoke(ref, "resolve", ("x",))) == ref
+        repl_ref = replica.context_ref("fresh/pool", "replicated")
+        world.run_async(client.bind_repl_context("fresh/pool"))
+        assert world.run_async(
+            runtime.invoke(repl_ref, "listRepl", ("",))) == []
+
+    def test_removed_context_is_no_live_object(self, ns_world):
+        world = ns_world
+        _, runtime, client = world.client(world.hosts[0])
+        world.run_async(client.bind_new_context("gone"))
+        ref = world.run_async(client.resolve("gone"))
+        world.run_async(client.unbind("gone"))
+        with pytest.raises(InvalidObjectReference,
+                           match="no live object 'ctx:gone' here"):
+            world.run_async(runtime.invoke(ref, "list", ("",)))
 
     def test_list_context(self, ns_world):
         world = ns_world

@@ -140,7 +140,6 @@ class TestSnapshot:
         assert other.snapshot() == snap
         assert other.get_node("svc/rds").selector == ("builtin", "neighborhood")
         assert other.get_node("svc/rds/1").ref == ref
-        assert other.context_paths() == store.context_paths()
 
     def test_iter_leaf_bindings(self, store):
         r1, r2 = make_ref(port=1), make_ref(port=2)
@@ -157,8 +156,3 @@ class TestSnapshot:
         assert bindings["svc/mms"] == r1
         assert bindings["svc/rds/1"] == r2
         assert bindings["svc/rds/selector"] == sel
-
-    def test_context_paths(self, store):
-        store.apply(("mkcontext", "svc"))
-        store.apply(("mkrepl", "svc/rds", ("builtin", "first")))
-        assert store.context_paths() == ["", "svc", "svc/rds"]

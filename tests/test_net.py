@@ -213,6 +213,28 @@ class TestDelivery:
         kernel.run()
         assert arrival[0] < 0.001
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "Network.send occupies the source's outbound link before the "
+        "loopback branch replaces the delay with its quantum, so a "
+        "same-host datagram holds the wire it never crosses"))
+    def test_loopback_leaves_the_outbound_link_free(self):
+        def off_host_arrival(loopback_first):
+            kernel = Kernel()
+            net = Network(kernel)
+            a, b = make_server(kernel, net, 0), make_server(kernel, net, 1)
+            arrival = []
+            net.bind_port(a.ip, 5, lambda m: None)
+            net.bind_port(b.ip, 5, lambda m: arrival.append(kernel.now))
+            if loopback_first:
+                net.send(Message(src=(a.ip, 1), dst=(a.ip, 5), kind="local",
+                                 payload_bytes=125_000))
+            net.send(Message(src=(a.ip, 1), dst=(b.ip, 5), kind="remote",
+                             payload_bytes=100))
+            kernel.run()
+            return arrival[0]
+
+        assert off_host_arrival(True) == off_host_arrival(False)
+
     def test_same_instant_sends_deliver_in_send_order(self, kernel, net):
         # Two datagrams sent back to back arrive at one instant as two
         # kernel events; work the first handler defers with call_soon

@@ -25,7 +25,8 @@ from repro.metrics import cluster_counters
 from repro.ocs.admission import ADMISSION_RETRY_AFTER
 from repro.ocs import CallTimeout, DeadlineExceeded, Overloaded
 from repro.sim import SeededRandom
-from tests.fixtures.sabotage import allowed_expired_work
+from tests.fixtures.sabotage import (allowed_expired_work,
+                                     unbounded_admission_queue)
 from tests.helpers import (
     StubNames,
     client_runtime,
@@ -379,6 +380,17 @@ class TestViewerSurge:
         assert result.violated_monitors() == ["expired_work"]
         assert result.counters["ocs.expired_executions"] > 0
         assert result.counters["ocs.deadline_rejects"] == 0
+
+    def test_queue_bound_trips_when_the_queue_check_is_patched_out(self):
+        # E14 stays green with the gate intact and trips exactly
+        # queue_bound once try_admit forgets max_queue.
+        from repro.chaos.engine import run_schedule
+        from repro.chaos.schedule import FaultSchedule
+        schedule = FaultSchedule.load(E14_SCHEDULE)
+        assert run_schedule(schedule, seed=1, settops=2).ok
+        with unbounded_admission_queue():
+            result = run_schedule(schedule, seed=1, settops=2)
+        assert result.violated_monitors() == ["queue_bound"]
 
     def test_p99_open_latency_within_bound(self, surge_run):
         from repro.metrics import percentile

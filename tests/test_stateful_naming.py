@@ -95,7 +95,7 @@ class NameStoreMachine(RuleBasedStateMachine):
     def snapshot_round_trips(self):
         clone = NameStore()
         clone.load_snapshot(self.store.snapshot())
-        assert clone.context_paths() == self.store.context_paths()
+        assert clone.snapshot() == self.store.snapshot()
 
 
 TestNameStoreMachine = NameStoreMachine.TestCase
